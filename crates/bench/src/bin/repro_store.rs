@@ -3,7 +3,7 @@
 //! O(log n) in the number of live reservations, the retained naive
 //! per-slot rescan degrades linearly (the foil), and expiry-wheel GC
 //! costs are proportional to what actually expired — not to the live
-//! population.
+//! population — for SegR records and for EER allocations alike.
 //!
 //! Emits machine-readable JSON (default `BENCH_store.json`) so CI can
 //! gate on regressions.
@@ -14,6 +14,8 @@
 //!   - timeline admit at 10^6 live reservations ≤ 2× its 10^3 cost,
 //!   - the naive rescan at the largest common size ≥ 100× the timeline,
 //!   - GC work (`scanned`) tracks expired records, flat in live count,
+//!   - `CServ::gc` over a fixed set of due EERs scans the same entries at
+//!     1,500, 6,000 and 60,000 live EERs, in ≤ 3× the time,
 //!   - a release-mode Timeline-vs-vector-oracle spot check agrees exactly;
 //! * `--huge` — add a 10^7-reservation row (full mode only; ~GBs of RAM);
 //! * `--out <path>` — where to write the JSON (default `BENCH_store.json`
@@ -22,10 +24,14 @@
 //! Run with `cargo run --release -p colibri-bench --bin repro_store`.
 
 use colibri::base::{
-    Bandwidth, Duration, Instant, InterfaceId, IsdAsId, ResId, ReservationKey, SlotWindow,
+    Bandwidth, BwClass, Duration, HostAddr, Instant, InterfaceId, IsdAsId, ResId, ReservationKey,
+    SlotWindow,
 };
-use colibri::ctrl::{ReservationStore, SegrAdmission, SegrAdmissionConfig, SegrRequest, Timeline};
-use colibri::wire::HopField;
+use colibri::ctrl::{
+    AllowAll, CServ, CservConfig, EerSetupReq, ReservationStore, SegSetupReq, SegrAdmission,
+    SegrAdmissionConfig, SegrRequest, Timeline,
+};
+use colibri::wire::{EerInfo, HopField, ResInfo};
 
 const IN: InterfaceId = InterfaceId(1);
 const EG: InterfaceId = InterfaceId(2);
@@ -193,6 +199,96 @@ fn rec(i: u64, exp: Instant) -> colibri::ctrl::SegrRecord {
     )
 }
 
+struct EerGcRow {
+    live: u32,
+    due: u32,
+    scanned: usize,
+    gc_ns: f64,
+}
+
+/// EERs that come due in every `eer_gc_rows` sweep.
+const EER_DUE: u32 = 1_000;
+
+/// One `CServ::gc` sweep with [`EER_DUE`] EERs due, beside `live` EERs on
+/// the same SegR that are not: best of `reps` freshly built CServs. Every
+/// sweep starts cache-cold — as a periodic GC does, whose due entries were
+/// last touched a reservation lifetime ago — so the rows compare the work
+/// done, not whether a small population happens to fit in the CPU caches.
+fn bench_eer_gc(live: u32, reps: u32, evict: &[u8]) -> EerGcRow {
+    let mut row = EerGcRow { live, due: EER_DUE, scanned: 0, gc_ns: f64::INFINITY };
+    for _ in 0..reps {
+        let (mut cserv, segr) = cserv_with_segr();
+        admit_eers(&mut cserv, segr, 0..EER_DUE, Instant::from_secs(16));
+        admit_eers(&mut cserv, segr, EER_DUE..EER_DUE + live, Instant::from_secs(200));
+        // One byte per cache line of a buffer several times the per-core
+        // caches pushes the CServ's state out of them.
+        let lines: u64 = evict.iter().step_by(64).map(|&b| u64::from(b)).sum();
+        std::hint::black_box(lines);
+        let t0 = std::time::Instant::now();
+        let stats = cserv.gc(Instant::from_secs(20));
+        row.gc_ns = row.gc_ns.min(t0.elapsed().as_nanos() as f64);
+        row.scanned = stats.scanned;
+        let usage = &cserv.store().segr(segr).expect("SegR outlives the sweep").usage;
+        assert_eq!(usage.eer_count(), live as usize, "GC must drop the due EERs, only them");
+        assert_eq!(usage.allocated(), Bandwidth::from_kbps(u64::from(live)));
+    }
+    row
+}
+
+/// One CServ holding one finalized 1 Tbps SegR that expires at 300 s.
+fn cserv_with_segr() -> (CServ, ReservationKey) {
+    let me = IsdAsId::new(1, 10);
+    let mut cserv = CServ::new(me, &[7; 16], CservConfig::default(), Box::new(AllowAll));
+    cserv.set_interface_capacity(IN, Bandwidth::from_gbps(10_000));
+    cserv.set_interface_capacity(EG, Bandwidth::from_gbps(10_000));
+    let bw = Bandwidth::from_gbps(1_000);
+    let res_info = ResInfo {
+        src_as: me,
+        res_id: ResId(0),
+        bw: BwClass::from_bandwidth_ceil(bw),
+        exp_t: Instant::from_secs(300),
+        ver: 0,
+    };
+    let hop = HopField::new(IN.0, EG.0);
+    let req = SegSetupReq {
+        request_id: 0,
+        deadline: Instant::MAX,
+        starts_at: Instant::EPOCH,
+        res_info,
+        demand: bw,
+        min_bw: Bandwidth::ZERO,
+        path: vec![(me, hop)],
+        grants: vec![],
+    };
+    let (granted, _) = cserv.segr_admit_hop(&req, 0, bw, Instant::EPOCH).expect("SegR admitted");
+    cserv.segr_finalize_hop(&res_info, hop, 0, 1, granted, Instant::EPOCH, Instant::EPOCH);
+    (cserv, res_info.key())
+}
+
+/// Admits EERs `ids` of 1 kbps each on `segr`, expiring at `exp`, as
+/// tracked requests (so each also leaves a replay-cache verdict).
+fn admit_eers(cserv: &mut CServ, segr: ReservationKey, ids: std::ops::Range<u32>, exp: Instant) {
+    for id in ids {
+        let req = EerSetupReq {
+            request_id: u64::from(id) + 1,
+            deadline: Instant::MAX,
+            res_info: ResInfo {
+                src_as: cserv.isd_as,
+                res_id: ResId(1 + id),
+                bw: BwClass(1),
+                exp_t: exp,
+                ver: 0,
+            },
+            eer_info: EerInfo { src_host: HostAddr(1), dst_host: HostAddr(2) },
+            demand: Bandwidth::from_kbps(1),
+            path: vec![(cserv.isd_as, HopField::new(IN.0, EG.0))],
+            junctions: vec![],
+            segr_ids: vec![segr],
+        };
+        cserv.eer_admit_hop(&req, 0, Instant::EPOCH).expect("EER admitted");
+    }
+}
+
 /// Release-mode differential spot check: a fixed-seed interleaving of
 /// reserve/free/advance against a plain per-slot vector (debug_asserts
 /// are compiled out here, so this is the only release-side guard).
@@ -329,6 +425,18 @@ fn main() {
         println!("{:>10} {:>10} {:>10} {:>12.0}", g.live, g.expired, g.scanned, g.gc_ns);
     }
 
+    println!("\n## CServ::gc over EERs: cost tracks due allocations, not live EERs on the SegR");
+    println!("{:>10} {:>10} {:>10} {:>12}", "live", "due", "scanned", "gc ns");
+    let evict = vec![1u8; 128 << 20];
+    let eer_gc_rows: Vec<EerGcRow> = [1_500u32, 6_000, 60_000]
+        .iter()
+        .map(|&live| bench_eer_gc(live, if quick { 5 } else { 7 }, &evict))
+        .collect();
+    drop(evict);
+    for g in &eer_gc_rows {
+        println!("{:>10} {:>10} {:>10} {:>12.0}", g.live, g.due, g.scanned, g.gc_ns);
+    }
+
     println!("\n## timeline vs per-slot vector oracle (release-mode spot check)");
     let oracle_ok = oracle_spot_check();
     println!("oracle agreement: {}", if oracle_ok { "exact" } else { "MISMATCH" });
@@ -357,6 +465,17 @@ fn main() {
             g.scanned,
             g.gc_ns,
             if i + 1 < gc_rows.len() { "," } else { "" },
+        ));
+    }
+    json.push_str("  ],\n  \"eer_gc_rows\": [\n");
+    for (i, g) in eer_gc_rows.iter().enumerate() {
+        json.push_str(&format!(
+            "    {{\"live\": {}, \"due\": {}, \"scanned\": {}, \"gc_ns\": {:.0}}}{}\n",
+            g.live,
+            g.due,
+            g.scanned,
+            g.gc_ns,
+            if i + 1 < eer_gc_rows.len() { "," } else { "" },
         ));
     }
     json.push_str(&format!("  ],\n  \"oracle_ok\": {oracle_ok}\n}}\n"));
@@ -402,6 +521,27 @@ fn main() {
                 );
                 ok = false;
             }
+        }
+        // EER GC ∝ due: the same entries scanned at every live size (one
+        // allocation and one cached verdict per due EER), and the sweep at
+        // 40× the population within 3× the time (deeper TLB and cache
+        // misses in larger maps; a scan of the live EERs would be ~40×).
+        let (small, large) = (&eer_gc_rows[0], &eer_gc_rows[eer_gc_rows.len() - 1]);
+        for g in &eer_gc_rows {
+            if g.scanned != 2 * g.due as usize {
+                eprintln!(
+                    "GATE FAIL: CServ::gc at {} live EERs scanned {} entries for {} due EERs",
+                    g.live, g.scanned, g.due
+                );
+                ok = false;
+            }
+        }
+        if large.gc_ns > 3.0 * small.gc_ns {
+            eprintln!(
+                "GATE FAIL: CServ::gc at {} live EERs took {:.0} ns vs {:.0} ns at {} (limit 3x)",
+                large.live, large.gc_ns, small.gc_ns, small.live
+            );
+            ok = false;
         }
         if !oracle_ok {
             eprintln!("GATE FAIL: timeline/oracle spot check diverged");

@@ -18,8 +18,12 @@ use crate::eer::EerError;
 use crate::messages::{EerSetupReq, SealedHopAuth, SegSetupReq};
 use crate::policy::EerPolicy;
 use crate::shed::{AdmissionQueue, RequestClass, ShedConfig, ShedStats, ShedVerdict};
-use crate::store::{GcStats, OwnedEer, OwnedSegr, PendingVersion, ReservationStore, SegrRecord};
+use crate::store::{
+    expire, GcStats, OwnedEer, OwnedEerVersion, OwnedSegr, PendingVersion, ReservationStore,
+    SegrRecord,
+};
 use crate::telemetry::CservTelemetry;
+use crate::timeline::ExpiryWheel;
 use colibri_base::{Bandwidth, Duration, Instant, InterfaceId, IsdAsId, ResId, ReservationKey};
 use colibri_crypto::{Aead, Cmac, Epoch, Key, SecretValueGen};
 use colibri_telemetry::{Registry, TraceOp, TraceOutcome, Tracer};
@@ -40,8 +44,22 @@ type ReplayedVerdict<T> = (Result<T, CservError>, Instant);
 /// Upper bound on cached verdicts. The cache exists for retried requests,
 /// which arrive within a retry window of seconds; the bound keeps an
 /// attacker flooding unique request ids from growing state without limit
-/// (beyond it, requests are still served — just without replay memory).
+/// (beyond it, requests are still served — just without replay memory,
+/// counted by `colibri_ctrl_replay_cache_full_total`).
 const REPLAY_CAP: usize = 1 << 16;
+
+/// What one due entry of the CServ's cache wheel asks the garbage
+/// collector to re-check: a key of one of the three expiring caches.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum CacheDue {
+    /// A `seg_replay` verdict (deadline: the would-be SegR's expiry).
+    SegVerdict(ReplayKey),
+    /// An `eer_replay` verdict (deadline: the would-be EER's expiry).
+    EerVerdict(ReplayKey),
+    /// A `renewal_times` entry (deadline: last renewal + the minimum
+    /// renewal interval, after which it can influence no verdict).
+    RenewalTime(ReservationKey),
+}
 
 /// CServ configuration.
 #[derive(Debug, Clone, Copy)]
@@ -166,7 +184,7 @@ pub struct CServ {
     /// Source ASes denied future reservations (policing, §4.8).
     denied_sources: HashSet<IsdAsId>,
     /// Last accepted renewal per EER, for rate limiting (§4.2).
-    renewal_times: std::collections::HashMap<ReservationKey, Instant>,
+    renewal_times: HashMap<ReservationKey, Instant>,
     /// Monotone counter for initiator-side request ids (0 is reserved for
     /// "untracked", so the counter starts at 1).
     next_request_id: u64,
@@ -176,6 +194,10 @@ pub struct CServ {
     /// Recorded EER admission verdicts; replay prevents double-charging
     /// SegR headroom and transfer-AS split demand.
     eer_replay: HashMap<ReplayKey, ReplayedVerdict<()>>,
+    /// Expiry index over `seg_replay`, `eer_replay` and `renewal_times`:
+    /// every entry of the three maps has a wheel entry at or before the
+    /// slot of its deadline, so GC examines only the due ones.
+    cache_wheel: ExpiryWheel<CacheDue>,
     /// Bounded admission work queue (deadline-aware load shedding);
     /// `None` admits with unlimited throughput.
     shed: Option<AdmissionQueue>,
@@ -216,10 +238,11 @@ impl CServ {
             next_res_id: 0,
             policy,
             denied_sources: HashSet::new(),
-            renewal_times: std::collections::HashMap::new(),
+            renewal_times: HashMap::new(),
             next_request_id: 1,
             seg_replay: HashMap::new(),
             eer_replay: HashMap::new(),
+            cache_wheel: ExpiryWheel::new(Duration::from_secs(1)),
             shed: cfg.shed.map(|s| AdmissionQueue::new(s, Instant::EPOCH)),
             telemetry: None,
         }
@@ -387,39 +410,36 @@ impl CServ {
         self.renewal_times.len()
     }
 
-    /// Garbage-collects expired reservations. Driven by the store's
-    /// expiry wheel: cost is proportional to the records *due* this run
-    /// (plus the replay-cache sweeps), not to the live reservation count.
-    /// The returned [`GcStats`] report how much work was actually done.
+    /// Number of memoized admission verdicts, `(SegR, EER)` (observability;
+    /// each cache is bounded by its cap, and by the requests seen within one
+    /// reservation lifetime once `gc` has run).
+    pub fn replay_cache_entries(&self) -> (usize, usize) {
+        (self.seg_replay.len(), self.eer_replay.len())
+    }
+
+    /// Garbage-collects everything that has expired, in time proportional
+    /// to the entries *due* this run — never to the live population of
+    /// SegRs, EERs or cached verdicts. Two expiry wheels are the only
+    /// indexes: the store's (SegR records, EER allocations, owned
+    /// reservations; see [`ReservationStore::gc`]) and this CServ's cache
+    /// wheel (replay verdicts, renewal rate-limit entries). The returned
+    /// [`GcStats`] report how much work was actually done.
     pub fn gc(&mut self, now: Instant) -> GcStats {
         // The admission frame follows the clock first, so profile slots
         // the clock has passed decay before (and independently of) record
         // removal.
         self.admission.advance(now);
-        // Backstop for undelivered aborts: a cached admission verdict
-        // whose reservation was never finalized here (no store record)
-        // is an orphan — the initiator gave up and its abort never
-        // arrived. Undo it once the would-be reservation has expired.
-        // Runs before record/store GC so a *finalized* reservation still
-        // has its record and is never mistaken for an orphan.
-        let orphaned: Vec<UndoToken> = self
-            .seg_replay
-            .values()
-            .filter(|(_, exp)| *exp <= now)
-            .filter_map(|(verdict, _)| match verdict {
-                Ok((_, undo)) if self.store.segr(undo.key()).is_none() => Some(*undo),
-                _ => None,
-            })
-            .collect();
-        self.trace(now, TraceOp::Gc, TraceOutcome::Ok, orphaned.len() as u64);
-        let n_orphans = orphaned.len();
-        for undo in orphaned {
-            self.admission.undo(undo);
-        }
-        // Expired records pop from the wheel; release their admission
-        // state along with the store record.
+        // The cache sweep — with the orphaned-admission backstop — runs
+        // before the store sweep, so a *finalized* reservation expiring in
+        // this same run still has its record and is never mistaken for an
+        // orphan.
+        let (cache_scanned, orphans) = self.gc_caches(now);
+        self.trace(now, TraceOp::Gc, TraceOutcome::Ok, orphans as u64);
+        // Expired records pop from the store's wheel; release their
+        // admission state along with the store record.
         let mut stats = self.store.gc(now);
-        stats.orphans = n_orphans;
+        stats.scanned += cache_scanned;
+        stats.orphans = orphans;
         for key in &stats.removed {
             self.admission.remove(*key);
         }
@@ -429,15 +449,46 @@ impl CServ {
             t.gc_scanned.add(stats.scanned as u64);
             t.gc_expired.add(stats.expired as u64);
         }
-        self.seg_replay.retain(|_, (_, exp)| *exp > now);
-        self.eer_replay.retain(|_, (_, exp)| *exp > now);
-        // Rate-limit bookkeeping: an entry older than the minimum renewal
-        // interval can never influence another verdict, so it is garbage
-        // the moment the interval passes. Without this purge the map grew
-        // by one entry per EER forever.
-        let min_interval = self.cfg.eer_renewal_min_interval;
-        self.renewal_times.retain(|_, &mut last| now.saturating_since(last) < min_interval);
         stats
+    }
+
+    /// Pops the due entries of the cache wheel and drops what they name
+    /// if its deadline has passed (re-arming it if not). Returns
+    /// `(entries examined, orphaned admissions undone)`.
+    ///
+    /// The backstop for undelivered aborts lives here: an expiring
+    /// `seg_replay` verdict that granted an admission whose reservation
+    /// was never finalized at this AS (no store record) is an orphan —
+    /// the initiator gave up and its abort never arrived — and is undone.
+    fn gc_caches(&mut self, now: Instant) -> (usize, usize) {
+        let min_interval = self.cfg.eer_renewal_min_interval;
+        let due = self.cache_wheel.pop_due(now);
+        let mut orphans = 0;
+        for &entry in &due {
+            let alive_until = match entry {
+                CacheDue::SegVerdict(rk) => {
+                    let verdict = self.seg_replay.get(&rk).map(|&(verdict, _)| verdict);
+                    let alive_until = expire(&mut self.seg_replay, rk, now, |&(_, exp)| exp);
+                    if let (None, Some(Ok((_, undo)))) = (alive_until, verdict) {
+                        if self.store.segr(undo.key()).is_none() {
+                            self.admission.undo(undo);
+                            orphans += 1;
+                        }
+                    }
+                    alive_until
+                }
+                CacheDue::EerVerdict(rk) => expire(&mut self.eer_replay, rk, now, |&(_, exp)| exp),
+                // An entry older than the minimum renewal interval can
+                // never influence another verdict.
+                CacheDue::RenewalTime(key) => {
+                    expire(&mut self.renewal_times, key, now, |&last| last + min_interval)
+                }
+            };
+            if let Some(at) = alive_until {
+                self.cache_wheel.schedule(at, entry);
+            }
+        }
+        (due.len(), orphans)
     }
 
     /// Rebuilds all volatile control-plane state from the reservation
@@ -471,7 +522,8 @@ impl CServ {
             rebuilt.restore_entry(key, rec.ingress, rec.egress, bw, window);
         }
         self.admission = rebuilt;
-        // The expiry wheel is volatile too: re-index the durable records.
+        // The expiry wheels are volatile too: re-index the durable
+        // records (SegRs, EER allocations, owned reservations)…
         self.store.rebuild_wheel();
         self.k_i_cache = None;
         self.seg_replay.clear();
@@ -481,6 +533,11 @@ impl CServ {
         // §4.2 renewal rate limit.
         let min_interval = self.cfg.eer_renewal_min_interval;
         self.renewal_times.retain(|_, &mut last| now.saturating_since(last) < min_interval);
+        // …and the one cache that survived.
+        self.cache_wheel.clear();
+        for (&key, &last) in &self.renewal_times {
+            self.cache_wheel.schedule(last + min_interval, CacheDue::RenewalTime(key));
+        }
         // In-flight admission work died with the process: the queue
         // restarts empty at nominal speed.
         if let Some(q) = &mut self.shed {
@@ -546,8 +603,13 @@ impl CServ {
             if req.res_info.ver > 0 { TraceOp::Renewal } else { TraceOp::SegrAdmission };
         let outcome = if result.is_ok() { TraceOutcome::Ok } else { TraceOutcome::Denied };
         self.trace(now, op, outcome, req.request_id);
-        if req.request_id != 0 && self.seg_replay.len() < REPLAY_CAP {
-            self.seg_replay.insert(rk, (result, req.res_info.exp_t));
+        if req.request_id != 0 {
+            if self.seg_replay.len() < REPLAY_CAP {
+                self.seg_replay.insert(rk, (result, req.res_info.exp_t));
+                self.cache_wheel.schedule(req.res_info.exp_t, CacheDue::SegVerdict(rk));
+            } else if let Some(t) = &self.telemetry {
+                t.replay_cache_full.inc();
+            }
         }
         result
     }
@@ -778,8 +840,13 @@ impl CServ {
         let op = if req.res_info.ver > 0 { TraceOp::Renewal } else { TraceOp::EerAdmission };
         let outcome = if result.is_ok() { TraceOutcome::Ok } else { TraceOutcome::Denied };
         self.trace(now, op, outcome, req.request_id);
-        if req.request_id != 0 && self.eer_replay.len() < REPLAY_CAP {
-            self.eer_replay.insert(rk, (result, req.res_info.exp_t));
+        if req.request_id != 0 {
+            if self.eer_replay.len() < REPLAY_CAP {
+                self.eer_replay.insert(rk, (result, req.res_info.exp_t));
+                self.cache_wheel.schedule(req.res_info.exp_t, CacheDue::EerVerdict(rk));
+            } else if let Some(t) = &self.telemetry {
+                t.replay_cache_full.inc();
+            }
         }
         result
     }
@@ -833,7 +900,7 @@ impl CServ {
                 rec.usage.admit(key, ver, req.demand, exp, now, None)?;
                 // Index the allocation's expiry so GC can return its
                 // headroom without scanning every record.
-                self.store.schedule_usage_gc(in_key, exp);
+                self.store.schedule_alloc_expiry(in_key, key, ver, exp);
             }
             Some(seg_out) => {
                 // Transfer AS: check both SegRs (§4.7 "Transfer AS").
@@ -884,8 +951,8 @@ impl CServ {
                     rec_out.split.release_demand(in_key, req.demand);
                     return Err(e.into());
                 }
-                self.store.schedule_usage_gc(in_key, exp);
-                self.store.schedule_usage_gc(out_key, exp);
+                self.store.schedule_alloc_expiry(in_key, key, ver, exp);
+                self.store.schedule_alloc_expiry(out_key, key, ver, exp);
             }
         }
         Ok(())
@@ -946,7 +1013,14 @@ impl CServ {
         // A renewal consumes its rate-limit budget only here, i.e. once the
         // whole path accepted it; refused attempts stay retryable.
         if res_info.ver > 0 {
-            self.renewal_times.insert(res_info.key(), now);
+            // A key already in the map is already on the cache wheel; the
+            // GC re-arms it at the later deadline.
+            if self.renewal_times.insert(res_info.key(), now).is_none() {
+                self.cache_wheel.schedule(
+                    now + self.cfg.eer_renewal_min_interval,
+                    CacheDue::RenewalTime(res_info.key()),
+                );
+            }
             if let Some(t) = &self.telemetry {
                 t.renewals.inc();
             }
@@ -967,7 +1041,11 @@ impl CServ {
     /// Destination-side registration of an accepted EER (so the last AS can
     /// deliver packets to `DstHost`).
     pub fn eer_register_terminating(&mut self, req: &EerSetupReq) {
-        self.store.insert_terminating_eer(req.res_info.key(), req.eer_info.dst_host);
+        self.store.insert_terminating_eer(
+            req.res_info.key(),
+            req.eer_info.dst_host,
+            req.res_info.exp_t,
+        );
     }
 
     /// Source-side: opens the sealed hop authenticators of an accepted
@@ -992,27 +1070,20 @@ impl CServ {
             hop_auths.push(Key(arr));
         }
         let key = req.res_info.key();
-        let version = crate::store::OwnedEerVersion {
+        let version = OwnedEerVersion {
             ver: req.res_info.ver,
             bw: req.demand,
             exp: req.res_info.exp_t,
             hop_auths,
         };
-        match self.store.owned_eer_mut(key) {
-            Some(eer) => {
-                eer.versions.retain(|v| v.ver != req.res_info.ver);
-                eer.versions.push(version);
-                eer.versions.sort_by_key(|v| v.ver);
-            }
-            None => {
-                self.store.insert_owned_eer(OwnedEer {
-                    key,
-                    eer_info: req.eer_info,
-                    path_ases: req.path.iter().map(|(a, _)| *a).collect(),
-                    hop_fields: req.path.iter().map(|(_, h)| *h).collect(),
-                    versions: vec![version],
-                });
-            }
+        if let Err(version) = self.store.insert_owned_eer_version(key, version) {
+            self.store.insert_owned_eer(OwnedEer {
+                key,
+                eer_info: req.eer_info,
+                path_ases: req.path.iter().map(|(a, _)| *a).collect(),
+                hop_fields: req.path.iter().map(|(_, h)| *h).collect(),
+                versions: vec![version],
+            });
         }
         Ok(())
     }
@@ -1173,6 +1244,73 @@ mod tests {
         c.segr_abort_request(src, 7, 0, Instant::EPOCH);
         c.segr_abort_request(src, 999, 0, Instant::EPOCH);
         assert_eq!(c.admission().aggregates(), clean);
+    }
+
+    #[test]
+    fn orphaned_admission_is_undone_once_and_only_at_its_deadline() {
+        let mut c = cserv(10);
+        c.set_interface_capacity(InterfaceId(1), Bandwidth::from_gbps(10));
+        c.set_interface_capacity(InterfaceId(2), Bandwidth::from_gbps(10));
+        let clean = c.admission().aggregates();
+        // Admitted on the forward pass, never finalized, abort never
+        // delivered. The would-be reservation expires at 300 s.
+        let req = seg_req(5, Bandwidth::from_mbps(100));
+        c.segr_admit_hop(&req, 0, req.demand, Instant::EPOCH).unwrap();
+        let before = c.gc(Instant::from_secs(299));
+        assert_eq!(before.orphans, 0, "not before the deadline");
+        assert_ne!(c.admission().aggregates(), clean);
+        assert_eq!(c.replay_cache_entries(), (1, 0));
+        let at = c.gc(Instant::from_secs(300));
+        assert_eq!((at.orphans, at.expired), (1, 0));
+        assert_eq!(c.admission().aggregates(), clean);
+        assert_eq!(c.replay_cache_entries(), (0, 0));
+        let after = c.gc(Instant::from_secs(301));
+        assert_eq!((after.orphans, after.scanned), (0, 0), "exactly once");
+        assert_eq!(c.admission().aggregates(), clean);
+        c.admission().audit().expect("aggregates reconcile");
+    }
+
+    #[test]
+    fn finalized_reservation_is_never_an_orphan() {
+        let mut c = cserv(10);
+        c.set_interface_capacity(InterfaceId(1), Bandwidth::from_gbps(10));
+        c.set_interface_capacity(InterfaceId(2), Bandwidth::from_gbps(10));
+        let clean = c.admission().aggregates();
+        let req = seg_req(6, Bandwidth::from_mbps(100));
+        let (granted, _) = c.segr_admit_hop(&req, 0, req.demand, Instant::EPOCH).unwrap();
+        let info = ResInfo { bw: BwClass::from_bandwidth_ceil(granted), ..req.res_info };
+        c.segr_finalize_hop(&info, req.path[0].1, 0, 1, granted, Instant::EPOCH, Instant::EPOCH);
+        // Record and cached verdict expire in the same run: the verdict is
+        // examined while the record still exists, so the admission is
+        // released once — with the record — not also undone as an orphan.
+        let stats = c.gc(Instant::from_secs(300));
+        assert_eq!((stats.orphans, stats.expired), (0, 1));
+        assert_eq!(stats.removed, vec![info.key()]);
+        assert_eq!(c.admission().aggregates(), clean);
+        assert_eq!(c.gc(Instant::from_secs(301)).orphans, 0);
+        c.admission().audit().expect("aggregates reconcile");
+    }
+
+    #[test]
+    fn full_replay_cache_is_counted_not_silent() {
+        let mut c = cserv(10);
+        c.set_interface_capacity(InterfaceId(1), Bandwidth::from_gbps(10));
+        c.set_interface_capacity(InterfaceId(2), Bandwidth::from_gbps(10));
+        let reg = Registry::new();
+        c.attach_telemetry(&reg, "cserv_1_10");
+        // Fill the cache with refusals (a denied source costs no admission
+        // state), then one more.
+        c.deny_source(IsdAsId::new(9, 9));
+        let req = seg_req(0, Bandwidth::from_mbps(1));
+        for id in 1..=REPLAY_CAP as u64 + 3 {
+            let req = SegSetupReq { request_id: id, ..req.clone() };
+            assert!(c.segr_admit_hop(&req, 0, req.demand, Instant::EPOCH).is_err());
+        }
+        assert_eq!(c.replay_cache_entries().0, REPLAY_CAP);
+        let snap = reg.snapshot();
+        assert_eq!(snap.total("colibri_ctrl_replay_cache_full_total"), 3);
+        colibri_telemetry::verify_exposition(&snap.render_prometheus())
+            .expect("exposition verifies");
     }
 
     #[test]

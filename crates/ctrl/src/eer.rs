@@ -11,8 +11,9 @@
 //! * **Versions** (§4.2): multiple versions of one EER coexist during
 //!   renewal, but map to the same monitor flow; the bandwidth charged to
 //!   the SegR is the *maximum* over live versions, not the sum.
-//! * **Expiry**: EERs expire automatically (no teardown message). Expired
-//!   versions are garbage-collected lazily and their bandwidth returned.
+//! * **Expiry**: EERs expire automatically (no teardown message). Each
+//!   admitted version is indexed on the store's expiry wheel and dropped
+//!   — its bandwidth returned — by the first GC run after it expires.
 //! * **Transfer ASes**: at the joint of two SegRs, the request must fit in
 //!   *both*; additionally, when up-SegRs jointly demand more EER bandwidth
 //!   than the shared core-SegR has, the core-SegR's capacity is divided
@@ -20,7 +21,7 @@
 //!   up-SegR's own bandwidth (§4.7 "Transfer AS").
 
 use colibri_base::{Bandwidth, Instant, ReservationKey};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 
 /// One live version of an EER.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -171,21 +172,54 @@ impl SegrUsage {
     /// admitted setup when a downstream AS refuses). Returns freed
     /// bandwidth to the pool.
     pub fn remove_version(&mut self, key: ReservationKey, ver: u8) {
-        if let Some(e) = self.eers.get_mut(&key) {
-            let before = e.charged();
-            e.versions.retain(|v| v.ver != ver);
-            let after = e.charged();
-            self.allocated -= before - after;
-            if e.versions.is_empty() {
-                self.eers.remove(&key);
-            }
-        }
+        // Unconditional removal is expiry at the end of time.
+        self.expire_version(key, ver, Instant::MAX);
     }
 
-    /// Garbage-collects expired versions of all EERs, returning freed
-    /// bandwidth to the pool. Called opportunistically by the CServ (in
-    /// production: on a timer); cost is linear in the number of EERs, but
-    /// off the admission path.
+    /// Expires one version of one EER, as its expiry-wheel entry comes
+    /// due: if the version is still allocated and `exp <= now` it is
+    /// dropped and its charge credited back to the pool; if its expiry
+    /// lies ahead, that instant is returned so the caller can re-arm the
+    /// entry. A version already gone (rolled back, lazily expired by
+    /// [`SegrUsage::admit`], or a duplicate entry) is a no-op. Cost is
+    /// independent of the number of EERs on the SegR.
+    pub(crate) fn expire_version(
+        &mut self,
+        key: ReservationKey,
+        ver: u8,
+        now: Instant,
+    ) -> Option<Instant> {
+        let Entry::Occupied(mut slot) = self.eers.entry(key) else {
+            return None;
+        };
+        let eer = slot.get_mut();
+        let at = eer.versions.iter().position(|v| v.ver == ver)?;
+        let exp = eer.versions[at].exp;
+        if exp > now {
+            return Some(exp);
+        }
+        let before = eer.charged();
+        eer.versions.remove(at);
+        self.allocated -= before - eer.charged();
+        if eer.versions.is_empty() {
+            slot.remove();
+        }
+        None
+    }
+
+    /// Every live allocation as `(eer, version, expiry)`, for re-indexing
+    /// the expiry wheel after a restart.
+    pub(crate) fn versions(&self) -> impl Iterator<Item = (ReservationKey, u8, Instant)> + '_ {
+        self.eers.iter().flat_map(|(&k, e)| e.versions.iter().map(move |v| (k, v.ver, v.exp)))
+    }
+
+    /// Full-scan expiry: drops the expired versions of *all* EERs and
+    /// returns the freed bandwidth to the pool, in time linear in the
+    /// number of EERs. The CServ never calls this — its GC expires each
+    /// allocation through its own wheel entry
+    /// ([`crate::ReservationStore::gc`]). It remains as the sweep of the
+    /// wheel-less [`crate::DistributedCServ`] and as the reference model
+    /// the property tests compare the wheel against.
     pub fn gc(&mut self, now: Instant) {
         let mut freed = 0u64;
         self.eers.retain(|_, e| {

@@ -876,7 +876,12 @@ fn run_eer_pass(
                 .expect("on-path AS key")
         })
         .map_err(|reason| SetupError::Refused { failed_at: 0, reason })?;
-    cserv.store_mut().remember_eer_request(res_info.key(), segr_ids.to_vec(), req.junctions.clone());
+    cserv.store_mut().remember_eer_request(
+        res_info.key(),
+        segr_ids.to_vec(),
+        req.junctions.clone(),
+        res_info.exp_t,
+    );
 
     Ok((EerGrant { key: res_info.key(), ver: res_info.ver, bw: demand, exp: res_info.exp_t }, stats))
 }

@@ -21,7 +21,8 @@ use colibri_base::{Bandwidth, Duration, HostAddr, Instant, InterfaceId, IsdAsId,
 use colibri_crypto::Key;
 use colibri_topology::Segment;
 use colibri_wire::{EerInfo, HopField, ResInfo, HVF_LEN};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
+use std::hash::Hash;
 
 /// A renewal that has been admitted but not yet activated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,6 +109,12 @@ impl SegrRecord {
     /// instant has been reached and it has not expired).
     pub fn is_active(&self, now: Instant) -> bool {
         now >= self.starts_at && !self.is_expired(now)
+    }
+
+    /// When the GC must look at this record again: the later of the
+    /// active and the pending version's expiry.
+    fn due(&self) -> Instant {
+        self.pending.map_or(self.exp, |p| p.exp.max(self.exp))
     }
 
     /// The hop field this AS expects in packets over the reservation.
@@ -245,30 +252,56 @@ impl OwnedEer {
     pub fn latest_version(&self, now: Instant) -> Option<&OwnedEerVersion> {
         self.versions.iter().rev().find(|v| v.exp > now)
     }
-
-    /// Drops expired versions.
-    pub fn gc(&mut self, now: Instant) {
-        self.versions.retain(|v| v.exp > now);
-    }
 }
 
-/// What one due expiry-wheel entry asks the garbage collector to do.
+/// What one due expiry-wheel entry asks the garbage collector to
+/// re-check. Every expiring thing the store holds is indexed by exactly
+/// this one structure; an entry whose record is gone (torn down, rolled
+/// back, already expired through a duplicate entry) is a no-op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Due {
-    /// Re-check a transit SegR record for expiry.
+    /// A transit SegR record.
     Segr(ReservationKey),
-    /// Prune expired EER allocations from one SegR's usage tracker.
-    Usage(ReservationKey),
+    /// One version of one EER's allocation on a SegR.
+    Alloc {
+        /// The SegR charged.
+        segr: ReservationKey,
+        /// The EER holding the allocation.
+        eer: ReservationKey,
+        /// The allocated version.
+        ver: u8,
+    },
+    /// An initiator-side SegR.
+    OwnedSegr(ReservationKey),
+    /// One version of an owned EER.
+    OwnedEer(ReservationKey, u8),
+    /// A destination-side EER registration.
+    TerminatingEer(ReservationKey),
+    /// The remembered request (SegRs, junctions) of an owned EER.
+    EerRequest(ReservationKey),
+}
+
+/// The SegRs and junction indices an owned EER was requested over, kept
+/// for as long as some version of the EER is.
+#[derive(Debug)]
+struct EerRequest {
+    segr_ids: Vec<ReservationKey>,
+    junctions: Vec<u8>,
+    /// Latest expiry over the versions this request was (re)issued for.
+    exp: Instant,
 }
 
 /// What one [`ReservationStore::gc`] (or [`crate::CServ::gc`]) run did.
 /// `scanned` counts expiry-wheel entries processed — proportional to
 /// records *due*, not records *live* — which is the whole point of the
 /// wheel: a store with 10⁶ live reservations and nothing expiring does no
-/// per-record work.
+/// per-record work. This holds for every record kind (SegRs, EER
+/// allocations, owned reservations, the CServ's verdict caches), not
+/// only for SegRs.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GcStats {
-    /// Expiry-wheel entries popped and examined this run.
+    /// Expiry-wheel entries popped and examined this run (the store's
+    /// wheel plus, from [`crate::CServ::gc`], the verdict-cache wheel).
     pub scanned: usize,
     /// SegR records found expired and dropped.
     pub expired: usize,
@@ -283,9 +316,10 @@ pub struct GcStats {
 /// The per-AS reservation database.
 #[derive(Debug)]
 pub struct ReservationStore {
-    /// Slot-bucketed expiry index over the transit SegRs (and their EER
-    /// usage trackers), so GC touches only *due* records instead of
-    /// scanning all of them.
+    /// Slot-bucketed expiry index over everything below that expires:
+    /// every record (and every version of one) has an entry at or before
+    /// the slot of its expiry, so GC touches only *due* records instead
+    /// of scanning any of the maps.
     wheel: ExpiryWheel<Due>,
     /// All SegRs traversing this AS.
     segrs: HashMap<ReservationKey, SegrRecord>,
@@ -294,11 +328,12 @@ pub struct ReservationStore {
     /// EERs originating in this AS.
     owned_eers: HashMap<ReservationKey, OwnedEer>,
     /// EERs terminating at a local host (destination side), for delivery
-    /// accounting: key → destination host.
-    terminating_eers: HashMap<ReservationKey, HostAddr>,
+    /// accounting: key → destination host and the latest expiry over
+    /// the EER's versions.
+    terminating_eers: HashMap<ReservationKey, (HostAddr, Instant)>,
     /// For owned EERs: the SegRs and junction indices of the original
     /// request, needed to issue renewals.
-    eer_requests: HashMap<ReservationKey, (Vec<ReservationKey>, Vec<u8>)>,
+    eer_requests: HashMap<ReservationKey, EerRequest>,
 }
 
 impl Default for ReservationStore {
@@ -329,20 +364,45 @@ impl ReservationStore {
         self.segrs.insert(rec.key, rec);
     }
 
-    /// Asks the GC to prune one SegR's EER usage tracker once `at` has
-    /// passed (scheduled per admitted EER allocation, so freed headroom
-    /// returns to the pool without scanning every record).
-    pub fn schedule_usage_gc(&mut self, key: ReservationKey, at: Instant) {
-        self.wheel.schedule(at, Due::Usage(key));
+    /// Indexes one EER allocation just admitted on SegR `segr`
+    /// ([`SegrUsage::admit`] of version `ver` of `eer`, expiring at
+    /// `exp`), so the GC returns exactly that version's headroom to the
+    /// pool once it expires.
+    pub fn schedule_alloc_expiry(
+        &mut self,
+        segr: ReservationKey,
+        eer: ReservationKey,
+        ver: u8,
+        exp: Instant,
+    ) {
+        self.wheel.schedule(exp, Due::Alloc { segr, eer, ver });
     }
 
     /// Rebuilds the expiry wheel from the records — the wheel is volatile
-    /// (in-memory) state, so a restart re-indexes the durable store.
+    /// (in-memory) state, so a restart re-indexes the durable store:
+    /// every SegR, EER allocation, owned reservation version, terminating
+    /// registration and remembered request.
     pub fn rebuild_wheel(&mut self) {
         self.wheel.clear();
         for r in self.segrs.values() {
-            let due = r.pending.as_ref().map(|p| p.exp.max(r.exp)).unwrap_or(r.exp);
-            self.wheel.schedule(due, Due::Segr(r.key));
+            self.wheel.schedule(r.due(), Due::Segr(r.key));
+            for (eer, ver, exp) in r.usage.versions() {
+                self.wheel.schedule(exp, Due::Alloc { segr: r.key, eer, ver });
+            }
+        }
+        for s in self.owned_segrs.values() {
+            self.wheel.schedule(s.exp, Due::OwnedSegr(s.key));
+        }
+        for e in self.owned_eers.values() {
+            for v in &e.versions {
+                self.wheel.schedule(v.exp, Due::OwnedEer(e.key, v.ver));
+            }
+        }
+        for (&key, &(_, exp)) in &self.terminating_eers {
+            self.wheel.schedule(exp, Due::TerminatingEer(key));
+        }
+        for (&key, req) in &self.eer_requests {
+            self.wheel.schedule(req.exp, Due::EerRequest(key));
         }
     }
 
@@ -371,8 +431,11 @@ impl ReservationStore {
         self.segrs.len()
     }
 
-    /// Inserts an initiator-side SegR.
+    /// Inserts an initiator-side SegR and indexes its expiry. As with
+    /// transit records, an activation that extends its life re-arms the
+    /// entry when the old slot comes due.
     pub fn insert_owned_segr(&mut self, segr: OwnedSegr) {
+        self.wheel.schedule(segr.exp, Due::OwnedSegr(segr.key));
         self.owned_segrs.insert(segr.key, segr);
     }
 
@@ -396,9 +459,31 @@ impl ReservationStore {
         self.owned_segrs.values()
     }
 
-    /// Inserts or replaces an owned EER.
+    /// Inserts or replaces an owned EER and indexes the expiry of each of
+    /// its versions.
     pub fn insert_owned_eer(&mut self, eer: OwnedEer) {
+        for v in &eer.versions {
+            self.wheel.schedule(v.exp, Due::OwnedEer(eer.key, v.ver));
+        }
         self.owned_eers.insert(eer.key, eer);
+    }
+
+    /// Adds one version to an owned EER (a renewal), replacing a version
+    /// of the same number, and indexes its expiry. If the EER is unknown
+    /// nothing is stored and the version is handed back.
+    pub fn insert_owned_eer_version(
+        &mut self,
+        key: ReservationKey,
+        version: OwnedEerVersion,
+    ) -> Result<(), OwnedEerVersion> {
+        let Some(eer) = self.owned_eers.get_mut(&key) else {
+            return Err(version);
+        };
+        self.wheel.schedule(version.exp, Due::OwnedEer(key, version.ver));
+        eer.versions.retain(|v| v.ver != version.ver);
+        eer.versions.push(version);
+        eer.versions.sort_by_key(|v| v.ver);
+        Ok(())
     }
 
     /// Owned-EER lookup.
@@ -406,105 +491,159 @@ impl ReservationStore {
         self.owned_eers.get(&key)
     }
 
-    /// Mutable owned-EER lookup.
-    pub fn owned_eer_mut(&mut self, key: ReservationKey) -> Option<&mut OwnedEer> {
-        self.owned_eers.get_mut(&key)
-    }
-
     /// Number of owned EERs.
     pub fn owned_eer_count(&self) -> usize {
         self.owned_eers.len()
     }
 
-    /// Registers an EER terminating at a local host.
-    pub fn insert_terminating_eer(&mut self, key: ReservationKey, dst: HostAddr) {
-        self.terminating_eers.insert(key, dst);
+    /// Registers an EER version expiring at `exp` as terminating at a
+    /// local host. The registration lives as long as the latest version
+    /// registered for the EER.
+    pub fn insert_terminating_eer(&mut self, key: ReservationKey, dst: HostAddr, exp: Instant) {
+        match self.terminating_eers.get_mut(&key) {
+            // Already indexed: the GC re-arms at the later expiry.
+            Some(reg) => *reg = (dst, reg.1.max(exp)),
+            None => {
+                self.terminating_eers.insert(key, (dst, exp));
+                self.wheel.schedule(exp, Due::TerminatingEer(key));
+            }
+        }
     }
 
     /// The local host an EER terminates at, if any.
     pub fn terminating_eer(&self, key: ReservationKey) -> Option<HostAddr> {
-        self.terminating_eers.get(&key).copied()
+        self.terminating_eers.get(&key).map(|&(dst, _)| dst)
     }
 
     /// Remembers the SegRs and junctions an owned EER was requested over,
-    /// so renewals can reuse them.
+    /// so renewals can reuse them, until `exp` — the expiry of the version
+    /// just set up — or the latest such expiry remembered for the EER.
     pub fn remember_eer_request(
         &mut self,
         key: ReservationKey,
         segr_ids: Vec<ReservationKey>,
         junctions: Vec<u8>,
+        exp: Instant,
     ) {
-        self.eer_requests.insert(key, (segr_ids, junctions));
+        match self.eer_requests.get_mut(&key) {
+            // Already indexed: the GC re-arms at the later expiry.
+            Some(req) => *req = EerRequest { segr_ids, junctions, exp: req.exp.max(exp) },
+            None => {
+                self.eer_requests.insert(key, EerRequest { segr_ids, junctions, exp });
+                self.wheel.schedule(exp, Due::EerRequest(key));
+            }
+        }
     }
 
     /// The SegRs underlying an owned EER.
     pub fn eer_segrs(&self, key: ReservationKey) -> Option<&[ReservationKey]> {
-        self.eer_requests.get(&key).map(|(s, _)| s.as_slice())
+        self.eer_requests.get(&key).map(|r| r.segr_ids.as_slice())
     }
 
     /// The junction indices of an owned EER's path.
     pub fn eer_junctions(&self, key: ReservationKey) -> Option<&[u8]> {
-        self.eer_requests.get(&key).map(|(_, j)| j.as_slice())
+        self.eer_requests.get(&key).map(|r| r.junctions.as_slice())
     }
 
-    /// Visits every SegR key (used by the CServ's garbage collector
-    /// without exposing the internal map).
+    /// Visits every SegR key (used by the CServ's crash recovery and by
+    /// auditors, without exposing the internal map).
     pub fn for_each_segr_key(&self, mut f: impl FnMut(ReservationKey)) {
         for k in self.segrs.keys() {
             f(*k);
         }
     }
 
-    /// Removes expired reservations everywhere, driven by the expiry
-    /// wheel: cost is proportional to the number of *due* wheel entries,
-    /// not to the number of live records. A record whose life was extended
-    /// (renewal activated, pending version staged) since it was indexed is
-    /// simply re-armed at its new expiry.
+    /// Removes everything that has expired, driven by the expiry wheel
+    /// alone: cost is proportional to the number of *due* wheel entries,
+    /// not to the number of live records of any kind. Each due entry
+    /// re-checks exactly the record (or version) it names against `now`:
+    /// expired — `exp <= now` — it is dropped; still alive (its life was
+    /// extended since it was indexed, or its expiry lies later in the
+    /// current slot) the entry is re-armed at the record's expiry; gone
+    /// already, nothing happens.
     pub fn gc(&mut self, now: Instant) -> GcStats {
         let mut stats = GcStats::default();
         for due in self.wheel.pop_due(now) {
             stats.scanned += 1;
-            match due {
-                Due::Usage(key) => {
-                    if let Some(r) = self.segrs.get_mut(&key) {
-                        r.usage.gc(now);
+            // Each arm yields the instant the record lives until, if it
+            // outlives this run.
+            let alive_until = match due {
+                Due::Segr(key) => match self.segrs.get(&key) {
+                    // A pending renewal keeps the record (the switch is an
+                    // explicit activation, §4.2). A deadline already
+                    // passed re-pops next run, costing one entry per GC
+                    // for that record only.
+                    Some(r) if r.pending.is_some() || !r.is_expired(now) => Some(r.due()),
+                    Some(_) => {
+                        self.segrs.remove(&key);
+                        stats.expired += 1;
+                        stats.removed.push(key);
+                        None
                     }
+                    None => None,
+                },
+                Due::Alloc { segr, eer, ver } => self
+                    .segrs
+                    .get_mut(&segr)
+                    .and_then(|r| r.usage.expire_version(eer, ver, now)),
+                Due::OwnedSegr(key) => expire(&mut self.owned_segrs, key, now, |s| s.exp),
+                Due::OwnedEer(key, ver) => self.expire_owned_eer_version(key, ver, now),
+                Due::TerminatingEer(key) => {
+                    expire(&mut self.terminating_eers, key, now, |&(_, exp)| exp)
                 }
-                Due::Segr(key) => {
-                    let Some(r) = self.segrs.get_mut(&key) else {
-                        continue; // removed since it was indexed
-                    };
-                    if r.pending.is_some() || !r.is_expired(now) {
-                        // Still alive: a pending renewal keeps the record
-                        // (the switch is an explicit activation, §4.2), or
-                        // the expiry moved. Re-arm at the later deadline;
-                        // a deadline already passed re-pops next run,
-                        // costing one entry per GC for that record only.
-                        let due_at =
-                            r.pending.as_ref().map(|p| p.exp.max(r.exp)).unwrap_or(r.exp);
-                        r.usage.gc(now);
-                        self.wheel.schedule(due_at, Due::Segr(key));
-                        continue;
-                    }
-                    stats.expired += 1;
-                    self.segrs.remove(&key);
-                    stats.removed.push(key);
-                }
+                Due::EerRequest(key) => expire(&mut self.eer_requests, key, now, |r| r.exp),
+            };
+            if let Some(at) = alive_until {
+                self.wheel.schedule(at, due);
             }
         }
-        self.gc_owned(now);
         stats
     }
 
-    /// Garbage-collects only the initiator-side state (owned SegRs and
-    /// EERs), leaving transit SegR records to the caller's expiry wheel.
-    pub fn gc_owned(&mut self, now: Instant) {
-        self.owned_segrs.retain(|_, s| s.exp > now);
-        for eer in self.owned_eers.values_mut() {
-            eer.gc(now);
+    /// Drops version `ver` of owned EER `key` if it has expired (and the
+    /// EER with its last version); returns its expiry if it has not.
+    fn expire_owned_eer_version(
+        &mut self,
+        key: ReservationKey,
+        ver: u8,
+        now: Instant,
+    ) -> Option<Instant> {
+        let Entry::Occupied(mut slot) = self.owned_eers.entry(key) else {
+            return None;
+        };
+        let eer = slot.get_mut();
+        let at = eer.versions.iter().position(|v| v.ver == ver)?;
+        let exp = eer.versions[at].exp;
+        if exp > now {
+            return Some(exp);
         }
-        self.owned_eers.retain(|_, e| !e.versions.is_empty());
+        eer.versions.remove(at);
+        if eer.versions.is_empty() {
+            slot.remove();
+        }
+        None
     }
+}
+
+/// Re-checks `map[key]` as a wheel entry naming it comes due: drops it
+/// if it has expired (`exp_of(record) <= now`), returns its expiry — for
+/// re-arming the entry — if it has not, and `None` if there is no such
+/// record any more.
+pub(crate) fn expire<K: Eq + Hash, V>(
+    map: &mut HashMap<K, V>,
+    key: K,
+    now: Instant,
+    exp_of: impl Fn(&V) -> Instant,
+) -> Option<Instant> {
+    let Entry::Occupied(slot) = map.entry(key) else {
+        return None;
+    };
+    let exp = exp_of(slot.get());
+    if exp > now {
+        return Some(exp);
+    }
+    slot.remove();
+    None
 }
 
 #[cfg(test)]
@@ -587,10 +726,89 @@ mod tests {
             store.insert_segr(rec(rid, 10_000));
         }
         store.insert_segr(rec(5000, 100));
+        // The same for EER allocations: 1000 live ones on one SegR, one
+        // due.
+        let bw = Bandwidth::from_kbps(1);
+        let t0 = Instant::EPOCH;
+        for rid in 0..=1000 {
+            let exp = Instant::from_secs(if rid == 1000 { 100 } else { 10_000 });
+            store.segr_mut(key(0)).unwrap().usage.admit(key(rid), 0, bw, exp, t0, None).unwrap();
+            store.schedule_alloc_expiry(key(0), key(rid), 0, exp);
+        }
         let stats = store.gc(Instant::from_secs(200));
         assert_eq!(stats.expired, 1);
-        assert_eq!(stats.scanned, 1, "live records must not be scanned");
+        assert_eq!(stats.scanned, 2, "live records and allocations must not be scanned");
         assert_eq!(store.segr_count(), 1000);
+        let usage = &store.segr(key(0)).unwrap().usage;
+        assert_eq!(usage.eer_count(), 1000);
+        assert_eq!(usage.allocated(), Bandwidth::from_kbps(1000));
+    }
+
+    #[test]
+    fn alloc_entries_expire_exactly_their_version() {
+        let mut store = ReservationStore::new();
+        store.insert_segr(rec(1, 10_000));
+        let admit = |store: &mut ReservationStore, ver, mbps, exp_s| {
+            let exp = Instant::from_secs(exp_s);
+            let bw = Bandwidth::from_mbps(mbps);
+            store.segr_mut(key(1)).unwrap().usage.admit(key(7), ver, bw, exp, Instant::EPOCH, None).unwrap();
+            store.schedule_alloc_expiry(key(1), key(7), ver, exp);
+        };
+        admit(&mut store, 0, 80, 16);
+        admit(&mut store, 1, 10, 32);
+        let allocated = |store: &ReservationStore| store.segr(key(1)).unwrap().usage.allocated();
+        // Due slot reached but `exp > now`: nothing freed, entry re-armed.
+        let at = Instant::from_secs(15) + Duration::from_millis(999);
+        assert_eq!(store.gc(at).scanned, 0, "slot 15: nothing due");
+        let at = Instant::from_secs(16) + Duration::from_millis(1);
+        assert_eq!(store.gc(at).scanned, 1);
+        assert_eq!(allocated(&store), Bandwidth::from_mbps(10), "charge drops to the live version");
+        // A rolled-back version's entry is a no-op.
+        store.segr_mut(key(1)).unwrap().usage.remove_version(key(7), 1);
+        assert_eq!(store.gc(Instant::from_secs(40)).scanned, 1);
+        assert_eq!(allocated(&store), Bandwidth::ZERO);
+        assert_eq!(store.segr(key(1)).unwrap().usage.eer_count(), 0);
+    }
+
+    #[test]
+    fn alloc_entry_due_in_the_current_slot_is_rearmed() {
+        let mut store = ReservationStore::new();
+        store.insert_segr(rec(1, 10_000));
+        let exp = Instant::from_secs(16) + Duration::from_millis(500);
+        let bw = Bandwidth::from_mbps(5);
+        store.segr_mut(key(1)).unwrap().usage.admit(key(7), 0, bw, exp, Instant::EPOCH, None).unwrap();
+        store.schedule_alloc_expiry(key(1), key(7), 0, exp);
+        // Two runs inside slot 16, both before the expiry: the entry pops
+        // and is re-armed each time; the run after the expiry frees it.
+        for ms in [100, 400] {
+            let stats = store.gc(Instant::from_secs(16) + Duration::from_millis(ms));
+            assert_eq!(stats.scanned, 1);
+            assert_eq!(store.segr(key(1)).unwrap().usage.allocated(), bw);
+        }
+        store.gc(Instant::from_secs(16) + Duration::from_millis(500));
+        assert_eq!(store.segr(key(1)).unwrap().usage.allocated(), Bandwidth::ZERO);
+        assert_eq!(store.wheel_len(), 1, "only the SegR's own entry is left");
+    }
+
+    #[test]
+    fn owned_and_terminating_state_expires_with_the_eer() {
+        let mut store = ReservationStore::new();
+        let k = key(9);
+        let t = Instant::from_secs;
+        store.insert_terminating_eer(k, HostAddr(2), t(16));
+        store.remember_eer_request(k, vec![key(1)], vec![], t(16));
+        // A renewal extends both; the first version's expiry passes.
+        store.insert_terminating_eer(k, HostAddr(2), t(26));
+        store.remember_eer_request(k, vec![key(1)], vec![], t(26));
+        store.gc(t(20));
+        assert_eq!(store.terminating_eer(k), Some(HostAddr(2)));
+        assert_eq!(store.eer_segrs(k), Some(&[key(1)][..]));
+        // The renewed version expires: both go, and so do their entries.
+        store.gc(t(26));
+        assert_eq!(store.terminating_eer(k), None);
+        assert_eq!(store.eer_segrs(k), None);
+        assert_eq!(store.eer_junctions(k), None);
+        assert_eq!(store.wheel_len(), 0);
     }
 
     #[test]
@@ -628,7 +846,7 @@ mod tests {
             exp: Instant::from_secs(exp_s),
             hop_auths: vec![],
         };
-        let mut eer = OwnedEer {
+        let eer = OwnedEer {
             key: key(9),
             eer_info: EerInfo { src_host: HostAddr(1), dst_host: HostAddr(2) },
             path_ases: vec![],
@@ -638,8 +856,18 @@ mod tests {
         assert_eq!(eer.latest_version(Instant::from_secs(0)).unwrap().ver, 1);
         assert_eq!(eer.latest_version(Instant::from_secs(20)).unwrap().ver, 1);
         assert!(eer.latest_version(Instant::from_secs(40)).is_none());
-        eer.gc(Instant::from_secs(20));
-        assert_eq!(eer.versions.len(), 1);
+        // The store's GC drops exactly the expired version, then — with
+        // its last version — the EER.
+        let mut store = ReservationStore::new();
+        store.insert_owned_eer(eer);
+        store.gc(Instant::from_secs(20));
+        assert_eq!(store.owned_eer(key(9)).unwrap().versions.len(), 1);
+        assert!(store.insert_owned_eer_version(key(9), mk(2, 48)).is_ok());
+        store.gc(Instant::from_secs(40));
+        assert_eq!(store.owned_eer(key(9)).unwrap().versions[0].ver, 2);
+        store.gc(Instant::from_secs(48));
+        assert_eq!(store.owned_eer_count(), 0);
+        assert_eq!(store.wheel_len(), 0);
     }
 
     #[test]

@@ -142,6 +142,9 @@ pub struct CservTelemetry {
     pub(crate) eer_admit_denied: Counter,
     /// Retried requests absorbed by the replay cache.
     pub(crate) replayed_verdicts: Counter,
+    /// Fresh verdicts not memoized because the replay cache was at its cap
+    /// (a retry of such a request is re-evaluated, not replayed).
+    pub(crate) replay_cache_full: Counter,
     /// Tracked aborts that actually reverted recorded state.
     pub(crate) rollbacks: Counter,
     /// Renewal finalizations (SegR pending versions and EER versions).
@@ -152,7 +155,9 @@ pub struct CservTelemetry {
     pub(crate) gc_runs: Counter,
     /// Orphaned admissions reclaimed by the GC abort backstop.
     pub(crate) gc_orphans: Counter,
-    /// Expiry-wheel entries examined by GC (∝ due records, not live).
+    /// Expiry-wheel entries examined by GC (∝ due entries of every kind
+    /// — SegRs, EER allocations, owned reservations, cached verdicts —
+    /// not live ones).
     pub(crate) gc_scanned: Counter,
     /// Expired SegR records dropped by GC.
     pub(crate) gc_expired: Counter,
@@ -195,6 +200,11 @@ impl CservTelemetry {
                 "colibri_ctrl_replayed_verdicts_total",
                 dep,
                 "retried requests absorbed by the request-id replay cache",
+            ),
+            replay_cache_full: s.counter(
+                "colibri_ctrl_replay_cache_full_total",
+                dep,
+                "fresh verdicts not memoized because the replay cache was at its cap",
             ),
             rollbacks: s.counter(
                 "colibri_ctrl_rollbacks_total",

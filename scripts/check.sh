@@ -32,12 +32,6 @@ cargo test -q
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 
-echo "==> cargo clippy -p colibri-telemetry -- -D warnings"
-cargo clippy -p colibri-telemetry --all-targets -- -D warnings
-
-echo "==> cargo clippy -p colibri-ctrl -p colibri-sim -p colibri-host -- -D warnings (overload-resilience modules)"
-cargo clippy -p colibri-ctrl -p colibri-sim -p colibri-host --all-targets -- -D warnings
-
 echo "==> chaos suite, release (renewal storm, shedding priority, regional outage — must replay bit-identically)"
 cargo test --release -q -p colibri --test chaos
 
@@ -55,12 +49,9 @@ cargo test --release -q -p colibri-ctrl --test timeline_props
 cargo test --release -q -p colibri-ctrl --test proptests
 
 echo "==> repro_store --quick --gate (admit at 10^6 ≤ 2x 10^3; naive foil ≥100x;" \
-     "GC ∝ expired records; timeline ≡ oracle in release)"
+     "GC ∝ expired records and ∝ due EERs; timeline ≡ oracle in release)"
 cargo run --release -q -p colibri-bench --bin repro_store -- \
   --quick --gate --out target/BENCH_store.quick.json
-
-echo "==> cargo clippy -p colibri-qdisc -- -D warnings (QoS hierarchy)"
-cargo clippy -p colibri-qdisc --all-targets -- -D warnings
 
 echo "==> qdisc fairness property suite (tenant isolation, no token creation, fair refill, burst ≤ capacity)"
 cargo test --release -q -p colibri-qdisc --test fairness_props
@@ -72,5 +63,9 @@ echo "==> repro_qos --quick --gate (reserved goodput ≥95% of entitlement under
      "overload with zero reserved drops; idle link scavenged ≥90%; flat ≡ degenerate in release)"
 cargo run --release -q -p colibri-bench --bin repro_qos -- \
   --quick --gate --out target/BENCH_qos.quick.json
+
+echo "==> benchmark/ci.sh (the repo benchmark's own tests, then a 1 s oracle-checked smoke of all" \
+     "five workloads, traced and untraced)"
+bash benchmark/ci.sh
 
 echo "==> all checks passed"
