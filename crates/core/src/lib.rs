@@ -59,7 +59,7 @@
 //! | [`wire`] | packet format, MAC encodings | §4.3, Eqs. 2–6 |
 //! | [`topology`] | ISDs, segments, beaconing, stitching | §2.1–2.2 |
 //! | [`ctrl`] | CServ, admission, reservations | §3.3, §4.2–4.5, §4.7 |
-//! | [`dataplane`] | gateway, border router, classes | §3.4, §4.6, App. B |
+//! | [`dataplane`] | gateway, border router, shard pools | §3.4, §4.6, §7.2 |
 //! | [`host`] | end-host stack: flows, renewal, pacing | §3.2 |
 //! | [`monitor`] | token bucket, OFD, replay, policing | §4.8 |
 //! | [`qdisc`] | hierarchical QoS: HTB shaping, DRR, codel AQM | §3.4, App. B |
@@ -95,7 +95,7 @@ pub mod prelude {
     };
     pub use colibri_dataplane::{
         stamp_segr_packet, BorderRouter, DropReason, Gateway, GatewayConfig, GatewayError,
-        QosMode, RouterConfig, RouterVerdict, TrafficClass, TrafficSplit,
+        QosMode, RouterConfig, RouterVerdict, TrafficClass,
     };
     pub use colibri_qdisc::{HtbConfig, Qdisc, QdiscStats};
     pub use colibri_host::{FlowConfig, FlowId, FlowKind, FlowManager, PacedSender};

@@ -1,5 +1,5 @@
 //! The Colibri data plane (paper §3.4, §4.6): gateway, border router, and
-//! traffic isolation.
+//! the shard pools that run them across cores.
 //!
 //! * [`gateway`] — the stateful edge component: maps `ResId` → reservation
 //!   state, monitors deterministically, stamps timestamps and per-AS hop
@@ -9,8 +9,11 @@
 //!   forwards via packet-carried state; runs the transit monitoring
 //!   pipeline;
 //! * [`control`] — stamping control packets onto SegRs with their tokens;
-//! * [`classes`] — the best-effort / control / data traffic split with
-//!   CBWFQ scavenging (Appendix B);
+//! * [`parallel`] — the shard pools' shared ring pairs, the reservation →
+//!   shard hash, and the parallel gateway (paper §7.2);
+//! * [`supervisor`] — the router shard pool: reservation-ID steering,
+//!   panic isolation, kill/respawn, class-aware shedding (Appendix B) and
+//!   an exact packet ledger;
 //! * [`crypto_cache`] — bounded, eviction-safe caches that amortize the
 //!   router's Eq. 3/4 MACs and AES key expansions across packets of the
 //!   same reservation (DESIGN.md §10);
@@ -19,32 +22,29 @@
 //!   histograms, recorded as stats-struct deltas so the Invariant
 //!   metrics stay bit-identical between the scalar and batched paths
 //!   (DESIGN.md §11).
+//!
+//! The traffic classes of Appendix B live in `colibri-qdisc`;
+//! [`TrafficClass`] is re-exported from there.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod classes;
 pub mod control;
 pub mod crypto_cache;
 pub mod gateway;
 pub mod parallel;
 pub mod router;
-pub mod sharded;
 pub mod supervisor;
 pub mod telemetry;
 
-pub use classes::{CbwfqScheduler, Served, TrafficClass, TrafficSplit};
+pub use colibri_qdisc::TrafficClass;
 pub use control::stamp_segr_packet;
 pub use crypto_cache::{ClockCache, CryptoCacheConfig, CryptoCacheStats, RouterCryptoCaches};
 pub use gateway::{Gateway, GatewayConfig, GatewayError, GatewayStats, QosMode, StampedPacket};
-pub use parallel::{
-    GatewayPoolSnapshot, ParallelGateway, RoutedOutput, RouterPoolSnapshot, RouterShardSnapshot,
-    ShardRouterPool, StampedOutput,
-};
+pub use parallel::{shard_index, GatewayPoolSnapshot, ParallelGateway, StampedOutput, SubmitError};
 pub use router::{BorderRouter, DropReason, RouterConfig, RouterStats, RouterVerdict};
-pub use sharded::{shard_index, ShardedGateway};
 pub use supervisor::{
-    ShardHealthReport, ShardOutcome, SubmitError, SubmitVerdict, SupervisedOutput,
-    SupervisedRouterPool, SupervisedShardSnapshot, SupervisorSnapshot,
+    RoutedOutput, RouterPoolSnapshot, RouterShardSnapshot, ShardHealthReport, ShardOutcome,
+    ShardRouterPool, SubmitVerdict,
 };
 pub use telemetry::{GatewayTelemetry, RouterTelemetry};

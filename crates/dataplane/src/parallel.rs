@@ -1,50 +1,35 @@
-//! Multi-core shard driver for the data plane (paper §7.2).
+//! Shard pools for the data plane (paper §7.2; DESIGN.md §9 "Shard pool").
 //!
-//! The paper's gateway runs one DPDK lcore per NIC queue, each core owning
-//! a disjoint slice of the reservation table; the router scales the same
-//! way because it is stateless per packet. This module reproduces that
-//! deployment shape in std-only Rust:
-//!
-//! * [`ParallelGateway`] — `n` worker threads, each owning one [`Gateway`]
-//!   shard; reservations are pinned to a shard by [`shard_index`] so the
-//!   per-reservation token bucket and `Ts` uniqueness never cross threads.
-//! * [`ShardRouterPool`] — `n` worker threads, each owning one
-//!   [`BorderRouter`]; workers drain whole batches from their queue and
-//!   validate them with [`BorderRouter::process_batch`], so the interleaved
-//!   CMAC path is exercised under load.
-//!
-//! Both sides communicate over bounded lock-free SPSC rings
-//! ([`colibri_ring`], DESIGN.md §13) — one job and one output ring per
-//! worker, the only producer of a job ring being the driver thread. The
-//! rings apply backpressure by spinning (then yielding) on a full ring,
-//! and packet buffers recycle through the output path — after warm-up
-//! the steady state performs no heap allocation and takes no lock per
-//! packet, mirroring DPDK's preallocated mbuf pools and descriptor
-//! rings.
-//!
-//! [`ShardRouterPool::submit`] steers packets to shards RSS-style by
-//! hashing the reservation ID ([`shard_index`] over
-//! [`colibri_wire::peek_res_id`]): every packet of a reservation runs to
-//! completion on one shard, so each shard's SegR-token and σ-CMAC caches
-//! hold a private slice of the working set instead of all shards warming
-//! duplicate entries. The pre-steering spray behavior remains available
-//! as [`ShardRouterPool::submit_round_robin`] for comparison benches.
-//!
-//! Shutdown is graceful and deadlock-free: the driver closes the job
-//! rings, then keeps draining output rings until every worker has
-//! exited (a worker blocked on a full output ring is thereby unblocked),
-//! and finally joins the threads and aggregates their statistics.
+//! The paper runs one DPDK lcore per NIC queue, each owning a disjoint
+//! slice of the state. Both pools here reproduce that shape on one private
+//! ring-pair helper, `Lanes`: per shard a worker thread, a bounded
+//! lock-free SPSC job ring and an output ring ([`colibri_ring`]), with
+//! packet buffers recycling driver → worker → driver so the steady state
+//! allocates nothing and takes no lock per packet. [`ParallelGateway`]
+//! pins reservations to gateway shards by [`shard_index`], so the
+//! per-reservation token bucket and `Ts` uniqueness never cross threads;
+//! [`crate::supervisor::ShardRouterPool`] steers router shards by the same
+//! hash. Shutdown drains output rings until each worker thread has exited,
+//! so no worker can stay blocked on a full output ring.
 
-use crate::crypto_cache::CryptoCacheStats;
 use crate::gateway::{Gateway, GatewayConfig, GatewayError, GatewayStats};
-use crate::router::{BorderRouter, RouterStats, RouterVerdict};
-use crate::sharded::shard_index;
 use colibri_base::{HostAddr, Instant, InterfaceId, ResId};
-use colibri_qdisc::QdiscStats;
 use colibri_ctrl::OwnedEer;
+use colibri_qdisc::QdiscStats;
 use colibri_ring::{ring, Consumer, Producer, TrySendError};
-use colibri_telemetry::{Counter, Registry, Stability};
+use colibri_telemetry::Registry;
 use std::thread::JoinHandle;
+
+/// The shard owning `res_id` among `n` shards.
+///
+/// A SplitMix64-style finalizer over the raw reservation ID: cheap, well
+/// mixed, and shared by both pools so that the shard assignment of a
+/// reservation is the same everywhere.
+pub fn shard_index(res_id: ResId, n: usize) -> usize {
+    let mut x = res_id.0 as u64 ^ 0x9E37_79B9_7F4A_7C15;
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    (x >> 33) as usize % n
+}
 
 /// Why a non-blocking submit could not enqueue. The packet buffer rides
 /// back in the error so the caller decides its fate: shed it (best-effort
@@ -53,6 +38,143 @@ use std::thread::JoinHandle;
 pub enum SubmitError {
     /// The owning shard's ring is at capacity (backpressure).
     WouldBlock(Vec<u8>),
+}
+
+/// How many jobs a worker pulls per ring drain. Batching lets the router
+/// validate whole batches with the interleaved CMAC; kept modest so
+/// latency stays bounded.
+pub(crate) const WORKER_BATCH: usize = 32;
+
+/// One shard's ring pair and worker thread, seen from the driver.
+pub(crate) struct Lane<J: Send, O: Send, R> {
+    /// The driver's end of the job ring.
+    pub(crate) jobs: Producer<J>,
+    /// The driver's end of the output ring; closing it makes the worker's
+    /// next send fail, which is how a kill stops a worker.
+    pub(crate) out: Consumer<O>,
+    /// `None` once the worker has been joined (retired).
+    handle: Option<JoinHandle<R>>,
+}
+
+impl<J: Send, O: Send, R> Lane<J, O, R> {
+    /// Whether the worker thread is still running.
+    pub(crate) fn alive(&self) -> bool {
+        self.handle.as_ref().is_some_and(|h| !h.is_finished())
+    }
+
+    /// Whether the worker has been joined and not replaced yet.
+    pub(crate) fn retired(&self) -> bool {
+        self.handle.is_none()
+    }
+}
+
+/// The per-shard ring pairs of a pool: spawn, fair non-blocking drain,
+/// and the close → drain-until-thread-exit → join retirement that makes
+/// shutdown and kill deadlock-free. Derefs to the lanes, indexed by shard.
+pub(crate) struct Lanes<J: Send, O: Send, R> {
+    lanes: Vec<Lane<J, O, R>>,
+    queue_cap: usize,
+    /// Next lane `try_drain` visits, so no shard's outputs starve.
+    cursor: usize,
+}
+
+impl<J: Send + 'static, O: Send + 'static, R: Send + 'static> Lanes<J, O, R> {
+    /// Spawns `n` workers on rings of `queue_cap`; `work(i)` is shard
+    /// `i`'s worker loop.
+    pub(crate) fn spawn<W>(n: usize, queue_cap: usize, work: impl FnMut(usize) -> W) -> Self
+    where
+        W: FnOnce(Consumer<J>, Producer<O>) -> R + Send + 'static,
+    {
+        assert!(n >= 1);
+        let lanes = (0..n).map(work).map(|w| Self::lane(queue_cap, w)).collect();
+        Self { lanes, queue_cap, cursor: 0 }
+    }
+
+    fn lane<W>(queue_cap: usize, work: W) -> Lane<J, O, R>
+    where
+        W: FnOnce(Consumer<J>, Producer<O>) -> R + Send + 'static,
+    {
+        let (jobs, jq) = ring(queue_cap);
+        let (oq, out) = ring(queue_cap);
+        Lane { jobs, out, handle: Some(std::thread::spawn(move || work(jq, oq))) }
+    }
+
+    /// Replaces shard `i`'s lane with fresh rings and a fresh worker.
+    pub(crate) fn respawn<W>(&mut self, i: usize, work: W)
+    where
+        W: FnOnce(Consumer<J>, Producer<O>) -> R + Send + 'static,
+    {
+        self.lanes[i] = Self::lane(self.queue_cap, work);
+    }
+
+    /// Hands at most `max` outputs to `sink`, visiting shards round-robin;
+    /// never blocks. Returns how many were handed over.
+    pub(crate) fn try_drain(&mut self, max: usize, mut sink: impl FnMut(O)) -> usize {
+        let n = self.lanes.len();
+        let (mut got, mut idle) = (0, 0);
+        while got < max && idle < n {
+            let lane = &mut self.lanes[self.cursor];
+            self.cursor = (self.cursor + 1) % n;
+            match lane.out.try_recv() {
+                Some(o) => {
+                    sink(o);
+                    got += 1;
+                    idle = 0;
+                }
+                None => idle += 1,
+            }
+        }
+        got
+    }
+
+    /// Closes shard `i`'s job ring, hands every output to `sink` until its
+    /// worker thread has exited, and joins it. `None` if already retired.
+    pub(crate) fn retire(
+        &mut self,
+        i: usize,
+        mut sink: impl FnMut(O),
+    ) -> Option<std::thread::Result<R>> {
+        let lane = &mut self.lanes[i];
+        let handle = lane.handle.take()?;
+        lane.jobs.close();
+        while !handle.is_finished() {
+            while let Some(o) = lane.out.try_recv() {
+                sink(o);
+            }
+            std::thread::yield_now();
+        }
+        let joined = handle.join();
+        // The join orders every send of the worker before this drain.
+        while let Some(o) = lane.out.try_recv() {
+            sink(o);
+        }
+        Some(joined)
+    }
+
+    /// Closes every job ring (so all workers wind down at once), then
+    /// retires each shard in order.
+    pub(crate) fn shutdown(
+        &mut self,
+        mut sink: impl FnMut(O),
+    ) -> Vec<Option<std::thread::Result<R>>> {
+        for lane in &self.lanes {
+            lane.jobs.close();
+        }
+        (0..self.lanes.len()).map(|i| self.retire(i, &mut sink)).collect()
+    }
+}
+
+impl<J: Send, O: Send, R> std::ops::Deref for Lanes<J, O, R> {
+    type Target = [Lane<J, O, R>];
+    fn deref(&self) -> &Self::Target {
+        &self.lanes
+    }
+}
+
+impl<J: Send, O: Send, R> std::ops::DerefMut for Lanes<J, O, R> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.lanes
+    }
 }
 
 /// The aggregated result of a [`ParallelGateway`] run: the cross-shard
@@ -69,63 +191,6 @@ pub struct GatewayPoolSnapshot {
     /// owns a *private* hierarchy, so this is the only pool-wide view.
     pub qos: Option<QdiscStats>,
 }
-
-/// Per-shard contribution to a [`RouterPoolSnapshot`]: what one worker
-/// validated and how its private caches fared, plus how many packets the
-/// steering dispatcher assigned to it (the imbalance numerator).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RouterShardSnapshot {
-    /// Packets the dispatcher submitted to this shard.
-    pub submitted: u64,
-    /// This shard's verdict counters.
-    pub stats: RouterStats,
-    /// This shard's (private) crypto-cache counters.
-    pub cache: CryptoCacheStats,
-}
-
-/// The aggregated result of a [`ShardRouterPool`] run: the cross-shard
-/// merge of every worker's verdict and crypto-cache counters, plus the
-/// per-shard split for steering-imbalance analysis.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RouterPoolSnapshot {
-    /// Number of shard workers that contributed.
-    pub shards: usize,
-    /// Summed verdict counters.
-    pub stats: RouterStats,
-    /// Summed crypto-cache counters.
-    pub cache: CryptoCacheStats,
-    /// Per-shard breakdown, indexed by shard.
-    pub per_shard: Vec<RouterShardSnapshot>,
-    /// Packets steered by reservation ID (parseable header).
-    pub steered: u64,
-    /// Packets sprayed round-robin (unparseable header or explicit
-    /// [`ShardRouterPool::submit_round_robin`]).
-    pub unsteered: u64,
-}
-
-impl RouterPoolSnapshot {
-    /// Steering imbalance: the busiest shard's submitted count divided
-    /// by the per-shard mean (1.0 = perfectly even). Returns 0.0 when
-    /// nothing was submitted.
-    pub fn steering_imbalance(&self) -> f64 {
-        let total: u64 = self.per_shard.iter().map(|s| s.submitted).sum();
-        if total == 0 || self.per_shard.is_empty() {
-            return 0.0;
-        }
-        let mean = total as f64 / self.per_shard.len() as f64;
-        let max = self.per_shard.iter().map(|s| s.submitted).max().unwrap_or(0);
-        max as f64 / mean
-    }
-}
-
-/// How many jobs a worker pulls per ring drain. Batching lets the router
-/// validate whole batches with the interleaved CMAC; kept modest so
-/// latency stays bounded.
-const WORKER_BATCH: usize = 32;
-
-// ---------------------------------------------------------------------------
-// Parallel gateway
-// ---------------------------------------------------------------------------
 
 enum GatewayJob {
     /// Install (or refresh) a reservation on this shard.
@@ -147,12 +212,6 @@ pub struct StampedOutput {
     pub payload: Vec<u8>,
 }
 
-struct GatewayWorker {
-    jobs: Producer<GatewayJob>,
-    out: Consumer<StampedOutput>,
-    handle: Option<JoinHandle<(GatewayStats, Option<QdiscStats>)>>,
-}
-
 /// A bank of gateway shards, each pinned to its own worker thread.
 ///
 /// The driver thread submits work with [`submit`](Self::submit) and
@@ -160,10 +219,8 @@ struct GatewayWorker {
 /// driver → worker → driver and back into the freelist via
 /// [`recycle`](Self::recycle), so the steady state allocates nothing.
 pub struct ParallelGateway {
-    workers: Vec<GatewayWorker>,
+    lanes: Lanes<GatewayJob, StampedOutput, (GatewayStats, Option<QdiscStats>)>,
     free_bufs: Vec<Vec<u8>>,
-    /// Round-robin cursor for draining output queues fairly.
-    drain_cursor: usize,
     /// Stamp jobs submitted but not yet drained; what `flush` waits on.
     in_flight: usize,
 }
@@ -188,33 +245,22 @@ impl ParallelGateway {
     }
 
     fn build(n: usize, cfg: GatewayConfig, queue_cap: usize, registry: Option<&Registry>) -> Self {
-        assert!(n >= 1);
-        let workers = (0..n)
-            .map(|i| {
-                let (jobs, jq) = ring(queue_cap);
-                let (oq, out) = ring(queue_cap);
-                let mut gw = Gateway::new(cfg);
-                if let Some(reg) = registry {
-                    gw.attach_telemetry(reg, &format!("gw{i}"));
-                }
-                let handle = std::thread::spawn(move || gateway_worker(gw, jq, oq));
-                GatewayWorker { jobs, out, handle: Some(handle) }
-            })
-            .collect();
-        Self { workers, free_bufs: Vec::new(), drain_cursor: 0, in_flight: 0 }
-    }
-
-    /// Number of shard workers.
-    pub fn shard_count(&self) -> usize {
-        self.workers.len()
+        let lanes = Lanes::spawn(n, queue_cap, |i| {
+            let mut gw = Gateway::new(cfg);
+            if let Some(reg) = registry {
+                gw.attach_telemetry(reg, &format!("gw{i}"));
+            }
+            move |jobs, out| gateway_worker(gw, jobs, out)
+        });
+        Self { lanes, free_bufs: Vec::new(), in_flight: 0 }
     }
 
     /// Installs a reservation on its owning shard. The install travels the
     /// same queue as packets, so it is ordered with respect to them; call
     /// [`flush`](Self::flush) to wait until all shards have caught up.
     pub fn install(&mut self, eer: &OwnedEer, now: Instant) {
-        let s = shard_index(eer.key.res_id, self.workers.len());
-        self.workers[s]
+        let s = shard_index(eer.key.res_id, self.lanes.len());
+        self.lanes[s]
             .jobs
             .send(GatewayJob::Install(Box::new(eer.clone()), now))
             .unwrap_or_else(|_| panic!("gateway shard {s} shut down"));
@@ -224,9 +270,9 @@ impl ParallelGateway {
     /// that shard's queue is full (backpressure). The payload buffer is
     /// returned through [`StampedOutput::payload`] for reuse.
     pub fn submit(&mut self, src_host: HostAddr, res_id: ResId, payload: Vec<u8>, now: Instant) {
-        let s = shard_index(res_id, self.workers.len());
+        let s = shard_index(res_id, self.lanes.len());
         let buf = self.free_bufs.pop().unwrap_or_default();
-        self.workers[s]
+        self.lanes[s]
             .jobs
             .send(GatewayJob::Stamp { src_host, res_id, payload, now, buf })
             .unwrap_or_else(|_| panic!("gateway shard {s} shut down"));
@@ -236,7 +282,7 @@ impl ParallelGateway {
     /// Non-blocking [`submit`](Self::submit): enqueues the payload for
     /// stamping or returns [`SubmitError::WouldBlock`] with it when the
     /// owning shard's ring is at capacity. Never spins or yields — the
-    /// shed/drain/hold decision belongs to the caller (DESIGN.md §14).
+    /// shed/drain/hold decision belongs to the caller (DESIGN.md §9).
     pub fn try_submit(
         &mut self,
         src_host: HostAddr,
@@ -244,9 +290,9 @@ impl ParallelGateway {
         payload: Vec<u8>,
         now: Instant,
     ) -> Result<(), SubmitError> {
-        let s = shard_index(res_id, self.workers.len());
+        let s = shard_index(res_id, self.lanes.len());
         let buf = self.free_bufs.pop().unwrap_or_default();
-        match self.workers[s].jobs.try_send(GatewayJob::Stamp { src_host, res_id, payload, now, buf })
+        match self.lanes[s].jobs.try_send(GatewayJob::Stamp { src_host, res_id, payload, now, buf })
         {
             Ok(()) => {
                 self.in_flight += 1;
@@ -256,11 +302,7 @@ impl ParallelGateway {
                 self.free_bufs.push(buf);
                 Err(SubmitError::WouldBlock(payload))
             }
-            Err(TrySendError::Full(GatewayJob::Install(..)))
-            | Err(TrySendError::Closed(GatewayJob::Install(..))) => {
-                unreachable!("try_submit only enqueues Stamp jobs")
-            }
-            Err(TrySendError::Closed(_)) => panic!("gateway shard {s} shut down"),
+            Err(_) => panic!("gateway shard {s} shut down"),
         }
     }
 
@@ -268,22 +310,8 @@ impl ParallelGateway {
     /// blocking. Returns fewer (possibly zero) when the workers have not
     /// caught up yet.
     pub fn try_drain(&mut self, out: &mut Vec<StampedOutput>, max: usize) -> usize {
-        let n = self.workers.len();
-        let mut got = 0;
-        let mut idle = 0;
-        while got < max && idle < n {
-            let cursor = self.drain_cursor % n;
-            self.drain_cursor = (self.drain_cursor + 1) % n;
-            match self.workers[cursor].out.try_recv() {
-                Some(item) => {
-                    out.push(item);
-                    got += 1;
-                    idle = 0;
-                    self.in_flight -= 1;
-                }
-                None => idle += 1,
-            }
-        }
+        let got = self.lanes.try_drain(max, |o| out.push(o));
+        self.in_flight -= got;
         got
     }
 
@@ -311,25 +339,11 @@ impl ParallelGateway {
     /// output into `out`, joins the workers, and returns the aggregated
     /// cross-shard snapshot.
     pub fn shutdown(mut self, out: &mut Vec<StampedOutput>) -> GatewayPoolSnapshot {
-        for w in &mut self.workers {
-            w.jobs.close();
-        }
-        let mut snap = GatewayPoolSnapshot { shards: self.workers.len(), ..Default::default() };
-        for w in &mut self.workers {
-            let handle = w.handle.take().expect("worker joined twice");
-            // Drain until the worker exits so it can never be stuck on a
-            // full output queue.
-            while !handle.is_finished() {
-                while let Some(item) = w.out.try_recv() {
-                    out.push(item);
-                }
-                std::thread::yield_now();
-            }
-            while let Some(item) = w.out.try_recv() {
-                out.push(item);
-            }
-            let (s, qos) = handle.join().expect("gateway worker panicked");
-            snap.stats.merge(&s);
+        let mut snap = GatewayPoolSnapshot { shards: self.lanes.len(), ..Default::default() };
+        for joined in self.lanes.shutdown(|o| out.push(o)) {
+            let (stats, qos) =
+                joined.expect("gateway worker joined twice").expect("gateway worker panicked");
+            snap.stats.merge(&stats);
             if let Some(q) = qos {
                 snap.qos.get_or_insert_with(QdiscStats::default).merge(&q);
             }
@@ -340,7 +354,7 @@ impl ParallelGateway {
 
 impl std::fmt::Debug for ParallelGateway {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ParallelGateway").field("shards", &self.workers.len()).finish()
+        f.debug_struct("ParallelGateway").field("shards", &self.lanes.len()).finish()
     }
 }
 
@@ -368,355 +382,16 @@ fn gateway_worker(
             }
         }
     }
-    out.close();
     (gw.stats, gw.qos_stats())
-}
-
-// ---------------------------------------------------------------------------
-// Router pool
-// ---------------------------------------------------------------------------
-
-struct RouterJob {
-    pkt: Vec<u8>,
-    now: Instant,
-}
-
-/// One validated packet from [`ShardRouterPool::try_drain`].
-#[derive(Debug)]
-pub struct RoutedOutput {
-    /// The router's verdict (hop already advanced on `Forward`).
-    pub verdict: RouterVerdict,
-    /// The packet buffer (mutated in place), returned for reuse.
-    pub pkt: Vec<u8>,
-}
-
-struct RouterWorker {
-    jobs: Producer<RouterJob>,
-    out: Consumer<RoutedOutput>,
-    handle: Option<JoinHandle<(RouterStats, CryptoCacheStats)>>,
-    /// Packets submitted to this shard (steering-imbalance numerator).
-    submitted: u64,
-}
-
-/// Pool-level steering telemetry, attached by
-/// [`ShardRouterPool::with_telemetry`]. Counters are bumped from the
-/// driver thread only, so the hot path stays a plain `u64` increment
-/// per worker; the registry counters absorb the totals at shutdown.
-struct SteeringTelemetry {
-    steered: Counter,
-    unsteered: Counter,
-    per_shard: Vec<Counter>,
-}
-
-/// A pool of border-router workers, each owning one [`BorderRouter`] and
-/// validating its ring in batches via [`BorderRouter::process_batch`].
-///
-/// The router is stateless per packet, so any shard *can* validate any
-/// packet; [`submit`](Self::submit) nevertheless steers RSS-style by
-/// hashing the packet's reservation ID, pinning each reservation's flow
-/// to one shard. That keeps the per-shard crypto caches private to a
-/// slice of the working set (≈100 % hit after first touch, no duplicate
-/// warm entries across shards) and keeps replay suppression and per-flow
-/// shaping state — which live per worker — consistent for the flow, the
-/// same trade-off as the paper's per-lcore duplicate-suppression
-/// instances. Packets with unparseable headers fall back round-robin;
-/// they fail validation wherever they land.
-pub struct ShardRouterPool {
-    workers: Vec<RouterWorker>,
-    free_bufs: Vec<Vec<u8>>,
-    submit_cursor: usize,
-    drain_cursor: usize,
-    steered: u64,
-    unsteered: u64,
-    telemetry: Option<SteeringTelemetry>,
-}
-
-impl ShardRouterPool {
-    /// Spawns `n` router workers; `make` builds each worker's router
-    /// (typically identical AS/secret/config).
-    pub fn new(n: usize, queue_cap: usize, make: impl FnMut(usize) -> BorderRouter) -> Self {
-        Self::build(n, queue_cap, make, None)
-    }
-
-    /// Like [`Self::new`], but each worker's router (and its monitor)
-    /// registers telemetry as shard `router<i>` in `registry`.
-    pub fn with_telemetry(
-        n: usize,
-        queue_cap: usize,
-        registry: &Registry,
-        make: impl FnMut(usize) -> BorderRouter,
-    ) -> Self {
-        Self::build(n, queue_cap, make, Some(registry))
-    }
-
-    fn build(
-        n: usize,
-        queue_cap: usize,
-        mut make: impl FnMut(usize) -> BorderRouter,
-        registry: Option<&Registry>,
-    ) -> Self {
-        assert!(n >= 1);
-        let workers: Vec<RouterWorker> = (0..n)
-            .map(|i| {
-                let (jobs, jq) = ring(queue_cap);
-                let (oq, out) = ring(queue_cap);
-                let mut router = make(i);
-                if let Some(reg) = registry {
-                    router.attach_telemetry(reg, &format!("router{i}"));
-                }
-                let handle = std::thread::spawn(move || router_worker(router, jq, oq));
-                RouterWorker { jobs, out, handle: Some(handle), submitted: 0 }
-            })
-            .collect();
-        let telemetry = registry.map(|reg| {
-            let s = reg.shard("dispatch");
-            let dep = Stability::PathDependent;
-            SteeringTelemetry {
-                steered: s.counter(
-                    "colibri_router_steered_total",
-                    dep,
-                    "packets steered to a shard by reservation-ID hash",
-                ),
-                unsteered: s.counter(
-                    "colibri_router_unsteered_total",
-                    dep,
-                    "packets sprayed round-robin (unparseable header or explicit)",
-                ),
-                per_shard: (0..n)
-                    .map(|i| {
-                        reg.shard(&format!("router{i}")).counter(
-                            "colibri_router_shard_submitted_total",
-                            dep,
-                            "packets the dispatcher submitted to this shard",
-                        )
-                    })
-                    .collect(),
-            }
-        });
-        Self {
-            workers,
-            free_bufs: Vec::new(),
-            submit_cursor: 0,
-            drain_cursor: 0,
-            steered: 0,
-            unsteered: 0,
-            telemetry,
-        }
-    }
-
-    /// Number of router workers.
-    pub fn shard_count(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Submits one packet for validation, steered to the shard owning
-    /// its reservation ([`shard_index`] over the peeked reservation ID),
-    /// blocking when that shard's ring is full. Unparseable packets fall
-    /// back to round-robin spray.
-    pub fn submit(&mut self, pkt: Vec<u8>, now: Instant) {
-        match colibri_wire::peek_res_id(&pkt) {
-            Some(res_id) => {
-                let s = shard_index(res_id, self.workers.len());
-                self.steered += 1;
-                self.send_to(s, pkt, now);
-            }
-            None => {
-                self.unsteered += 1;
-                let s = self.submit_cursor % self.workers.len();
-                self.submit_cursor = self.submit_cursor.wrapping_add(1);
-                self.send_to(s, pkt, now);
-            }
-        }
-    }
-
-    /// Non-blocking [`submit`](Self::submit): enqueues on the owning
-    /// shard or returns [`SubmitError::WouldBlock`] with the buffer when
-    /// that shard's ring is at capacity. Never spins or yields — shed,
-    /// drain-and-retry, or hold is the *caller's* decision (DESIGN.md
-    /// §14). Steering counters are only bumped when the packet is
-    /// actually accepted.
-    pub fn try_submit(&mut self, pkt: Vec<u8>, now: Instant) -> Result<(), SubmitError> {
-        match colibri_wire::peek_res_id(&pkt) {
-            Some(res_id) => {
-                let s = shard_index(res_id, self.workers.len());
-                self.try_send_to(s, pkt, now).map(|()| self.steered += 1)
-            }
-            None => {
-                let s = self.submit_cursor % self.workers.len();
-                match self.try_send_to(s, pkt, now) {
-                    Ok(()) => {
-                        self.submit_cursor = self.submit_cursor.wrapping_add(1);
-                        self.unsteered += 1;
-                        Ok(())
-                    }
-                    err => err,
-                }
-            }
-        }
-    }
-
-    fn try_send_to(&mut self, s: usize, pkt: Vec<u8>, now: Instant) -> Result<(), SubmitError> {
-        match self.workers[s].jobs.try_send(RouterJob { pkt, now }) {
-            Ok(()) => {
-                self.workers[s].submitted += 1;
-                Ok(())
-            }
-            Err(TrySendError::Full(RouterJob { pkt, .. })) => Err(SubmitError::WouldBlock(pkt)),
-            Err(TrySendError::Closed(_)) => panic!("router shard {s} shut down"),
-        }
-    }
-
-    /// Submits one packet round-robin across workers regardless of its
-    /// reservation — the pre-steering behavior, kept for comparison
-    /// benches (shared working set across all shards' caches).
-    pub fn submit_round_robin(&mut self, pkt: Vec<u8>, now: Instant) {
-        let s = self.submit_cursor % self.workers.len();
-        self.submit_cursor = self.submit_cursor.wrapping_add(1);
-        self.unsteered += 1;
-        self.send_to(s, pkt, now);
-    }
-
-    fn send_to(&mut self, s: usize, pkt: Vec<u8>, now: Instant) {
-        self.workers[s].submitted += 1;
-        self.workers[s]
-            .jobs
-            .send(RouterJob { pkt, now })
-            .unwrap_or_else(|_| panic!("router shard {s} shut down"));
-    }
-
-    /// A recycled buffer from the freelist (empty; capacity retained), for
-    /// building the next packet without allocating.
-    pub fn buffer(&mut self) -> Vec<u8> {
-        self.free_bufs.pop().unwrap_or_default()
-    }
-
-    /// Returns a drained output's buffer to the freelist.
-    pub fn recycle(&mut self, mut output: RoutedOutput) {
-        output.pkt.clear();
-        self.free_bufs.push(output.pkt);
-    }
-
-    /// Collects at most `max` validated packets without blocking.
-    pub fn try_drain(&mut self, out: &mut Vec<RoutedOutput>, max: usize) -> usize {
-        let n = self.workers.len();
-        let mut got = 0;
-        let mut idle = 0;
-        while got < max && idle < n {
-            let cursor = self.drain_cursor % n;
-            self.drain_cursor = (self.drain_cursor + 1) % n;
-            match self.workers[cursor].out.try_recv() {
-                Some(item) => {
-                    out.push(item);
-                    got += 1;
-                    idle = 0;
-                }
-                None => idle += 1,
-            }
-        }
-        got
-    }
-
-    /// Shuts the pool down: closes job rings, drains remaining outputs
-    /// into `out`, joins workers, and returns the aggregated cross-shard
-    /// snapshot (summed verdict and crypto-cache counters, plus the
-    /// per-shard split and steering counters).
-    pub fn shutdown(mut self, out: &mut Vec<RoutedOutput>) -> RouterPoolSnapshot {
-        for w in &mut self.workers {
-            w.jobs.close();
-        }
-        let mut snap = RouterPoolSnapshot {
-            shards: self.workers.len(),
-            steered: self.steered,
-            unsteered: self.unsteered,
-            ..Default::default()
-        };
-        for w in &mut self.workers {
-            let handle = w.handle.take().expect("worker joined twice");
-            while !handle.is_finished() {
-                while let Some(item) = w.out.try_recv() {
-                    out.push(item);
-                }
-                std::thread::yield_now();
-            }
-            while let Some(item) = w.out.try_recv() {
-                out.push(item);
-            }
-            let (s, cs) = handle.join().expect("router worker panicked");
-            snap.stats.merge(&s);
-            snap.cache.merge(&cs);
-            snap.per_shard.push(RouterShardSnapshot { submitted: w.submitted, stats: s, cache: cs });
-        }
-        if let Some(tel) = &self.telemetry {
-            tel.steered.add(self.steered);
-            tel.unsteered.add(self.unsteered);
-            for (c, shard) in tel.per_shard.iter().zip(&snap.per_shard) {
-                c.add(shard.submitted);
-            }
-        }
-        snap
-    }
-}
-
-impl std::fmt::Debug for ShardRouterPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardRouterPool").field("shards", &self.workers.len()).finish()
-    }
-}
-
-fn router_worker(
-    mut router: BorderRouter,
-    mut jobs: Consumer<RouterJob>,
-    mut out: Producer<RoutedOutput>,
-) -> (RouterStats, CryptoCacheStats) {
-    let mut batch: Vec<RouterJob> = Vec::with_capacity(WORKER_BATCH);
-    while jobs.recv_many(&mut batch, WORKER_BATCH) {
-        // `process_batch` takes a single `now`; split the drained batch on
-        // timestamp changes so each sub-batch is validated at its own time.
-        while !batch.is_empty() {
-            let now = batch[0].now;
-            let mut end = 1;
-            while end < batch.len() && batch[end].now == now {
-                end += 1;
-            }
-            let group = &mut batch[..end];
-            let mut refs: Vec<&mut [u8]> =
-                group.iter_mut().map(|j| j.pkt.as_mut_slice()).collect();
-            let verdicts = router.process_batch(&mut refs, now);
-            drop(refs);
-            for (job, verdict) in batch.drain(..end).zip(verdicts) {
-                if out.send(RoutedOutput { verdict, pkt: job.pkt }).is_err() {
-                    return (router.stats, router.cache_stats());
-                }
-            }
-        }
-    }
-    out.close();
-    (router.stats, router.cache_stats())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::router::RouterConfig;
-    use colibri_base::{Bandwidth, Duration, IsdAsId, ReservationKey};
-    use colibri_crypto::Key;
-    use colibri_ctrl::OwnedEerVersion;
-    use colibri_wire::{EerInfo, HopField};
-
-    fn owned(res_id: u32) -> OwnedEer {
-        OwnedEer {
-            key: ReservationKey::new(IsdAsId::new(1, 10), ResId(res_id)),
-            eer_info: EerInfo { src_host: HostAddr(7), dst_host: HostAddr(8) },
-            path_ases: vec![IsdAsId::new(1, 10), IsdAsId::new(1, 1)],
-            hop_fields: vec![HopField::new(0, 1), HopField::new(2, 0)],
-            versions: vec![OwnedEerVersion {
-                ver: 0,
-                bw: Bandwidth::from_mbps(100),
-                exp: Instant::from_secs(100),
-                hop_auths: vec![Key([1; 16]), Key([2; 16])],
-            }],
-        }
-    }
+    use crate::router::BorderRouter;
+    use crate::supervisor::tests::{owned, pool as router_pool, run_authentic, test_cfg, MASTER};
+    use crate::supervisor::ShardRouterPool;
+    use colibri_base::{Duration, IsdAsId};
 
     #[test]
     fn ring_backpressure_and_close() {
@@ -777,6 +452,35 @@ mod tests {
     }
 
     #[test]
+    fn gateway_pool_merges_private_qos_hierarchies() {
+        use crate::gateway::QosMode;
+        // Each shard owns a private qdisc; the pool snapshot's merge must
+        // equal one gateway's counters over the same stream.
+        let now = Instant::from_secs(1);
+        let burst = Duration::from_millis(1);
+        let cfg = GatewayConfig {
+            burst,
+            qos: QosMode::Hierarchical(colibri_qdisc::HtbConfig::degenerate(burst)),
+        };
+        let mut pg = ParallelGateway::new(3, cfg, 64);
+        let mut single = Gateway::new(cfg);
+        for i in 0..6 {
+            pg.install(&owned(i), now);
+            single.install(&owned(i), now);
+        }
+        for k in 0..120u32 {
+            pg.submit(HostAddr(7), ResId(k % 6), vec![0u8; 1000], now);
+            let _ = single.process(HostAddr(7), ResId(k % 6), &[0u8; 1000], now);
+        }
+        let mut outs = Vec::new();
+        pg.flush(&mut outs);
+        let snap = pg.shutdown(&mut outs);
+        let qos = snap.qos.expect("hierarchical pool reports qos");
+        assert_eq!(Some(qos), single.qos_stats());
+        assert!(qos.rate_limited > 0 && qos.admitted > 0, "{qos:?}");
+    }
+
+    #[test]
     fn gateway_buffers_recycle_without_allocation() {
         let now = Instant::from_secs(1);
         let mut pg = ParallelGateway::new(1, GatewayConfig::default(), 8);
@@ -799,68 +503,9 @@ mod tests {
 
     #[test]
     fn router_pool_validates_and_shuts_down() {
-        // Build authentic packets with a scalar gateway + matching router
-        // secret, then push them through the pool.
-        use colibri_crypto::SecretValueGen;
-        use colibri_wire::mac::hop_auth;
-        use colibri_wire::ResInfo;
-
-        let master = [9u8; 16];
-        let now = Instant::from_secs(50);
-        let epoch = colibri_crypto::Epoch::containing(now);
-        let k_i = SecretValueGen::new(&master).secret_value(epoch).cmac();
-
-        // Must match what `Gateway::install` derives from the OwnedEer,
-        // or the stamped HVF will not verify.
-        let res_info = ResInfo {
-            src_as: IsdAsId::new(1, 10),
-            res_id: ResId(1),
-            bw: colibri_base::BwClass::from_bandwidth_ceil(Bandwidth::from_mbps(100)),
-            exp_t: Instant::from_secs(90),
-            ver: 0,
-        };
-        let eer_info = EerInfo { src_host: HostAddr(7), dst_host: HostAddr(8) };
-        let hop = HopField::new(3, 4);
-        let sigma = hop_auth(&k_i, &res_info, &eer_info, hop);
-
-        let mut eer = owned(1);
-        eer.versions[0].hop_auths = vec![sigma, Key([0; 16])];
-        eer.versions[0].exp = Instant::from_secs(90);
-        eer.hop_fields = vec![hop, HopField::new(5, 0)];
-        let mut gw = Gateway::new(GatewayConfig::default());
-        gw.install(&eer, now);
-
-        let cfg = RouterConfig {
-            freshness: Duration::from_secs(3600),
-            skew: Duration::from_secs(3600),
-            monitoring: false,
-            ..RouterConfig::default()
-        };
-        let mut pool =
-            ShardRouterPool::new(2, 8, |_| BorderRouter::new(IsdAsId::new(1, 10), &master, cfg));
-        let mut sent = 0;
-        for _ in 0..6 {
-            let pkt = gw.process(HostAddr(7), ResId(1), b"data", now).unwrap();
-            pool.submit(pkt.bytes, now);
-            sent += 1;
-        }
-        // One garbage packet.
-        pool.submit(vec![0xFF; 10], now);
-        sent += 1;
-
-        let mut outs = Vec::new();
-        while outs.len() < sent {
-            pool.try_drain(&mut outs, usize::MAX);
-            std::thread::yield_now();
-        }
-        let fwd = outs
-            .iter()
-            .filter(|o| matches!(o.verdict, RouterVerdict::Forward(InterfaceId(4))))
-            .count();
-        assert_eq!(fwd, 6);
-        let mut rest = Vec::new();
-        let snap = pool.shutdown(&mut rest);
-        assert!(rest.is_empty());
+        // Six authentic packets (σ matches the routers' secret) and one
+        // garbage frame through two shards.
+        let snap = run_authentic(router_pool(2, 8), 6);
         assert_eq!(snap.shards, 2);
         assert_eq!(snap.stats.forwarded, 6);
         assert_eq!(snap.stats.parse_errors, 1);
@@ -873,41 +518,36 @@ mod tests {
 
     #[test]
     fn steering_pins_reservations_and_counts_imbalance() {
-        let master = [9u8; 16];
         let now = Instant::from_secs(50);
-        let cfg = RouterConfig {
-            freshness: Duration::from_secs(3600),
-            skew: Duration::from_secs(3600),
-            monitoring: false,
-            ..RouterConfig::default()
-        };
+        let cfg = test_cfg();
         let reg = Registry::new();
-        let mut pool = ShardRouterPool::with_telemetry(4, 64, &reg, |_| {
-            BorderRouter::new(IsdAsId::new(1, 10), &master, cfg)
+        let mut pool = ShardRouterPool::with_telemetry(4, 64, &reg, move |_| {
+            BorderRouter::new(IsdAsId::new(1, 10), &MASTER, cfg)
         });
 
         // Build minimally valid *headers* for three reservations (the
         // packets won't verify, but steering only reads the header).
-        let mut gw = Gateway::new(GatewayConfig { burst: Duration::from_secs(3600), ..Default::default() });
+        let mut gw =
+            Gateway::new(GatewayConfig { burst: Duration::from_secs(3600), ..Default::default() });
         for r in [1u32, 2, 3] {
             gw.install(&owned(r), now);
         }
         let mut expected_shard = std::collections::HashMap::new();
+        let mut outs = Vec::new();
         let mut sent = 0;
         for i in 0..30u32 {
             let r = ResId(1 + i % 3);
             let pkt = gw.process(HostAddr(7), r, b"data", now).unwrap();
             let s = shard_index(r, 4);
             expected_shard.insert(r, s);
-            pool.submit(pkt.bytes, now);
+            pool.submit(pkt.bytes, now, &mut outs);
             sent += 1;
         }
         // Garbage falls back round-robin.
-        pool.submit(vec![0u8; 4], now);
-        pool.submit(vec![0u8; 4], now);
+        pool.submit(vec![0u8; 4], now, &mut outs);
+        pool.submit(vec![0u8; 4], now, &mut outs);
         sent += 2;
 
-        let mut outs = Vec::new();
         while outs.len() < sent {
             pool.try_drain(&mut outs, usize::MAX);
             std::thread::yield_now();
@@ -918,9 +558,8 @@ mod tests {
         assert_eq!(snap.per_shard.len(), 4);
         // Each reservation's 10 packets all landed on its hash shard.
         let mut by_shard = [0u64; 4];
-        for (&r, &s) in &expected_shard {
+        for &s in expected_shard.values() {
             by_shard[s] += 30 / 3;
-            let _ = r;
         }
         // Round-robin garbage: shards 0 and 1 got one each.
         by_shard[0] += 1;

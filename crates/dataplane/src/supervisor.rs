@@ -1,74 +1,70 @@
-//! Supervised shard pool: failure containment for the data plane
-//! (DESIGN.md §14).
+//! The router shard pool, always supervised (DESIGN.md §9 "Shard pool").
 //!
-//! [`crate::parallel::ShardRouterPool`] is the raw-speed driver: it
-//! assumes workers never fail and blocks the driver on a full ring. Under
-//! adversarial traffic both assumptions are liabilities — a panicking
-//! worker (a router bug tickled by a hostile packet) would wedge the whole
-//! pool at shutdown, and a flooded shard would stall *reserved* traffic
-//! behind attack traffic. [`SupervisedRouterPool`] keeps the same
-//! ring-per-shard data path and adds the survivability layer:
+//! [`ShardRouterPool`] runs `n` border-router workers on the ring pairs of
+//! [`crate::parallel`]; each validates its ring in batches with
+//! [`BorderRouter::process_batch`].
 //!
-//! * **Worker isolation** — every batch runs under
-//!   [`std::panic::catch_unwind`]. A panic discards the (possibly
-//!   inconsistent) router, rebuilds it from the factory — crypto caches
-//!   start cold and re-warm, exactly like the paper's per-lcore restart —
-//!   and emits each in-flight packet of the wedged batch as an accounted
-//!   [`ShardOutcome::PanicDiscard`]. The worker thread itself never dies;
-//!   heartbeats keep ticking.
-//! * **Poisoned-shard detection** — each shard bumps a heartbeat counter
-//!   per drained batch; [`SupervisedRouterPool::health`] exposes
-//!   heartbeats, panic counts, and thread liveness so a driver can spot a
-//!   stalled or dying shard without joining it.
-//! * **Hot respawn** — [`SupervisedRouterPool::kill_shard`] +
-//!   [`SupervisedRouterPool::respawn_shard`] model a worker dying outright
-//!   (the crash-kill of the recovery experiment): the dead worker's
-//!   verdicts and stats are collected, jobs stranded in its abandoned ring
-//!   are *counted* (never silently lost), and a fresh worker with rebuilt
-//!   caches takes over the shard index.
-//! * **Backpressure, not blocking** — [`SupervisedRouterPool::try_submit`]
-//!   returns [`SubmitError::WouldBlock`] instead of spinning on a full
-//!   ring. The class-aware [`SupervisedRouterPool::submit_classed`]
-//!   implements the shed policy of Appendix B under overload: best-effort
-//!   packets are dropped first (counted per class), reserved Colibri
-//!   traffic is never shed — the driver drains outputs to guarantee the
-//!   worker makes progress and retries, so a 4× best-effort flood squeezes
-//!   itself out while reserved goodput is preserved.
+//! * **Steering** — [`ShardRouterPool::try_submit`] pins each reservation
+//!   to one shard ([`shard_index`] over [`colibri_wire::peek_res_id`]), so
+//!   each shard's crypto caches hold a private slice of the working set
+//!   and per-flow state sees the flow in FIFO order; unparseable frames go
+//!   round-robin. The cursor and the steering counters move only when a
+//!   ring accepts the packet.
+//! * **Isolation** — each packet group runs under `catch_unwind`; a panic
+//!   rebuilds the router (cold caches) and hands the group back as
+//!   [`ShardOutcome::PanicDiscard`]. Heartbeats expose liveness;
+//!   [`ShardRouterPool::kill_shard`] and [`ShardRouterPool::respawn_shard`]
+//!   model a worker dying outright.
+//! * **No deadlock** — calls that must wait for ring room (`submit`,
+//!   reserved traffic in `submit_classed`, `inject_panic`) retry with
+//!   `try_send` and drain outputs in between, so a worker stalled on a
+//!   full output ring always moves on. Best-effort traffic is shed
+//!   instead (Appendix B).
 //!
-//! The exact-accounting invariant, checked by
-//! [`SupervisorSnapshot::balanced`] and gated in the benchmark harness:
-//!
-//! ```text
-//! submitted == forwarded + dropped + panic_discarded + lost_to_kill
-//! offered   == submitted + shed
-//! ```
+//! The ledger, checked by [`RouterPoolSnapshot::balanced`], is exact on
+//! what the caller receives: `submitted == verdicts + panic_discarded +
+//! lost_to_kill`. A killed worker counts as lost the packet whose send
+//! failed, the rest of its drained batch and its job ring — never a
+//! `Poison` job, which is not a packet.
 
 use crate::crypto_cache::CryptoCacheStats;
-use crate::classes::TrafficClass;
+use crate::parallel::{shard_index, Lanes, SubmitError, WORKER_BATCH};
 use crate::router::{BorderRouter, RouterStats, RouterVerdict};
-use crate::sharded::shard_index;
 use colibri_base::Instant;
-use colibri_ring::{ring, Consumer, Producer, TrySendError};
-use colibri_telemetry::{Counter, Registry, Stability};
+use colibri_qdisc::TrafficClass;
+use colibri_ring::{Consumer, Producer, TrySendError};
+use colibri_telemetry::{Registry, Stability};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
-/// How many jobs a supervised worker pulls per ring drain (same batch
-/// shape as the unsupervised pool, so the interleaved CMAC path stays
-/// exercised).
-const WORKER_BATCH: usize = 32;
+/// What happened to one packet in a shard.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ShardOutcome {
+    /// The router processed the packet and produced this verdict.
+    Verdict(RouterVerdict),
+    /// The worker panicked while this packet's group was in flight; the
+    /// packet was not (fully) processed. It is surfaced — buffer intact —
+    /// so the caller can count or retry it; nothing is silently lost.
+    PanicDiscard,
+}
 
-/// Shared per-shard liveness cells, written by the worker and read by the
-/// driver without joining the thread.
-#[derive(Debug, Default)]
-struct ShardHealth {
-    /// Bumped once per drained batch; a shard whose heartbeat stops
-    /// advancing while its ring is non-empty is wedged.
-    heartbeat: AtomicU64,
-    /// Panics contained by `catch_unwind` (each one rebuilt the router).
-    panics: AtomicU64,
+/// One packet back from [`ShardRouterPool::try_drain`].
+#[derive(Debug)]
+pub struct RoutedOutput {
+    /// Verdict (hop already advanced on `Forward`) or accounted discard.
+    pub outcome: ShardOutcome,
+    /// The packet buffer (mutated in place), returned for reuse.
+    pub pkt: Vec<u8>,
+}
+
+/// The shed decision taken by [`ShardRouterPool::submit_classed`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SubmitVerdict {
+    /// Enqueued on the owning shard.
+    Enqueued,
+    /// Ring full and the packet best-effort: shed, counted, recycled.
+    Shed,
 }
 
 /// A driver-side view of one shard's health.
@@ -84,64 +80,14 @@ pub struct ShardHealthReport {
     pub queued: usize,
 }
 
-/// What happened to one packet in a supervised shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardOutcome {
-    /// The router processed the packet and produced this verdict.
-    Verdict(RouterVerdict),
-    /// The worker panicked while this packet's batch was in flight; the
-    /// packet was not (fully) processed. It is surfaced — buffer intact —
-    /// so the caller can count or retry it; nothing is silently lost.
-    PanicDiscard,
-}
-
-/// One packet back from a supervised shard.
-#[derive(Debug)]
-pub struct SupervisedOutput {
-    /// Outcome (verdict or accounted panic discard).
-    pub outcome: ShardOutcome,
-    /// The packet buffer, returned for reuse.
-    pub pkt: Vec<u8>,
-}
-
-pub use crate::parallel::SubmitError;
-
-/// The shed decision taken by [`SupervisedRouterPool::submit_classed`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SubmitVerdict {
-    /// Enqueued on the owning shard.
-    Enqueued,
-    /// Ring full and the packet was best-effort: shed (counted), buffer
-    /// recycled.
-    Shed,
-}
-
-enum SupJob {
-    Packet { pkt: Vec<u8>, now: Instant },
-    /// Deterministic kill hook: panics the worker inside its supervised
-    /// region, discarding (with accounting) the rest of the drained
-    /// batch. This is how tests and the recovery experiment model "one
-    /// bad packet takes the worker down".
-    Poison,
-}
-
-struct SupWorker {
-    jobs: Producer<SupJob>,
-    out: Consumer<SupervisedOutput>,
-    handle: Option<JoinHandle<(RouterStats, CryptoCacheStats)>>,
-    health: Arc<ShardHealth>,
-    /// Packets accepted into this shard's ring (accounting numerator).
-    submitted: u64,
-}
-
-/// Per-shard piece of a [`SupervisorSnapshot`].
+/// Per-shard piece of a [`RouterPoolSnapshot`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SupervisedShardSnapshot {
-    /// Packets accepted into this shard's ring.
+pub struct RouterShardSnapshot {
+    /// Packets accepted into this shard's ring (imbalance numerator).
     pub submitted: u64,
-    /// Merged verdict counters (across respawns of this shard index).
+    /// Merged verdict counters (across rebuilds and respawns).
     pub stats: RouterStats,
-    /// Merged crypto-cache counters.
+    /// Merged (private) crypto-cache counters.
     pub cache: CryptoCacheStats,
     /// Panics contained on this shard.
     pub panics: u64,
@@ -149,245 +95,260 @@ pub struct SupervisedShardSnapshot {
     pub respawns: u64,
 }
 
-/// Aggregated result of a [`SupervisedRouterPool`] run, with the exact
-/// packet-conservation ledger.
+/// The aggregated result of a [`ShardRouterPool`] run: the cross-shard
+/// merge of every worker's counters, the per-shard split, and the exact
+/// packet ledger.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SupervisorSnapshot {
+pub struct RouterPoolSnapshot {
     /// Number of shard workers.
     pub shards: usize,
     /// Merged verdict counters.
     pub stats: RouterStats,
     /// Merged crypto-cache counters.
     pub cache: CryptoCacheStats,
-    /// Per-shard breakdown.
-    pub per_shard: Vec<SupervisedShardSnapshot>,
+    /// Per-shard breakdown, indexed by shard.
+    pub per_shard: Vec<RouterShardSnapshot>,
     /// Packets accepted into shard rings.
     pub submitted: u64,
+    /// Accepted packets steered by reservation ID (parseable header).
+    pub steered: u64,
+    /// Accepted packets sent round-robin (unparseable header).
+    pub unsteered: u64,
+    /// Outputs handed back carrying a [`ShardOutcome::Verdict`].
+    pub verdicts: u64,
+    /// Outputs handed back as [`ShardOutcome::PanicDiscard`].
+    pub panic_discarded: u64,
+    /// Accepted packets that a killed worker never handed back.
+    pub lost_to_kill: u64,
     /// Best-effort packets shed by the backpressure policy (never entered
     /// a ring).
     pub shed_best_effort: u64,
-    /// Reserved-class packets shed — the policy never does this; the
-    /// counter exists so the invariant "== 0" is checkable, not assumed.
+    /// Reserved-class packets shed. `submit_classed` never sheds them, so
+    /// this is 0; it is exported so gates check the invariant rather than
+    /// assume it.
     pub shed_reserved: u64,
-    /// Packets surfaced as [`ShardOutcome::PanicDiscard`].
-    pub panic_discarded: u64,
-    /// Jobs stranded in a killed worker's abandoned ring, counted at
-    /// respawn time.
-    pub lost_to_kill: u64,
     /// Total panics contained across shards.
     pub panics: u64,
     /// Total shard respawns.
     pub respawns: u64,
 }
 
-impl SupervisorSnapshot {
-    /// The packet-conservation identity: every packet accepted into a
-    /// ring is either processed to a verdict, surfaced as a panic
-    /// discard, or counted against a killed shard. Poison jobs are not
-    /// packets and never enter this ledger.
+impl RouterPoolSnapshot {
+    /// Steering imbalance: the busiest shard's submitted count divided
+    /// by the per-shard mean (1.0 = perfectly even). Returns 0.0 when
+    /// nothing was submitted.
+    pub fn steering_imbalance(&self) -> f64 {
+        let total: u64 = self.per_shard.iter().map(|s| s.submitted).sum();
+        if total == 0 || self.per_shard.is_empty() {
+            return 0.0;
+        }
+        let mean = total as f64 / self.per_shard.len() as f64;
+        let max = self.per_shard.iter().map(|s| s.submitted).max().unwrap_or(0);
+        max as f64 / mean
+    }
+
+    /// The exact ledger: every accepted packet was handed back exactly
+    /// once or counted against a kill.
     pub fn balanced(&self) -> bool {
-        self.submitted == self.stats.processed() + self.panic_discarded + self.lost_to_kill
+        self.submitted == self.verdicts + self.panic_discarded + self.lost_to_kill
     }
 }
 
-/// Per-class shed counters plus supervision counters, absorbed into the
-/// registry at shutdown (driver-side plain `u64`s on the hot path).
-struct SupTelemetry {
-    shed_best_effort: Counter,
-    shed_reserved: Counter,
-    panic_discarded: Counter,
-    panics: Counter,
-    respawns: Counter,
+enum Job {
+    Packet {
+        pkt: Vec<u8>,
+        now: Instant,
+    },
+    /// "One bad packet takes the worker down" (`inject_panic`): panics the
+    /// worker inside its supervised region, discarding the rest of the batch.
+    Poison,
 }
 
-/// A [`crate::parallel::ShardRouterPool`] with the survivability layer:
-/// panic isolation, heartbeat health, hot respawn, and class-aware
-/// backpressure. See the module docs for the contract.
-pub struct SupervisedRouterPool {
-    workers: Vec<SupWorker>,
-    make: Arc<dyn Fn(usize) -> BorderRouter + Send + Sync>,
-    queue_cap: usize,
-    free_bufs: Vec<Vec<u8>>,
-    submit_cursor: usize,
-    drain_cursor: usize,
-    shed_best_effort: u64,
-    shed_reserved: u64,
+impl Job {
+    fn into_pkt(self) -> Option<Vec<u8>> {
+        match self {
+            Job::Packet { pkt, .. } => Some(pkt),
+            Job::Poison => None,
+        }
+    }
+}
+
+/// Liveness cells, written by the worker and read by the driver without
+/// joining the thread. Shared by every worker generation of a shard.
+#[derive(Debug, Default)]
+struct ShardHealth {
+    /// Bumped once per drained batch; a shard whose heartbeat stops
+    /// advancing while its ring is non-empty is wedged.
+    heartbeat: AtomicU64,
+    /// Panics contained by `catch_unwind` (each one rebuilt the router).
+    panics: AtomicU64,
+}
+
+/// What a worker hands back when it exits: the counters of every router
+/// it ran, and its side of the ledger — outputs it handed back by
+/// outcome (the pool drains each one to the caller), and packets a kill
+/// made it drop.
+#[derive(Debug, Clone, Copy, Default)]
+struct WorkerReport {
+    stats: RouterStats,
+    cache: CryptoCacheStats,
+    verdicts: u64,
     panic_discarded: u64,
-    lost_to_kill: u64,
-    respawns: Vec<u64>,
-    /// Stats of killed-and-joined workers, folded per shard index.
-    retired: Vec<(RouterStats, CryptoCacheStats)>,
-    telemetry: Option<SupTelemetry>,
+    lost: u64,
 }
 
-impl SupervisedRouterPool {
-    /// Spawns `n` supervised router workers. `make` builds (and, after a
-    /// panic or kill, *rebuilds*) the router of a shard — it must be
-    /// callable from worker threads, hence `Send + Sync + 'static`.
+impl WorkerReport {
+    fn merge(&mut self, other: &WorkerReport) {
+        self.stats.merge(&other.stats);
+        self.cache.merge(&other.cache);
+        self.verdicts += other.verdicts;
+        self.panic_discarded += other.panic_discarded;
+        self.lost += other.lost;
+    }
+}
+
+/// Driver-side state of one shard index, kept across respawns.
+#[derive(Default)]
+struct Shard {
+    health: Arc<ShardHealth>,
+    /// Packets accepted into this shard's ring.
+    submitted: u64,
+    respawns: u64,
+    /// Reports of this shard's killed-and-joined workers.
+    retired: WorkerReport,
+}
+
+type RouterFactory = Arc<dyn Fn(usize) -> BorderRouter + Send + Sync>;
+
+/// A pool of supervised border-router workers. See the module docs for
+/// the steering, supervision and ledger contract.
+pub struct ShardRouterPool {
+    lanes: Lanes<Job, RoutedOutput, WorkerReport>,
+    shards: Vec<Shard>,
+    /// Builds (and after a panic or kill, rebuilds) shard `i`'s router.
+    make: RouterFactory,
+    registry: Option<Registry>,
+    free_bufs: Vec<Vec<u8>>,
+    /// Shard for the next unparseable frame.
+    rr_cursor: usize,
+    steered: u64,
+    unsteered: u64,
+    shed_best_effort: u64,
+}
+
+impl ShardRouterPool {
+    /// Spawns `n` router workers on rings of `queue_cap`. `make` builds
+    /// (and, after a panic or kill, *rebuilds*) the router of a shard —
+    /// it runs on worker threads, hence `Send + Sync + 'static`.
     pub fn new(
         n: usize,
         queue_cap: usize,
         make: impl Fn(usize) -> BorderRouter + Send + Sync + 'static,
     ) -> Self {
-        Self::build(n, queue_cap, Arc::new(make), None)
+        Self::build(n, queue_cap, None, make)
     }
 
-    /// Like [`Self::new`], with shed/supervision counters registered in
-    /// `registry` (absorbed at shutdown).
+    /// Like [`Self::new`], but each router (and its monitor) registers
+    /// telemetry as shard `router<i>` in `registry`, and the pool's
+    /// steering, shed and supervision counters are absorbed into it at
+    /// shutdown.
     pub fn with_telemetry(
         n: usize,
         queue_cap: usize,
         registry: &Registry,
         make: impl Fn(usize) -> BorderRouter + Send + Sync + 'static,
     ) -> Self {
-        Self::build(n, queue_cap, Arc::new(make), Some(registry))
+        Self::build(n, queue_cap, Some(registry.clone()), make)
     }
 
     fn build(
         n: usize,
         queue_cap: usize,
-        make: Arc<dyn Fn(usize) -> BorderRouter + Send + Sync>,
-        registry: Option<&Registry>,
+        registry: Option<Registry>,
+        make: impl Fn(usize) -> BorderRouter + Send + Sync + 'static,
     ) -> Self {
-        assert!(n >= 1);
-        let workers = (0..n).map(|i| spawn_worker(i, queue_cap, Arc::clone(&make))).collect();
-        let telemetry = registry.map(|reg| {
-            let s = reg.shard("supervisor");
-            let dep = Stability::PathDependent;
-            SupTelemetry {
-                shed_best_effort: s.counter(
-                    "colibri_dataplane_shed_best_effort_total",
-                    dep,
-                    "best-effort packets shed by backpressure (dropped before any ring)",
-                ),
-                shed_reserved: s.counter(
-                    "colibri_dataplane_shed_reserved_total",
-                    dep,
-                    "reserved-class packets shed by backpressure (policy target: zero)",
-                ),
-                panic_discarded: s.counter(
-                    "colibri_dataplane_panic_discarded_total",
-                    dep,
-                    "packets surfaced unprocessed because their batch's worker panicked",
-                ),
-                panics: s.counter(
-                    "colibri_dataplane_shard_panics_total",
-                    dep,
-                    "worker panics contained by the supervisor (router rebuilds)",
-                ),
-                respawns: s.counter(
-                    "colibri_dataplane_shard_respawns_total",
-                    dep,
-                    "shard workers respawned after a kill",
-                ),
+        let reg = registry.clone();
+        let make: RouterFactory = Arc::new(move |i| {
+            let mut router = make(i);
+            if let Some(reg) = &reg {
+                router.attach_telemetry(reg, &format!("router{i}"));
             }
+            router
         });
+        let shards: Vec<Shard> = (0..n).map(|_| Shard::default()).collect();
+        let lanes = Lanes::spawn(n, queue_cap, |i| worker(i, &make, &shards[i].health));
         Self {
-            workers,
+            lanes,
+            shards,
             make,
-            queue_cap,
+            registry,
             free_bufs: Vec::new(),
-            submit_cursor: 0,
-            drain_cursor: 0,
+            rr_cursor: 0,
+            steered: 0,
+            unsteered: 0,
             shed_best_effort: 0,
-            shed_reserved: 0,
-            panic_discarded: 0,
-            lost_to_kill: 0,
-            respawns: vec![0; n],
-            retired: vec![Default::default(); n],
-            telemetry,
-        }
-    }
-
-    /// Number of shard workers.
-    pub fn shard_count(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// The shard a packet would be steered to (reservation-ID hash, with
-    /// round-robin fallback for unparseable headers).
-    fn steer(&mut self, pkt: &[u8]) -> usize {
-        match colibri_wire::peek_res_id(pkt) {
-            Some(res_id) => shard_index(res_id, self.workers.len()),
-            None => {
-                let s = self.submit_cursor % self.workers.len();
-                self.submit_cursor = self.submit_cursor.wrapping_add(1);
-                s
-            }
         }
     }
 
     /// Non-blocking submit: enqueues on the owning shard or returns
     /// [`SubmitError::WouldBlock`] with the buffer. Never spins, never
-    /// yields — backpressure is the *caller's* decision.
-    ///
-    /// A shard whose worker died (killed, not yet respawned) is
-    /// respawned transparently before the enqueue, so submission never
-    /// panics on a closed ring.
+    /// yields — shed, drain-and-retry, or hold is the *caller's* decision.
+    /// A `WouldBlock` leaves the round-robin cursor and every counter as
+    /// they were. A killed shard is respawned before the enqueue.
     pub fn try_submit(&mut self, pkt: Vec<u8>, now: Instant) -> Result<(), SubmitError> {
-        let s = self.steer(&pkt);
-        match self.workers[s].jobs.try_send(SupJob::Packet { pkt, now }) {
+        let n = self.shards.len();
+        let res_id = colibri_wire::peek_res_id(&pkt);
+        let s = res_id.map_or(self.rr_cursor % n, |r| shard_index(r, n));
+        self.respawn_shard(s);
+        match self.lanes[s].jobs.try_send(Job::Packet { pkt, now }) {
             Ok(()) => {
-                self.workers[s].submitted += 1;
+                self.shards[s].submitted += 1;
+                if res_id.is_some() {
+                    self.steered += 1;
+                } else {
+                    self.unsteered += 1;
+                    self.rr_cursor = self.rr_cursor.wrapping_add(1);
+                }
                 Ok(())
             }
-            Err(TrySendError::Full(SupJob::Packet { pkt, .. })) => {
-                Err(SubmitError::WouldBlock(pkt))
+            Err(TrySendError::Full(job) | TrySendError::Closed(job)) => {
+                Err(SubmitError::WouldBlock(job.into_pkt().expect("a packet job was sent")))
             }
-            Err(TrySendError::Closed(SupJob::Packet { pkt, .. })) => {
-                // Worker is dead (kill_shard without respawn, or a ring
-                // torn down underneath us): bring the shard back and
-                // retry once on the fresh, empty ring.
-                self.respawn_shard(s);
-                match self.workers[s].jobs.try_send(SupJob::Packet { pkt, now }) {
-                    Ok(()) => {
-                        self.workers[s].submitted += 1;
-                        Ok(())
-                    }
-                    Err(TrySendError::Full(SupJob::Packet { pkt, .. }))
-                    | Err(TrySendError::Closed(SupJob::Packet { pkt, .. })) => {
-                        Err(SubmitError::WouldBlock(pkt))
-                    }
-                    Err(_) => unreachable!("poison jobs are never submitted here"),
-                }
-            }
-            Err(_) => unreachable!("poison jobs are never submitted here"),
+        }
+    }
+
+    /// Submits one packet, waiting for ring room: while the owning shard's
+    /// ring is full it drains outputs into `out` (so the worker can make
+    /// progress) and retries.
+    pub fn submit(&mut self, pkt: Vec<u8>, now: Instant, out: &mut Vec<RoutedOutput>) {
+        let mut pkt = pkt;
+        while let Err(SubmitError::WouldBlock(p)) = self.try_submit(pkt, now) {
+            pkt = p;
+            self.wait(out);
         }
     }
 
     /// Class-aware submit implementing the shed policy: on a full ring,
     /// best-effort packets are shed immediately (counted, buffer
-    /// recycled); reserved Colibri classes are never shed — the driver
-    /// drains `out` (guaranteeing the worker can make progress) and
-    /// retries until the packet is accepted.
+    /// recycled); reserved Colibri classes are never shed — they wait as
+    /// in [`Self::submit`].
     pub fn submit_classed(
         &mut self,
         pkt: Vec<u8>,
         class: TrafficClass,
         now: Instant,
-        out: &mut Vec<SupervisedOutput>,
+        out: &mut Vec<RoutedOutput>,
     ) -> SubmitVerdict {
-        let mut pkt = pkt;
-        loop {
-            match self.try_submit(pkt, now) {
-                Ok(()) => return SubmitVerdict::Enqueued,
-                Err(SubmitError::WouldBlock(p)) => match class {
-                    TrafficClass::BestEffort => {
-                        self.shed_best_effort += 1;
-                        self.recycle_buf(p);
-                        return SubmitVerdict::Shed;
-                    }
-                    TrafficClass::ColibriControl | TrafficClass::ColibriData => {
-                        // Reserved traffic: free the worker by draining,
-                        // then retry. The worker drains WORKER_BATCH jobs
-                        // per heartbeat, so progress is guaranteed as
-                        // long as we keep consuming outputs.
-                        if self.try_drain(out, usize::MAX) == 0 {
-                            std::thread::yield_now();
-                        }
-                        pkt = p;
-                    }
-                },
+        match self.try_submit(pkt, now) {
+            Ok(()) => SubmitVerdict::Enqueued,
+            Err(SubmitError::WouldBlock(pkt)) if class == TrafficClass::BestEffort => {
+                self.shed_best_effort += 1;
+                self.recycle_buf(pkt);
+                SubmitVerdict::Shed
+            }
+            Err(SubmitError::WouldBlock(pkt)) => {
+                self.submit(pkt, now, out);
+                SubmitVerdict::Enqueued
             }
         }
     }
@@ -395,92 +356,74 @@ impl SupervisedRouterPool {
     /// Injects a deterministic panic into `shard`: the worker unwinds
     /// inside its supervised region, the router is rebuilt (cold crypto
     /// caches), and any packets of the same drained batch surface as
-    /// [`ShardOutcome::PanicDiscard`]. The worker thread survives.
-    pub fn inject_panic(&mut self, shard: usize) {
-        // Blocking send: poison must arrive even under backpressure.
-        let _ = self.workers[shard].jobs.send(SupJob::Poison);
+    /// [`ShardOutcome::PanicDiscard`]. The worker thread survives. Waits
+    /// for ring room like [`Self::submit`]; a killed shard is left alone.
+    pub fn inject_panic(&mut self, shard: usize, out: &mut Vec<RoutedOutput>) {
+        let mut job = Job::Poison;
+        while let Err(TrySendError::Full(j)) = self.lanes[shard].jobs.try_send(job) {
+            job = j;
+            self.wait(out);
+        }
     }
 
-    /// Kills `shard`'s worker outright (the crash-kill of the recovery
-    /// experiment): closes its output ring so the worker exits at its
-    /// next send, then drains the outputs it did produce and joins it,
-    /// folding its stats into the shard's ledger. Packets stranded in
-    /// the abandoned job ring are counted as `lost_to_kill`. Call
-    /// [`Self::respawn_shard`] (or just keep submitting) to bring the
-    /// shard back.
-    pub fn kill_shard(&mut self, shard: usize, out: &mut Vec<SupervisedOutput>) {
-        let w = &mut self.workers[shard];
-        let Some(handle) = w.handle.take() else { return };
-        w.out.close();
-        w.jobs.close();
-        // Drain what the worker managed to emit before it noticed.
-        while !handle.is_finished() {
-            while let Some(item) = w.out.try_recv() {
-                if matches!(item.outcome, ShardOutcome::PanicDiscard) {
-                    self.panic_discarded += 1;
-                }
-                out.push(item);
-            }
+    /// One wait step of a blocking call: drain every output (freeing a
+    /// worker stalled on a full output ring), or yield if there was none.
+    fn wait(&mut self, out: &mut Vec<RoutedOutput>) {
+        if self.try_drain(out, usize::MAX) == 0 {
             std::thread::yield_now();
         }
-        while let Some(item) = w.out.try_recv() {
-            if matches!(item.outcome, ShardOutcome::PanicDiscard) {
-                self.panic_discarded += 1;
-            }
-            out.push(item);
+    }
+
+    /// Kills `shard`'s worker outright (the recovery experiment's crash):
+    /// closes its output ring so the worker exits at its next send, drains
+    /// what it produced into `out`, joins it, and folds its report — lost
+    /// packets included — into the ledger. The next submit, or
+    /// [`Self::respawn_shard`], brings the shard back.
+    pub fn kill_shard(&mut self, shard: usize, out: &mut Vec<RoutedOutput>) {
+        self.lanes[shard].out.close();
+        if let Some(joined) = self.lanes.retire(shard, |o| out.push(o)) {
+            // `catch_unwind` keeps worker panics inside the loop; a join
+            // error (a panic outside it) leaves nothing to fold.
+            self.shards[shard].retired.merge(&joined.unwrap_or_default());
         }
-        // Jobs still queued died with the worker's consumer handle; count
-        // them — exact accounting, not silence. (Poison jobs are not
-        // packets; they are excluded from the submitted ledger too.)
-        self.lost_to_kill += w.jobs.len() as u64;
-        let (stats, cache) = handle.join().unwrap_or_default();
-        self.retired[shard].0.merge(&stats);
-        self.retired[shard].1.merge(&cache);
     }
 
     /// Respawns a killed shard: fresh rings, fresh worker, router rebuilt
     /// from the factory (crypto caches start cold and re-warm). No-op if
-    /// the shard is alive.
+    /// the shard is running.
     pub fn respawn_shard(&mut self, shard: usize) {
-        if self.workers[shard].handle.is_some() {
-            return;
+        if self.lanes[shard].retired() {
+            let work = worker(shard, &self.make, &self.shards[shard].health);
+            self.lanes.respawn(shard, work);
+            self.shards[shard].respawns += 1;
         }
-        let submitted = self.workers[shard].submitted;
-        let mut fresh = spawn_worker(shard, self.queue_cap, Arc::clone(&self.make));
-        fresh.submitted = submitted;
-        // Preserve the panic count across respawns.
-        fresh
-            .health
-            .panics
-            .store(self.workers[shard].health.panics.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.workers[shard] = fresh;
-        self.respawns[shard] += 1;
     }
 
     /// Health of every shard: heartbeat, contained panics, thread
     /// liveness, queue depth. A heartbeat that stops advancing while
     /// `queued > 0` marks a poisoned shard.
     pub fn health(&self) -> Vec<ShardHealthReport> {
-        self.workers
+        self.shards
             .iter()
-            .map(|w| ShardHealthReport {
-                heartbeat: w.health.heartbeat.load(Ordering::Relaxed),
-                panics: w.health.panics.load(Ordering::Relaxed),
-                alive: w.handle.as_ref().is_some_and(|h| !h.is_finished()),
-                queued: w.jobs.len(),
+            .zip(self.lanes.iter())
+            .map(|(s, lane)| ShardHealthReport {
+                heartbeat: s.health.heartbeat.load(Ordering::Relaxed),
+                panics: s.health.panics.load(Ordering::Relaxed),
+                alive: lane.alive(),
+                queued: lane.jobs.len(),
             })
             .collect()
     }
 
-    /// A recycled buffer from the freelist.
+    /// A recycled buffer from the freelist (empty; capacity retained), for
+    /// building the next packet without allocating.
     pub fn buffer(&mut self) -> Vec<u8> {
         self.free_bufs.pop().unwrap_or_default()
     }
 
     /// Returns a drained output's buffer to the freelist.
-    pub fn recycle(&mut self, mut output: SupervisedOutput) {
-        output.pkt.clear();
-        self.free_bufs.push(output.pkt);
+    pub fn recycle(&mut self, output: RoutedOutput) {
+        self.recycle_buf(output.pkt);
     }
 
     fn recycle_buf(&mut self, mut buf: Vec<u8>) {
@@ -488,263 +431,208 @@ impl SupervisedRouterPool {
         self.free_bufs.push(buf);
     }
 
-    /// Collects at most `max` outputs without blocking, counting panic
-    /// discards as they surface.
-    pub fn try_drain(&mut self, out: &mut Vec<SupervisedOutput>, max: usize) -> usize {
-        let n = self.workers.len();
-        let mut got = 0;
-        let mut idle = 0;
-        while got < max && idle < n {
-            let cursor = self.drain_cursor % n;
-            self.drain_cursor = (self.drain_cursor + 1) % n;
-            match self.workers[cursor].out.try_recv() {
-                Some(item) => {
-                    if matches!(item.outcome, ShardOutcome::PanicDiscard) {
-                        self.panic_discarded += 1;
-                    }
-                    out.push(item);
-                    got += 1;
-                    idle = 0;
-                }
-                None => idle += 1,
-            }
-        }
-        got
+    /// Collects at most `max` outputs without blocking.
+    pub fn try_drain(&mut self, out: &mut Vec<RoutedOutput>, max: usize) -> usize {
+        self.lanes.try_drain(max, |o| out.push(o))
     }
 
     /// Shuts the pool down: closes job rings, drains every remaining
-    /// output (workers blocked on full output rings are thereby
-    /// unblocked), joins workers, and returns the full ledger. A worker
-    /// that dies *during* shutdown still cannot wedge the pool: its
-    /// thread exit, not its cooperation, is the loop condition.
-    pub fn shutdown(mut self, out: &mut Vec<SupervisedOutput>) -> SupervisorSnapshot {
-        for w in &mut self.workers {
-            w.jobs.close();
-        }
-        let mut snap = SupervisorSnapshot {
-            shards: self.workers.len(),
+    /// output into `out`, joins workers, and returns the full snapshot. A
+    /// worker's thread exit, not its cooperation, ends each drain, so no
+    /// worker can wedge shutdown.
+    pub fn shutdown(mut self, out: &mut Vec<RoutedOutput>) -> RouterPoolSnapshot {
+        let joined = self.lanes.shutdown(|o| out.push(o));
+        let mut snap = RouterPoolSnapshot {
+            shards: self.shards.len(),
+            steered: self.steered,
+            unsteered: self.unsteered,
             shed_best_effort: self.shed_best_effort,
-            shed_reserved: self.shed_reserved,
-            lost_to_kill: self.lost_to_kill,
             ..Default::default()
         };
-        for (i, w) in self.workers.iter_mut().enumerate() {
-            let (stats, cache) = match w.handle.take() {
-                Some(handle) => {
-                    while !handle.is_finished() {
-                        while let Some(item) = w.out.try_recv() {
-                            if matches!(item.outcome, ShardOutcome::PanicDiscard) {
-                                self.panic_discarded += 1;
-                            }
-                            out.push(item);
-                        }
-                        std::thread::yield_now();
-                    }
-                    while let Some(item) = w.out.try_recv() {
-                        if matches!(item.outcome, ShardOutcome::PanicDiscard) {
-                            self.panic_discarded += 1;
-                        }
-                        out.push(item);
-                    }
-                    // `catch_unwind` means the worker returns normally even
-                    // after contained panics; a join error would mean a
-                    // panic *outside* the supervised region — surface it
-                    // as empty stats rather than wedging shutdown.
-                    handle.join().unwrap_or_default()
-                }
-                // Killed and never respawned: stats already retired.
-                None => Default::default(),
-            };
-            let mut shard_stats = self.retired[i].0;
-            shard_stats.merge(&stats);
-            let mut shard_cache = self.retired[i].1;
-            shard_cache.merge(&cache);
-            let panics = w.health.panics.load(Ordering::Relaxed);
-            snap.stats.merge(&shard_stats);
-            snap.cache.merge(&shard_cache);
-            snap.submitted += w.submitted;
+        for (shard, joined) in self.shards.iter().zip(joined) {
+            let mut report = shard.retired;
+            // `None`: killed and never respawned, already retired.
+            if let Some(joined) = joined {
+                report.merge(&joined.unwrap_or_default());
+            }
+            let panics = shard.health.panics.load(Ordering::Relaxed);
+            snap.stats.merge(&report.stats);
+            snap.cache.merge(&report.cache);
+            snap.submitted += shard.submitted;
+            snap.verdicts += report.verdicts;
+            snap.panic_discarded += report.panic_discarded;
+            snap.lost_to_kill += report.lost;
             snap.panics += panics;
-            snap.respawns += self.respawns[i];
-            snap.per_shard.push(SupervisedShardSnapshot {
-                submitted: w.submitted,
-                stats: shard_stats,
-                cache: shard_cache,
+            snap.respawns += shard.respawns;
+            snap.per_shard.push(RouterShardSnapshot {
+                submitted: shard.submitted,
+                stats: report.stats,
+                cache: report.cache,
                 panics,
-                respawns: self.respawns[i],
+                respawns: shard.respawns,
             });
         }
-        snap.panic_discarded = self.panic_discarded;
-        if let Some(tel) = &self.telemetry {
-            tel.shed_best_effort.add(snap.shed_best_effort);
-            tel.shed_reserved.add(snap.shed_reserved);
-            tel.panic_discarded.add(snap.panic_discarded);
-            tel.panics.add(snap.panics);
-            tel.respawns.add(snap.respawns);
+        if let Some(reg) = &self.registry {
+            absorb_telemetry(reg, &snap);
         }
         snap
     }
 }
 
-impl std::fmt::Debug for SupervisedRouterPool {
+impl std::fmt::Debug for ShardRouterPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SupervisedRouterPool")
-            .field("shards", &self.workers.len())
-            .field("shed_best_effort", &self.shed_best_effort)
-            .field("panic_discarded", &self.panic_discarded)
-            .finish()
+        f.debug_struct("ShardRouterPool").field("shards", &self.shards.len()).finish()
     }
 }
 
-fn spawn_worker(
-    shard: usize,
-    queue_cap: usize,
-    make: Arc<dyn Fn(usize) -> BorderRouter + Send + Sync>,
-) -> SupWorker {
-    let (jobs, jq) = ring(queue_cap);
-    let (oq, out) = ring(queue_cap);
-    let health = Arc::new(ShardHealth::default());
-    let health_worker = Arc::clone(&health);
-    let handle =
-        std::thread::spawn(move || supervised_worker(shard, make, health_worker, jq, oq));
-    SupWorker { jobs, out, handle: Some(handle), health, submitted: 0 }
+/// Adds the pool's counters to `reg`. The driver keeps them as plain
+/// `u64`s on the hot path; the registry sees them once, at shutdown.
+fn absorb_telemetry(reg: &Registry, s: &RouterPoolSnapshot) {
+    let dep = Stability::PathDependent;
+    let dispatch = reg.shard("dispatch");
+    for (name, help, value) in [
+        ("colibri_router_steered_total", "packets steered by reservation-ID hash", s.steered),
+        ("colibri_router_unsteered_total", "packets sent round-robin", s.unsteered),
+        (
+            "colibri_dataplane_shed_best_effort_total",
+            "best-effort packets shed",
+            s.shed_best_effort,
+        ),
+        (
+            "colibri_dataplane_shed_reserved_total",
+            "reserved packets shed (target: 0)",
+            s.shed_reserved,
+        ),
+        (
+            "colibri_dataplane_panic_discarded_total",
+            "packets handed back unprocessed",
+            s.panic_discarded,
+        ),
+        ("colibri_dataplane_shard_panics_total", "worker panics contained", s.panics),
+        ("colibri_dataplane_shard_respawns_total", "workers respawned after a kill", s.respawns),
+    ] {
+        dispatch.counter(name, dep, help).add(value);
+    }
+    for (i, shard) in s.per_shard.iter().enumerate() {
+        let help = "packets the dispatcher submitted to this shard";
+        reg.shard(&format!("router{i}"))
+            .counter("colibri_router_shard_submitted_total", dep, help)
+            .add(shard.submitted);
+    }
 }
 
-/// The supervised worker loop. Structure per drained batch:
-/// timestamp-contiguous packet groups run through `process_batch` under
-/// `catch_unwind`; a panic (genuine or injected poison) rebuilds the
-/// router and converts the unprocessed remainder into accounted
-/// `PanicDiscard` outputs. Stats are snapshotted *before* each group so a
-/// mid-batch panic cannot leak partial counts into the ledger.
-fn supervised_worker(
+/// Shard `shard`'s worker loop, ready to run on a fresh ring pair.
+fn worker(
     shard: usize,
-    make: Arc<dyn Fn(usize) -> BorderRouter + Send + Sync>,
-    health: Arc<ShardHealth>,
-    mut jobs: Consumer<SupJob>,
-    mut out: Producer<SupervisedOutput>,
-) -> (RouterStats, CryptoCacheStats) {
+    make: &RouterFactory,
+    health: &Arc<ShardHealth>,
+) -> impl FnOnce(Consumer<Job>, Producer<RoutedOutput>) -> WorkerReport + Send + 'static {
+    let (make, health) = (Arc::clone(make), Arc::clone(health));
+    move |jobs, out| run_worker(shard, &*make, &health, jobs, out)
+}
+
+/// The supervised worker loop. It works through each drained batch front
+/// to back: a `Poison` job panics inside `catch_unwind` and takes the rest
+/// of the batch with it; otherwise the timestamp-contiguous packet group
+/// at the front runs through `process_batch` under `catch_unwind`. A
+/// caught panic folds the router's counters from *before* the group (a
+/// torn batch leaks no partial counts), rebuilds the router, and hands
+/// the group back as `PanicDiscard`. When a send fails — the output ring
+/// was closed by a kill — the worker counts every packet it holds and never
+/// handed back, then those left in its job ring, as lost.
+fn run_worker(
+    shard: usize,
+    make: &(dyn Fn(usize) -> BorderRouter + Send + Sync),
+    health: &ShardHealth,
+    mut jobs: Consumer<Job>,
+    mut out: Producer<RoutedOutput>,
+) -> WorkerReport {
     let mut router = make(shard);
-    // Stats of routers discarded after a contained panic.
-    let mut acc_stats = RouterStats::default();
-    let mut acc_cache = CryptoCacheStats::default();
-    let mut batch: Vec<SupJob> = Vec::with_capacity(WORKER_BATCH);
+    // This worker's ledger, plus counters of routers discarded after a panic.
+    let mut report = WorkerReport::default();
+    let mut batch: Vec<Job> = Vec::with_capacity(WORKER_BATCH);
+    let mut outcomes: Vec<ShardOutcome> = Vec::with_capacity(WORKER_BATCH);
     'main: while jobs.recv_many(&mut batch, WORKER_BATCH) {
         health.heartbeat.fetch_add(1, Ordering::Relaxed);
-        let mut drained: Vec<SupJob> = std::mem::take(&mut batch);
-        let mut i = 0;
-        while i < drained.len() {
-            match drained[i] {
-                SupJob::Poison => {
-                    // Unwind for real — this is the path a hostile packet
-                    // would take through a router bug — but via
-                    // `resume_unwind` so the global panic hook stays
-                    // quiet for the deliberate case.
+        while !batch.is_empty() {
+            let (stats_before, cache_before) = (router.stats, router.cache_stats());
+            let (end, panicked) = match batch[0] {
+                Job::Poison => {
+                    // Unwind for real — the path a hostile packet would
+                    // take through a router bug — but via `resume_unwind`
+                    // so the global panic hook stays quiet.
                     let unwound = catch_unwind(|| {
                         std::panic::resume_unwind(Box::new("injected shard poison"))
                     });
                     debug_assert!(unwound.is_err());
-                    health.panics.fetch_add(1, Ordering::Relaxed);
-                    // The router was mid-stream; rebuild it (cold caches).
-                    acc_stats.merge(&router.stats);
-                    acc_cache.merge(&router.cache_stats());
-                    router = make(shard);
-                    // Everything after the poison in this drained batch
-                    // was in flight with it: discard with accounting.
-                    for job in drained.drain(i + 1..) {
-                        if let SupJob::Packet { pkt, .. } = job {
-                            if out
-                                .send(SupervisedOutput { outcome: ShardOutcome::PanicDiscard, pkt })
-                                .is_err()
-                            {
-                                break 'main;
-                            }
-                        }
-                    }
-                    i += 1;
+                    (batch.len(), true)
                 }
-                SupJob::Packet { now, .. } => {
-                    // Group contiguous packets sharing this timestamp.
-                    let mut end = i + 1;
-                    while end < drained.len()
-                        && matches!(&drained[end], SupJob::Packet { now: n2, .. } if *n2 == now)
-                    {
-                        end += 1;
-                    }
-                    let stats_before = router.stats;
-                    let cache_before = router.cache_stats();
-                    let group = &mut drained[i..end];
-                    let verdicts = {
-                        let mut refs: Vec<&mut [u8]> = group
-                            .iter_mut()
-                            .map(|j| match j {
-                                SupJob::Packet { pkt, .. } => pkt.as_mut_slice(),
-                                SupJob::Poison => unreachable!("group holds packets only"),
-                            })
-                            .collect();
-                        catch_unwind(AssertUnwindSafe(|| router.process_batch(&mut refs, now)))
-                    };
-                    match verdicts {
+                Job::Packet { now, .. } => {
+                    let end = 1 + batch[1..]
+                        .iter()
+                        .take_while(|j| matches!(j, Job::Packet { now: t, .. } if *t == now))
+                        .count();
+                    let mut refs: Vec<&mut [u8]> = batch[..end]
+                        .iter_mut()
+                        .filter_map(|j| match j {
+                            Job::Packet { pkt, .. } => Some(pkt.as_mut_slice()),
+                            Job::Poison => None,
+                        })
+                        .collect();
+                    match catch_unwind(AssertUnwindSafe(|| router.process_batch(&mut refs, now))) {
                         Ok(verdicts) => {
-                            for (job, verdict) in drained.drain(i..end).zip(verdicts) {
-                                if let SupJob::Packet { pkt, .. } = job {
-                                    let o = SupervisedOutput {
-                                        outcome: ShardOutcome::Verdict(verdict),
-                                        pkt,
-                                    };
-                                    if out.send(o).is_err() {
-                                        break 'main;
-                                    }
-                                }
-                            }
-                            // `drain` shifted the tail down to `i`.
+                            outcomes.extend(verdicts.into_iter().map(ShardOutcome::Verdict));
+                            (end, false)
                         }
-                        Err(_) => {
-                            health.panics.fetch_add(1, Ordering::Relaxed);
-                            // Partial counts from the wedged batch must
-                            // not leak: fold the pre-batch snapshot, not
-                            // the torn live stats.
-                            acc_stats.merge(&stats_before);
-                            acc_cache.merge(&cache_before);
-                            router = make(shard);
-                            for job in drained.drain(i..end) {
-                                if let SupJob::Packet { pkt, .. } = job {
-                                    let o = SupervisedOutput {
-                                        outcome: ShardOutcome::PanicDiscard,
-                                        pkt,
-                                    };
-                                    if out.send(o).is_err() {
-                                        break 'main;
-                                    }
-                                }
-                            }
-                        }
+                        Err(_) => (end, true),
                     }
+                }
+            };
+            if panicked {
+                health.panics.fetch_add(1, Ordering::Relaxed);
+                report.stats.merge(&stats_before);
+                report.cache.merge(&cache_before);
+                router = make(shard);
+                let packets = batch[..end].iter().filter(|j| matches!(j, Job::Packet { .. }));
+                outcomes.resize(packets.count(), ShardOutcome::PanicDiscard);
+            }
+            let mut handed = batch.drain(..end).filter_map(Job::into_pkt).zip(outcomes.drain(..));
+            while let Some((pkt, outcome)) = handed.next() {
+                if out.send(RoutedOutput { outcome, pkt }).is_err() {
+                    report.lost += 1 + handed.count() as u64;
+                    break 'main;
+                }
+                match outcome {
+                    ShardOutcome::Verdict(_) => report.verdicts += 1,
+                    ShardOutcome::PanicDiscard => report.panic_discarded += 1,
                 }
             }
         }
-        // Hand the allocation back for the next `recv_many` fill.
-        drained.clear();
-        batch = drained;
     }
-    out.close();
-    acc_stats.merge(&router.stats);
-    acc_cache.merge(&router.cache_stats());
-    (acc_stats, acc_cache)
+    // Only a kill leaves jobs behind: the rest of the batch, then the ring.
+    batch.extend(std::iter::from_fn(|| jobs.try_recv()));
+    report.lost += batch.iter().filter(|j| matches!(j, Job::Packet { .. })).count() as u64;
+    report.stats.merge(&router.stats);
+    report.cache.merge(&router.cache_stats());
+    report
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::gateway::{Gateway, GatewayConfig};
     use crate::router::RouterConfig;
-    use colibri_base::{Bandwidth, Duration, HostAddr, InterfaceId, IsdAsId, ResId, ReservationKey};
+    use colibri_base::{
+        Bandwidth, Duration, HostAddr, InterfaceId, IsdAsId, ResId, ReservationKey,
+    };
     use colibri_crypto::{Key, SecretValueGen};
     use colibri_ctrl::{OwnedEer, OwnedEerVersion};
     use colibri_wire::mac::hop_auth;
     use colibri_wire::{EerInfo, HopField, ResInfo};
 
-    const MASTER: [u8; 16] = [9u8; 16];
+    pub(crate) const MASTER: [u8; 16] = [9u8; 16];
 
-    fn test_cfg() -> RouterConfig {
+    pub(crate) fn test_cfg() -> RouterConfig {
         RouterConfig {
             freshness: Duration::from_secs(3600),
             skew: Duration::from_secs(3600),
@@ -753,73 +641,96 @@ mod tests {
         }
     }
 
+    /// A two-hop EER of AS 1-10 with placeholder hop authenticators.
+    pub(crate) fn owned(res_id: u32) -> OwnedEer {
+        OwnedEer {
+            key: ReservationKey::new(IsdAsId::new(1, 10), ResId(res_id)),
+            eer_info: EerInfo { src_host: HostAddr(7), dst_host: HostAddr(8) },
+            path_ases: vec![IsdAsId::new(1, 10), IsdAsId::new(1, 1)],
+            hop_fields: vec![HopField::new(0, 1), HopField::new(2, 0)],
+            versions: vec![OwnedEerVersion {
+                ver: 0,
+                bw: Bandwidth::from_mbps(100),
+                exp: Instant::from_secs(100),
+                hop_auths: vec![Key([1; 16]), Key([2; 16])],
+            }],
+        }
+    }
+
     /// A gateway with one installed reservation whose packets verify at
     /// routers built from `MASTER`.
-    fn auth_gateway(res_id: u32, now: Instant) -> Gateway {
-        let epoch = colibri_crypto::Epoch::containing(now);
-        let k_i = SecretValueGen::new(&MASTER).secret_value(epoch).cmac();
+    pub(crate) fn auth_gateway(res_id: u32, now: Instant) -> Gateway {
+        let k_i = SecretValueGen::new(&MASTER).secret_value(colibri_crypto::Epoch::containing(now));
+        let (hop, exp) = (HopField::new(3, 4), Instant::from_secs(90));
         let res_info = ResInfo {
             src_as: IsdAsId::new(1, 10),
             res_id: ResId(res_id),
             bw: colibri_base::BwClass::from_bandwidth_ceil(Bandwidth::from_mbps(100)),
-            exp_t: Instant::from_secs(90),
+            exp_t: exp,
             ver: 0,
         };
-        let eer_info = EerInfo { src_host: HostAddr(7), dst_host: HostAddr(8) };
-        let hop = HopField::new(3, 4);
-        let sigma = hop_auth(&k_i, &res_info, &eer_info, hop);
-        let eer = OwnedEer {
-            key: ReservationKey::new(IsdAsId::new(1, 10), ResId(res_id)),
-            eer_info,
-            path_ases: vec![IsdAsId::new(1, 10), IsdAsId::new(1, 1)],
-            hop_fields: vec![hop, HopField::new(5, 0)],
-            versions: vec![OwnedEerVersion {
-                ver: 0,
-                bw: Bandwidth::from_mbps(100),
-                exp: Instant::from_secs(90),
-                hop_auths: vec![sigma, Key([0; 16])],
-            }],
-        };
-        let mut gw = Gateway::new(GatewayConfig { burst: Duration::from_secs(3600), ..Default::default() });
+        let mut eer = owned(res_id);
+        eer.hop_fields[0] = hop;
+        eer.versions[0].exp = exp;
+        eer.versions[0].hop_auths[0] = hop_auth(&k_i.cmac(), &res_info, &eer.eer_info, hop);
+        let mut gw =
+            Gateway::new(GatewayConfig { burst: Duration::from_secs(3600), ..Default::default() });
         gw.install(&eer, now);
         gw
     }
 
-    fn pool(n: usize, cap: usize) -> SupervisedRouterPool {
+    pub(crate) fn pool(n: usize, cap: usize) -> ShardRouterPool {
         let cfg = test_cfg();
-        SupervisedRouterPool::new(n, cap, move |_| {
-            BorderRouter::new(IsdAsId::new(1, 10), &MASTER, cfg)
-        })
+        ShardRouterPool::new(n, cap, move |_| BorderRouter::new(IsdAsId::new(1, 10), &MASTER, cfg))
+    }
+
+    /// Offers one junk frame on shard 0 with its own `now` (so every
+    /// packet group is a singleton), then waits until the worker has
+    /// taken it off the job ring.
+    fn feed(p: &mut ShardRouterPool, t: u64) {
+        p.try_submit(vec![0u8; 8], Instant::from_secs(t)).expect("ring has room");
+        while p.health()[0].queued > 0 {
+            std::thread::yield_now();
+        }
+    }
+
+    /// A 1-shard, `queue_cap = 2` pool whose worker is stalled: packets 0
+    /// and 1 fill its output ring, it holds packet 2 at the failing send,
+    /// and its job ring is empty. Nothing has been drained.
+    fn stalled_pool() -> ShardRouterPool {
+        let mut p = pool(1, 2);
+        for t in 0..3 {
+            feed(&mut p, t);
+        }
+        p
+    }
+
+    /// Pushes `valid` authentic packets and one garbage frame through `p`,
+    /// checks every authentic one forwards, and shuts the pool down.
+    pub(crate) fn run_authentic(mut p: ShardRouterPool, valid: usize) -> RouterPoolSnapshot {
+        let now = Instant::from_secs(50);
+        let mut gw = auth_gateway(1, now);
+        let mut outs = Vec::new();
+        for _ in 0..valid {
+            let pkt = gw.process(HostAddr(7), ResId(1), b"data", now).unwrap();
+            p.submit(pkt.bytes, now, &mut outs);
+        }
+        p.submit(vec![0xFF; 10], now, &mut outs);
+        while outs.len() < valid + 1 {
+            p.try_drain(&mut outs, usize::MAX);
+            std::thread::yield_now();
+        }
+        let forward = ShardOutcome::Verdict(RouterVerdict::Forward(InterfaceId(4)));
+        assert_eq!(outs.iter().filter(|o| o.outcome == forward).count(), valid);
+        let mut rest = Vec::new();
+        let snap = p.shutdown(&mut rest);
+        assert!(rest.is_empty());
+        snap
     }
 
     #[test]
     fn processes_and_accounts_like_unsupervised_pool() {
-        let now = Instant::from_secs(50);
-        let mut gw = auth_gateway(1, now);
-        let mut p = pool(2, 16);
-        let mut sent = 0;
-        for _ in 0..10 {
-            let pkt = gw.process(HostAddr(7), ResId(1), b"data", now).unwrap();
-            assert!(p.try_submit(pkt.bytes, now).is_ok());
-            sent += 1;
-        }
-        p.try_submit(vec![0xFF; 10], now).unwrap();
-        sent += 1;
-        let mut outs = Vec::new();
-        while outs.len() < sent {
-            p.try_drain(&mut outs, usize::MAX);
-            std::thread::yield_now();
-        }
-        let fwd = outs
-            .iter()
-            .filter(|o| {
-                matches!(o.outcome, ShardOutcome::Verdict(RouterVerdict::Forward(InterfaceId(4))))
-            })
-            .count();
-        assert_eq!(fwd, 10);
-        let mut rest = Vec::new();
-        let snap = p.shutdown(&mut rest);
-        assert!(rest.is_empty());
+        let snap = run_authentic(pool(2, 16), 10);
         assert_eq!(snap.stats.forwarded, 10);
         assert_eq!(snap.stats.parse_errors, 1);
         assert_eq!(snap.submitted, 11);
@@ -851,6 +762,40 @@ mod tests {
     }
 
     #[test]
+    fn would_block_leaves_steering_untouched() {
+        let now = Instant::from_secs(50);
+        let r = (0..).find(|&r| shard_index(ResId(r), 2) == 0).unwrap();
+        let mut gw = auth_gateway(r, now);
+        let mut p = pool(2, 2);
+        // Stall shard 0 with steered packets (2 fill its output ring, 1
+        // is held at the send), then fill its job ring.
+        for i in 0..5 {
+            let pkt = gw.process(HostAddr(7), ResId(r), b"x", now).unwrap();
+            p.try_submit(pkt.bytes, now).unwrap();
+            while i < 3 && p.health()[0].queued > 0 {
+                std::thread::yield_now();
+            }
+        }
+        // The round-robin cursor points at shard 0: every unparseable
+        // frame is refused, and the refusals change nothing.
+        for _ in 0..3 {
+            assert!(matches!(p.try_submit(vec![0u8; 4], now), Err(SubmitError::WouldBlock(_))));
+        }
+        let mut outs = Vec::new();
+        while outs.len() < 5 {
+            p.try_drain(&mut outs, usize::MAX);
+            std::thread::yield_now();
+        }
+        // The next unparseable frame still lands on shard 0.
+        p.try_submit(vec![0u8; 4], now).unwrap();
+        let snap = p.shutdown(&mut outs);
+        assert_eq!((snap.steered, snap.unsteered), (5, 1));
+        assert_eq!(snap.per_shard[0].submitted, 6);
+        assert_eq!(snap.per_shard[1].submitted, 0);
+        assert!(snap.balanced(), "{snap:?}");
+    }
+
+    #[test]
     fn shed_policy_drops_best_effort_not_reserved() {
         let now = Instant::from_secs(50);
         let mut gw = auth_gateway(1, now);
@@ -863,9 +808,8 @@ mod tests {
             for _ in 0..4 {
                 // Junk with an unparseable header: round-robin, then
                 // ParseError at the shard. Class: best-effort.
-                let v = p.submit_classed(vec![0xEE; 24], TrafficClass::BestEffort, now, &mut outs);
+                p.submit_classed(vec![0xEE; 24], TrafficClass::BestEffort, now, &mut outs);
                 be_offered += 1;
-                let _ = v;
             }
             let pkt = gw.process(HostAddr(7), ResId(1), &[i as u8; 16], now).unwrap();
             let v = p.submit_classed(pkt.bytes, TrafficClass::ColibriData, now, &mut outs);
@@ -885,17 +829,17 @@ mod tests {
         let now = Instant::from_secs(50);
         let mut gw = auth_gateway(1, now);
         let mut p = pool(1, 64);
+        let mut outs = Vec::new();
         // First half, then poison, then second half — all one shard.
         for _ in 0..8 {
             let pkt = gw.process(HostAddr(7), ResId(1), b"pre", now).unwrap();
             p.try_submit(pkt.bytes, now).unwrap();
         }
-        p.inject_panic(0);
+        p.inject_panic(0, &mut outs);
         for _ in 0..8 {
             let pkt = gw.process(HostAddr(7), ResId(1), b"post", now).unwrap();
             p.try_submit(pkt.bytes, now).unwrap();
         }
-        let mut outs = Vec::new();
         while outs.len() < 16 {
             p.try_drain(&mut outs, usize::MAX);
             std::thread::yield_now();
@@ -913,6 +857,65 @@ mod tests {
     }
 
     #[test]
+    fn inject_panic_cannot_deadlock_on_a_stalled_worker() {
+        // Worker stalled on its full output ring, job ring full behind it:
+        // a blocking poison send would wait forever.
+        let mut p = stalled_pool();
+        p.try_submit(vec![0u8; 8], Instant::from_secs(3)).unwrap();
+        p.try_submit(vec![0u8; 8], Instant::from_secs(4)).unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut outs = Vec::new();
+            p.inject_panic(0, &mut outs);
+            let snap = p.shutdown(&mut outs);
+            let _ = tx.send((outs.len() as u64, snap));
+        });
+        let (received, snap) =
+            rx.recv_timeout(std::time::Duration::from_secs(5)).expect("inject_panic deadlocked");
+        assert_eq!(received, 5);
+        assert_eq!(received + snap.lost_to_kill, snap.submitted);
+        assert_eq!(snap.panics, 1);
+        assert!(snap.balanced(), "{snap:?}");
+    }
+
+    #[test]
+    fn kill_counts_the_drained_batch_the_worker_held() {
+        let mut p = stalled_pool();
+        let mut outs = Vec::new();
+        p.try_submit(vec![0u8; 8], Instant::from_secs(3)).unwrap();
+        p.try_submit(vec![0u8; 8], Instant::from_secs(4)).unwrap();
+        // Free one output slot: the worker hands back packet 2, drains
+        // packets 3 and 4 in one batch, and stalls holding both.
+        assert_eq!(p.try_drain(&mut outs, 1), 1);
+        while p.health()[0].queued > 0 {
+            std::thread::yield_now();
+        }
+        p.try_submit(vec![0u8; 8], Instant::from_secs(5)).unwrap();
+        p.try_submit(vec![0u8; 8], Instant::from_secs(6)).unwrap();
+        p.kill_shard(0, &mut outs);
+        let snap = p.shutdown(&mut outs);
+        // Packet 3 (failed send), 4 (rest of the batch), 5 and 6 (ring).
+        assert_eq!(snap.lost_to_kill, 4);
+        assert_eq!(outs.len() as u64 + snap.lost_to_kill, snap.submitted);
+        assert!(snap.balanced(), "{snap:?}");
+    }
+
+    #[test]
+    fn kill_does_not_count_a_queued_poison() {
+        let mut p = stalled_pool();
+        let mut outs = Vec::new();
+        p.inject_panic(0, &mut outs);
+        p.try_submit(vec![0u8; 8], Instant::from_secs(3)).unwrap();
+        p.kill_shard(0, &mut outs);
+        let snap = p.shutdown(&mut outs);
+        // Packet 2 (failed send) and 3 (ring); the poison is no packet.
+        assert_eq!(snap.lost_to_kill, 2);
+        assert_eq!(outs.len() as u64 + snap.lost_to_kill, snap.submitted);
+        assert_eq!(snap.panics, 0);
+        assert!(snap.balanced(), "{snap:?}");
+    }
+
+    #[test]
     fn kill_and_respawn_preserves_accounting() {
         let now = Instant::from_secs(50);
         let mut gw = auth_gateway(1, now);
@@ -926,26 +929,15 @@ mod tests {
         assert!(!p.health()[0].alive);
         // Submitting after the kill transparently respawns the shard.
         for _ in 0..20 {
-            let mut pkt = gw.process(HostAddr(7), ResId(1), b"two", now).unwrap().bytes;
-            loop {
-                match p.try_submit(pkt, now) {
-                    Ok(()) => break,
-                    Err(SubmitError::WouldBlock(p2)) => {
-                        p.try_drain(&mut outs, usize::MAX);
-                        pkt = p2;
-                    }
-                }
-            }
+            let pkt = gw.process(HostAddr(7), ResId(1), b"two", now).unwrap().bytes;
+            p.submit(pkt, now, &mut outs);
         }
         let snap = p.shutdown(&mut outs);
         assert!(snap.balanced(), "{snap:?}");
         assert!(snap.respawns >= 1);
-        // Nothing vanished: every submitted packet is a verdict, a panic
-        // discard, or counted against the kill.
-        assert_eq!(
-            snap.submitted,
-            snap.stats.processed() + snap.panic_discarded + snap.lost_to_kill
-        );
+        // Nothing vanished: every submitted packet came back as a verdict
+        // or a panic discard, or is counted against the kill.
+        assert_eq!(snap.submitted, snap.verdicts + snap.panic_discarded + snap.lost_to_kill);
     }
 
     #[test]
@@ -957,9 +949,6 @@ mod tests {
         for _ in 0..64 {
             let _ = p.submit_classed(vec![1u8; 16], TrafficClass::BestEffort, now, &mut outs);
         }
-        // Wait for all non-shed packets to drain.
-        let snap_submitted: u64 = 64; // upper bound; some may shed
-        let _ = snap_submitted;
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
         loop {
             p.try_drain(&mut outs, usize::MAX);
@@ -979,7 +968,7 @@ mod tests {
         let now = Instant::from_secs(50);
         let reg = Registry::new();
         let cfg = test_cfg();
-        let mut p = SupervisedRouterPool::with_telemetry(1, 2, &reg, move |_| {
+        let mut p = ShardRouterPool::with_telemetry(1, 2, &reg, move |_| {
             BorderRouter::new(IsdAsId::new(1, 10), &MASTER, cfg)
         });
         let mut outs = Vec::new();
@@ -992,7 +981,7 @@ mod tests {
                 shed += 1;
             }
         }
-        p.inject_panic(0);
+        p.inject_panic(0, &mut outs);
         let snap = p.shutdown(&mut outs);
         let scrape = reg.snapshot();
         assert_eq!(scrape.total("colibri_dataplane_shed_best_effort_total"), shed);

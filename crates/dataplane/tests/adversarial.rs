@@ -24,7 +24,7 @@ use colibri_crypto::{Epoch, Key, SecretValueGen};
 use colibri_ctrl::{master_secret_for, OwnedEer, OwnedEerVersion};
 use colibri_dataplane::{
     BorderRouter, DropReason, Gateway, GatewayConfig, RouterConfig, RouterVerdict, ShardOutcome,
-    SubmitVerdict, SupervisedRouterPool, TrafficClass,
+    ShardRouterPool, SubmitVerdict, TrafficClass,
 };
 use colibri_wire::mac::{eer_hvf, hop_auth};
 use colibri_wire::{EerInfo, HopField, PacketBuilder, PacketViewMut, ResInfo};
@@ -290,14 +290,14 @@ fn auth_gateway(res_id: u32, now: Instant) -> Gateway {
     gw
 }
 
-fn survivable_pool(shards: usize, cap: usize) -> SupervisedRouterPool {
+fn survivable_pool(shards: usize, cap: usize) -> ShardRouterPool {
     let cfg = RouterConfig {
         freshness: Duration::from_secs(3600),
         skew: Duration::from_secs(3600),
         monitoring: false,
         ..RouterConfig::default()
     };
-    SupervisedRouterPool::new(shards, cap, move |_| {
+    ShardRouterPool::new(shards, cap, move |_| {
         BorderRouter::new(AS_ID, &master_secret_for(AS_ID), cfg)
     })
 }
@@ -338,16 +338,16 @@ fn reserved_goodput_survives_4x_flood() {
 }
 
 /// Layer 3: a mid-run shard kill (worker thread dies outright) recovers
-/// via hot respawn, with `submitted == forwarded + dropped +
-/// panic_discarded + lost_to_kill` holding exactly — nothing silently
-/// lost across the crash.
+/// via hot respawn, with `submitted == verdicts + panic_discarded +
+/// lost_to_kill` holding exactly — nothing silently lost across the
+/// crash.
 #[test]
 fn mid_run_shard_kill_recovers_with_exact_accounting() {
     let now = Instant::from_secs(100);
     let mut gw = auth_gateway(1, now);
     let mut pool = survivable_pool(1, 64);
     let mut outs = Vec::new();
-    let submit_all = |pool: &mut SupervisedRouterPool,
+    let submit_all = |pool: &mut ShardRouterPool,
                       gw: &mut Gateway,
                       outs: &mut Vec<_>,
                       n: u64| {
@@ -367,13 +367,17 @@ fn mid_run_shard_kill_recovers_with_exact_accounting() {
     assert!(snap.respawns >= 1, "recovery must have respawned the shard");
     assert_eq!(
         snap.submitted,
-        snap.stats.processed() + snap.panic_discarded + snap.lost_to_kill,
+        snap.verdicts + snap.panic_discarded + snap.lost_to_kill,
         "conservation violated: {snap:?}"
     );
     assert!(snap.balanced());
-    // Everything that reached a router forwarded (all traffic is valid);
-    // the remainder is explicitly accounted against the kill.
-    assert_eq!(snap.stats.forwarded + snap.lost_to_kill + snap.panic_discarded, 400);
+    // Every verdict handed back is a forward (all traffic is valid); the
+    // remainder is explicitly accounted against the kill.
+    let forwarded = outs
+        .iter()
+        .filter(|o| matches!(o.outcome, ShardOutcome::Verdict(RouterVerdict::Forward(_))))
+        .count() as u64;
+    assert_eq!(forwarded + snap.lost_to_kill + snap.panic_discarded, 400);
 }
 
 /// Layer 3: an injected worker panic (the "one bad packet" scenario)
@@ -390,7 +394,7 @@ fn poisoned_worker_is_contained_and_caches_rebuild() {
         let pkt = gw.process(HostAddr(7), ResId(1), &i.to_be_bytes(), now).unwrap();
         pool.submit_classed(pkt.bytes, TrafficClass::ColibriData, now, &mut outs);
     }
-    pool.inject_panic(0);
+    pool.inject_panic(0, &mut outs);
     for i in 0..50u64 {
         let pkt = gw.process(HostAddr(7), ResId(1), &i.to_be_bytes(), now).unwrap();
         pool.submit_classed(pkt.bytes, TrafficClass::ColibriData, now, &mut outs);

@@ -606,13 +606,13 @@ proptest! {
             gens.iter().map(|g| materialize_cache(g, now, 0)).collect();
 
         let run = |n: usize| {
-            let mut pool = ShardRouterPool::new(n, originals.len() + 1, |_| {
+            let mut pool = ShardRouterPool::new(n, originals.len() + 1, move |_| {
                 BorderRouter::new(AS_ID, &secret, RouterConfig::default())
             });
-            for pkt in &originals {
-                pool.submit(pkt.clone(), now);
-            }
             let mut outs = Vec::new();
+            for pkt in &originals {
+                pool.submit(pkt.clone(), now, &mut outs);
+            }
             pool.shutdown(&mut outs);
             outs
         };
@@ -622,7 +622,7 @@ proptest! {
 
         // Same multiset of (verdict, bytes) overall.
         let key = |o: &colibri_dataplane::RoutedOutput| {
-            (format!("{:?}", o.verdict), o.pkt.clone())
+            (format!("{:?}", o.outcome), o.pkt.clone())
         };
         let mut a: Vec<_> = reference.iter().map(key).collect();
         let mut b: Vec<_> = steered.iter().map(key).collect();
@@ -635,7 +635,7 @@ proptest! {
         let flow_seq = |outs: &[colibri_dataplane::RoutedOutput], id: ResId| {
             outs.iter()
                 .filter(|o| colibri_wire::peek_res_id(&o.pkt) == Some(id))
-                .map(|o| (format!("{:?}", o.verdict), o.pkt.clone()))
+                .map(|o| (format!("{:?}", o.outcome), o.pkt.clone()))
                 .collect::<Vec<_>>()
         };
         for id in 0..4u32 {

@@ -84,9 +84,9 @@ impl TrafficClass {
     }
 }
 
-/// One-interval class-level allocation with scavenging: the single source
-/// of truth for the CBWFQ byte split (`CbwfqScheduler` in
-/// `colibri-dataplane` delegates here).
+/// One-interval class-level allocation with scavenging, in closed form
+/// over byte counts: the same two-phase rule [`Qdisc::service`] applies
+/// per round to the [`ClassShares`] guarantees.
 ///
 /// Arrays are indexed by [`TrafficClass::index`]. Semantics (per
 /// scheduling interval of a link with byte budget `budget`):
@@ -136,5 +136,10 @@ mod tests {
         assert_eq!(s[1], 900);
         let s = scavenge_allocate(1000, g, [u64::MAX / 4, u64::MAX / 4, u64::MAX / 4]);
         assert!(s.iter().sum::<u64>() <= 1000);
+        assert_eq!(scavenge_allocate(1000, g, [10, 500, 200]), [10, 500, 200], "underload");
+        let s = scavenge_allocate(1000, g, [0, 30, 100_000]);
+        assert_eq!(s, [0, 30, 970], "reserved data untouched by a best-effort flood");
+        let s = scavenge_allocate(1000, g, [0, 900, 900]);
+        assert_eq!(s, [0, 800, 200], "data takes idle control share; best-effort keeps its floor");
     }
 }

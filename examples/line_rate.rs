@@ -18,7 +18,7 @@ use colibri::base::{Bandwidth, Duration, HostAddr, Instant, IsdAsId, ResId, Rese
 use colibri::crypto::{Epoch, SecretValueGen};
 use colibri::ctrl::{master_secret_for, OwnedEer, OwnedEerVersion};
 use colibri::dataplane::{
-    GatewayConfig, ParallelGateway, RouterConfig, RouterVerdict, ShardRouterPool,
+    GatewayConfig, ParallelGateway, RouterConfig, RouterVerdict, ShardOutcome, ShardRouterPool,
 };
 use colibri::wire::mac::hop_auth;
 use colibri::wire::{EerInfo, HopField, ResInfo};
@@ -132,18 +132,18 @@ fn main() {
         ..RouterConfig::default()
     };
     let mut delivered = 0usize;
-    for (hop, as_id) in ases.iter().enumerate() {
-        let master = master_secret_for(*as_id);
+    for (hop, &as_id) in ases.iter().enumerate() {
+        let master = master_secret_for(as_id);
         let mut pool =
             ShardRouterPool::new(SHARDS, packets + 1, move |_| {
-                colibri::dataplane::BorderRouter::new(*as_id, &master, cfg)
+                colibri::dataplane::BorderRouter::new(as_id, &master, cfg)
             });
         let count = in_flight.len();
         let t0 = std::time::Instant::now();
-        for pkt in in_flight.drain(..) {
-            pool.submit(pkt, now);
-        }
         let mut outs = Vec::with_capacity(count);
+        for pkt in in_flight.drain(..) {
+            pool.submit(pkt, now, &mut outs);
+        }
         while outs.len() < count {
             if pool.try_drain(&mut outs, usize::MAX) == 0 {
                 std::thread::yield_now();
@@ -154,9 +154,9 @@ fn main() {
         let (stats, cache_stats) = (snap.stats, snap.cache);
         let last = hop + 1 == HOPS;
         for o in outs {
-            match o.verdict {
-                RouterVerdict::Forward(_) if !last => in_flight.push(o.pkt),
-                RouterVerdict::DeliverHost(h) if last => {
+            match o.outcome {
+                ShardOutcome::Verdict(RouterVerdict::Forward(_)) if !last => in_flight.push(o.pkt),
+                ShardOutcome::Verdict(RouterVerdict::DeliverHost(h)) if last => {
                     assert_eq!(h, DST_HOST);
                     delivered += 1;
                 }

@@ -257,6 +257,8 @@ fn admission_counters_and_trace_match_hop_ground_truth_under_loss() {
 
 #[test]
 fn pool_scrapes_equal_cross_shard_shutdown_snapshots() {
+    // The setups below write the global retry counters too.
+    let _guard = RETRY_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
     let sample = colibri::topology::gen::sample_two_isd();
     let now = Instant::from_secs(1);
     let mut reg = CservRegistry::provision(&sample.topo, CservConfig::default());
@@ -300,9 +302,11 @@ fn pool_scrapes_equal_cross_shard_shutdown_snapshots() {
     pg.flush(&mut stamped);
     let gw_snap = pg.shutdown(&mut stamped);
 
-    let mut pool = ShardRouterPool::with_telemetry(2, 32, &registry, |_| {
-        BorderRouter::new(sample.leaf_a, &master_secret_for(sample.leaf_a), RouterConfig::default())
+    let leaf_a = sample.leaf_a;
+    let mut pool = ShardRouterPool::with_telemetry(2, 32, &registry, move |_| {
+        BorderRouter::new(leaf_a, &master_secret_for(leaf_a), RouterConfig::default())
     });
+    let mut routed = Vec::new();
     let mut sent = 0usize;
     for (i, s) in stamped.into_iter().filter(|s| s.result.is_ok()).enumerate() {
         let mut pkt = s.bytes;
@@ -311,10 +315,9 @@ fn pool_scrapes_equal_cross_shard_shutdown_snapshots() {
             let n = pkt.len();
             pkt[n - 20] ^= 0xFF;
         }
-        pool.submit(pkt, now);
+        pool.submit(pkt, now, &mut routed);
         sent += 1;
     }
-    let mut routed = Vec::new();
     while routed.len() < sent {
         pool.try_drain(&mut routed, usize::MAX);
         std::thread::yield_now();
