@@ -5,9 +5,10 @@
 //! sweep lives in the `repro_fig6` binary — Criterion measures one core).
 //! Per packet the router parses, checks freshness/expiry, derives σᵢ from
 //! its AS secret (Eq. 4), recomputes the 4-byte HVF (Eq. 6), and compares
-//! in constant time. The paper reports ~2.1 Mpps per core with AES-NI;
-//! software AES lands lower but the router must remain faster than the
-//! gateway (which computes one MAC *per on-path AS*, not one total).
+//! in constant time. The paper reports ~2.1 Mpps per core with AES-NI,
+//! which this repo also uses where the CPU has it; the router must remain
+//! faster than the gateway (which computes one MAC *per on-path AS*, not
+//! one total).
 
 use colibri::base::Instant;
 use colibri::dataplane::RouterVerdict;

@@ -8,8 +8,10 @@
 //!
 //! Flags:
 //! * `--quick` — ~10× fewer iterations (the CI smoke configuration);
-//! * `--gate` — exit non-zero if the batched router is >10% slower than
-//!   the scalar router at any hop count;
+//! * `--gate` — exit non-zero if any gated row fails; the batched router
+//!   is gated exactly (same verdicts, AES block operations and key
+//!   expansions as the scalar router on the same packets), its Mpps ratio
+//!   to scalar is only reported;
 //! * `--out <path>` — where to write the JSON (default
 //!   `BENCH_dataplane.json` in the current directory).
 //!
@@ -58,6 +60,28 @@ struct RouterRow {
     cached_mpps: f64,
     /// Measured combined hit rate of the cached run.
     cache_hit_rate: f64,
+    /// Batched ≡ scalar on the same packets, exactly (see [`RouterParity`]).
+    parity: RouterParity,
+}
+
+/// The batched router against the scalar one on the same packets, in
+/// exact counts rather than wall-clock time.
+#[derive(Clone, Copy)]
+struct RouterParity {
+    /// Equal verdicts and equal rewritten packets.
+    verdicts_equal: bool,
+    /// AES block operations: scalar, batched.
+    aes_blocks: (u64, u64),
+    /// AES-128 key expansions: scalar, batched.
+    key_expansions: (u64, u64),
+}
+
+impl RouterParity {
+    fn holds(&self) -> bool {
+        self.verdicts_equal
+            && self.aes_blocks.0 == self.aes_blocks.1
+            && self.key_expansions.0 == self.key_expansions.1
+    }
 }
 
 struct GatewayRow {
@@ -85,6 +109,8 @@ struct TelemetryRow {
     hops: usize,
     plain_mpps: f64,
     instrumented_mpps: f64,
+    /// Median over rounds of instrumented ÷ plain Mpps (what the gate reads).
+    ratio: f64,
     /// Prometheus samples emitted by the instrumented run's scrape
     /// (verified well-formed by `verify_exposition`).
     scrape_samples: usize,
@@ -117,17 +143,28 @@ fn router_compare(hops: usize, iters: usize) -> RouterRow {
     for _ in 0..2 {
         merge(&mut row, router_compare_once(hops, iters));
     }
-    // The batched path is genuinely no slower than scalar, so a large
-    // remaining gap means the host preempted every batched window so far.
-    // Keep re-measuring; this converges and cannot mask a real
-    // regression, whose ratio sits below the gate at any N.
-    for _ in 0..3 {
-        if row.batched_mpps >= 0.95 * row.scalar_mpps {
-            break;
-        }
-        merge(&mut row, router_compare_once(hops, iters));
-    }
     row
+}
+
+/// Runs one scalar and one batched router over copies of `pkts` and
+/// compares verdicts, rewritten packets and the calling thread's exact
+/// crypto counts. Both routers are built before counting starts.
+fn router_parity(hops: usize, pkts: &[Vec<u8>], now: Instant) -> RouterParity {
+    use colibri::crypto::ops::{aes_block_ops, key_expansions};
+    let (mut scalar, mut batched) = (bench_router(hops, 1), bench_router(hops, 1));
+    let (mut scalar_bufs, mut batched_bufs) = (pkts.to_vec(), pkts.to_vec());
+    let (b0, x0) = (aes_block_ops(), key_expansions());
+    let scalar_verdicts: Vec<RouterVerdict> =
+        scalar_bufs.iter_mut().map(|buf| scalar.process(buf, now)).collect();
+    let (b1, x1) = (aes_block_ops(), key_expansions());
+    let mut refs: Vec<&mut [u8]> = batched_bufs.iter_mut().map(Vec::as_mut_slice).collect();
+    let batched_verdicts = batched.process_batch(&mut refs, now);
+    let (b2, x2) = (aes_block_ops(), key_expansions());
+    RouterParity {
+        verdicts_equal: scalar_verdicts == batched_verdicts && scalar_bufs == batched_bufs,
+        aes_blocks: (b1 - b0, b2 - b1),
+        key_expansions: (x1 - x0, x2 - x1),
+    }
 }
 
 fn router_compare_once(hops: usize, iters: usize) -> RouterRow {
@@ -219,7 +256,8 @@ fn router_compare_once(hops: usize, iters: usize) -> RouterRow {
     let lookups = stats1.lookups() - stats0.lookups();
     let cache_hit_rate = if lookups == 0 { 0.0 } else { hits as f64 / lookups as f64 };
 
-    RouterRow { hops, scalar_mpps, batched_mpps, cached_mpps, cache_hit_rate }
+    let parity = router_parity(hops, &pkts, now);
+    RouterRow { hops, scalar_mpps, batched_mpps, cached_mpps, cache_hit_rate, parity }
 }
 
 /// Measures the telemetry overhead on the batched router hot path. The
@@ -259,28 +297,31 @@ fn telemetry_overhead(hops: usize, iters: usize) -> TelemetryRow {
         (iters * batch) as f64 / t0.elapsed().as_secs_f64() / 1e6
     };
 
-    // Many interleaved rounds with windows several ms long: the best
-    // round of each variant converges on the true (noise-free) rate,
-    // which is what the ≤2% gate compares. Quick mode keeps full-length
-    // windows — the ratio needs them far more than wall-clock savings.
-    const ROUNDS: usize = 9;
+    // Interleaved rounds with windows several ms long, alternating which
+    // variant runs first. The ≤2% gate compares the median of the
+    // per-round ratios: a slowdown of the shared host that spans a round
+    // dents both of its windows alike, where best-of-N per variant lets
+    // one lucky window of either side decide. Quick mode keeps
+    // full-length windows — the ratio needs them far more than wall-clock
+    // savings. The Mpps columns report each variant's best window.
+    const ROUNDS: usize = 15;
     let per_round = (iters / 3).max(1333);
-    let mut plain_mpps = 0.0f64;
-    let mut instrumented_mpps = 0.0f64;
-    for _ in 0..ROUNDS {
-        plain_mpps = plain_mpps.max(measure(&mut plain, per_round));
-        instrumented_mpps = instrumented_mpps.max(measure(&mut instrumented, per_round));
+    let (mut plain_mpps, mut instrumented_mpps) = (0.0f64, 0.0f64);
+    let mut ratios = Vec::with_capacity(ROUNDS);
+    for round in 0..ROUNDS {
+        let (p, i) = if round % 2 == 0 {
+            let p = measure(&mut plain, per_round);
+            (p, measure(&mut instrumented, per_round))
+        } else {
+            let i = measure(&mut instrumented, per_round);
+            (measure(&mut plain, per_round), i)
+        };
+        plain_mpps = plain_mpps.max(p);
+        instrumented_mpps = instrumented_mpps.max(i);
+        ratios.push(i / p);
     }
-    // The best-of-N estimator converges on the true rate from below, so
-    // a ratio still near the 2% gate means one variant never caught a
-    // clean window. Extra rounds fix bad luck but cannot rescue a real
-    // regression, whose true ratio sits below the gate at any N.
-    let mut extra = 0;
-    while instrumented_mpps < 0.985 * plain_mpps && extra < 24 {
-        plain_mpps = plain_mpps.max(measure(&mut plain, per_round));
-        instrumented_mpps = instrumented_mpps.max(measure(&mut instrumented, per_round));
-        extra += 1;
-    }
+    ratios.sort_by(f64::total_cmp);
+    let ratio = ratios[ROUNDS / 2];
 
     // The scrape must be well-formed and must have seen the traffic.
     let snapshot = registry.snapshot();
@@ -292,7 +333,7 @@ fn telemetry_overhead(hops: usize, iters: usize) -> TelemetryRow {
         "instrumented run must surface forwarded packets in the scrape"
     );
 
-    TelemetryRow { hops, plain_mpps, instrumented_mpps, scrape_samples }
+    TelemetryRow { hops, plain_mpps, instrumented_mpps, ratio, scrape_samples }
 }
 
 fn gateway_compare(hops: usize, iters: usize) -> GatewayRow {
@@ -1030,23 +1071,31 @@ fn main() {
 
     println!("\n## border router: scalar vs batched vs cached (batch=64, r=2^10)");
     println!(
-        "{:>5} {:>13} {:>13} {:>13} {:>9} {:>9}",
-        "hops", "scalar Mpps", "batched Mpps", "cached Mpps", "speedup", "hit rate"
+        "{:>5} {:>13} {:>13} {:>13} {:>9} {:>9} {:>9} {:>14}",
+        "hops", "scalar Mpps", "batched Mpps", "cached Mpps", "batched", "cached", "hit rate",
+        "AES blk/exp"
     );
     let router_rows: Vec<RouterRow> = HOPS.iter().map(|&h| router_compare(h, iters)).collect();
     for r in &router_rows {
+        let p = r.parity;
         println!(
-            "{:>5} {:>13.3} {:>13.3} {:>13.3} {:>8.2}x {:>8.1}%",
+            "{:>5} {:>13.3} {:>13.3} {:>13.3} {:>8.2}x {:>8.2}x {:>8.1}% {:>6}/{:<3} {}",
             r.hops,
             r.scalar_mpps,
             r.batched_mpps,
             r.cached_mpps,
+            r.batched_mpps / r.scalar_mpps,
             r.cached_mpps / r.batched_mpps,
-            r.cache_hit_rate * 100.0
+            r.cache_hit_rate * 100.0,
+            p.aes_blocks.1,
+            p.key_expansions.1,
+            if p.holds() { "= scalar" } else { "≠ scalar" }
         );
     }
 
-    println!("\n## telemetry overhead: batched router, registry attached vs detached (best of 9)");
+    println!(
+        "\n## telemetry overhead: batched router, registry attached vs detached (median of 15)"
+    );
     println!(
         "{:>5} {:>12} {:>17} {:>8} {:>9}",
         "hops", "plain Mpps", "instrumented Mpps", "ratio", "samples"
@@ -1059,7 +1108,7 @@ fn main() {
             t.hops,
             t.plain_mpps,
             t.instrumented_mpps,
-            100.0 * t.instrumented_mpps / t.plain_mpps,
+            100.0 * t.ratio,
             t.scrape_samples
         );
     }
@@ -1185,7 +1234,7 @@ fn main() {
     json.push_str("  \"router\": [\n");
     for (i, r) in router_rows.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"hops\": {}, \"scalar_mpps\": {:.4}, \"batched_mpps\": {:.4}, \"speedup\": {:.4}, \"cached_mpps\": {:.4}, \"cached_speedup\": {:.4}, \"cache_hit_rate\": {:.4}}}{}\n",
+            "    {{\"hops\": {}, \"scalar_mpps\": {:.4}, \"batched_mpps\": {:.4}, \"speedup\": {:.4}, \"cached_mpps\": {:.4}, \"cached_speedup\": {:.4}, \"cache_hit_rate\": {:.4}, \"aes_blocks\": [{}, {}], \"key_expansions\": [{}, {}], \"batched_equals_scalar\": {}}}{}\n",
             r.hops,
             r.scalar_mpps,
             r.batched_mpps,
@@ -1193,6 +1242,11 @@ fn main() {
             r.cached_mpps,
             r.cached_mpps / r.batched_mpps,
             r.cache_hit_rate,
+            r.parity.aes_blocks.0,
+            r.parity.aes_blocks.1,
+            r.parity.key_expansions.0,
+            r.parity.key_expansions.1,
+            r.parity.holds(),
             if i + 1 < router_rows.len() { "," } else { "" }
         ));
     }
@@ -1217,7 +1271,7 @@ fn main() {
             t.hops,
             t.plain_mpps,
             t.instrumented_mpps,
-            t.instrumented_mpps / t.plain_mpps,
+            t.ratio,
             t.scrape_samples,
             if i + 1 < telemetry_rows.len() { "," } else { "" }
         ));
@@ -1307,12 +1361,21 @@ fn main() {
 
     if gate {
         let mut ok = true;
+        // Batched ≡ scalar, exactly: same verdicts and packets, same AES
+        // block operations, same key expansions. The Mpps ratio moves
+        // with every kernel change and is only reported.
         for r in &router_rows {
-            if r.batched_mpps < 0.9 * r.scalar_mpps {
+            let p = r.parity;
+            if !p.holds() {
                 eprintln!(
-                    "GATE FAIL: batched router at {} hops is {:.1}% of scalar (minimum 90%)",
+                    "GATE FAIL: batched router at {} hops differs from scalar: verdicts equal {}, \
+                     AES blocks {} vs {}, key expansions {} vs {}",
                     r.hops,
-                    100.0 * r.batched_mpps / r.scalar_mpps
+                    p.verdicts_equal,
+                    p.aes_blocks.0,
+                    p.aes_blocks.1,
+                    p.key_expansions.0,
+                    p.key_expansions.1
                 );
                 ok = false;
             }
@@ -1350,11 +1413,11 @@ fn main() {
         // atomics to a handful of relaxed adds per batch, so a miss here
         // means someone moved a counter into the per-packet loop.
         for t in &telemetry_rows {
-            if t.instrumented_mpps < 0.98 * t.plain_mpps {
+            if t.ratio < 0.98 {
                 eprintln!(
                     "GATE FAIL: instrumented batched router at {} hops is {:.1}% of plain (minimum 98%)",
                     t.hops,
-                    100.0 * t.instrumented_mpps / t.plain_mpps
+                    100.0 * t.ratio
                 );
                 ok = false;
             }
@@ -1439,7 +1502,8 @@ fn main() {
             std::process::exit(1);
         }
         println!(
-            "gate passed: batched paths within 10% of scalar or faster; cached router ≥ batched at \
+            "gate passed: batched router ≡ scalar in verdicts, AES blocks and key expansions; \
+             gateway process_into within 25% of process; cached router ≥ batched at \
              ≥95% hit rate; telemetry within 2%; scrape verified; steered shard pool at ≥99% \
              shard-private hit rate; storm amplification ≤ 3.0 with renewals \
              shed-prioritized; mutation taxonomy exact; reserved goodput ≥95% under attack with \

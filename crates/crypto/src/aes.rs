@@ -1,21 +1,27 @@
-//! Software AES-128 block cipher (FIPS-197).
+//! AES-128 block cipher (FIPS-197) with two backends behind one type.
 //!
-//! The paper's implementation uses hardware AES-NI instructions; no hardware
-//! crypto crates are available in this environment, so this is a portable
-//! table-driven implementation. Encryption uses the classic four T-tables
-//! (S-box composed with MixColumns), which keeps the per-block cost low
-//! enough that the data-plane benchmarks preserve the paper's shape (cost
-//! proportional to the number of MAC computations, i.e. path length).
+//! On x86_64 CPUs that report AES-NI and SSSE3 — detected at run time, so
+//! one binary serves every host — key expansion and encryption run on the
+//! hardware round instructions, as in the paper's implementation (the
+//! private `ni` module). Everywhere else a portable table-driven
+//! implementation runs: the classic four T-tables (S-box composed with
+//! MixColumns), which keep the per-block cost low enough that the
+//! data-plane benchmarks preserve the paper's shape (cost proportional to
+//! the number of MAC computations, i.e. path length). Both backends read
+//! and write the same round keys, so an [`Aes128`] carries no backend tag
+//! and the output is byte-identical either way.
 //!
-//! Only the pieces Colibri needs are exposed: key expansion and single-block
-//! encryption/decryption. All modes (CMAC, CTR, AEAD) are built on top in
-//! sibling modules.
+//! Only the pieces Colibri needs are exposed: key expansion and block
+//! encryption (scalar and `N`-lane interleaved), plus an unoptimized
+//! decryption. All modes (CMAC, CTR, AEAD) are built on top in sibling
+//! modules.
 //!
 //! # Security note
-//! Table-driven AES is vulnerable to cache-timing side channels and would
-//! not be appropriate for production deployments; the reference system uses
-//! constant-time hardware instructions. This reproduction targets functional
-//! and performance-shape fidelity, not side-channel resistance.
+//! The hardware path is constant-time: the AES-NI round instructions do
+//! no key- or data-dependent memory access. The T-table fallback is not:
+//! table-driven AES is vulnerable to cache-timing side channels and would
+//! not be appropriate for production deployments on CPUs without AES
+//! instructions. Decryption always runs the table-driven inverse cipher.
 
 /// The AES S-box (FIPS-197 Fig. 7).
 pub const SBOX: [u8; 256] = [
@@ -69,6 +75,335 @@ const fn gmul(mut a: u8, mut b: u8) -> u8 {
     p
 }
 
+/// The round constants' leading bytes (FIPS-197 §5.2).
+const RCON: [u8; NR] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36];
+
+const NR: usize = 10; // rounds for AES-128
+
+/// The eleven round keys of an AES-128 schedule in FIPS-197 byte order —
+/// the operand layout of the AES-NI round instructions. The T-table
+/// backend reads them as big-endian words.
+type RoundKeys = [[u8; 16]; NR + 1];
+
+/// An expanded AES-128 key ready for block operations.
+///
+/// Key expansion is done once at construction; encrypting a block touches
+/// only the precomputed round keys. This mirrors how the Colibri router
+/// derives per-AS keys once and then authenticates packets at line rate.
+#[derive(Clone)]
+pub struct Aes128 {
+    round_keys: RoundKeys,
+}
+
+impl Aes128 {
+    /// An all-zero schedule, overwritten by the expansion kernels.
+    pub(crate) const ZERO: Aes128 = Aes128 {
+        round_keys: [[0; 16]; NR + 1],
+    };
+
+    /// Expands `key` into round keys (FIPS-197 §5.2).
+    pub fn new(key: &[u8; 16]) -> Self {
+        let [aes] = Self::new_each([key]);
+        aes
+    }
+
+    /// Expands `N` independent keys with the schedules interleaved.
+    ///
+    /// Each schedule is a serial dependency chain (round key `r` needs
+    /// round key `r - 1`), so a single expansion is latency-bound; running
+    /// the chains in lockstep keeps `N` independent chains in flight. The
+    /// batched router and the gateway use this to expand a burst of σ
+    /// authenticators at once. Counts `N` key expansions.
+    pub fn new_each<const N: usize>(keys: [&[u8; 16]; N]) -> [Aes128; N] {
+        let mut out = [Self::ZERO; N];
+        Self::expand_into(keys, out.each_mut());
+        out
+    }
+
+    /// [`Self::new_each`] into schedules the caller already holds, so a
+    /// schedule embedded in a larger struct is written in place.
+    #[inline]
+    #[allow(unsafe_code)]
+    pub(crate) fn expand_into<const N: usize>(keys: [&[u8; 16]; N], out: [&mut Aes128; N]) {
+        crate::ops::record_key_expansions(N as u64);
+        if hardware() {
+            // SAFETY: `hardware()` detected AES-NI and SSSE3 on this CPU,
+            // the target features `ni::expand_each` is compiled for.
+            #[cfg(target_arch = "x86_64")]
+            return unsafe { ni::expand_each(keys, out) };
+        }
+        soft::expand_each(keys, out)
+    }
+
+    /// Encrypts one 16-byte block in place.
+    #[inline]
+    pub fn encrypt_block(&self, block: &mut [u8; 16]) {
+        Self::encrypt_each([self], core::array::from_mut(block));
+    }
+
+    /// Encrypts one block, returning the ciphertext.
+    #[inline]
+    pub fn encrypt(&self, block: &[u8; 16]) -> [u8; 16] {
+        let mut out = *block;
+        self.encrypt_block(&mut out);
+        out
+    }
+
+    /// Encrypts `N` independent blocks in place, lane `l` under
+    /// `ciphers[l]`, with the lanes interleaved: each round advances every
+    /// lane before any lane starts the next, so one lane's round latency
+    /// overlaps with the others' work. Pass the same cipher `N` times to
+    /// encrypt `N` blocks under one key. Results are bit-identical to `N`
+    /// [`Self::encrypt_block`] calls, and count `N` block operations.
+    ///
+    /// This is the kernel of every batched MAC: the router derives a
+    /// distinct σᵢ per packet and the gateway holds a distinct σᵢ per hop,
+    /// so the final Eq. 6 block of a batch runs under distinct keys.
+    #[inline]
+    #[allow(unsafe_code)]
+    pub fn encrypt_each<const N: usize>(ciphers: [&Aes128; N], blocks: &mut [[u8; 16]; N]) {
+        crate::ops::record_aes_blocks(N as u64);
+        if hardware() {
+            // SAFETY: `hardware()` detected AES-NI on this CPU, the target
+            // feature `ni::encrypt_each` is compiled for.
+            #[cfg(target_arch = "x86_64")]
+            return unsafe { ni::encrypt_each(ciphers, blocks) };
+        }
+        soft::encrypt_each(ciphers, blocks)
+    }
+
+    /// Decrypts one 16-byte block in place (straightforward inverse-cipher;
+    /// not on any hot path — Colibri's modes only require encryption).
+    pub fn decrypt_block(&self, block: &mut [u8; 16]) {
+        crate::ops::record_aes_blocks(1);
+        let rk = &self.round_keys;
+        let mut state = *block;
+        add_round_key(&mut state, &rk[NR]);
+        for round in (1..NR).rev() {
+            inv_shift_rows(&mut state);
+            inv_sub_bytes(&mut state);
+            add_round_key(&mut state, &rk[round]);
+            inv_mix_columns(&mut state);
+        }
+        inv_shift_rows(&mut state);
+        inv_sub_bytes(&mut state);
+        add_round_key(&mut state, &rk[0]);
+        *block = state;
+    }
+}
+
+impl std::fmt::Debug for Aes128 {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Never print key material.
+        f.write_str("Aes128 {{ .. }}")
+    }
+}
+
+/// Whether the AES-NI kernels run on this CPU. The standard library
+/// caches the CPUID probe, so this is one load per call.
+#[inline]
+fn hardware() -> bool {
+    #[cfg(test)]
+    if tests::SOFT_ONLY.with(std::cell::Cell::get) {
+        return false;
+    }
+    #[cfg(target_arch = "x86_64")]
+    let detected = ni::detected();
+    #[cfg(not(target_arch = "x86_64"))]
+    let detected = false;
+    detected
+}
+
+/// The hardware backend: AES-NI round instructions, with the key
+/// schedule built from PSHUFB + AESENCLAST rather than AESKEYGENASSIST
+/// (whose latency serializes the schedule and measured no faster than
+/// the T-tables). The only `unsafe` code in this crate lives here and at
+/// the two dispatch calls in [`Aes128`].
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod ni {
+    use super::{Aes128, NR, RCON};
+    use core::arch::x86_64::{
+        __m128i, _mm_aesenc_si128, _mm_aesenclast_si128, _mm_loadu_si128, _mm_set1_epi32,
+        _mm_setzero_si128, _mm_shuffle_epi8, _mm_slli_si128, _mm_storeu_si128, _mm_xor_si128,
+    };
+
+    /// Whether this CPU has the instructions both kernels use.
+    #[inline]
+    pub(super) fn detected() -> bool {
+        std::arch::is_x86_feature_detected!("aes") && std::arch::is_x86_feature_detected!("ssse3")
+    }
+
+    #[inline(always)]
+    fn load(bytes: &[u8; 16]) -> __m128i {
+        // SAFETY: an unaligned 16-byte load from a `[u8; 16]`; SSE2 is
+        // part of the x86_64 baseline.
+        unsafe { _mm_loadu_si128(bytes.as_ptr().cast()) }
+    }
+
+    #[inline(always)]
+    fn store(bytes: &mut [u8; 16], v: __m128i) {
+        // SAFETY: an unaligned 16-byte store into a `[u8; 16]`; SSE2 is
+        // part of the x86_64 baseline.
+        unsafe { _mm_storeu_si128(bytes.as_mut_ptr().cast(), v) }
+    }
+
+    /// `N` key schedules in lockstep. One round of one lane: broadcast
+    /// RotWord(w3) into all four columns (PSHUFB), where ShiftRows is the
+    /// identity, so AESENCLAST with Rcon as its round key yields
+    /// SubWord(RotWord(w3)) ⊕ Rcon in every column; XOR that into the
+    /// prefix-XOR of the previous round key (w0, w0⊕w1, …).
+    ///
+    /// # Safety
+    /// Compiled for AES-NI and SSSE3: call only once [`detected`] holds.
+    #[target_feature(enable = "aes,ssse3")]
+    pub(super) fn expand_each<const N: usize>(keys: [&[u8; 16]; N], out: [&mut Aes128; N]) {
+        // Byte indices 13, 14, 15, 12 in each 32-bit column: RotWord(w3).
+        let rot_word_3 = _mm_set1_epi32(0x0c0f_0e0d);
+        let mut k = [_mm_setzero_si128(); N];
+        for l in 0..N {
+            k[l] = load(keys[l]);
+            store(&mut out[l].round_keys[0], k[l]);
+        }
+        for (r, &rc) in RCON.iter().enumerate() {
+            let rcon = _mm_set1_epi32(i32::from(rc));
+            for l in 0..N {
+                let t = _mm_aesenclast_si128(_mm_shuffle_epi8(k[l], rot_word_3), rcon);
+                let x = _mm_xor_si128(k[l], _mm_slli_si128::<4>(k[l]));
+                let x = _mm_xor_si128(x, _mm_slli_si128::<8>(x));
+                k[l] = _mm_xor_si128(x, t);
+                store(&mut out[l].round_keys[r + 1], k[l]);
+            }
+        }
+    }
+
+    /// `N` blocks, lane `l` under `ciphers[l]`: AESENC ×9 + AESENCLAST,
+    /// round-major so the lanes' round latencies overlap.
+    ///
+    /// # Safety
+    /// Compiled for AES-NI: call only once [`detected`] holds.
+    #[target_feature(enable = "aes")]
+    pub(super) fn encrypt_each<const N: usize>(ciphers: [&Aes128; N], blocks: &mut [[u8; 16]; N]) {
+        let mut s = [_mm_setzero_si128(); N];
+        for l in 0..N {
+            s[l] = _mm_xor_si128(load(&blocks[l]), load(&ciphers[l].round_keys[0]));
+        }
+        for r in 1..NR {
+            for l in 0..N {
+                s[l] = _mm_aesenc_si128(s[l], load(&ciphers[l].round_keys[r]));
+            }
+        }
+        for l in 0..N {
+            let last = _mm_aesenclast_si128(s[l], load(&ciphers[l].round_keys[NR]));
+            store(&mut blocks[l], last);
+        }
+    }
+}
+
+/// The portable backend: T-table encryption and the FIPS-197 word-wise
+/// key schedule. The only path on CPUs without AES-NI, and the reference
+/// the backend-equivalence tests hold the hardware path to.
+mod soft {
+    use super::{final_word, sub_word, Aes128, RoundKeys, NR, RCON, T0, T1, T2, T3};
+
+    /// Round-key word `i` (FIPS-197 `w[i]`), read big-endian.
+    #[inline(always)]
+    fn word(rk: &RoundKeys, i: usize) -> u32 {
+        let b = &rk[i / 4][4 * (i % 4)..4 * (i % 4) + 4];
+        u32::from_be_bytes([b[0], b[1], b[2], b[3]])
+    }
+
+    /// `N` key schedules with the word recurrences interleaved, so `N`
+    /// independent `sub_word` lookups are in flight at once.
+    #[inline(never)]
+    pub(super) fn expand_each<const N: usize>(keys: [&[u8; 16]; N], out: [&mut Aes128; N]) {
+        let mut w = [[0u32; 4 * (NR + 1)]; N];
+        for l in 0..N {
+            for (i, chunk) in keys[l].chunks_exact(4).enumerate() {
+                w[l][i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+            }
+        }
+        for i in 4..4 * (NR + 1) {
+            if i % 4 == 0 {
+                let rcon = u32::from(RCON[i / 4 - 1]) << 24;
+                for lane in &mut w {
+                    lane[i] = lane[i - 4] ^ sub_word(lane[i - 1].rotate_left(8)) ^ rcon;
+                }
+            } else {
+                for lane in &mut w {
+                    lane[i] = lane[i - 4] ^ lane[i - 1];
+                }
+            }
+        }
+        for (aes, lane) in out.into_iter().zip(&w) {
+            for (i, word) in lane.iter().enumerate() {
+                aes.round_keys[i / 4][4 * (i % 4)..4 * (i % 4) + 4]
+                    .copy_from_slice(&word.to_be_bytes());
+            }
+        }
+    }
+
+    /// `N`-wide interleaved T-table encryption: each round computes every
+    /// lane's state before any lane advances, so the table-load latencies
+    /// of one lane overlap with the arithmetic of the others. Kept out of
+    /// line so the dispatch in [`Aes128`] stays small enough to inline.
+    #[inline(never)]
+    pub(super) fn encrypt_each<const N: usize>(ciphers: [&Aes128; N], blocks: &mut [[u8; 16]; N]) {
+        let rks: [&RoundKeys; N] = core::array::from_fn(|l| &ciphers[l].round_keys);
+        // s[lane][word], loaded big-endian and whitened with round key 0.
+        let mut s = [[0u32; 4]; N];
+        for l in 0..N {
+            let b = &blocks[l];
+            for c in 0..4 {
+                s[l][c] = u32::from_be_bytes([b[4 * c], b[4 * c + 1], b[4 * c + 2], b[4 * c + 3]])
+                    ^ word(rks[l], c);
+            }
+        }
+        for round in 1..NR {
+            for l in 0..N {
+                let [s0, s1, s2, s3] = s[l];
+                let rk = |c| word(rks[l], 4 * round + c);
+                s[l] = [
+                    T0[(s0 >> 24) as usize]
+                        ^ T1[((s1 >> 16) & 0xff) as usize]
+                        ^ T2[((s2 >> 8) & 0xff) as usize]
+                        ^ T3[(s3 & 0xff) as usize]
+                        ^ rk(0),
+                    T0[(s1 >> 24) as usize]
+                        ^ T1[((s2 >> 16) & 0xff) as usize]
+                        ^ T2[((s3 >> 8) & 0xff) as usize]
+                        ^ T3[(s0 & 0xff) as usize]
+                        ^ rk(1),
+                    T0[(s2 >> 24) as usize]
+                        ^ T1[((s3 >> 16) & 0xff) as usize]
+                        ^ T2[((s0 >> 8) & 0xff) as usize]
+                        ^ T3[(s1 & 0xff) as usize]
+                        ^ rk(2),
+                    T0[(s3 >> 24) as usize]
+                        ^ T1[((s0 >> 16) & 0xff) as usize]
+                        ^ T2[((s1 >> 8) & 0xff) as usize]
+                        ^ T3[(s2 & 0xff) as usize]
+                        ^ rk(3),
+                ];
+            }
+        }
+        // Final round: SubBytes + ShiftRows + AddRoundKey (no MixColumns).
+        for l in 0..N {
+            let [s0, s1, s2, s3] = s[l];
+            let out = [
+                final_word(s0, s1, s2, s3),
+                final_word(s1, s2, s3, s0),
+                final_word(s2, s3, s0, s1),
+                final_word(s3, s0, s1, s2),
+            ];
+            for c in 0..4 {
+                let o = out[c] ^ word(rks[l], 4 * NR + c);
+                blocks[l][4 * c..4 * c + 4].copy_from_slice(&o.to_be_bytes());
+            }
+        }
+    }
+}
+
 /// Encryption T-table 0: `T0[x] = (2·S[x], S[x], S[x], 3·S[x])` packed
 /// big-endian into a `u32`; T1..T3 are byte rotations of T0.
 const T0: [u32; 256] = {
@@ -97,289 +432,6 @@ const fn rot_table(src: &[u32; 256], r: u32) -> [u32; 256] {
     t
 }
 
-const RCON: [u32; 10] = [
-    0x0100_0000,
-    0x0200_0000,
-    0x0400_0000,
-    0x0800_0000,
-    0x1000_0000,
-    0x2000_0000,
-    0x4000_0000,
-    0x8000_0000,
-    0x1b00_0000,
-    0x3600_0000,
-];
-
-const NR: usize = 10; // rounds for AES-128
-
-/// An expanded AES-128 key ready for block operations.
-///
-/// Key expansion is done once at construction; encrypting a block touches
-/// only the precomputed round keys and the T-tables. This mirrors how the
-/// Colibri router derives per-AS keys once and then authenticates packets at
-/// line rate.
-#[derive(Clone)]
-pub struct Aes128 {
-    round_keys: [u32; 4 * (NR + 1)],
-}
-
-impl Aes128 {
-    /// Expands `key` into round keys (FIPS-197 §5.2).
-    pub fn new(key: &[u8; 16]) -> Self {
-        crate::ops::record_key_expansions(1);
-        let mut rk = [0u32; 4 * (NR + 1)];
-        for (i, chunk) in key.chunks_exact(4).enumerate() {
-            rk[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
-        for i in 4..4 * (NR + 1) {
-            let mut temp = rk[i - 1];
-            if i % 4 == 0 {
-                temp = sub_word(temp.rotate_left(8)) ^ RCON[i / 4 - 1];
-            }
-            rk[i] = rk[i - 4] ^ temp;
-        }
-        Self { round_keys: rk }
-    }
-
-    /// Expands `N` independent keys with the schedules interleaved.
-    ///
-    /// Each schedule is a serial dependency chain (word `i` needs word
-    /// `i-1`), so a single expansion is latency-bound on the S-box
-    /// lookups of `sub_word`; running the chains in lockstep keeps `N`
-    /// independent loads in flight, the same software-pipelining trick as
-    /// [`Aes128::encrypt4`].
-    fn new_interleaved<const N: usize>(keys: [&[u8; 16]; N]) -> [Aes128; N] {
-        crate::ops::record_key_expansions(N as u64);
-        let mut rk = [[0u32; 4 * (NR + 1)]; N];
-        for l in 0..N {
-            for (i, chunk) in keys[l].chunks_exact(4).enumerate() {
-                rk[l][i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-            }
-        }
-        for i in 4..4 * (NR + 1) {
-            if i % 4 == 0 {
-                let rcon = RCON[i / 4 - 1];
-                for lane in &mut rk {
-                    lane[i] = lane[i - 4] ^ sub_word(lane[i - 1].rotate_left(8)) ^ rcon;
-                }
-            } else {
-                for lane in &mut rk {
-                    lane[i] = lane[i - 4] ^ lane[i - 1];
-                }
-            }
-        }
-        rk.map(|round_keys| Self { round_keys })
-    }
-
-    /// Expands four independent keys with the schedules interleaved
-    /// ([`Self::new_interleaved`]). Used by the multi-key CMAC batch
-    /// (`Cmac::tag4_short_multikey`), where per-packet hop authenticators
-    /// make the key expansion itself a per-packet cost.
-    pub fn new4(keys: [&[u8; 16]; 4]) -> [Aes128; 4] {
-        Self::new_interleaved(keys)
-    }
-
-    /// Expands eight independent keys with the schedules interleaved.
-    ///
-    /// Eight lockstep chains keep twice as many `sub_word` loads in
-    /// flight as [`Self::new4`]; since a schedule only needs 11×4 `u32`
-    /// words of state per lane, eight lanes still fit comfortably in L1
-    /// and the wider batch amortizes the loop overhead further. The
-    /// batched router uses this when a miss burst needs eight fresh σ
-    /// authenticators expanded at once.
-    pub fn new8(keys: [&[u8; 16]; 8]) -> [Aes128; 8] {
-        Self::new_interleaved(keys)
-    }
-
-    /// Encrypts one 16-byte block in place.
-    #[inline]
-    pub fn encrypt_block(&self, block: &mut [u8; 16]) {
-        crate::ops::record_aes_blocks(1);
-        let rk = &self.round_keys;
-        let mut s0 = u32::from_be_bytes([block[0], block[1], block[2], block[3]]) ^ rk[0];
-        let mut s1 = u32::from_be_bytes([block[4], block[5], block[6], block[7]]) ^ rk[1];
-        let mut s2 = u32::from_be_bytes([block[8], block[9], block[10], block[11]]) ^ rk[2];
-        let mut s3 = u32::from_be_bytes([block[12], block[13], block[14], block[15]]) ^ rk[3];
-
-        for round in 1..NR {
-            let t0 = T0[(s0 >> 24) as usize]
-                ^ T1[((s1 >> 16) & 0xff) as usize]
-                ^ T2[((s2 >> 8) & 0xff) as usize]
-                ^ T3[(s3 & 0xff) as usize]
-                ^ rk[4 * round];
-            let t1 = T0[(s1 >> 24) as usize]
-                ^ T1[((s2 >> 16) & 0xff) as usize]
-                ^ T2[((s3 >> 8) & 0xff) as usize]
-                ^ T3[(s0 & 0xff) as usize]
-                ^ rk[4 * round + 1];
-            let t2 = T0[(s2 >> 24) as usize]
-                ^ T1[((s3 >> 16) & 0xff) as usize]
-                ^ T2[((s0 >> 8) & 0xff) as usize]
-                ^ T3[(s1 & 0xff) as usize]
-                ^ rk[4 * round + 2];
-            let t3 = T0[(s3 >> 24) as usize]
-                ^ T1[((s0 >> 16) & 0xff) as usize]
-                ^ T2[((s1 >> 8) & 0xff) as usize]
-                ^ T3[(s2 & 0xff) as usize]
-                ^ rk[4 * round + 3];
-            s0 = t0;
-            s1 = t1;
-            s2 = t2;
-            s3 = t3;
-        }
-
-        // Final round: SubBytes + ShiftRows + AddRoundKey (no MixColumns).
-        let o0 = final_word(s0, s1, s2, s3) ^ rk[4 * NR];
-        let o1 = final_word(s1, s2, s3, s0) ^ rk[4 * NR + 1];
-        let o2 = final_word(s2, s3, s0, s1) ^ rk[4 * NR + 2];
-        let o3 = final_word(s3, s0, s1, s2) ^ rk[4 * NR + 3];
-
-        block[0..4].copy_from_slice(&o0.to_be_bytes());
-        block[4..8].copy_from_slice(&o1.to_be_bytes());
-        block[8..12].copy_from_slice(&o2.to_be_bytes());
-        block[12..16].copy_from_slice(&o3.to_be_bytes());
-    }
-
-    /// Encrypts one block, returning the ciphertext.
-    #[inline]
-    pub fn encrypt(&self, block: &[u8; 16]) -> [u8; 16] {
-        let mut out = *block;
-        self.encrypt_block(&mut out);
-        out
-    }
-
-    /// Encrypts four independent 16-byte blocks in place under this key.
-    ///
-    /// The four lanes are software-pipelined: each round computes all four
-    /// states before any lane advances, so the T-table load latencies of
-    /// one lane overlap with the arithmetic of the others. A single
-    /// T-table AES block is latency-bound (every round waits on four
-    /// dependent loads); four independent chains keep the load ports busy,
-    /// which is where the batched data-plane MAC verification gets its
-    /// speedup. Results are bit-identical to four [`Self::encrypt_block`]
-    /// calls.
-    #[inline]
-    pub fn encrypt4(&self, blocks: &mut [[u8; 16]; 4]) {
-        Self::encrypt4_each([self, self, self, self], blocks);
-    }
-
-    /// Encrypts four independent blocks, each under its *own* key
-    /// schedule, with the same 4-wide interleaving as [`Self::encrypt4`].
-    ///
-    /// This is the kernel of the multi-key CMAC batch: the router derives
-    /// a distinct σᵢ per packet and the gateway holds a distinct σᵢ per
-    /// hop, so the final Eq. 6 block of four MACs runs under four
-    /// different keys.
-    #[inline]
-    pub fn encrypt4_each(ciphers: [&Aes128; 4], blocks: &mut [[u8; 16]; 4]) {
-        Self::encrypt_each(ciphers, blocks);
-    }
-
-    /// Encrypts eight independent 16-byte blocks in place under this key,
-    /// software-pipelined like [`Self::encrypt4`] but twice as wide.
-    #[inline]
-    pub fn encrypt8(&self, blocks: &mut [[u8; 16]; 8]) {
-        Self::encrypt_each([self; 8], blocks);
-    }
-
-    /// Encrypts eight independent blocks, each under its *own* key
-    /// schedule — the 8-wide analog of [`Self::encrypt4_each`].
-    ///
-    /// Eight lanes of T-table state are 8×4 `u32` = 128 bytes, still two
-    /// cache lines, so the wider interleave buys more memory-level
-    /// parallelism without spilling; it is the kernel behind the 8-wide
-    /// CMAC batches ([`crate::Cmac::tag8_short_each`]).
-    #[inline]
-    pub fn encrypt8_each(ciphers: [&Aes128; 8], blocks: &mut [[u8; 16]; 8]) {
-        Self::encrypt_each(ciphers, blocks);
-    }
-
-    /// `N`-wide interleaved encryption: each round computes every lane's
-    /// state before any lane advances, so the T-table load latencies of
-    /// one lane overlap with the arithmetic of the others. Results are
-    /// bit-identical to `N` scalar [`Self::encrypt_block`] calls.
-    #[inline]
-    fn encrypt_each<const N: usize>(ciphers: [&Aes128; N], blocks: &mut [[u8; 16]; N]) {
-        crate::ops::record_aes_blocks(N as u64);
-        let rks: [&[u32; 4 * (NR + 1)]; N] = core::array::from_fn(|l| &ciphers[l].round_keys);
-        // s[lane][word], loaded big-endian and whitened with round key 0.
-        let mut s = [[0u32; 4]; N];
-        for l in 0..N {
-            let b = &blocks[l];
-            for w in 0..4 {
-                s[l][w] = u32::from_be_bytes([b[4 * w], b[4 * w + 1], b[4 * w + 2], b[4 * w + 3]])
-                    ^ rks[l][w];
-            }
-        }
-        for round in 1..NR {
-            for l in 0..N {
-                let [s0, s1, s2, s3] = s[l];
-                let rk = &rks[l][4 * round..4 * round + 4];
-                s[l] = [
-                    T0[(s0 >> 24) as usize]
-                        ^ T1[((s1 >> 16) & 0xff) as usize]
-                        ^ T2[((s2 >> 8) & 0xff) as usize]
-                        ^ T3[(s3 & 0xff) as usize]
-                        ^ rk[0],
-                    T0[(s1 >> 24) as usize]
-                        ^ T1[((s2 >> 16) & 0xff) as usize]
-                        ^ T2[((s3 >> 8) & 0xff) as usize]
-                        ^ T3[(s0 & 0xff) as usize]
-                        ^ rk[1],
-                    T0[(s2 >> 24) as usize]
-                        ^ T1[((s3 >> 16) & 0xff) as usize]
-                        ^ T2[((s0 >> 8) & 0xff) as usize]
-                        ^ T3[(s1 & 0xff) as usize]
-                        ^ rk[2],
-                    T0[(s3 >> 24) as usize]
-                        ^ T1[((s0 >> 16) & 0xff) as usize]
-                        ^ T2[((s1 >> 8) & 0xff) as usize]
-                        ^ T3[(s2 & 0xff) as usize]
-                        ^ rk[3],
-                ];
-            }
-        }
-        for l in 0..N {
-            let [s0, s1, s2, s3] = s[l];
-            let rk = &rks[l][4 * NR..4 * NR + 4];
-            let out = [
-                final_word(s0, s1, s2, s3) ^ rk[0],
-                final_word(s1, s2, s3, s0) ^ rk[1],
-                final_word(s2, s3, s0, s1) ^ rk[2],
-                final_word(s3, s0, s1, s2) ^ rk[3],
-            ];
-            for w in 0..4 {
-                blocks[l][4 * w..4 * w + 4].copy_from_slice(&out[w].to_be_bytes());
-            }
-        }
-    }
-
-    /// Decrypts one 16-byte block in place (straightforward inverse-cipher;
-    /// not on any hot path — Colibri's modes only require encryption).
-    pub fn decrypt_block(&self, block: &mut [u8; 16]) {
-        crate::ops::record_aes_blocks(1);
-        let mut state = *block;
-        add_round_key(&mut state, &self.round_keys, NR);
-        for round in (1..NR).rev() {
-            inv_shift_rows(&mut state);
-            inv_sub_bytes(&mut state);
-            add_round_key(&mut state, &self.round_keys, round);
-            inv_mix_columns(&mut state);
-        }
-        inv_shift_rows(&mut state);
-        inv_sub_bytes(&mut state);
-        add_round_key(&mut state, &self.round_keys, 0);
-        *block = state;
-    }
-}
-
-impl std::fmt::Debug for Aes128 {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Never print key material.
-        f.write_str("Aes128 {{ .. }}")
-    }
-}
-
 #[inline]
 fn final_word(a: u32, b: u32, c: u32, d: u32) -> u32 {
     ((SBOX[(a >> 24) as usize] as u32) << 24)
@@ -390,18 +442,12 @@ fn final_word(a: u32, b: u32, c: u32, d: u32) -> u32 {
 
 #[inline]
 fn sub_word(w: u32) -> u32 {
-    ((SBOX[(w >> 24) as usize] as u32) << 24)
-        | ((SBOX[((w >> 16) & 0xff) as usize] as u32) << 16)
-        | ((SBOX[((w >> 8) & 0xff) as usize] as u32) << 8)
-        | (SBOX[(w & 0xff) as usize] as u32)
+    final_word(w, w, w, w)
 }
 
-fn add_round_key(state: &mut [u8; 16], rk: &[u32], round: usize) {
-    for c in 0..4 {
-        let k = rk[4 * round + c].to_be_bytes();
-        for r in 0..4 {
-            state[4 * c + r] ^= k[r];
-        }
+fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
+    for (s, k) in state.iter_mut().zip(rk) {
+        *s ^= k;
     }
 }
 
@@ -435,8 +481,32 @@ fn inv_mix_columns(state: &mut [u8; 16]) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Set by [`soft_only`]: this thread's dispatch skips the hardware
+        /// kernels. Compiled into test builds only.
+        pub(super) static SOFT_ONLY: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// Runs `f` with every `Aes128` call on this thread — and so every
+    /// CMAC, CTR and AEAD above it — on the T-table backend.
+    fn soft_only<R>(f: impl FnOnce() -> R) -> R {
+        SOFT_ONLY.with(|s| s.set(true));
+        let r = f();
+        SOFT_ONLY.with(|s| s.set(false));
+        r
+    }
+
+    /// Runs `check` once on the dispatched backend (hardware where the
+    /// CPU has it) and once on the T-table backend.
+    pub(crate) fn on_both_backends(mut check: impl FnMut()) {
+        check();
+        soft_only(check);
+    }
 
     /// FIPS-197 Appendix B example vector.
     #[test]
@@ -453,8 +523,16 @@ mod tests {
             0x39, 0x25, 0x84, 0x1d, 0x02, 0xdc, 0x09, 0xfb, 0xdc, 0x11, 0x85, 0x97, 0x19, 0x6a,
             0x0b, 0x32,
         ];
-        let aes = Aes128::new(&key);
-        assert_eq!(aes.encrypt(&plain), expect);
+        // FIPS-197 A.1: the last round key w[40..44].
+        let last_round_key = [
+            0xd0, 0x14, 0xf9, 0xa8, 0xc9, 0xee, 0x25, 0x89, 0xe1, 0x3f, 0x0c, 0xc8, 0xb6, 0x63,
+            0x0c, 0xa6,
+        ];
+        on_both_backends(|| {
+            let aes = Aes128::new(&key);
+            assert_eq!(aes.round_keys[NR], last_round_key);
+            assert_eq!(aes.encrypt(&plain), expect);
+        });
     }
 
     /// FIPS-197 Appendix C.1 (AES-128) known-answer test.
@@ -466,8 +544,73 @@ mod tests {
             0x69, 0xc4, 0xe0, 0xd8, 0x6a, 0x7b, 0x04, 0x30, 0xd8, 0xcd, 0xb7, 0x80, 0x70, 0xb4,
             0xc5, 0x5a,
         ];
-        let aes = Aes128::new(&key);
-        assert_eq!(aes.encrypt(&plain), expect);
+        on_both_backends(|| {
+            let aes = Aes128::new(&key);
+            assert_eq!(aes.encrypt(&plain), expect);
+            let mut block = expect;
+            aes.decrypt_block(&mut block);
+            assert_eq!(block, plain);
+        });
+    }
+
+    /// Equal round keys and equal ciphertexts from both backends, `N`
+    /// lanes at a time, through the public interleaved entry points.
+    fn backends_agree<const N: usize>(keys: &[[u8; 16]], blocks: &[[u8; 16]]) {
+        let keys: [&[u8; 16]; N] = core::array::from_fn(|l| &keys[l]);
+        let blocks: [[u8; 16]; N] = core::array::from_fn(|l| blocks[l]);
+        let encrypt = |ciphers: &[Aes128; N]| {
+            let mut out = blocks;
+            Aes128::encrypt_each(ciphers.each_ref(), &mut out);
+            out
+        };
+        let dispatched = Aes128::new_each(keys);
+        let soft = soft_only(|| Aes128::new_each(keys));
+        for l in 0..N {
+            assert_eq!(
+                dispatched[l].round_keys, soft[l].round_keys,
+                "N={N} lane {l} schedule"
+            );
+        }
+        let expect = soft_only(|| encrypt(&soft));
+        assert_eq!(encrypt(&dispatched), expect, "N={N} ciphertexts");
+        assert_eq!(
+            encrypt(&soft),
+            expect,
+            "N={N}: soft schedule on the dispatched kernel"
+        );
+        for l in 0..N {
+            assert_eq!(
+                soft_only(|| dispatched[l].encrypt(&blocks[l])),
+                expect[l],
+                "N={N} lane {l}"
+            );
+        }
+    }
+
+    proptest! {
+        /// Hardware and T-table key expansion and encryption are
+        /// byte-equal for random keys and blocks, 1, 4 and 8 lanes wide.
+        #[test]
+        fn hardware_and_soft_backends_are_byte_equal(
+            keys in prop::collection::vec(any::<[u8; 16]>(), 8),
+            blocks in prop::collection::vec(any::<[u8; 16]>(), 8),
+        ) {
+            backends_agree::<1>(&keys, &blocks);
+            backends_agree::<4>(&keys, &blocks);
+            backends_agree::<8>(&keys, &blocks);
+        }
+    }
+
+    #[test]
+    fn reports_which_backends_ran() {
+        let hw = hardware();
+        let shown = soft_only(hardware);
+        assert!(!shown, "soft_only must bypass the hardware kernels");
+        if hw {
+            eprintln!("aes: AES-NI detected; tests compare the hardware and T-table backends");
+        } else {
+            eprintln!("aes: no AES-NI on this CPU; only the T-table backend ran");
+        }
     }
 
     #[test]
@@ -497,7 +640,7 @@ mod tests {
         let mut blocks: [[u8; 16]; 4] =
             core::array::from_fn(|l| core::array::from_fn(|i| (l * 37 + i * 11) as u8));
         let expect: [[u8; 16]; 4] = core::array::from_fn(|l| aes.encrypt(&blocks[l]));
-        aes.encrypt4(&mut blocks);
+        Aes128::encrypt_each([&aes; 4], &mut blocks);
         assert_eq!(blocks, expect);
     }
 
@@ -507,10 +650,7 @@ mod tests {
         let mut blocks: [[u8; 16]; 4] =
             core::array::from_fn(|l| core::array::from_fn(|i| (l + i) as u8));
         let expect: [[u8; 16]; 4] = core::array::from_fn(|l| ciphers[l].encrypt(&blocks[l]));
-        Aes128::encrypt4_each(
-            [&ciphers[0], &ciphers[1], &ciphers[2], &ciphers[3]],
-            &mut blocks,
-        );
+        Aes128::encrypt_each(core::array::from_fn(|l| &ciphers[l]), &mut blocks);
         assert_eq!(blocks, expect);
     }
 
@@ -520,7 +660,7 @@ mod tests {
         let mut blocks: [[u8; 16]; 8] =
             core::array::from_fn(|l| core::array::from_fn(|i| (l * 53 + i * 7) as u8));
         let expect: [[u8; 16]; 8] = core::array::from_fn(|l| aes.encrypt(&blocks[l]));
-        aes.encrypt8(&mut blocks);
+        Aes128::encrypt_each([&aes; 8], &mut blocks);
         assert_eq!(blocks, expect);
     }
 
@@ -530,18 +670,28 @@ mod tests {
         let mut blocks: [[u8; 16]; 8] =
             core::array::from_fn(|l| core::array::from_fn(|i| (l * 3 + i) as u8));
         let expect: [[u8; 16]; 8] = core::array::from_fn(|l| ciphers[l].encrypt(&blocks[l]));
-        Aes128::encrypt8_each(core::array::from_fn(|l| &ciphers[l]), &mut blocks);
+        Aes128::encrypt_each(core::array::from_fn(|l| &ciphers[l]), &mut blocks);
         assert_eq!(blocks, expect);
     }
 
     #[test]
     fn new8_matches_scalar_expansion() {
         let keys: [[u8; 16]; 8] = core::array::from_fn(|l| [(l as u8) * 19 + 2; 16]);
-        let batched = Aes128::new8(core::array::from_fn(|l| &keys[l]));
-        let p = [0x77; 16];
+        let batched = Aes128::new_each(keys.each_ref());
         for l in 0..8 {
-            assert_eq!(batched[l].encrypt(&p), Aes128::new(&keys[l]).encrypt(&p), "lane {l}");
+            assert_eq!(
+                batched[l].round_keys,
+                Aes128::new(&keys[l]).round_keys,
+                "lane {l}"
+            );
         }
+    }
+
+    #[test]
+    fn schedule_keeps_its_size() {
+        // Gateway state holds one schedule per hop: the shared byte
+        // layout must not grow it.
+        assert_eq!(std::mem::size_of::<Aes128>(), 176);
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! The paper composes four symmetric-crypto building blocks, all of which
 //! this crate provides from scratch (no external crypto crates):
 //!
-//! * [`aes`] — software AES-128 (FIPS-197), the only primitive;
+//! * [`aes`] — AES-128 (FIPS-197), the only primitive: AES-NI where the
+//!   CPU has it, portable T-tables elsewhere;
 //! * [`cmac`] — AES-CMAC (RFC 4493), used for SegR tokens, EER hop
 //!   authenticators, per-packet hop validation fields, control-plane
 //!   payload MACs, and as the DRKey PRF;
@@ -18,8 +19,12 @@
 //!
 //! Everything is deterministic and side-effect free; key material never
 //! appears in `Debug` output.
+//!
+//! `unsafe` is denied crate-wide. The one exception is the AES-NI
+//! backend (`aes::ni`) and the two calls that dispatch to it once the CPU
+//! feature is detected.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aead;

@@ -11,11 +11,12 @@
 //!
 //! Storage lives in [`colibri_telemetry::global`]: each thread lazily
 //! registers its own shard (`crypto_thread_<n>`) and keeps the counter
-//! handles in a thread-local, so the record path is one relaxed
-//! `fetch_add` on an uncontended cache line — same order of cost as the
-//! previous `Cell` bump, still negligible against the ~10 table-lookup
-//! rounds of a T-table AES block. Batched 4-wide operations count once
-//! per logical run (`+4`), not per lane iteration.
+//! handles in a thread-local. The owning thread is the shard's only
+//! writer, so the record path is a plain load and store
+//! ([`Counter::add_sole_writer`]) rather than a locked read-modify-write:
+//! with AES-NI a block costs ~30 cycles, and a locked add would be a
+//! third of that. An `N`-lane batch counts once per call (`+N`), not per
+//! lane iteration, and both AES backends count identically.
 //!
 //! [`aes_block_ops`] / [`key_expansions`] are compatibility shims that
 //! read the *calling thread's* shard only, preserving the original
@@ -52,12 +53,12 @@ fn with_cells<R>(f: impl FnOnce(&ThreadCells) -> R) -> R {
                 aes_blocks: shard.counter(
                     METRIC_AES_BLOCK_OPS,
                     Stability::Invariant,
-                    "AES block operations (scalar and 4-wide, per logical block)",
+                    "AES block operations (scalar and interleaved, per logical block)",
                 ),
                 key_expansions: shard.counter(
                     METRIC_KEY_EXPANSIONS,
                     Stability::Invariant,
-                    "AES-128 key-schedule expansions (new counts 1, new4 counts 4)",
+                    "AES-128 key-schedule expansions (new counts 1, new_each counts N)",
                 ),
             }
         });
@@ -72,19 +73,20 @@ pub fn aes_block_ops() -> u64 {
 }
 
 /// Total AES-128 key expansions performed by this thread since it
-/// started (scalar `Aes128::new` counts 1, `Aes128::new4` counts 4).
+/// started (scalar `Aes128::new` counts 1, `Aes128::new_each::<N>`
+/// counts `N`).
 pub fn key_expansions() -> u64 {
     with_cells(|c| c.key_expansions.get())
 }
 
 #[inline]
 pub(crate) fn record_aes_blocks(n: u64) {
-    with_cells(|c| c.aes_blocks.add(n));
+    with_cells(|c| c.aes_blocks.add_sole_writer(n));
 }
 
 #[inline]
 pub(crate) fn record_key_expansions(n: u64) {
-    with_cells(|c| c.key_expansions.add(n));
+    with_cells(|c| c.key_expansions.add_sole_writer(n));
 }
 
 #[cfg(test)]
@@ -101,9 +103,9 @@ mod tests {
         aes.encrypt_block(&mut block);
         assert_eq!(super::aes_block_ops() - b0, 1);
         let mut blocks = [[0u8; 16]; 4];
-        aes.encrypt4(&mut blocks);
+        Aes128::encrypt_each([&aes; 4], &mut blocks);
         assert_eq!(super::aes_block_ops() - b0, 5);
-        let _four = Aes128::new4([[1u8; 16]; 4].each_ref());
+        let _four = Aes128::new_each([[1u8; 16]; 4].each_ref());
         assert_eq!(super::key_expansions() - x0, 5);
     }
 

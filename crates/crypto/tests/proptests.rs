@@ -90,34 +90,28 @@ proptest! {
         prop_assert!(ct_eq(&a, &a.clone()));
     }
 
-    /// The 4-wide interleaved AES encryption is bit-identical to four
-    /// scalar encryptions, for arbitrary keys and blocks.
+    /// The interleaved AES encryption is bit-identical to scalar
+    /// encryption, 4 and 8 lanes wide, under one key and under per-lane
+    /// keys, for arbitrary keys and blocks.
     #[test]
     fn encrypt4_equals_scalar(
-        keys in prop::collection::vec(any::<[u8; 16]>(), 4),
-        blocks in prop::collection::vec(any::<[u8; 16]>(), 4),
+        keys in prop::collection::vec(any::<[u8; 16]>(), 8),
+        blocks in prop::collection::vec(any::<[u8; 16]>(), 8),
     ) {
-        let blocks: [[u8; 16]; 4] = [blocks[0], blocks[1], blocks[2], blocks[3]];
+        let ciphers = Aes128::new_each::<8>(core::array::from_fn(|l| &keys[l]));
+        let scalar: Vec<[u8; 16]> = (0..8).map(|l| ciphers[l].encrypt(&blocks[l])).collect();
+        let mut batch: [[u8; 16]; 8] = core::array::from_fn(|l| blocks[l]);
+        Aes128::encrypt_each(ciphers.each_ref(), &mut batch);
+        prop_assert_eq!(batch.to_vec(), scalar.clone(), "per-lane keys, 8 lanes");
+        let mut batch: [[u8; 16]; 4] = core::array::from_fn(|l| blocks[l]);
+        Aes128::encrypt_each(core::array::from_fn(|l| &ciphers[l]), &mut batch);
+        prop_assert_eq!(batch.to_vec(), scalar[..4].to_vec(), "per-lane keys, 4 lanes");
         // Single-key form.
         let aes = Aes128::new(&keys[0]);
-        let mut batch = blocks;
-        aes.encrypt4(&mut batch);
-        for (lane, block) in blocks.iter().enumerate() {
-            let mut b = *block;
-            aes.encrypt_block(&mut b);
-            prop_assert_eq!(batch[lane], b, "encrypt4 lane {} diverged", lane);
-        }
-        // Multi-key form.
-        let ciphers: Vec<Aes128> = keys.iter().map(Aes128::new).collect();
-        let mut batch = blocks;
-        Aes128::encrypt4_each(
-            [&ciphers[0], &ciphers[1], &ciphers[2], &ciphers[3]],
-            &mut batch,
-        );
+        let mut batch: [[u8; 16]; 4] = core::array::from_fn(|l| blocks[l]);
+        Aes128::encrypt_each([&aes; 4], &mut batch);
         for lane in 0..4 {
-            let mut b = blocks[lane];
-            ciphers[lane].encrypt_block(&mut b);
-            prop_assert_eq!(batch[lane], b, "encrypt4_each lane {} diverged", lane);
+            prop_assert_eq!(batch[lane], aes.encrypt(&blocks[lane]), "one key, lane {}", lane);
         }
     }
 

@@ -377,7 +377,7 @@ impl BorderRouter {
     /// * miss lanes run the MAC verification eight packets wide — σ
     ///   derivation through [`hop_auth8_from_inputs`] /
     ///   [`segr_token8_from_inputs`] under the shared `K_i`, σ expansion
-    ///   through the interleaved [`Cmac::new8`] — so the AES T-table
+    ///   through the interleaved [`Cmac::new8`] — so the AES round
     ///   latency of one packet hides behind the other seven; the results
     ///   populate the caches for subsequent packets. Remainders of at
     ///   least four lanes take the 4-wide kernels; shorter tails run
@@ -387,9 +387,11 @@ impl BorderRouter {
     /// still runs packet-by-packet in submission order, which is what
     /// makes the verdicts bit-identical to the sequential path.
     pub fn process_batch(&mut self, pkts: &mut [&mut [u8]], now: Instant) -> Vec<RouterVerdict> {
-        // Wall clock feeds only the Volatile per-batch latency histogram;
-        // it never influences processing (determinism rules, DESIGN.md §11).
-        let wall_start = self.telemetry.as_ref().map(|_| std::time::Instant::now());
+        // Wall clock feeds only the Volatile per-batch latency histogram,
+        // sampled one call in `BATCH_CLOCK_SAMPLE`; it never influences
+        // processing (determinism rules, DESIGN.md §11).
+        let timed = self.telemetry.as_mut().is_some_and(RouterTelemetry::time_batch);
+        let wall_start = timed.then(std::time::Instant::now);
         let mut verdicts = vec![RouterVerdict::Drop(DropReason::ParseError); pkts.len()];
         // Phase 1 — parse once and run the stateless header checks,
         // collecting survivors (with everything the crypto and forwarding
@@ -644,11 +646,8 @@ impl BorderRouter {
                 RouterVerdict::Forward(lane.hop.egress)
             };
         }
-        if let Some(start) = wall_start {
-            let wall_ns = start.elapsed().as_nanos() as u64;
-            if let Some(t) = &self.telemetry {
-                t.observe_batch(pkts.len(), wall_ns);
-            }
+        if let Some(t) = &self.telemetry {
+            t.observe_batch(pkts.len(), wall_start.map(|s| s.elapsed().as_nanos() as u64));
             self.flush_telemetry();
         }
         verdicts

@@ -15,11 +15,17 @@
 //! differential proptests, so the exported Invariant metrics inherit
 //! that equality for free, and the hot-path cost collapses to a handful
 //! of relaxed `fetch_add`s per *batch* (the ≤2 % throughput gate in
-//! `repro_pipeline`).
+//! `repro_pipeline`). The batch-latency histogram times one
+//! `process_batch` call in [`BATCH_CLOCK_SAMPLE`]: two clock reads and a
+//! histogram update are ≈75 ns, about 1 % of a 64-packet batch once the
+//! AES rounds run in hardware.
 
 use crate::crypto_cache::CryptoCacheStats;
 use crate::router::RouterStats;
 use colibri_telemetry::{Counter, Histogram, Registry, Stability};
+
+/// `process_batch` reads the wall clock for one call in this many.
+pub(crate) const BATCH_CLOCK_SAMPLE: u64 = 8;
 
 /// Telemetry handles for one [`crate::BorderRouter`] instance.
 #[derive(Debug)]
@@ -41,6 +47,8 @@ pub struct RouterTelemetry {
     epoch_flushes: Counter,
     batch_size: Histogram,
     batch_ns: Histogram,
+    /// `process_batch` calls so far, for the clock sample.
+    batches: u64,
     last_stats: RouterStats,
     last_cache: CryptoCacheStats,
 }
@@ -135,8 +143,9 @@ impl RouterTelemetry {
             batch_ns: s.histogram(
                 "colibri_router_batch_ns",
                 Stability::Volatile,
-                "wall-clock nanoseconds per process_batch call",
+                "wall-clock nanoseconds per process_batch call (one call in 8 is timed)",
             ),
+            batches: 0,
             last_stats: RouterStats::default(),
             last_cache: CryptoCacheStats::default(),
         }
@@ -167,10 +176,20 @@ impl RouterTelemetry {
         self.last_cache = *cache;
     }
 
+    /// Counts a `process_batch` call; true for the calls whose wall
+    /// clock is sampled.
     #[inline]
-    pub(crate) fn observe_batch(&self, len: usize, wall_ns: u64) {
+    pub(crate) fn time_batch(&mut self) -> bool {
+        self.batches += 1;
+        self.batches % BATCH_CLOCK_SAMPLE == 1
+    }
+
+    #[inline]
+    pub(crate) fn observe_batch(&self, len: usize, wall_ns: Option<u64>) {
         self.batch_size.observe(len as u64);
-        self.batch_ns.observe(wall_ns);
+        if let Some(ns) = wall_ns {
+            self.batch_ns.observe(ns);
+        }
     }
 }
 

@@ -9,13 +9,15 @@
 //! wake on *every* enqueue and dequeue, which dominated the per-packet
 //! budget once the crypto path dropped below ~150 ns/packet.
 //!
-//! Every other crate in this workspace carries `#![forbid(unsafe_code)]`.
-//! This crate is the single sanctioned exception, and all `unsafe` is
-//! confined to three small blocks in this file (slot write, slot read,
-//! and the `Send`/`Sync` impls), each with its safety argument spelled
-//! out inline. The algorithm is the single-producer/single-consumer
-//! specialization of Vyukov's bounded queue: one atomic sequence counter
-//! per slot carries *all* cross-thread synchronization.
+//! Every other crate in this workspace forbids or denies `unsafe_code`.
+//! This crate is one of two sanctioned exceptions — the other is the
+//! AES-NI backend of `colibri-crypto` (`aes::ni` and its two dispatch
+//! calls) — and all `unsafe` here is confined to three small blocks in
+//! this file (slot write, slot read, and the `Send`/`Sync` impls), each
+//! with its safety argument spelled out inline. The algorithm is the
+//! single-producer/single-consumer specialization of Vyukov's bounded
+//! queue: one atomic sequence counter per slot carries *all* cross-thread
+//! synchronization.
 //!
 //! # Protocol
 //!
@@ -29,6 +31,26 @@
 //!   pos + 1` (Acquire), read the value out, then `seq = pos +
 //!   slots.len()` (Release) — marking the slot free for the producer's
 //!   lap `pos + slots.len()`.
+//!
+//! **End of stream.** `recv_many` returning `false` means the stream is
+//! over: every item whose `send` succeeded has been received, and no
+//! `send` can succeed any more. Two flags carry it:
+//!
+//! * `closed` — set by either side's `close` (and by dropping either
+//!   handle). Every `try_send` that loads it as set fails.
+//! * `producer_done` — set only by the producer, once it can publish
+//!   nothing more: by its own `close` or drop, or by a `try_send` that
+//!   found `closed` set. Its Release store follows every publish of that
+//!   thread, and `closed` never clears, so no publish can follow it.
+//!
+//! The consumer reports end-of-stream only after observing
+//! `producer_done` (Acquire) and then finding the ring empty. A
+//! consumer-side `close` therefore does not end the stream by itself: a
+//! `try_send` that loaded `closed` just before the close may still
+//! publish its item, and the consumer keeps receiving until the producer
+//! acknowledges — by dropping or closing its handle, or by failing its
+//! next send. A consumer that closes and then must not wait drains with
+//! `try_recv` instead.
 //!
 //! # Memory-ordering argument
 //!
@@ -100,7 +122,10 @@ struct Inner<T> {
     tail: CachePadded<AtomicUsize>,
     /// Next position the consumer will read. Relaxed; accounting only.
     head: CachePadded<AtomicUsize>,
+    /// Either side asked to stop; sends fail from here on.
     closed: AtomicBool,
+    /// The producer can publish nothing more (see "End of stream").
+    producer_done: AtomicBool,
 }
 
 // SAFETY: `Inner<T>` is shared between exactly two threads (the
@@ -154,6 +179,7 @@ pub fn ring<T: Send>(cap: usize) -> (Producer<T>, Consumer<T>) {
         tail: CachePadded(AtomicUsize::new(0)),
         head: CachePadded(AtomicUsize::new(0)),
         closed: AtomicBool::new(false),
+        producer_done: AtomicBool::new(false),
     });
     (Producer { inner: Arc::clone(&inner), tail: 0 }, Consumer { inner, head: 0 })
 }
@@ -182,6 +208,9 @@ impl<T: Send> Producer<T> {
     pub fn try_send(&mut self, item: T) -> Result<(), TrySendError<T>> {
         let inner = &*self.inner;
         if inner.closed.load(Ordering::Acquire) {
+            // Acknowledge: this send and every later one fails, so the
+            // consumer may now report end-of-stream.
+            inner.producer_done.store(true, Ordering::Release);
             return Err(TrySendError::Closed(item));
         }
         let pos = self.tail;
@@ -235,6 +264,7 @@ impl<T: Send> Producer<T> {
     /// is left and then sees end-of-stream.
     pub fn close(&self) {
         self.inner.closed.store(true, Ordering::Release);
+        self.inner.producer_done.store(true, Ordering::Release);
     }
 
     /// Number of items currently queued (approximate from the producer's
@@ -276,7 +306,8 @@ pub struct Consumer<T: Send> {
 }
 
 impl<T: Send> Consumer<T> {
-    /// Non-blocking single-item pop.
+    /// Non-blocking single-item pop. Never waits for the producer, so a
+    /// consumer that has closed the ring drains with it.
     pub fn try_recv(&mut self) -> Option<T> {
         let inner = &*self.inner;
         let pos = self.head;
@@ -299,8 +330,9 @@ impl<T: Send> Consumer<T> {
 
     /// Blocks (bounded spin, then `yield_now`) until at least one item
     /// is available, then moves up to `max` items into `out`. Returns
-    /// `false` iff the ring is closed and fully drained (the consumer
-    /// should exit) — same contract as the old mutex queue.
+    /// `false` iff the stream has ended and is fully drained: the
+    /// producer acknowledged the close, so no `send` can still succeed
+    /// (see "End of stream" in the module docs).
     pub fn recv_many(&mut self, out: &mut Vec<T>, max: usize) -> bool {
         let mut spins = 0u32;
         loop {
@@ -317,12 +349,13 @@ impl<T: Send> Consumer<T> {
             if got > 0 {
                 return true;
             }
-            // Empty. Check the closed flag *then* re-check the ring: any
-            // item enqueued before `close()` has its seq store ordered
-            // before the closed store (both Release from the producer
-            // side), so observing closed==true with an Acquire load and
-            // then finding the ring empty means no item can be missed.
-            if self.inner.closed.load(Ordering::Acquire) {
+            // Empty. Check the producer's acknowledgement *then* re-check
+            // the ring: every publish of the producer has its seq store
+            // ordered before its `producer_done` store (both Release, one
+            // thread), and none can follow it, so observing it with an
+            // Acquire load and then finding the ring empty means no
+            // accepted item can be missed.
+            if self.inner.producer_done.load(Ordering::Acquire) {
                 match self.try_recv() {
                     Some(item) => {
                         out.push(item);
@@ -342,7 +375,9 @@ impl<T: Send> Consumer<T> {
 
     /// Closes the ring from the consumer side, unblocking a producer
     /// stuck in [`Producer::send`] (used when the driver abandons a
-    /// worker's output).
+    /// worker's output). Items already accepted stay receivable, and
+    /// [`Self::recv_many`] reports end-of-stream only once the producer
+    /// has acknowledged the close.
     pub fn close(&self) {
         self.inner.closed.store(true, Ordering::Release);
     }
@@ -545,6 +580,32 @@ mod tests {
         drop(tx);
         // 6 stranded + 1 handed back on Closed (dropped by the match) = 7.
         assert_eq!(DROPS.load(Ordering::Relaxed), 7, "nothing silently lost");
+    }
+
+    #[test]
+    fn consumer_close_ends_the_stream_only_after_the_producer_acknowledges() {
+        // A send that loaded `closed` just before the consumer's close may
+        // still publish, so the close alone must not end the stream: the
+        // consumer waits until the producer fails a send (or closes, or
+        // drops). The flag is raised before that send, so it is set by
+        // the time end-of-stream may be reported. The sleep does not decide
+        // the outcome here; it only lets a ring that ends the stream on the
+        // close alone fail the assertion.
+        use std::sync::atomic::AtomicBool;
+        static SENDING: AtomicBool = AtomicBool::new(false);
+        let (mut tx, mut rx) = ring::<u32>(4);
+        rx.close();
+        let producer = std::thread::spawn(move || {
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            SENDING.store(true, Ordering::SeqCst);
+            assert!(matches!(tx.try_send(7), Err(TrySendError::Closed(7))));
+            tx
+        });
+        let mut out = Vec::new();
+        assert!(!rx.recv_many(&mut out, 4));
+        assert!(SENDING.load(Ordering::SeqCst), "end-of-stream before the producer acknowledged");
+        assert!(out.is_empty());
+        drop(producer.join().unwrap());
     }
 
     #[test]

@@ -160,7 +160,7 @@ impl Meter {
         d.bytes += bytes;
         d.messages += 1;
         d.max_latency_ns = d.max_latency_ns.max(latency.as_nanos());
-        if self.deadline.map_or(true, |dl| latency <= dl) {
+        if self.deadline.is_none_or(|dl| latency <= dl) {
             d.on_time += 1;
         }
     }

@@ -310,6 +310,15 @@ impl Counter {
         }
     }
 
+    /// Adds `n` with a plain load and store instead of a locked
+    /// read-modify-write, for a cell whose only writer is the calling
+    /// thread (a per-thread shard). A concurrent writer on the same cell
+    /// could lose an update; readers still see a whole value.
+    #[inline]
+    pub fn add_sole_writer(&self, n: u64) {
+        self.cell.store(self.cell.load(Ordering::Relaxed).wrapping_add(n), Ordering::Relaxed);
+    }
+
     /// Adds one.
     #[inline]
     pub fn inc(&self) {
@@ -691,6 +700,17 @@ mod tests {
         b.inc();
         assert_eq!(a.get(), 2);
         assert_eq!(reg.snapshot().total("colibri_test_x_total"), 2);
+    }
+
+    #[test]
+    fn sole_writer_add_accumulates_like_add() {
+        let reg = Registry::new();
+        let c = reg.shard("t").counter("colibri_test_sole_total", Stability::Invariant, "s");
+        c.add(3);
+        c.add_sole_writer(4);
+        c.add_sole_writer(0);
+        assert_eq!(c.get(), 7);
+        assert_eq!(reg.snapshot().total("colibri_test_sole_total"), 7);
     }
 
     #[test]
