@@ -1,7 +1,7 @@
 //! Reproduces the batched data-plane pipeline comparison (§7.1/§7.2
-//! methodology): scalar vs batched border router, allocating vs
-//! allocation-free gateway stamping, and the steered router shard-pool
-//! sweep.
+//! methodology): scalar vs batched border router, the router's cost
+//! against the reservation population, allocating vs allocation-free
+//! gateway stamping, and the steered router shard-pool sweep.
 //!
 //! Emits machine-readable JSON (default `BENCH_dataplane.json`) so CI can
 //! gate on regressions.
@@ -10,8 +10,9 @@
 //! * `--quick` — ~10× fewer iterations (the CI smoke configuration);
 //! * `--gate` — exit non-zero if any gated row fails; the batched router
 //!   is gated exactly (same verdicts, AES block operations and key
-//!   expansions as the scalar router on the same packets), its Mpps ratio
-//!   to scalar is only reported;
+//!   expansions as the scalar router on the same packets, and the same
+//!   per-packet AES work over 64 or 65,536 reservations), its Mpps is
+//!   only reported;
 //! * `--out <path>` — where to write the JSON (default
 //!   `BENCH_dataplane.json` in the current directory).
 //!
@@ -28,10 +29,10 @@
 //! Run with `cargo run --release -p colibri-bench --bin repro_pipeline`.
 
 use colibri::base::Instant;
-use colibri::dataplane::{
-    CryptoCacheConfig, RouterConfig, RouterVerdict, ShardOutcome, ShardRouterPool,
+use colibri::dataplane::{RouterConfig, RouterVerdict, ShardOutcome, ShardRouterPool};
+use colibri_bench::{
+    bench_gateway, bench_gateway_for, bench_router, stamp_at_hop, stamped_packets, Xor64, SRC_HOST,
 };
-use colibri_bench::{bench_gateway, bench_router, bench_router_cached, stamped_packets, SRC_HOST};
 
 const HOPS: [usize; 3] = [4, 8, 16];
 
@@ -55,11 +56,6 @@ struct RouterRow {
     hops: usize,
     scalar_mpps: f64,
     batched_mpps: f64,
-    /// The cache-enabled batched path on the same working set (fits the
-    /// default cache, so the steady-state hit rate is ~100%).
-    cached_mpps: f64,
-    /// Measured combined hit rate of the cached run.
-    cache_hit_rate: f64,
     /// Batched ≡ scalar on the same packets, exactly (see [`RouterParity`]).
     parity: RouterParity,
 }
@@ -95,7 +91,6 @@ struct ShardRow {
     wall_mpps: f64,
     cpu_seconds: f64,
     projected_mpps: f64,
-    cache_hit_rate: f64,
     /// Measured wall-clock Mpps per shard (shard packets / run wall time).
     per_shard_mpps: Vec<f64>,
     /// max/mean of per-shard submitted packets (1.0 = perfectly even).
@@ -116,25 +111,24 @@ struct TelemetryRow {
     scrape_samples: usize,
 }
 
-/// One row of the cache hit-rate sweep: a controlled mix of a hot working
-/// set (always resident) and a cold stream (reuse distance far beyond the
-/// cache capacity, so it always misses).
-struct CacheSweepRow {
-    target_hot_fraction: f64,
-    measured_hit_rate: f64,
-    cached_mpps: f64,
-    uncached_mpps: f64,
+/// The batched router over 64 packets drawn from a population of
+/// `reservations`: the paper's router is flat in reservations, so the
+/// exact crypto counts per packet must not depend on the population.
+struct PopulationRow {
+    reservations: u32,
+    /// Distinct reservations among the 64 packets.
+    distinct: usize,
+    /// AES block operations and key expansions of one 64-packet batch.
+    aes_blocks: u64,
+    key_expansions: u64,
+    mpps: f64,
 }
 
 fn router_compare(hops: usize, iters: usize) -> RouterRow {
     let mut row = router_compare_once(hops, iters);
     let merge = |row: &mut RouterRow, again: RouterRow| {
-        if again.cached_mpps > row.cached_mpps {
-            row.cache_hit_rate = again.cache_hit_rate;
-        }
         row.scalar_mpps = row.scalar_mpps.max(again.scalar_mpps);
         row.batched_mpps = row.batched_mpps.max(again.batched_mpps);
-        row.cached_mpps = row.cached_mpps.max(again.cached_mpps);
     };
     // Best-of-3 per variant, unconditionally: each measurement window is
     // short enough that a timer interrupt visibly dents it on a one-core
@@ -169,95 +163,105 @@ fn router_parity(hops: usize, pkts: &[Vec<u8>], now: Instant) -> RouterParity {
 
 fn router_compare_once(hops: usize, iters: usize) -> RouterRow {
     let now = Instant::from_secs(10);
-    let batch = 64usize;
     let (mut gw, ids) = bench_gateway(hops, 1 << 10, now);
-    let pkts = stamped_packets(&mut gw, &ids, 0, batch, 1, now);
+    let pkts = stamped_packets(&mut gw, &ids, 0, 64, 1, now);
     let mut bufs: Vec<Vec<u8>> = pkts.clone();
-    let reset = |bufs: &mut Vec<Vec<u8>>| {
-        for (buf, src) in bufs.iter_mut().zip(&pkts) {
-            buf.clear();
-            buf.extend_from_slice(src);
-        }
-    };
-
-    // Measure each variant over several short windows and keep the best:
-    // one full-length window on a one-core host spans multiple timer
-    // ticks, so its rate always includes preemption; the best short
-    // window is the closest observable estimate of the true rate (same
-    // estimator as `telemetry_overhead`).
-    const WINDOWS: usize = 8;
-    let window_iters = (iters / WINDOWS).max(1);
 
     let mut router = bench_router(hops, 1);
-    // Warm-up, then measure.
-    for _ in 0..iters / 10 + 1 {
-        reset(&mut bufs);
+    let scalar_mpps = best_window_mpps(iters, pkts.len(), || {
+        reset(&mut bufs, &pkts);
         for buf in bufs.iter_mut() {
-            std::hint::black_box(router.process(buf, now));
+            let v = router.process(std::hint::black_box(buf), now);
+            assert!(matches!(v, RouterVerdict::Forward(_)));
         }
-    }
-    let mut scalar_mpps = 0.0f64;
-    for _ in 0..WINDOWS {
-        let t0 = std::time::Instant::now();
-        for _ in 0..window_iters {
-            reset(&mut bufs);
-            for buf in bufs.iter_mut() {
-                let v = router.process(std::hint::black_box(buf), now);
-                assert!(matches!(v, RouterVerdict::Forward(_)));
-            }
-        }
-        scalar_mpps =
-            scalar_mpps.max((window_iters * batch) as f64 / t0.elapsed().as_secs_f64() / 1e6);
-    }
-
+    });
     let mut router = bench_router(hops, 1);
-    for _ in 0..iters / 10 + 1 {
-        reset(&mut bufs);
-        let mut refs: Vec<&mut [u8]> = bufs.iter_mut().map(Vec::as_mut_slice).collect();
-        std::hint::black_box(router.process_batch(&mut refs, now));
-    }
-    let mut batched_mpps = 0.0f64;
-    for _ in 0..WINDOWS {
-        let t0 = std::time::Instant::now();
-        for _ in 0..window_iters {
-            reset(&mut bufs);
-            let mut refs: Vec<&mut [u8]> = bufs.iter_mut().map(Vec::as_mut_slice).collect();
-            let verdicts = router.process_batch(std::hint::black_box(&mut refs), now);
-            assert!(verdicts.iter().all(|v| matches!(v, RouterVerdict::Forward(_))));
-        }
-        batched_mpps =
-            batched_mpps.max((window_iters * batch) as f64 / t0.elapsed().as_secs_f64() / 1e6);
-    }
-
-    // Cache-enabled batched path: the 64-packet working set fits the
-    // default σ-cache, so after the warm-up round every EER validation is
-    // a cache hit (one AES block instead of ~3 + a key expansion).
-    let mut router = bench_router_cached(hops, 1, CryptoCacheConfig::default());
-    for _ in 0..iters / 10 + 1 {
-        reset(&mut bufs);
-        let mut refs: Vec<&mut [u8]> = bufs.iter_mut().map(Vec::as_mut_slice).collect();
-        std::hint::black_box(router.process_batch(&mut refs, now));
-    }
-    let stats0 = router.cache_stats();
-    let mut cached_mpps = 0.0f64;
-    for _ in 0..WINDOWS {
-        let t0 = std::time::Instant::now();
-        for _ in 0..window_iters {
-            reset(&mut bufs);
-            let mut refs: Vec<&mut [u8]> = bufs.iter_mut().map(Vec::as_mut_slice).collect();
-            let verdicts = router.process_batch(std::hint::black_box(&mut refs), now);
-            assert!(verdicts.iter().all(|v| matches!(v, RouterVerdict::Forward(_))));
-        }
-        cached_mpps =
-            cached_mpps.max((window_iters * batch) as f64 / t0.elapsed().as_secs_f64() / 1e6);
-    }
-    let stats1 = router.cache_stats();
-    let hits = (stats1.segr_hits + stats1.sigma_hits) - (stats0.segr_hits + stats0.sigma_hits);
-    let lookups = stats1.lookups() - stats0.lookups();
-    let cache_hit_rate = if lookups == 0 { 0.0 } else { hits as f64 / lookups as f64 };
+    let batched_mpps = batched_router_mpps(&mut router, &pkts, iters, now);
 
     let parity = router_parity(hops, &pkts, now);
-    RouterRow { hops, scalar_mpps, batched_mpps, cached_mpps, cache_hit_rate, parity }
+    RouterRow { hops, scalar_mpps, batched_mpps, parity }
+}
+
+/// Restores `bufs` to the pristine packets `pkts` (routers rewrite the hop
+/// pointer in place).
+fn reset(bufs: &mut [Vec<u8>], pkts: &[Vec<u8>]) {
+    for (buf, src) in bufs.iter_mut().zip(pkts) {
+        buf.clear();
+        buf.extend_from_slice(src);
+    }
+}
+
+/// Warms up with `iters / 10 + 1` calls of `run` (one pass over `batch`
+/// packets each), then measures it over several short windows and keeps
+/// the best: one full-length window on a one-core host spans multiple
+/// timer ticks, so its rate always includes preemption; the best short
+/// window is the closest observable estimate of the true rate (same
+/// estimator as `telemetry_overhead`).
+fn best_window_mpps(iters: usize, batch: usize, mut run: impl FnMut()) -> f64 {
+    const WINDOWS: usize = 8;
+    let window_iters = (iters / WINDOWS).max(1);
+    for _ in 0..iters / 10 + 1 {
+        run();
+    }
+    let mut best = 0.0f64;
+    for _ in 0..WINDOWS {
+        let t0 = std::time::Instant::now();
+        for _ in 0..window_iters {
+            run();
+        }
+        best = best.max((window_iters * batch) as f64 / t0.elapsed().as_secs_f64() / 1e6);
+    }
+    best
+}
+
+/// Mpps of `router.process_batch` over `pkts` as one batch, every packet
+/// forwarded.
+fn batched_router_mpps(
+    router: &mut colibri::dataplane::BorderRouter,
+    pkts: &[Vec<u8>],
+    iters: usize,
+    now: Instant,
+) -> f64 {
+    let mut bufs = pkts.to_vec();
+    best_window_mpps(iters, pkts.len(), || {
+        reset(&mut bufs, pkts);
+        let mut refs: Vec<&mut [u8]> = bufs.iter_mut().map(Vec::as_mut_slice).collect();
+        let verdicts = router.process_batch(std::hint::black_box(&mut refs), now);
+        assert!(verdicts.iter().all(|v| matches!(v, RouterVerdict::Forward(_))));
+    })
+}
+
+/// The batched router over 64 packets (8 hops, checked at hop 1) drawn
+/// from `reservations` reservations: one counted batch on a router that
+/// already holds the epoch's `K_i`, then its Mpps.
+fn population_row(reservations: u32, iters: usize) -> PopulationRow {
+    use colibri::crypto::ops::{aes_block_ops, key_expansions};
+    const HOPS: usize = 8;
+    let now = Instant::from_secs(10);
+    let mut rng = Xor64::new(0xF1A7);
+    let draws: Vec<u32> =
+        (0..64).map(|_| (rng.next() % u64::from(reservations)) as u32).collect();
+    let (mut gw, _) = bench_gateway_for(HOPS, draws.iter().copied(), now);
+    let pkts: Vec<Vec<u8>> = draws
+        .iter()
+        .map(|&id| stamp_at_hop(&mut gw, colibri::base::ResId(id), &[], 1, now))
+        .collect();
+    let mut distinct = draws.clone();
+    distinct.sort_unstable();
+    distinct.dedup();
+
+    let mut router = bench_router(HOPS, 1);
+    let mut bufs = pkts.clone();
+    let mut refs: Vec<&mut [u8]> = bufs.iter_mut().map(Vec::as_mut_slice).collect();
+    router.process_batch(&mut refs, now);
+    reset(&mut bufs, &pkts);
+    let mut refs: Vec<&mut [u8]> = bufs.iter_mut().map(Vec::as_mut_slice).collect();
+    let (b0, x0) = (aes_block_ops(), key_expansions());
+    let verdicts = router.process_batch(&mut refs, now);
+    let (aes_blocks, key_expansions) = (aes_block_ops() - b0, key_expansions() - x0);
+    assert!(verdicts.iter().all(|v| matches!(v, RouterVerdict::Forward(_))));
+    let mpps = batched_router_mpps(&mut router, &pkts, iters, now);
+    PopulationRow { reservations, distinct: distinct.len(), aes_blocks, key_expansions, mpps }
 }
 
 /// Measures the telemetry overhead on the batched router hot path. The
@@ -271,12 +275,6 @@ fn telemetry_overhead(hops: usize, iters: usize) -> TelemetryRow {
     let (mut gw, ids) = bench_gateway(hops, 1 << 10, now);
     let pkts = stamped_packets(&mut gw, &ids, 0, batch, 1, now);
     let mut bufs: Vec<Vec<u8>> = pkts.clone();
-    let reset = |bufs: &mut Vec<Vec<u8>>| {
-        for (buf, src) in bufs.iter_mut().zip(&pkts) {
-            buf.clear();
-            buf.extend_from_slice(src);
-        }
-    };
 
     let mut plain = bench_router(hops, 1);
     let registry = colibri::telemetry::Registry::new();
@@ -284,12 +282,12 @@ fn telemetry_overhead(hops: usize, iters: usize) -> TelemetryRow {
     instrumented.attach_telemetry(&registry, "bench_router");
 
     let mut measure = |router: &mut colibri::dataplane::BorderRouter, iters: usize| {
-        reset(&mut bufs);
+        reset(&mut bufs, &pkts);
         let mut refs: Vec<&mut [u8]> = bufs.iter_mut().map(Vec::as_mut_slice).collect();
         std::hint::black_box(router.process_batch(&mut refs, now));
         let t0 = std::time::Instant::now();
         for _ in 0..iters {
-            reset(&mut bufs);
+            reset(&mut bufs, &pkts);
             let mut refs: Vec<&mut [u8]> = bufs.iter_mut().map(Vec::as_mut_slice).collect();
             let verdicts = router.process_batch(std::hint::black_box(&mut refs), now);
             assert!(verdicts.iter().all(|v| matches!(v, RouterVerdict::Forward(_))));
@@ -387,92 +385,8 @@ fn gateway_compare_once(hops: usize, iters: usize) -> GatewayRow {
     GatewayRow { hops, alloc_mpps, into_mpps }
 }
 
-/// Measures the cached router at a controlled hit rate: a 32-reservation
-/// hot set that always fits the (shrunk) σ-cache, blended with a cold
-/// stream cycling through 4096 reservations — a reuse distance 16× the
-/// cache capacity, so every cold packet misses. The target hot fraction
-/// is therefore (approximately) the cache hit rate; the row reports the
-/// *measured* rate alongside it.
-fn cache_hit_sweep(hot_fraction: f64, iters: usize) -> CacheSweepRow {
-    const HOT: usize = 32;
-    const COLD: usize = 4096;
-    const CACHE: usize = 128;
-    const BATCH: usize = 64;
-    // The trace must contain well over CACHE distinct cold reservations
-    // (the trace replays every iteration, so a cold id recurs with reuse
-    // distance TRACE — it only misses if evicted in between). With 4096
-    // packets, even a 0.95 hot fraction leaves ~205 distinct cold ids
-    // against 128 slots, so the measured hit rate tracks the target.
-    const TRACE: usize = 4096;
-    let now = Instant::from_secs(10);
-    let hops = 8usize;
-    let (mut gw, ids) = bench_gateway(hops, HOT + COLD, now);
-    let mut rng = colibri_bench::Xor64::new(0xCAC4E);
-    let mut cold_cursor = 0usize;
-    let payload = [0u8; 64];
-    let pkts: Vec<Vec<u8>> = (0..TRACE)
-        .map(|_| {
-            let id = if (rng.next() % 1_000_000) as f64 / 1_000_000.0 < hot_fraction {
-                ids[(rng.next() % HOT as u64) as usize]
-            } else {
-                let id = ids[HOT + cold_cursor];
-                cold_cursor = (cold_cursor + 1) % COLD;
-                id
-            };
-            let mut pkt = gw.process(SRC_HOST, id, &payload, now).expect("stamp").bytes;
-            {
-                let mut v = colibri::wire::PacketViewMut::parse(&mut pkt).unwrap();
-                v.advance_hop();
-            }
-            pkt
-        })
-        .collect();
-    let mut bufs: Vec<Vec<u8>> = pkts.clone();
-    let reset = |bufs: &mut Vec<Vec<u8>>| {
-        for (buf, src) in bufs.iter_mut().zip(&pkts) {
-            buf.clear();
-            buf.extend_from_slice(src);
-        }
-    };
-
-    let mut run = |router: &mut colibri::dataplane::BorderRouter| {
-        for _ in 0..iters / 10 + 1 {
-            reset(&mut bufs);
-            for group in bufs.chunks_mut(BATCH) {
-                let mut refs: Vec<&mut [u8]> = group.iter_mut().map(Vec::as_mut_slice).collect();
-                std::hint::black_box(router.process_batch(&mut refs, now));
-            }
-        }
-        let stats0 = router.cache_stats();
-        let t0 = std::time::Instant::now();
-        for _ in 0..iters {
-            reset(&mut bufs);
-            for group in bufs.chunks_mut(BATCH) {
-                let mut refs: Vec<&mut [u8]> = group.iter_mut().map(Vec::as_mut_slice).collect();
-                let verdicts = router.process_batch(std::hint::black_box(&mut refs), now);
-                assert!(verdicts.iter().all(|v| matches!(v, RouterVerdict::Forward(_))));
-            }
-        }
-        let mpps = (iters * pkts.len()) as f64 / t0.elapsed().as_secs_f64() / 1e6;
-        let stats1 = router.cache_stats();
-        let hits =
-            (stats1.segr_hits + stats1.sigma_hits) - (stats0.segr_hits + stats0.sigma_hits);
-        let lookups = stats1.lookups() - stats0.lookups();
-        let rate = if lookups == 0 { 0.0 } else { hits as f64 / lookups as f64 };
-        (mpps, rate)
-    };
-
-    let cache = CryptoCacheConfig { segr_capacity: CACHE, sigma_capacity: CACHE };
-    let mut cached_router = bench_router_cached(hops, 1, cache);
-    let (cached_mpps, measured_hit_rate) = run(&mut cached_router);
-    let mut uncached_router = bench_router(hops, 1);
-    let (uncached_mpps, _) = run(&mut uncached_router);
-
-    CacheSweepRow { target_hot_fraction: hot_fraction, measured_hit_rate, cached_mpps, uncached_mpps }
-}
-
-/// The router shard pool, steered by reservation ID (shard-private
-/// caches), over `packets` packets of a 1,024-reservation working set.
+/// The router shard pool, steered by reservation ID, over `packets`
+/// packets of a 1,024-reservation working set.
 fn shard_sweep(shards: usize, packets: usize) -> ShardRow {
     let now = Instant::from_secs(10);
     let hops = 8usize;
@@ -532,8 +446,7 @@ fn shard_sweep(shards: usize, packets: usize) -> ShardRow {
     let cpu_seconds = process_cpu_seconds() - cpu0;
 
     let snap = pool.shutdown(&mut outs);
-    let (stats, cache_stats) = (snap.stats, snap.cache);
-    assert_eq!(stats.bad_hvf, 0);
+    assert_eq!(snap.stats.bad_hvf, 0);
     // Per-shard measured throughput: each shard's share of the measured
     // run against the same wall clock. `submitted` includes the warm-up
     // packets; scaling by `packets / total` removes them proportionally
@@ -557,7 +470,6 @@ fn shard_sweep(shards: usize, packets: usize) -> ShardRow {
         wall_mpps,
         cpu_seconds,
         projected_mpps,
-        cache_hit_rate: cache_stats.hit_rate(),
         per_shard_mpps,
         imbalance,
     }
@@ -1069,27 +981,41 @@ fn main() {
     println!("# batched data-plane pipeline ({} mode)", if quick { "quick" } else { "full" });
     println!("host cores: {}", host_cores());
 
-    println!("\n## border router: scalar vs batched vs cached (batch=64, r=2^10)");
+    println!("\n## border router: scalar vs batched (batch=64, r=2^10)");
     println!(
-        "{:>5} {:>13} {:>13} {:>13} {:>9} {:>9} {:>9} {:>14}",
-        "hops", "scalar Mpps", "batched Mpps", "cached Mpps", "batched", "cached", "hit rate",
-        "AES blk/exp"
+        "{:>5} {:>13} {:>13} {:>9} {:>14}",
+        "hops", "scalar Mpps", "batched Mpps", "batched", "AES blk/exp"
     );
     let router_rows: Vec<RouterRow> = HOPS.iter().map(|&h| router_compare(h, iters)).collect();
     for r in &router_rows {
         let p = r.parity;
         println!(
-            "{:>5} {:>13.3} {:>13.3} {:>13.3} {:>8.2}x {:>8.2}x {:>8.1}% {:>6}/{:<3} {}",
+            "{:>5} {:>13.3} {:>13.3} {:>8.2}x {:>6}/{:<3} {}",
             r.hops,
             r.scalar_mpps,
             r.batched_mpps,
-            r.cached_mpps,
             r.batched_mpps / r.scalar_mpps,
-            r.cached_mpps / r.batched_mpps,
-            r.cache_hit_rate * 100.0,
             p.aes_blocks.1,
             p.key_expansions.1,
             if p.holds() { "= scalar" } else { "≠ scalar" }
+        );
+    }
+
+    println!("\n## batched router vs reservation population (8 hops, 64 packets per batch)");
+    println!(
+        "{:>12} {:>9} {:>13} {:>14} {:>13}",
+        "reservations", "distinct", "AES blk/pkt", "key exp/pkt", "batched Mpps"
+    );
+    let population_rows: Vec<PopulationRow> =
+        [64u32, 1 << 16].iter().map(|&r| population_row(r, iters)).collect();
+    for p in &population_rows {
+        println!(
+            "{:>12} {:>9} {:>13.3} {:>14.3} {:>13.3}",
+            p.reservations,
+            p.distinct,
+            p.aes_blocks as f64 / 64.0,
+            p.key_expansions as f64 / 64.0,
+            p.mpps
         );
     }
 
@@ -1127,30 +1053,10 @@ fn main() {
         );
     }
 
-    println!("\n## cached router hit-rate sweep (8 hops, σ/SegR cache 128, hot=32, cold=4096)");
-    println!(
-        "{:>9} {:>10} {:>13} {:>14} {:>8}",
-        "target f", "hit rate", "cached Mpps", "uncached Mpps", "speedup"
-    );
-    let sweep_fractions = [0.0, 0.5, 0.75, 0.95, 1.0];
-    let sweep_iters = iters / 4 + 1;
-    let sweep_rows: Vec<CacheSweepRow> =
-        sweep_fractions.iter().map(|&f| cache_hit_sweep(f, sweep_iters)).collect();
-    for s in &sweep_rows {
-        println!(
-            "{:>9.2} {:>9.1}% {:>13.3} {:>14.3} {:>7.2}x",
-            s.target_hot_fraction,
-            s.measured_hit_rate * 100.0,
-            s.cached_mpps,
-            s.uncached_mpps,
-            s.cached_mpps / s.uncached_mpps
-        );
-    }
-
     println!("\n## router shard pool sweep, steered (8 hops, {} packets)", shard_packets);
     println!(
-        "{:>7} {:>11} {:>9} {:>15} {:>9} {:>10} {:>20}",
-        "shards", "wall Mpps", "cpu s", "projected Mpps", "hit rate", "imbalance", "per-shard Mpps"
+        "{:>7} {:>11} {:>9} {:>15} {:>10} {:>20}",
+        "shards", "wall Mpps", "cpu s", "projected Mpps", "imbalance", "per-shard Mpps"
     );
     let shard_rows: Vec<ShardRow> =
         [1usize, 2, 4].iter().map(|&s| shard_sweep(s, shard_packets)).collect();
@@ -1162,12 +1068,11 @@ fn main() {
             .collect::<Vec<_>>()
             .join(" ");
         println!(
-            "{:>7} {:>11.3} {:>9.3} {:>15.3} {:>8.2}% {:>10.3} {:>20}",
+            "{:>7} {:>11.3} {:>9.3} {:>15.3} {:>10.3} {:>20}",
             s.shards,
             s.wall_mpps,
             s.cpu_seconds,
             s.projected_mpps,
-            s.cache_hit_rate * 100.0,
             s.imbalance,
             per_shard
         );
@@ -1234,14 +1139,11 @@ fn main() {
     json.push_str("  \"router\": [\n");
     for (i, r) in router_rows.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"hops\": {}, \"scalar_mpps\": {:.4}, \"batched_mpps\": {:.4}, \"speedup\": {:.4}, \"cached_mpps\": {:.4}, \"cached_speedup\": {:.4}, \"cache_hit_rate\": {:.4}, \"aes_blocks\": [{}, {}], \"key_expansions\": [{}, {}], \"batched_equals_scalar\": {}}}{}\n",
+            "    {{\"hops\": {}, \"scalar_mpps\": {:.4}, \"batched_mpps\": {:.4}, \"speedup\": {:.4}, \"aes_blocks\": [{}, {}], \"key_expansions\": [{}, {}], \"batched_equals_scalar\": {}}}{}\n",
             r.hops,
             r.scalar_mpps,
             r.batched_mpps,
             r.batched_mpps / r.scalar_mpps,
-            r.cached_mpps,
-            r.cached_mpps / r.batched_mpps,
-            r.cache_hit_rate,
             r.parity.aes_blocks.0,
             r.parity.aes_blocks.1,
             r.parity.key_expansions.0,
@@ -1251,16 +1153,16 @@ fn main() {
         ));
     }
     json.push_str("  ],\n");
-    json.push_str("  \"cache_hit_sweep\": [\n");
-    for (i, s) in sweep_rows.iter().enumerate() {
+    json.push_str("  \"reservation_population\": [\n");
+    for (i, p) in population_rows.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"target_hot_fraction\": {:.2}, \"measured_hit_rate\": {:.4}, \"cached_mpps\": {:.4}, \"uncached_mpps\": {:.4}, \"speedup\": {:.4}}}{}\n",
-            s.target_hot_fraction,
-            s.measured_hit_rate,
-            s.cached_mpps,
-            s.uncached_mpps,
-            s.cached_mpps / s.uncached_mpps,
-            if i + 1 < sweep_rows.len() { "," } else { "" }
+            "    {{\"reservations\": {}, \"distinct\": {}, \"aes_blocks\": {}, \"key_expansions\": {}, \"batched_mpps\": {:.4}}}{}\n",
+            p.reservations,
+            p.distinct,
+            p.aes_blocks,
+            p.key_expansions,
+            p.mpps,
+            if i + 1 < population_rows.len() { "," } else { "" }
         ));
     }
     json.push_str("  ],\n");
@@ -1298,12 +1200,11 @@ fn main() {
             .collect::<Vec<_>>()
             .join(", ");
         json.push_str(&format!(
-            "    {{\"shards\": {}, \"wall_mpps\": {:.4}, \"cpu_seconds\": {:.4}, \"projected_mpps\": {:.4}, \"cache_hit_rate\": {:.4}, \"per_shard_wall_mpps\": [{}], \"steering_imbalance\": {:.4}}}{}\n",
+            "    {{\"shards\": {}, \"wall_mpps\": {:.4}, \"cpu_seconds\": {:.4}, \"projected_mpps\": {:.4}, \"per_shard_wall_mpps\": [{}], \"steering_imbalance\": {:.4}}}{}\n",
             s.shards,
             s.wall_mpps,
             s.cpu_seconds,
             s.projected_mpps,
-            s.cache_hit_rate,
             per_shard,
             s.imbalance,
             if i + 1 < shard_rows.len() { "," } else { "" }
@@ -1361,6 +1262,23 @@ fn main() {
 
     if gate {
         let mut ok = true;
+        // The router is flat in reservations, exactly: 64 packets from 64
+        // reservations and 64 from 65,536 cost the same AES blocks and key
+        // expansions. Their Mpps is only reported.
+        let (few, many) = (&population_rows[0], &population_rows[1]);
+        if (few.aes_blocks, few.key_expansions) != (many.aes_blocks, many.key_expansions) {
+            eprintln!(
+                "GATE FAIL: 64 packets cost {} AES blocks / {} key expansions from {} reservations \
+                 but {} / {} from {}",
+                few.aes_blocks,
+                few.key_expansions,
+                few.reservations,
+                many.aes_blocks,
+                many.key_expansions,
+                many.reservations
+            );
+            ok = false;
+        }
         // Batched ≡ scalar, exactly: same verdicts and packets, same AES
         // block operations, same key expansions. The Mpps ratio moves
         // with every kernel change and is only reported.
@@ -1393,20 +1311,6 @@ fn main() {
                 ok = false;
             }
         }
-        // The crypto caches must pay for themselves where they are meant
-        // to: at a ≥95% measured hit rate, the cache-enabled router may
-        // not be slower than the always-recompute batched path.
-        for r in &router_rows {
-            if r.cache_hit_rate >= 0.95 && r.cached_mpps < r.batched_mpps {
-                eprintln!(
-                    "GATE FAIL: cached router at {} hops is {:.1}% of batched despite a {:.1}% hit rate",
-                    r.hops,
-                    100.0 * r.cached_mpps / r.batched_mpps,
-                    100.0 * r.cache_hit_rate
-                );
-                ok = false;
-            }
-        }
         // Telemetry must stay out of the hot path: the instrumented
         // batched router may cost at most 2% throughput (ISSUE 5 /
         // DESIGN.md §11 budget). Stats-delta recording amortizes the
@@ -1418,29 +1322,6 @@ fn main() {
                     "GATE FAIL: instrumented batched router at {} hops is {:.1}% of plain (minimum 98%)",
                     t.hops,
                     100.0 * t.ratio
-                );
-                ok = false;
-            }
-        }
-        for s in &sweep_rows {
-            if s.measured_hit_rate >= 0.95 && s.cached_mpps < s.uncached_mpps {
-                eprintln!(
-                    "GATE FAIL: cached router at hot fraction {:.2} ({:.1}% measured hit rate) is {:.1}% of uncached",
-                    s.target_hot_fraction,
-                    100.0 * s.measured_hit_rate,
-                    100.0 * s.cached_mpps / s.uncached_mpps
-                );
-                ok = false;
-            }
-        }
-        // The point of steering is the cache: each shard sees only its
-        // own flows, so the shard-private hit rate must be ≥ 99%.
-        for st in &shard_rows {
-            if st.cache_hit_rate < 0.99 {
-                eprintln!(
-                    "GATE FAIL: steered pool at {} shard(s) has a {:.2}% cache hit rate (minimum 99%)",
-                    st.shards,
-                    100.0 * st.cache_hit_rate
                 );
                 ok = false;
             }
@@ -1503,11 +1384,10 @@ fn main() {
         }
         println!(
             "gate passed: batched router ≡ scalar in verdicts, AES blocks and key expansions; \
-             gateway process_into within 25% of process; cached router ≥ batched at \
-             ≥95% hit rate; telemetry within 2%; scrape verified; steered shard pool at ≥99% \
-             shard-private hit rate; storm amplification ≤ 3.0 with renewals \
-             shed-prioritized; mutation taxonomy exact; reserved goodput ≥95% under attack with \
-             zero reserved shed; shard-kill ledger balanced"
+             router crypto per packet flat in reservations; gateway process_into within 25% \
+             of process; telemetry within 2%; scrape verified; storm amplification ≤ 3.0 \
+             with renewals shed-prioritized; mutation taxonomy exact; reserved goodput ≥95% \
+             under attack with zero reserved shed; shard-kill ledger balanced"
         );
     }
 }

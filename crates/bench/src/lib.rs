@@ -86,6 +86,15 @@ pub fn synthetic_owned_eer(
 /// benchmark measures processing cost, not policing. Per-AS key schedules
 /// are cached so that building 2²⁰ reservations stays fast.
 pub fn bench_gateway(n_hops: usize, r: usize, now: Instant) -> (Gateway, Vec<ResId>) {
+    bench_gateway_for(n_hops, 0..r as u32, now)
+}
+
+/// Like [`bench_gateway`], with the reservations `ids` installed.
+pub fn bench_gateway_for(
+    n_hops: usize,
+    ids: impl IntoIterator<Item = u32>,
+    now: Instant,
+) -> (Gateway, Vec<ResId>) {
     let exp = now + Duration::from_secs(3600); // long-lived: no mid-bench expiry
     let bw = Bandwidth::from_gbps(400);
     let ases = path_ases(n_hops);
@@ -97,11 +106,11 @@ pub fn bench_gateway(n_hops: usize, r: usize, now: Instant) -> (Gateway, Vec<Res
         .map(|a| SecretValueGen::new(&master_secret_for(*a)).secret_value(epoch).cmac())
         .collect();
     let mut gw = Gateway::new(GatewayConfig { burst: Duration::from_secs(3600), ..Default::default() });
-    let mut ids = Vec::with_capacity(r);
-    for i in 0..r {
+    let mut installed = Vec::new();
+    for i in ids {
         let res_info = ResInfo {
             src_as: ases[0],
-            res_id: ResId(i as u32),
+            res_id: ResId(i),
             bw: colibri::base::BwClass::from_bandwidth_ceil(bw),
             exp_t: exp,
             ver: 0,
@@ -112,16 +121,16 @@ pub fn bench_gateway(n_hops: usize, r: usize, now: Instant) -> (Gateway, Vec<Res
             .map(|(k_i, hop)| hop_auth(k_i, &res_info, &eer_info, *hop))
             .collect();
         let owned = OwnedEer {
-            key: ReservationKey::new(ases[0], ResId(i as u32)),
+            key: ReservationKey::new(ases[0], ResId(i)),
             eer_info,
             path_ases: ases.clone(),
             hop_fields: hops.clone(),
             versions: vec![OwnedEerVersion { ver: 0, bw, exp, hop_auths }],
         };
         gw.install(&owned, now);
-        ids.push(ResId(i as u32));
+        installed.push(ResId(i));
     }
-    (gw, ids)
+    (gw, installed)
 }
 
 /// Fig. 3 fixture: a SegR admission module pre-loaded with `n` existing
@@ -214,21 +223,7 @@ pub fn eer_admission_fixture(
 
 /// The border router of hop `hop_index` on the synthetic path, with
 /// freshness checks relaxed for pre-stamped benchmark workloads.
-///
-/// The reservation-scoped crypto caches are *disabled* here so the
-/// scalar/batched rows keep measuring the always-recompute paths — the
-/// baseline the cached rows of `repro_pipeline` are compared against.
-/// Use [`bench_router_cached`] to measure the cache-enabled router.
 pub fn bench_router(n_hops: usize, hop_index: usize) -> BorderRouter {
-    bench_router_cached(n_hops, hop_index, colibri::dataplane::CryptoCacheConfig::DISABLED)
-}
-
-/// Like [`bench_router`], with explicit crypto-cache capacities.
-pub fn bench_router_cached(
-    n_hops: usize,
-    hop_index: usize,
-    cache: colibri::dataplane::CryptoCacheConfig,
-) -> BorderRouter {
     let ases = path_ases(n_hops);
     let cfg = RouterConfig {
         freshness: Duration::from_secs(3600),
@@ -237,7 +232,6 @@ pub fn bench_router_cached(
         // component; the router benchmark measures parsing + crypto +
         // forwarding, like the paper's.
         monitoring: false,
-        cache,
         ..RouterConfig::default()
     };
     BorderRouter::new(ases[hop_index], &master_secret_for(ases[hop_index]), cfg)
@@ -258,16 +252,25 @@ pub fn stamped_packets(
     (0..count)
         .map(|_| {
             let id = ids[(rng.next() % ids.len() as u64) as usize];
-            let mut pkt = gw.process(SRC_HOST, id, &payload, now).expect("stamp").bytes;
-            {
-                let mut v = colibri::wire::PacketViewMut::parse(&mut pkt).unwrap();
-                for _ in 0..hop_index {
-                    v.advance_hop();
-                }
-            }
-            pkt
+            stamp_at_hop(gw, id, &payload, hop_index, now)
         })
         .collect()
+}
+
+/// Stamps one packet of reservation `id` and advances it to `hop_index`.
+pub fn stamp_at_hop(
+    gw: &mut Gateway,
+    id: ResId,
+    payload: &[u8],
+    hop_index: usize,
+    now: Instant,
+) -> Vec<u8> {
+    let mut pkt = gw.process(SRC_HOST, id, payload, now).expect("stamp").bytes;
+    let mut v = colibri::wire::PacketViewMut::parse(&mut pkt).unwrap();
+    for _ in 0..hop_index {
+        v.advance_hop();
+    }
+    pkt
 }
 
 /// Minimal deterministic RNG for workload shuffling (no `rand` needed in

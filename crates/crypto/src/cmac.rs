@@ -212,7 +212,7 @@ impl Cmac {
     /// a 4-wide subkey derivation per call, this variant spends exactly
     /// *one* 4-wide AES batch: the caller already holds the expanded round
     /// keys and K1/K2 subkeys (the gateway per installed hop, the router
-    /// per cached σ), so per packet only the final block encryption
+    /// per freshly expanded σ), so only the final block encryption
     /// remains.
     #[inline]
     pub fn tag4_short_each(cmacs: [&Cmac; 4], msgs: [&[u8]; 4]) -> [[u8; 16]; 4] {

@@ -14,6 +14,7 @@
 //! preserved: per-packet cost grows with path length (one CMAC per on-path
 //! AS) and with the table size through cache misses (Fig. 5).
 
+use crate::router::{by_width, for_each_by_width};
 use crate::telemetry::GatewayTelemetry;
 use colibri_base::{Bandwidth, Duration, HostAddr, Instant, ResId};
 use colibri_crypto::Cmac;
@@ -30,7 +31,8 @@ use std::collections::HashMap;
 pub enum GatewayError {
     /// No reservation with this ID is installed.
     UnknownReservation(ResId),
-    /// All versions of the reservation have expired.
+    /// All versions of the reservation have expired, or the live one has
+    /// no unique timestamp left before its expiry.
     Expired(ResId),
     /// The flow exceeded its reserved bandwidth; the packet is dropped
     /// (backpressure to the sender's congestion control, §3.2).
@@ -74,19 +76,12 @@ struct InstalledVersion {
 /// ([`Cmac::new8`]); a remainder of at least four hops takes the 4-wide
 /// kernel, the rest expand scalar.
 fn expand_hop_auths(hop_auths: &[colibri_crypto::Key]) -> Vec<Cmac> {
-    let mut out = Vec::with_capacity(hop_auths.len());
-    let mut chunks = hop_auths.chunks_exact(8);
-    for oct in &mut chunks {
-        out.extend(Cmac::new8(core::array::from_fn(|j| &oct[j].0)));
-    }
-    let mut rest = chunks.remainder().chunks_exact(4);
-    for quad in &mut rest {
-        out.extend(Cmac::new4([&quad[0].0, &quad[1].0, &quad[2].0, &quad[3].0]));
-    }
-    for k in rest.remainder() {
-        out.push(k.cmac());
-    }
-    out
+    by_width(
+        hop_auths,
+        |oct| Cmac::new8(oct.each_ref().map(|k| &k.0)),
+        |quad| Cmac::new4(quad.each_ref().map(|k| &k.0)),
+        colibri_crypto::Key::cmac,
+    )
 }
 
 /// One reservation's gateway state.
@@ -95,12 +90,13 @@ struct Entry {
     hops: Vec<HopField>,
     versions: Vec<InstalledVersion>,
     monitor: TokenBucket,
-    /// Last timestamp issued *per version*, to guarantee uniqueness of
-    /// `Ts` (the duplicate-suppression ID, §4.3). Tracked per version
-    /// because `Ts` is relative to the version's `ExpT`: a renewal moves
-    /// the expiry forward and restarts the countdown higher up. Distinct
-    /// versions cannot collide within the replay window, since their
-    /// expiries differ by far more than the window.
+    /// Last timestamp issued *per version* (`u64::MAX` before the first),
+    /// to guarantee uniqueness of `Ts` (the duplicate-suppression ID,
+    /// §4.3). Tracked per version because `Ts` is relative to the
+    /// version's `ExpT`: a renewal moves the expiry forward and restarts
+    /// the countdown higher up. Distinct versions cannot collide within
+    /// the replay window, since their expiries differ by far more than
+    /// the window.
     last_ts: HashMap<u8, u64>,
 }
 
@@ -366,7 +362,7 @@ impl Gateway {
     /// on-path ASes are in flight concurrently and *no* AES key expansion
     /// runs per packet — the schedules were expanded at install time.
     /// Remainder hops take the 4-wide kernel when at least four remain,
-    /// and otherwise reuse their cached instance through [`eer_hvf_with`].
+    /// and otherwise reuse their instance through [`eer_hvf_with`].
     pub fn process_into(
         &mut self,
         src_host: HostAddr,
@@ -375,35 +371,39 @@ impl Gateway {
         now: Instant,
         buf: &mut Vec<u8>,
     ) -> Result<colibri_base::InterfaceId, GatewayError> {
-        // Wall clock feeds only the Volatile stamp-latency histogram; it
-        // never influences processing (determinism rules, DESIGN.md §11).
-        let wall_start = self.telemetry.as_ref().map(|_| std::time::Instant::now());
-        let entry = match self.table.get_mut(&res_id) {
-            Some(e) => e,
-            None => {
-                self.stats.rejected += 1;
-                if let Some(t) = &self.telemetry {
-                    t.rejected.inc();
-                }
-                return Err(GatewayError::UnknownReservation(res_id));
-            }
+        // Wall clock feeds only the Volatile stamp-latency histogram,
+        // sampled one packet in `CLOCK_SAMPLE`; it never influences
+        // processing (determinism rules, DESIGN.md §11).
+        let timed = self.telemetry.as_mut().is_some_and(GatewayTelemetry::time_packet);
+        let wall_start = timed.then(std::time::Instant::now);
+        let Some(entry) = self.table.get_mut(&res_id) else {
+            let err = GatewayError::UnknownReservation(res_id);
+            return Err(refuse(&mut self.stats, &self.telemetry, err));
         };
         if entry.eer_info.src_host != src_host {
-            self.stats.rejected += 1;
-            if let Some(t) = &self.telemetry {
-                t.rejected.inc();
-            }
-            return Err(GatewayError::WrongHost);
+            return Err(refuse(&mut self.stats, &self.telemetry, GatewayError::WrongHost));
         }
         // Use the latest live version (§4.2).
         let Some(version) = entry.versions.iter().rev().find(|v| v.exp > now) else {
-            self.stats.rejected += 1;
-            if let Some(t) = &self.telemetry {
-                t.rejected.inc();
-            }
-            return Err(GatewayError::Expired(res_id));
+            return Err(refuse(&mut self.stats, &self.telemetry, GatewayError::Expired(res_id)));
         };
         let pkt_size = colibri_wire::header_len(entry.hops.len(), true) + payload.len();
+        // High-precision timestamp: ns until expiry, strictly decreasing
+        // per version so every packet is unique (`u64::MAX` marks a version
+        // with nothing stamped yet). Decided before policing, so a packet
+        // refused here consumes no tokens.
+        let last_ts = entry.last_ts.entry(version.res_info.ver).or_insert(u64::MAX);
+        let mut ts = version.exp.as_nanos().saturating_sub(now.as_nanos());
+        if ts >= *last_ts {
+            // Once `Ts = 0` is stamped the version has no timestamp left:
+            // another packet would repeat a `(key, Ts)` pair, which the
+            // routers' replay filter drops as a duplicate.
+            let Some(next) = last_ts.checked_sub(1) else {
+                let err = GatewayError::Expired(res_id);
+                return Err(refuse(&mut self.stats, &self.telemetry, err));
+            };
+            ts = next;
+        }
         // Deterministic monitoring (§4.8), sized by the full packet: the
         // hierarchical tree when configured (host → reservation → class →
         // uplink accounting), the flat per-entry bucket otherwise.
@@ -413,11 +413,8 @@ impl Gateway {
                 Err(AdmitError::UnknownReservation(_)) => {
                     // Tree and table are installed/removed together; an
                     // entry without a node means teardown raced ahead.
-                    self.stats.rejected += 1;
-                    if let Some(t) = &self.telemetry {
-                        t.rejected.inc();
-                    }
-                    return Err(GatewayError::UnknownReservation(res_id));
+                    let err = GatewayError::UnknownReservation(res_id);
+                    return Err(refuse(&mut self.stats, &self.telemetry, err));
                 }
                 Err(AdmitError::RateLimited(_) | AdmitError::HostCapped(..)) => false,
             },
@@ -430,24 +427,7 @@ impl Gateway {
             }
             return Err(GatewayError::RateLimited(res_id));
         }
-        // High-precision timestamp: ns until expiry, strictly decreasing
-        // per version so every packet is unique.
-        let ver = version.res_info.ver;
-        let mut ts = version.exp.as_nanos().saturating_sub(now.as_nanos());
-        // Single hash probe: the entry API reads and writes the per-version
-        // slot in one lookup (this runs once per packet).
-        match entry.last_ts.entry(ver) {
-            std::collections::hash_map::Entry::Occupied(mut slot) => {
-                let last = *slot.get();
-                if ts >= last {
-                    ts = last.saturating_sub(1);
-                }
-                slot.insert(ts);
-            }
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(ts);
-            }
-        }
+        *last_ts = ts;
 
         PacketBuilder::eer(version.res_info, entry.eer_info)
             .path(entry.hops.iter().copied())
@@ -455,36 +435,18 @@ impl Gateway {
             .build_into(payload, buf)
             .expect("installed path is valid");
         debug_assert_eq!(buf.len(), pkt_size);
-        {
-            let mut view = PacketViewMut::parse(buf).expect("self-built packet");
-            let mut chunks = version.sigma_cmacs.chunks_exact(8);
-            let mut i = 0;
-            for oct in &mut chunks {
-                let hvfs = eer_hvf8_with(
-                    core::array::from_fn(|j| &oct[j]),
-                    [(ts, pkt_size); 8],
-                );
-                for hvf in hvfs {
-                    view.set_hvf(i, hvf);
-                    i += 1;
-                }
-            }
-            let mut rest = chunks.remainder().chunks_exact(4);
-            for quad in &mut rest {
-                let hvfs = eer_hvf4_with(
-                    [&quad[0], &quad[1], &quad[2], &quad[3]],
-                    [(ts, pkt_size); 4],
-                );
-                for hvf in hvfs {
-                    view.set_hvf(i, hvf);
-                    i += 1;
-                }
-            }
-            for sigma_cmac in rest.remainder() {
-                view.set_hvf(i, eer_hvf_with(sigma_cmac, ts, pkt_size));
-                i += 1;
-            }
-        }
+        let mut view = PacketViewMut::parse(buf).expect("self-built packet");
+        let mut hop = 0;
+        for_each_by_width(
+            &version.sigma_cmacs,
+            |oct| eer_hvf8_with(oct.each_ref(), [(ts, pkt_size); 8]),
+            |quad| eer_hvf4_with(quad.each_ref(), [(ts, pkt_size); 4]),
+            |sigma_cmac| eer_hvf_with(sigma_cmac, ts, pkt_size),
+            |hvf| {
+                view.set_hvf(hop, hvf);
+                hop += 1;
+            },
+        );
         self.stats.forwarded += 1;
         if let Some(t) = &self.telemetry {
             t.forwarded.inc();
@@ -494,6 +456,19 @@ impl Gateway {
         }
         Ok(entry.hops[0].egress)
     }
+}
+
+/// Counts a packet refused for any reason but its rate and returns `err`.
+fn refuse(
+    stats: &mut GatewayStats,
+    telemetry: &Option<GatewayTelemetry>,
+    err: GatewayError,
+) -> GatewayError {
+    stats.rejected += 1;
+    if let Some(t) = telemetry {
+        t.rejected.inc();
+    }
+    err
 }
 
 impl std::fmt::Debug for Gateway {
@@ -650,6 +625,39 @@ mod tests {
             assert!(ts < prev, "ts {ts} not strictly decreasing");
             prev = ts;
         }
+    }
+
+    #[test]
+    fn exhausted_timestamps_refused_before_policing() {
+        // A 1,500-byte bucket with no refill within one instant holds three
+        // 400-byte-payload packets. In the version's last nanosecond only
+        // two unique timestamps remain (1 and 0): further packets are
+        // refused as expired without touching the bucket, so the renewed
+        // version can still send the third packet's worth.
+        let mut g =
+            Gateway::new(GatewayConfig { burst: Duration::from_millis(1), ..Default::default() });
+        let bw = Bandwidth::from_kbps(8);
+        let exp = Instant::from_secs(16);
+        let t = Instant::from_nanos(exp.as_nanos() - 1);
+        g.install(&owned(1, vec![(0, bw, exp)]), Instant::from_secs(0));
+        let payload = [0u8; 400];
+        for _ in 0..2 {
+            g.process(HOST, colibri_base::ResId(1), &payload, t).unwrap();
+        }
+        for _ in 0..5 {
+            assert_eq!(
+                g.process(HOST, colibri_base::ResId(1), &payload, t),
+                Err(GatewayError::Expired(colibri_base::ResId(1)))
+            );
+        }
+        assert_eq!((g.stats.rejected, g.stats.rate_limited), (5, 0));
+        g.install(&owned(1, vec![(0, bw, exp), (1, bw, Instant::from_secs(32))]), t);
+        let pkt = g.process(HOST, colibri_base::ResId(1), &payload, t).unwrap();
+        assert_eq!(PacketView::parse(&pkt.bytes).unwrap().res_info().ver, 1);
+        assert_eq!(
+            g.process(HOST, colibri_base::ResId(1), &payload, t),
+            Err(GatewayError::RateLimited(colibri_base::ResId(1)))
+        );
     }
 
     #[test]

@@ -509,11 +509,6 @@ mod tests {
         assert_eq!(snap.shards, 2);
         assert_eq!(snap.stats.forwarded, 6);
         assert_eq!(snap.stats.parse_errors, 1);
-        // Six EER lookups happened across the shards. How many miss
-        // depends on batching: packets of the same reservation that land
-        // in one worker batch are probed before any insert, so they can
-        // all miss together — only the exact lookup count is stable.
-        assert_eq!(snap.cache.sigma_hits + snap.cache.sigma_misses, 6);
     }
 
     #[test]

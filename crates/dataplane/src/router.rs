@@ -14,7 +14,9 @@
 //!    the local CServ (SegR/control packets), or to the destination host
 //!    (last hop of an EER).
 //!
-//! No lookup touches per-flow or per-reservation state; the only
+//! No lookup touches per-flow or per-reservation state, and every
+//! packet-hop costs the same crypto whatever the working set: the only
+//! crypto state is the per-epoch `K_i` (DESIGN.md §10). The only
 //! router-resident state is the monitoring sketch and the (tiny)
 //! blocklist, both bounded.
 
@@ -22,15 +24,13 @@ use colibri_base::{Bandwidth, Duration, HostAddr, Instant, InterfaceId, IsdAsId}
 use colibri_crypto::{ct_eq, Cmac, Epoch, SecretValueGen};
 use colibri_monitor::{MonitorAction, OveruseReport, TransitMonitor, TransitMonitorConfig};
 use colibri_wire::mac::{
-    eer_hvf4_with, eer_hvf8_with, eer_hvf_with, hop_auth4_from_inputs, hop_auth8_from_inputs,
-    hop_auth_from_input, hop_auth_input, segr_input, segr_token4_from_inputs,
-    segr_token8_from_inputs, segr_token_from_input,
+    eer_hvf, eer_hvf4_with, eer_hvf8_with, hop_auth, hop_auth4_from_inputs,
+    hop_auth8_from_inputs, hop_auth_from_input, hop_auth_input, segr_input, segr_token,
+    segr_token4_from_inputs, segr_token8_from_inputs, segr_token_from_input, HOP_AUTH_INPUT_LEN,
+    SEGR_INPUT_LEN,
 };
 use colibri_wire::{EerInfo, HopField, PacketViewMut, ResInfo, HVF_LEN};
 
-use crate::crypto_cache::{
-    CryptoCacheConfig, CryptoCacheStats, RouterCryptoCaches, SegrKey, SigmaKey,
-};
 use crate::telemetry::RouterTelemetry;
 use colibri_telemetry::Registry;
 
@@ -83,10 +83,6 @@ pub struct RouterConfig {
     /// benchmarks reproduce that by disabling monitoring here. Production
     /// configurations keep it on.
     pub monitoring: bool,
-    /// Capacities of the reservation-scoped crypto caches (DESIGN.md §10).
-    /// Set both to 0 ([`CryptoCacheConfig::DISABLED`]) to force the
-    /// always-recompute paths.
-    pub cache: CryptoCacheConfig,
 }
 
 impl Default for RouterConfig {
@@ -96,7 +92,6 @@ impl Default for RouterConfig {
             skew: Duration::from_millis(100),
             monitor: TransitMonitorConfig::default(),
             monitoring: true,
-            cache: CryptoCacheConfig::default(),
         }
     }
 }
@@ -163,13 +158,28 @@ impl RouterStats {
     }
 }
 
+/// σ counters in the shape of a σ-cache's, for [`BorderRouter::cache_stats`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SigmaStats {
+    /// Always 0: the router caches no σ.
+    pub sigma_hits: u64,
+    /// σ derivations (Eq. 4 + key expansion): one per EER packet-hop that
+    /// reaches the crypto check, scalar and batched alike.
+    pub sigma_misses: u64,
+    /// Always 0: there is nothing to evict.
+    pub sigma_evictions: u64,
+}
+
 /// The border router of one AS.
 pub struct BorderRouter {
     isd_as: IsdAsId,
     cfg: RouterConfig,
     svgen: SecretValueGen,
-    k_i_cache: Option<(Epoch, Cmac)>,
-    caches: RouterCryptoCaches,
+    /// The per-epoch secret `K_i`, derived once per DRKey epoch — the
+    /// router's only crypto state.
+    k_i: Option<(Epoch, Cmac)>,
+    /// σ derivations so far (see [`SigmaStats::sigma_misses`]).
+    sigma_derivations: u64,
     monitor: TransitMonitor,
     telemetry: Option<RouterTelemetry>,
     /// Counters.
@@ -183,8 +193,8 @@ impl BorderRouter {
         Self {
             isd_as,
             svgen: SecretValueGen::new(master_secret),
-            k_i_cache: None,
-            caches: RouterCryptoCaches::new(cfg.cache),
+            k_i: None,
+            sigma_derivations: 0,
             monitor: TransitMonitor::new(cfg.monitor),
             telemetry: None,
             cfg,
@@ -192,28 +202,23 @@ impl BorderRouter {
         }
     }
 
-    /// Attaches telemetry (verdict counters, cache counters, batch
-    /// histograms, and the monitor's detection counters), registered
-    /// under `shard` in `registry`. Detached routers — the default —
-    /// pay one predictable branch per `process`/`process_batch` call.
+    /// Attaches telemetry (verdict counters, batch histograms, and the
+    /// monitor's detection counters), registered under `shard` in
+    /// `registry`. Detached routers — the default — pay one predictable
+    /// branch per `process`/`process_batch` call.
     ///
-    /// Counters are recorded as deltas of [`RouterStats`] /
-    /// [`CryptoCacheStats`] at the end of each call, so the exported
-    /// Invariant metrics are bit-identical between the scalar and
-    /// batched paths whenever the stats structs are (which the
-    /// differential proptests guarantee).
+    /// Counters are recorded as deltas of [`RouterStats`] at the end of
+    /// each call, so the exported Invariant metrics are bit-identical
+    /// between the scalar and batched paths whenever the stats are (which
+    /// the differential proptests guarantee).
     pub fn attach_telemetry(&mut self, registry: &Registry, shard: &str) {
         self.telemetry = Some(RouterTelemetry::new(registry, shard));
         self.monitor.attach_telemetry(registry, shard);
     }
 
     fn flush_telemetry(&mut self) {
-        if self.telemetry.is_some() {
-            let stats = self.stats;
-            let cache = self.caches.stats();
-            if let Some(t) = &mut self.telemetry {
-                t.record(&stats, &cache);
-            }
+        if let Some(t) = &mut self.telemetry {
+            t.record(&self.stats);
         }
     }
 
@@ -222,20 +227,19 @@ impl BorderRouter {
         self.isd_as
     }
 
-    /// Hit/miss/eviction counters of the crypto caches.
-    pub fn cache_stats(&self) -> CryptoCacheStats {
-        self.caches.stats()
+    /// The benchmark's view of a router that caches nothing: every EER
+    /// packet-hop that reaches the crypto check counts as a σ miss, and
+    /// hits and evictions stay 0.
+    pub fn cache_stats(&self) -> SigmaStats {
+        SigmaStats { sigma_misses: self.sigma_derivations, ..SigmaStats::default() }
     }
 
-    /// Rolls `K_i` and the crypto caches to `epoch`. Afterwards
-    /// `k_i_cache` is `Some` for that epoch, so callers can split the
-    /// borrow — immutable `K_i` alongside the mutable caches — without
-    /// cloning the expanded CMAC state.
-    fn ensure_epoch(&mut self, epoch: Epoch) {
-        if self.k_i_cache.as_ref().map(|(e, _)| *e) != Some(epoch) {
-            self.k_i_cache = Some((epoch, self.svgen.secret_value(epoch).cmac()));
+    /// `K_i` for `epoch`, derived on the first packet of each epoch.
+    fn k_i(&mut self, epoch: Epoch) -> &Cmac {
+        if self.k_i.as_ref().map(|(e, _)| *e) != Some(epoch) {
+            self.k_i = Some((epoch, self.svgen.secret_value(epoch).cmac()));
         }
-        self.caches.ensure_epoch(epoch);
+        &self.k_i.as_ref().expect("K_i derived above").1
     }
 
     fn drop(&mut self, reason: DropReason) -> RouterVerdict {
@@ -263,82 +267,78 @@ impl BorderRouter {
     }
 
     fn process_inner(&mut self, pkt: &mut [u8], now: Instant) -> RouterVerdict {
-        let mut view = match PacketViewMut::parse(pkt) {
-            Ok(v) => v,
-            Err(_) => return self.drop(DropReason::ParseError),
+        let (mut view, mut lane) = match self.screen(pkt, 0, now) {
+            Ok(screened) => screened,
+            Err(dropped) => return dropped,
+        };
+        if lane.eer_info.is_some() {
+            self.sigma_derivations += 1;
+        }
+        // Cryptographic validation, derived from the AS secret alone: an
+        // EER hop is Eq. 4 → σ expansion → Eq. 6, a SegR hop is Eq. 3.
+        let k_i = self.k_i(Epoch::containing(now));
+        let expected = match &lane.eer_info {
+            Some(info) => {
+                eer_hvf(&hop_auth(k_i, &lane.res_info, info, lane.hop), lane.ts, lane.pkt_size)
+            }
+            None => segr_token(k_i, &lane.res_info, lane.hop),
+        };
+        lane.valid = ct_eq(&expected, &lane.hvf);
+        self.finish(&lane, &mut view, now)
+    }
+
+    /// Parses `pkt` once and runs the stateless header checks (§4.6):
+    /// expiry, then freshness (`Ts` encodes the send time relative to
+    /// `ExpT`). A survivor comes back as its view plus a [`Lane`] holding
+    /// everything the crypto and forwarding steps need.
+    fn screen<'a>(
+        &mut self,
+        pkt: &'a mut [u8],
+        idx: usize,
+        now: Instant,
+    ) -> Result<(PacketViewMut<'a>, Lane), RouterVerdict> {
+        let Ok(view) = PacketViewMut::parse(pkt) else {
+            return Err(self.drop(DropReason::ParseError));
         };
         let res_info = view.res_info();
-        // Reservation must not be expired (§4.6).
         if now >= res_info.exp_t {
-            return self.drop(DropReason::ReservationExpired);
+            return Err(self.drop(DropReason::ReservationExpired));
         }
-        // Freshness: Ts encodes the send time relative to ExpT.
         let ts = view.ts();
         let send_time = Instant::from_nanos(res_info.exp_t.as_nanos().saturating_sub(ts));
         if send_time.saturating_since(now) > self.cfg.skew
             || now.saturating_since(send_time) > self.cfg.freshness
         {
-            return self.drop(DropReason::Stale);
+            return Err(self.drop(DropReason::Stale));
         }
         let curr = view.curr_hop();
-        let hop = view.hop(curr);
-        let pkt_size = view.pkt_size();
-        let is_eer = view.is_eer();
-        let eer_info = view.eer_info();
-        let epoch = Epoch::containing(now);
-        self.ensure_epoch(epoch);
-        // Cryptographic validation — derived from the AS secret only; the
-        // caches are soft state keyed by the exact authenticated bytes
-        // (DESIGN.md §10), so hit and miss verdicts are interchangeable.
-        let valid = {
-            let Self { k_i_cache, caches, .. } = &mut *self;
-            let k_i = &k_i_cache.as_ref().expect("ensure_epoch ran").1;
-            if is_eer {
-                // The parser only reports EER when the EerInfo block was
-                // present, but these bytes are attacker-controlled: a
-                // structural contradiction is a malformed drop, never a
-                // panic (DESIGN.md §14 attack model).
-                let Some(info) = eer_info else {
-                    return self.drop(DropReason::ParseError);
-                };
-                let key: SigmaKey = hop_auth_input(&res_info, &info, hop);
-                let expected = match caches.probe_sigma(&key) {
-                    // Hit: one single-block CMAC (1 AES block, 0 expansions).
-                    Some(idx) => eer_hvf_with(caches.sigma_at(idx), ts, pkt_size),
-                    None => {
-                        let sigma = hop_auth_from_input(k_i, &key);
-                        let sigma_cmac = sigma.cmac();
-                        let expected = eer_hvf_with(&sigma_cmac, ts, pkt_size);
-                        caches.insert_sigma(key, sigma_cmac);
-                        expected
-                    }
-                };
-                ct_eq(&expected, &view.hvf(curr))
-            } else {
-                let key: SegrKey = segr_input(&res_info, hop);
-                let expected = match caches.probe_segr(&key) {
-                    // Hit: zero AES operations — just the compare below.
-                    Some(token) => token,
-                    None => {
-                        let token = segr_token_from_input(k_i, &key);
-                        caches.insert_segr(key, token);
-                        token
-                    }
-                };
-                ct_eq(&expected, &view.hvf(curr))
-            }
+        let lane = Lane {
+            idx,
+            res_info,
+            eer_info: view.eer_info(),
+            ts,
+            hop: view.hop(curr),
+            hvf: view.hvf(curr),
+            pkt_size: view.pkt_size(),
+            valid: false,
         };
-        if !valid {
+        Ok((view, lane))
+    }
+
+    /// Drops a lane whose HVF did not verify; polices an authentic one
+    /// (monitoring runs for EER data traffic only — SegR control traffic
+    /// is rate-limited at the CServ, §4.8) and forwards it: delivery on a
+    /// local egress, otherwise the hop pointer advances.
+    fn finish(&mut self, lane: &Lane, view: &mut PacketViewMut<'_>, now: Instant) -> RouterVerdict {
+        if !lane.valid {
             return self.drop(DropReason::BadHvf);
         }
-        // Monitoring & policing — only for authenticated EER data traffic;
-        // SegR control traffic is rate-limited at the CServ (§4.8).
-        if is_eer && self.cfg.monitoring {
+        if lane.eer_info.is_some() && self.cfg.monitoring {
             let action = self.monitor.process_packet(
-                res_info.key(),
-                res_info.bw.bandwidth(),
-                pkt_size as u64,
-                ts,
+                lane.res_info.key(),
+                lane.res_info.bw.bandwidth(),
+                lane.pkt_size as u64,
+                lane.ts,
                 now,
             );
             match action {
@@ -349,16 +349,14 @@ impl BorderRouter {
             }
         }
         self.stats.forwarded += 1;
-        if hop.egress.is_local() {
-            // `is_eer` implies `eer_info` (guarded above): plain match,
-            // no panic path on untrusted bytes.
-            match eer_info {
-                Some(info) if is_eer => RouterVerdict::DeliverHost(info.dst_host),
-                _ => RouterVerdict::DeliverCserv,
+        if lane.hop.egress.is_local() {
+            match lane.eer_info {
+                Some(info) => RouterVerdict::DeliverHost(info.dst_host),
+                None => RouterVerdict::DeliverCserv,
             }
         } else {
             view.advance_hop();
-            RouterVerdict::Forward(hop.egress)
+            RouterVerdict::Forward(lane.hop.egress)
         }
     }
 
@@ -366,285 +364,88 @@ impl BorderRouter {
     /// same [`RouterStats`]) as calling [`Self::process`] on each packet
     /// in order, but substantially faster:
     ///
-    /// * each packet is parsed once, and the per-epoch `K_i` lookup, the
-    ///   freshness window, and the monitoring toggle are hoisted out of
-    ///   the per-packet loop;
-    /// * lanes that hit the reservation-scoped crypto caches skip the
-    ///   heavy derivations entirely: SegR hits validate with a
-    ///   constant-time compare (zero AES), EER σ-hits with an eight-wide
-    ///   single-block CMAC ([`eer_hvf8_with`], one AES block per packet,
-    ///   no key expansion);
-    /// * miss lanes run the MAC verification eight packets wide — σ
-    ///   derivation through [`hop_auth8_from_inputs`] /
-    ///   [`segr_token8_from_inputs`] under the shared `K_i`, σ expansion
-    ///   through the interleaved [`Cmac::new8`] — so the AES round
-    ///   latency of one packet hides behind the other seven; the results
-    ///   populate the caches for subsequent packets. Remainders of at
-    ///   least four lanes take the 4-wide kernels; shorter tails run
-    ///   scalar — all three widths are bit-identical.
+    /// * each packet is parsed once, and the per-epoch `K_i` lookup is
+    ///   hoisted out of the per-packet loop;
+    /// * the MAC verification runs eight packets wide, one lane list per
+    ///   MAC construction: EER lanes through Eq. 4
+    ///   ([`hop_auth8_from_inputs`] under the shared `K_i`), σ expansion
+    ///   ([`Cmac::new8`]) and Eq. 6 ([`eer_hvf8_with`]); SegR lanes
+    ///   through Eq. 3 ([`segr_token8_from_inputs`]). The AES round
+    ///   latency of one packet hides behind the other seven. Remainders
+    ///   of at least four lanes take the 4-wide kernels; shorter tails run
+    ///   scalar — all three widths are bit-identical and cost the same
+    ///   AES blocks and key expansions as the scalar path.
     ///
     /// Monitoring (stateful: replay filter, OFD sketch, token buckets)
     /// still runs packet-by-packet in submission order, which is what
     /// makes the verdicts bit-identical to the sequential path.
     pub fn process_batch(&mut self, pkts: &mut [&mut [u8]], now: Instant) -> Vec<RouterVerdict> {
         // Wall clock feeds only the Volatile per-batch latency histogram,
-        // sampled one call in `BATCH_CLOCK_SAMPLE`; it never influences
+        // sampled one call in `CLOCK_SAMPLE`; it never influences
         // processing (determinism rules, DESIGN.md §11).
         let timed = self.telemetry.as_mut().is_some_and(RouterTelemetry::time_batch);
         let wall_start = timed.then(std::time::Instant::now);
         let mut verdicts = vec![RouterVerdict::Drop(DropReason::ParseError); pkts.len()];
-        // Phase 1 — parse once and run the stateless header checks,
-        // collecting survivors (with everything the crypto and forwarding
-        // phases need) as lanes.
-        let mut views: Vec<Option<PacketViewMut<'_>>> = Vec::with_capacity(pkts.len());
-        let mut lanes: Vec<BatchLane> = Vec::with_capacity(pkts.len());
+        // Phase 1 — parse once and run the stateless header checks; the
+        // survivors become lanes, each with its view.
+        let mut views: Vec<PacketViewMut<'_>> = Vec::with_capacity(pkts.len());
+        let mut lanes: Vec<Lane> = Vec::with_capacity(pkts.len());
         for (idx, pkt) in pkts.iter_mut().enumerate() {
-            let view = match PacketViewMut::parse(pkt) {
-                Ok(v) => v,
-                Err(_) => {
-                    verdicts[idx] = self.drop(DropReason::ParseError);
-                    views.push(None);
-                    continue;
+            match self.screen(pkt, idx, now) {
+                Ok((view, lane)) => {
+                    views.push(view);
+                    lanes.push(lane);
                 }
-            };
-            let res_info = view.res_info();
-            if now >= res_info.exp_t {
-                verdicts[idx] = self.drop(DropReason::ReservationExpired);
-                views.push(None);
-                continue;
+                Err(dropped) => verdicts[idx] = dropped,
             }
-            let ts = view.ts();
-            let send_time = Instant::from_nanos(res_info.exp_t.as_nanos().saturating_sub(ts));
-            if send_time.saturating_since(now) > self.cfg.skew
-                || now.saturating_since(send_time) > self.cfg.freshness
-            {
-                verdicts[idx] = self.drop(DropReason::Stale);
-                views.push(None);
-                continue;
-            }
-            let curr = view.curr_hop();
-            lanes.push(BatchLane {
-                idx,
-                res_info,
-                eer_info: view.eer_info(),
-                ts,
-                hop: view.hop(curr),
-                hvf: view.hvf(curr),
-                pkt_size: view.pkt_size(),
-                valid: false,
-            });
-            views.push(Some(view));
         }
-        // Phase 2 — stateless crypto, four lanes at a time under the
-        // hoisted per-epoch key. EER and SegR lanes batch separately
-        // (different MAC constructions); crypto has no ordering effects,
-        // so regrouping cannot change any verdict. Each class is further
-        // split into cache hits (cheap path) and misses (the PR 2 batched
-        // path, which then populates the cache). `ensure_epoch` pins
-        // `k_i_cache` for this epoch, letting the destructure below hold
-        // `K_i` by reference next to the mutable caches — no clone of the
-        // expanded CMAC state per batch.
-        let epoch = Epoch::containing(now);
-        self.ensure_epoch(epoch);
-        let Self { k_i_cache, caches, .. } = &mut *self;
-        let k_i = &k_i_cache.as_ref().expect("ensure_epoch ran").1;
-        // Probe pass, in lane (= submission) order so cache state and
-        // counters evolve deterministically. σ hits carry a slot index:
-        // probes never move entries, and all inserts happen after every
-        // hit slot has been read.
-        let mut eer_hits: Vec<(usize, usize)> = Vec::new();
-        let mut eer_misses: Vec<(usize, SigmaKey)> = Vec::new();
-        let mut segr_misses: Vec<(usize, SegrKey)> = Vec::new();
-        for (li, lane) in lanes.iter_mut().enumerate() {
+        // Phase 2 — stateless crypto under the hoisted per-epoch key, one
+        // lane list per MAC construction. Crypto has no ordering effects,
+        // so regrouping cannot change any verdict.
+        let mut eer: Vec<(usize, [u8; HOP_AUTH_INPUT_LEN])> = Vec::new();
+        let mut segr: Vec<(usize, [u8; SEGR_INPUT_LEN])> = Vec::new();
+        for (li, lane) in lanes.iter().enumerate() {
             match &lane.eer_info {
-                Some(info) => {
-                    let key = hop_auth_input(&lane.res_info, info, lane.hop);
-                    match caches.probe_sigma(&key) {
-                        Some(slot) => eer_hits.push((li, slot)),
-                        None => eer_misses.push((li, key)),
-                    }
-                }
-                None => {
-                    let key = segr_input(&lane.res_info, lane.hop);
-                    match caches.probe_segr(&key) {
-                        // SegR hit: constant-time compare, zero AES calls.
-                        Some(token) => lane.valid = ct_eq(&token, &lane.hvf),
-                        None => segr_misses.push((li, key)),
-                    }
-                }
+                Some(info) => eer.push((li, hop_auth_input(&lane.res_info, info, lane.hop))),
+                None => segr.push((li, segr_input(&lane.res_info, lane.hop))),
             }
         }
-        // EER hits: Eq. 6 over pre-expanded σ instances — eight packets
-        // for eight AES blocks, no key expansion. Remainders of four run
-        // the 4-wide kernel; anything shorter falls back to scalar.
-        for chunk in eer_hits.chunks(8) {
-            if chunk.len() == 8 {
-                let oct: [(usize, usize); 8] = chunk.try_into().expect("len checked");
-                let expected = eer_hvf8_with(
-                    oct.map(|(_, slot)| caches.sigma_at(slot)),
-                    oct.map(|(li, _)| (lanes[li].ts, lanes[li].pkt_size)),
-                );
-                for (j, (li, _)) in oct.into_iter().enumerate() {
-                    let hvf = lanes[li].hvf;
-                    lanes[li].valid = ct_eq(&expected[j], &hvf);
-                }
-                continue;
-            }
-            let (head, tail) =
-                if chunk.len() >= 4 { chunk.split_at(4) } else { (&[][..], chunk) };
-            if let [a, b, c, d] = *head {
-                let quad = [a, b, c, d];
-                let expected = eer_hvf4_with(
-                    quad.map(|(_, slot)| caches.sigma_at(slot)),
-                    quad.map(|(li, _)| (lanes[li].ts, lanes[li].pkt_size)),
-                );
-                for (j, (li, _)) in quad.into_iter().enumerate() {
-                    let hvf = lanes[li].hvf;
-                    lanes[li].valid = ct_eq(&expected[j], &hvf);
-                }
-            }
-            for &(li, slot) in tail {
-                let l = &lanes[li];
-                let expected = eer_hvf_with(caches.sigma_at(slot), l.ts, l.pkt_size);
-                let valid = ct_eq(&expected, &l.hvf);
-                lanes[li].valid = valid;
-            }
-        }
-        // EER misses: batched Eq. 4 under K_i, then expand the eight σ
-        // into CMAC instances (interleaved, [`Cmac::new8`]) for Eq. 6 —
-        // bit-identical to the scalar path, which performs exactly this
-        // expansion internally — and keep the instances for the next
-        // packet of each reservation. Remainders of four take the 4-wide
-        // kernel; shorter tails run scalar.
-        for chunk in eer_misses.chunks(8) {
-            if chunk.len() == 8 {
-                let sigmas = hop_auth8_from_inputs(
-                    k_i,
-                    core::array::from_fn(|j| &chunk[j].1),
-                );
-                let sigma_cmacs = Cmac::new8(core::array::from_fn(|j| &sigmas[j].0));
-                let oct: [usize; 8] = core::array::from_fn(|j| chunk[j].0);
-                let expected = eer_hvf8_with(
-                    core::array::from_fn(|j| &sigma_cmacs[j]),
-                    oct.map(|li| (lanes[li].ts, lanes[li].pkt_size)),
-                );
-                for (j, li) in oct.into_iter().enumerate() {
-                    let hvf = lanes[li].hvf;
-                    lanes[li].valid = ct_eq(&expected[j], &hvf);
-                }
-                for ((_, key), sigma_cmac) in chunk.iter().zip(sigma_cmacs) {
-                    caches.insert_sigma(*key, sigma_cmac);
-                }
-                continue;
-            }
-            let (head, tail) =
-                if chunk.len() >= 4 { chunk.split_at(4) } else { (&[][..], chunk) };
-            if let [a, b, c, d] = head {
-                let sigmas =
-                    hop_auth4_from_inputs(k_i, [&a.1, &b.1, &c.1, &d.1]);
-                let sigma_cmacs =
-                    Cmac::new4([&sigmas[0].0, &sigmas[1].0, &sigmas[2].0, &sigmas[3].0]);
-                let quad = [a.0, b.0, c.0, d.0];
-                let expected = eer_hvf4_with(
-                    [&sigma_cmacs[0], &sigma_cmacs[1], &sigma_cmacs[2], &sigma_cmacs[3]],
-                    quad.map(|li| (lanes[li].ts, lanes[li].pkt_size)),
-                );
-                for (j, li) in quad.into_iter().enumerate() {
-                    let hvf = lanes[li].hvf;
-                    lanes[li].valid = ct_eq(&expected[j], &hvf);
-                }
-                for ((_, key), sigma_cmac) in head.iter().zip(sigma_cmacs) {
-                    caches.insert_sigma(*key, sigma_cmac);
-                }
-            }
-            for (li, key) in tail {
-                let sigma = hop_auth_from_input(k_i, key);
-                let sigma_cmac = sigma.cmac();
-                let l = &lanes[*li];
-                let expected = eer_hvf_with(&sigma_cmac, l.ts, l.pkt_size);
-                let valid = ct_eq(&expected, &l.hvf);
-                lanes[*li].valid = valid;
-                caches.insert_sigma(*key, sigma_cmac);
-            }
-        }
-        // SegR misses: batched Eq. 3 (eight wide), populating the token
-        // cache; 4-wide / scalar remainder handling as above.
-        for chunk in segr_misses.chunks(8) {
-            if chunk.len() == 8 {
-                let expected =
-                    segr_token8_from_inputs(k_i, core::array::from_fn(|j| &chunk[j].1));
-                for (j, (li, key)) in chunk.iter().enumerate() {
-                    let hvf = lanes[*li].hvf;
-                    lanes[*li].valid = ct_eq(&expected[j], &hvf);
-                    caches.insert_segr(*key, expected[j]);
-                }
-                continue;
-            }
-            let (head, tail) =
-                if chunk.len() >= 4 { chunk.split_at(4) } else { (&[][..], chunk) };
-            if let [a, b, c, d] = head {
-                let expected = segr_token4_from_inputs(k_i, [&a.1, &b.1, &c.1, &d.1]);
-                for (j, (li, key)) in head.iter().enumerate() {
-                    let hvf = lanes[*li].hvf;
-                    lanes[*li].valid = ct_eq(&expected[j], &hvf);
-                    caches.insert_segr(*key, expected[j]);
-                }
-            }
-            for (li, key) in tail {
-                let token = segr_token_from_input(k_i, key);
-                let l = &lanes[*li];
-                let valid = ct_eq(&token, &l.hvf);
-                lanes[*li].valid = valid;
-                caches.insert_segr(*key, token);
-            }
+        self.sigma_derivations += eer.len() as u64;
+        let k_i = self.k_i(Epoch::containing(now));
+        // EER: Eq. 4 → σ expansion → Eq. 6.
+        let ts_size = |li: usize| (lanes[li].ts, lanes[li].pkt_size);
+        let eer_expected = by_width(
+            &eer,
+            |oct| {
+                let sigmas = hop_auth8_from_inputs(k_i, oct.each_ref().map(|(_, input)| input));
+                let sigma_cmacs = Cmac::new8(sigmas.each_ref().map(|s| &s.0));
+                eer_hvf8_with(sigma_cmacs.each_ref(), oct.each_ref().map(|(li, _)| ts_size(*li)))
+            },
+            |quad| {
+                let sigmas = hop_auth4_from_inputs(k_i, quad.each_ref().map(|(_, input)| input));
+                let sigma_cmacs = Cmac::new4(sigmas.each_ref().map(|s| &s.0));
+                eer_hvf4_with(sigma_cmacs.each_ref(), quad.each_ref().map(|(li, _)| ts_size(*li)))
+            },
+            |(li, input)| {
+                let (ts, pkt_size) = ts_size(*li);
+                eer_hvf(&hop_auth_from_input(k_i, input), ts, pkt_size)
+            },
+        );
+        // SegR: Eq. 3.
+        let segr_expected = by_width(
+            &segr,
+            |oct| segr_token8_from_inputs(k_i, oct.each_ref().map(|(_, input)| input)),
+            |quad| segr_token4_from_inputs(k_i, quad.each_ref().map(|(_, input)| input)),
+            |(_, input)| segr_token_from_input(k_i, input),
+        );
+        let indices = eer.iter().map(|(li, _)| *li).chain(segr.iter().map(|(li, _)| *li));
+        for (li, expected) in indices.zip(eer_expected.iter().chain(&segr_expected)) {
+            lanes[li].valid = ct_eq(expected, &lanes[li].hvf);
         }
         // Phase 3 — stateful monitoring and forwarding, in submission
         // order (lanes are already index-ordered).
-        let monitoring = self.cfg.monitoring;
-        for lane in &lanes {
-            if !lane.valid {
-                verdicts[lane.idx] = self.drop(DropReason::BadHvf);
-                continue;
-            }
-            let is_eer = lane.eer_info.is_some();
-            if is_eer && monitoring {
-                let action = self.monitor.process_packet(
-                    lane.res_info.key(),
-                    lane.res_info.bw.bandwidth(),
-                    lane.pkt_size as u64,
-                    lane.ts,
-                    now,
-                );
-                let dropped = match action {
-                    MonitorAction::Forward => None,
-                    MonitorAction::DropBlocked => Some(DropReason::Blocked),
-                    MonitorAction::DropDuplicate => Some(DropReason::Duplicate),
-                    MonitorAction::DropShaped => Some(DropReason::Shaped),
-                };
-                if let Some(reason) = dropped {
-                    verdicts[lane.idx] = self.drop(reason);
-                    continue;
-                }
-            }
-            self.stats.forwarded += 1;
-            // Both arms avoid unwrap/expect on lane state derived from
-            // untrusted bytes: `eer_info` is matched directly (it *is*
-            // the is_eer witness), and a missing view — impossible for a
-            // lane that passed phase 1 — degrades to not advancing the
-            // hop rather than panicking mid-batch.
-            verdicts[lane.idx] = if lane.hop.egress.is_local() {
-                match lane.eer_info {
-                    Some(info) => RouterVerdict::DeliverHost(info.dst_host),
-                    None => RouterVerdict::DeliverCserv,
-                }
-            } else {
-                let view = views[lane.idx].as_mut();
-                debug_assert!(view.is_some(), "valid lane without a parsed view");
-                if let Some(view) = view {
-                    view.advance_hop();
-                }
-                RouterVerdict::Forward(lane.hop.egress)
-            };
+        for (lane, view) in lanes.iter().zip(&mut views) {
+            verdicts[lane.idx] = self.finish(lane, view, now);
         }
         if let Some(t) = &self.telemetry {
             t.observe_batch(pkts.len(), wall_start.map(|s| s.elapsed().as_nanos() as u64));
@@ -676,10 +477,10 @@ impl BorderRouter {
     }
 }
 
-/// Everything the crypto and forwarding phases of [`BorderRouter::process_batch`]
-/// need about one surviving packet — all `Copy` data lifted out of the
-/// parse phase, so no borrow of the packet buffers is held across phases.
-struct BatchLane {
+/// Everything the crypto and forwarding steps need about one packet that
+/// passed the header checks — all `Copy` data lifted out of the parse, so
+/// no borrow of the packet buffer is held across the batch phases.
+struct Lane {
     /// Index into the caller's batch (and the verdict vector).
     idx: usize,
     res_info: ResInfo,
@@ -691,6 +492,39 @@ struct BatchLane {
     pkt_size: usize,
     /// Set by the crypto phase.
     valid: bool,
+}
+
+/// Runs `items` through the 8-wide kernel `f8` in groups of eight, a
+/// remaining group of four through `f4`, and the (at most three) left over
+/// through `f1`, handing every result to `sink` in the order of `items`.
+pub(crate) fn for_each_by_width<T, R>(
+    items: &[T],
+    f8: impl Fn(&[T; 8]) -> [R; 8],
+    f4: impl Fn(&[T; 4]) -> [R; 4],
+    f1: impl Fn(&T) -> R,
+    mut sink: impl FnMut(R),
+) {
+    let mut octs = items.chunks_exact(8);
+    for oct in &mut octs {
+        f8(oct.try_into().expect("a chunk of eight")).into_iter().for_each(&mut sink);
+    }
+    let mut quads = octs.remainder().chunks_exact(4);
+    for quad in &mut quads {
+        f4(quad.try_into().expect("a chunk of four")).into_iter().for_each(&mut sink);
+    }
+    quads.remainder().iter().map(f1).for_each(sink);
+}
+
+/// [`for_each_by_width`], collected.
+pub(crate) fn by_width<T, R>(
+    items: &[T],
+    f8: impl Fn(&[T; 8]) -> [R; 8],
+    f4: impl Fn(&[T; 4]) -> [R; 4],
+    f1: impl Fn(&T) -> R,
+) -> Vec<R> {
+    let mut out = Vec::with_capacity(items.len());
+    for_each_by_width(items, f8, f4, f1, |r| out.push(r));
+    out
 }
 
 impl std::fmt::Debug for BorderRouter {

@@ -6,12 +6,12 @@
 //!
 //! * **Steering** — [`ShardRouterPool::try_submit`] pins each reservation
 //!   to one shard ([`shard_index`] over [`colibri_wire::peek_res_id`]), so
-//!   each shard's crypto caches hold a private slice of the working set
-//!   and per-flow state sees the flow in FIFO order; unparseable frames go
+//!   the monitor's per-reservation state (replay filter, shaping buckets)
+//!   sees each flow on one shard, in FIFO order; unparseable frames go
 //!   round-robin. The cursor and the steering counters move only when a
 //!   ring accepts the packet.
 //! * **Isolation** — each packet group runs under `catch_unwind`; a panic
-//!   rebuilds the router (cold caches) and hands the group back as
+//!   rebuilds the router (fresh monitor state) and hands the group back as
 //!   [`ShardOutcome::PanicDiscard`]. Heartbeats expose liveness;
 //!   [`ShardRouterPool::kill_shard`] and [`ShardRouterPool::respawn_shard`]
 //!   model a worker dying outright.
@@ -27,7 +27,6 @@
 //! failed, the rest of its drained batch and its job ring — never a
 //! `Poison` job, which is not a packet.
 
-use crate::crypto_cache::CryptoCacheStats;
 use crate::parallel::{shard_index, Lanes, SubmitError, WORKER_BATCH};
 use crate::router::{BorderRouter, RouterStats, RouterVerdict};
 use colibri_base::Instant;
@@ -87,8 +86,6 @@ pub struct RouterShardSnapshot {
     pub submitted: u64,
     /// Merged verdict counters (across rebuilds and respawns).
     pub stats: RouterStats,
-    /// Merged (private) crypto-cache counters.
-    pub cache: CryptoCacheStats,
     /// Panics contained on this shard.
     pub panics: u64,
     /// Times this shard index was respawned after a kill.
@@ -104,8 +101,6 @@ pub struct RouterPoolSnapshot {
     pub shards: usize,
     /// Merged verdict counters.
     pub stats: RouterStats,
-    /// Merged crypto-cache counters.
-    pub cache: CryptoCacheStats,
     /// Per-shard breakdown, indexed by shard.
     pub per_shard: Vec<RouterShardSnapshot>,
     /// Packets accepted into shard rings.
@@ -191,7 +186,6 @@ struct ShardHealth {
 #[derive(Debug, Clone, Copy, Default)]
 struct WorkerReport {
     stats: RouterStats,
-    cache: CryptoCacheStats,
     verdicts: u64,
     panic_discarded: u64,
     lost: u64,
@@ -200,7 +194,6 @@ struct WorkerReport {
 impl WorkerReport {
     fn merge(&mut self, other: &WorkerReport) {
         self.stats.merge(&other.stats);
-        self.cache.merge(&other.cache);
         self.verdicts += other.verdicts;
         self.panic_discarded += other.panic_discarded;
         self.lost += other.lost;
@@ -354,8 +347,8 @@ impl ShardRouterPool {
     }
 
     /// Injects a deterministic panic into `shard`: the worker unwinds
-    /// inside its supervised region, the router is rebuilt (cold crypto
-    /// caches), and any packets of the same drained batch surface as
+    /// inside its supervised region, the router is rebuilt (fresh monitor
+    /// state), and any packets of the same drained batch surface as
     /// [`ShardOutcome::PanicDiscard`]. The worker thread survives. Waits
     /// for ring room like [`Self::submit`]; a killed shard is left alone.
     pub fn inject_panic(&mut self, shard: usize, out: &mut Vec<RoutedOutput>) {
@@ -389,8 +382,7 @@ impl ShardRouterPool {
     }
 
     /// Respawns a killed shard: fresh rings, fresh worker, router rebuilt
-    /// from the factory (crypto caches start cold and re-warm). No-op if
-    /// the shard is running.
+    /// from the factory. No-op if the shard is running.
     pub fn respawn_shard(&mut self, shard: usize) {
         if self.lanes[shard].retired() {
             let work = worker(shard, &self.make, &self.shards[shard].health);
@@ -457,7 +449,6 @@ impl ShardRouterPool {
             }
             let panics = shard.health.panics.load(Ordering::Relaxed);
             snap.stats.merge(&report.stats);
-            snap.cache.merge(&report.cache);
             snap.submitted += shard.submitted;
             snap.verdicts += report.verdicts;
             snap.panic_discarded += report.panic_discarded;
@@ -467,7 +458,6 @@ impl ShardRouterPool {
             snap.per_shard.push(RouterShardSnapshot {
                 submitted: shard.submitted,
                 stats: report.stats,
-                cache: report.cache,
                 panics,
                 respawns: shard.respawns,
             });
@@ -555,7 +545,7 @@ fn run_worker(
     'main: while jobs.recv_many(&mut batch, WORKER_BATCH) {
         health.heartbeat.fetch_add(1, Ordering::Relaxed);
         while !batch.is_empty() {
-            let (stats_before, cache_before) = (router.stats, router.cache_stats());
+            let stats_before = router.stats;
             let (end, panicked) = match batch[0] {
                 Job::Poison => {
                     // Unwind for real — the path a hostile packet would
@@ -591,7 +581,6 @@ fn run_worker(
             if panicked {
                 health.panics.fetch_add(1, Ordering::Relaxed);
                 report.stats.merge(&stats_before);
-                report.cache.merge(&cache_before);
                 router = make(shard);
                 let packets = batch[..end].iter().filter(|j| matches!(j, Job::Packet { .. }));
                 outcomes.resize(packets.count(), ShardOutcome::PanicDiscard);
@@ -613,7 +602,6 @@ fn run_worker(
     batch.extend(std::iter::from_fn(|| jobs.try_recv()));
     report.lost += batch.iter().filter(|j| matches!(j, Job::Packet { .. })).count() as u64;
     report.stats.merge(&router.stats);
-    report.cache.merge(&router.cache_stats());
     report
 }
 

@@ -8,24 +8,34 @@
 //! `parallel` drivers register one shard per worker so scrapes show both
 //! the per-shard split and the cross-shard merge.
 //!
-//! The router records its verdict and cache counters as **deltas of the
-//! existing stats structs** at the end of `process`/`process_batch`
-//! rather than touching atomics per packet: the structs are already
-//! proven identical between the scalar and batched paths by the
-//! differential proptests, so the exported Invariant metrics inherit
-//! that equality for free, and the hot-path cost collapses to a handful
-//! of relaxed `fetch_add`s per *batch* (the ≤2 % throughput gate in
-//! `repro_pipeline`). The batch-latency histogram times one
-//! `process_batch` call in [`BATCH_CLOCK_SAMPLE`]: two clock reads and a
-//! histogram update are ≈75 ns, about 1 % of a 64-packet batch once the
-//! AES rounds run in hardware.
+//! The router records its verdict counters as **deltas of its
+//! [`RouterStats`]** at the end of `process`/`process_batch` rather than
+//! touching atomics per packet: the stats are already proven identical
+//! between the scalar and batched paths by the differential proptests,
+//! so the exported Invariant metrics inherit that equality for free, and
+//! the hot-path cost collapses to a handful of relaxed `fetch_add`s per
+//! *batch* (the ≤2 % throughput gate in `repro_pipeline`).
+//!
+//! Both latency histograms read the wall clock for one event in
+//! [`CLOCK_SAMPLE`] — one `process_batch` call of a router, one packet of
+//! a gateway. Two clock reads and a histogram update are ≈75–100 ns:
+//! about 1 % of a 64-packet router batch, but ≈40 % of a short-path
+//! gateway packet if paid on every one.
 
-use crate::crypto_cache::CryptoCacheStats;
 use crate::router::RouterStats;
 use colibri_telemetry::{Counter, Histogram, Registry, Stability};
 
-/// `process_batch` reads the wall clock for one call in this many.
-pub(crate) const BATCH_CLOCK_SAMPLE: u64 = 8;
+/// Routers time one `process_batch` call, and gateways one packet, in
+/// this many.
+pub(crate) const CLOCK_SAMPLE: u64 = 8;
+
+/// Counts one event in `count`; true for the events whose wall clock is
+/// read (the first, then every [`CLOCK_SAMPLE`]-th).
+#[inline]
+fn clock_sampled(count: &mut u64) -> bool {
+    *count += 1;
+    *count % CLOCK_SAMPLE == 1
+}
 
 /// Telemetry handles for one [`crate::BorderRouter`] instance.
 #[derive(Debug)]
@@ -38,19 +48,11 @@ pub struct RouterTelemetry {
     blocked: Counter,
     duplicates: Counter,
     shaped: Counter,
-    segr_hits: Counter,
-    segr_misses: Counter,
-    sigma_hits: Counter,
-    sigma_misses: Counter,
-    segr_evictions: Counter,
-    sigma_evictions: Counter,
-    epoch_flushes: Counter,
     batch_size: Histogram,
     batch_ns: Histogram,
     /// `process_batch` calls so far, for the clock sample.
     batches: u64,
     last_stats: RouterStats,
-    last_cache: CryptoCacheStats,
 }
 
 impl RouterTelemetry {
@@ -100,41 +102,6 @@ impl RouterTelemetry {
                 inv,
                 "drops: deterministically shaped flow over its rate",
             ),
-            segr_hits: s.counter(
-                "colibri_router_cache_segr_hits_total",
-                dep,
-                "SegR token cache hits (zero-AES validation)",
-            ),
-            segr_misses: s.counter(
-                "colibri_router_cache_segr_misses_total",
-                dep,
-                "SegR token cache misses",
-            ),
-            sigma_hits: s.counter(
-                "colibri_router_cache_sigma_hits_total",
-                dep,
-                "sigma cache hits (single-block EER validation)",
-            ),
-            sigma_misses: s.counter(
-                "colibri_router_cache_sigma_misses_total",
-                dep,
-                "sigma cache misses",
-            ),
-            segr_evictions: s.counter(
-                "colibri_router_cache_segr_evictions_total",
-                dep,
-                "SegR cache CLOCK evictions",
-            ),
-            sigma_evictions: s.counter(
-                "colibri_router_cache_sigma_evictions_total",
-                dep,
-                "sigma cache CLOCK evictions",
-            ),
-            epoch_flushes: s.counter(
-                "colibri_router_cache_epoch_flushes_total",
-                dep,
-                "whole-cache flushes on DRKey epoch rollover",
-            ),
             batch_size: s.histogram(
                 "colibri_router_batch_size",
                 dep,
@@ -147,13 +114,12 @@ impl RouterTelemetry {
             ),
             batches: 0,
             last_stats: RouterStats::default(),
-            last_cache: CryptoCacheStats::default(),
         }
     }
 
-    /// Pushes the delta between the router's current stats structs and
-    /// the last recorded baseline onto the registry cells.
-    pub(crate) fn record(&mut self, stats: &RouterStats, cache: &CryptoCacheStats) {
+    /// Pushes the delta between the router's current stats and the last
+    /// recorded baseline onto the registry cells.
+    pub(crate) fn record(&mut self, stats: &RouterStats) {
         let d = stats.delta_since(&self.last_stats);
         self.forwarded.add(d.forwarded);
         self.parse_errors.add(d.parse_errors);
@@ -164,24 +130,13 @@ impl RouterTelemetry {
         self.duplicates.add(d.duplicates);
         self.shaped.add(d.shaped);
         self.last_stats = *stats;
-
-        let c = cache.delta_since(&self.last_cache);
-        self.segr_hits.add(c.segr_hits);
-        self.segr_misses.add(c.segr_misses);
-        self.sigma_hits.add(c.sigma_hits);
-        self.sigma_misses.add(c.sigma_misses);
-        self.segr_evictions.add(c.segr_evictions);
-        self.sigma_evictions.add(c.sigma_evictions);
-        self.epoch_flushes.add(c.epoch_flushes);
-        self.last_cache = *cache;
     }
 
     /// Counts a `process_batch` call; true for the calls whose wall
     /// clock is sampled.
     #[inline]
     pub(crate) fn time_batch(&mut self) -> bool {
-        self.batches += 1;
-        self.batches % BATCH_CLOCK_SAMPLE == 1
+        clock_sampled(&mut self.batches)
     }
 
     #[inline]
@@ -200,6 +155,8 @@ pub struct GatewayTelemetry {
     pub(crate) rate_limited: Counter,
     pub(crate) rejected: Counter,
     pub(crate) stamp_ns: Histogram,
+    /// `process_into` calls so far, for the clock sample.
+    packets: u64,
 }
 
 impl GatewayTelemetry {
@@ -225,8 +182,16 @@ impl GatewayTelemetry {
             stamp_ns: s.histogram(
                 "colibri_gateway_stamp_ns",
                 Stability::Volatile,
-                "wall-clock nanoseconds to stamp one packet",
+                "wall-clock nanoseconds to stamp one packet (one packet in 8 is timed)",
             ),
+            packets: 0,
         }
+    }
+
+    /// Counts a `process_into` call; true for the calls whose wall clock
+    /// is sampled.
+    #[inline]
+    pub(crate) fn time_packet(&mut self) -> bool {
+        clock_sampled(&mut self.packets)
     }
 }

@@ -382,7 +382,7 @@ fn mid_run_shard_kill_recovers_with_exact_accounting() {
 
 /// Layer 3: an injected worker panic (the "one bad packet" scenario)
 /// neither takes down the pool nor loses unaccounted packets, and the
-/// respawned router's crypto caches rebuild (later packets still
+/// rebuilt router re-derives its per-epoch `K_i` (later packets still
 /// validate).
 #[test]
 fn poisoned_worker_is_contained_and_caches_rebuild() {

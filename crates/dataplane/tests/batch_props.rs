@@ -12,9 +12,7 @@
 use colibri_base::{Bandwidth, Duration, HostAddr, Instant, IsdAsId, ResId};
 use colibri_ctrl::{master_secret_for, OwnedEer, OwnedEerVersion};
 use colibri_crypto::{Epoch, SecretValueGen};
-use colibri_dataplane::{
-    BorderRouter, CryptoCacheConfig, Gateway, GatewayConfig, RouterConfig, RouterVerdict,
-};
+use colibri_dataplane::{BorderRouter, Gateway, GatewayConfig, RouterConfig, RouterVerdict};
 use colibri_wire::mac::{eer_hvf, hop_auth, segr_token};
 use colibri_wire::{EerInfo, HopField, PacketBuilder, PacketViewMut, ResInfo};
 use proptest::prelude::*;
@@ -40,40 +38,45 @@ fn res_info(now: Instant, exp_offset_secs: i64) -> ResInfo {
     }
 }
 
-/// A correctly authenticated EER packet for hop 1 of a 3-hop path.
-fn valid_eer(now: Instant, payload: &[u8], ts_offset: u64, exp_offset_secs: i64) -> Vec<u8> {
-    let ri = res_info(now, exp_offset_secs);
+const PATH: [HopField; 3] = [HopField::new(0, 1), HopField::new(2, 3), HopField::new(4, 0)];
+
+fn k_i(now: Instant) -> colibri_crypto::Cmac {
+    SecretValueGen::new(&master_secret_for(AS_ID)).secret_value(Epoch::containing(now)).cmac()
+}
+
+/// A correctly authenticated EER packet of `ri` for hop 1 of a 3-hop
+/// path, sent `ts_offset` ns before `now`.
+fn eer_packet(ri: ResInfo, now: Instant, payload: &[u8], ts_offset: u64) -> Vec<u8> {
     let info = EerInfo { src_host: HostAddr(1), dst_host: HostAddr(2) };
-    let path = [HopField::new(0, 1), HopField::new(2, 3), HopField::new(4, 0)];
     let ts = ri.exp_t.as_nanos().saturating_sub(now.as_nanos()) + ts_offset;
-    let mut pkt = PacketBuilder::eer(ri, info).path(path).ts(ts).build(payload).unwrap();
-    let k_i = SecretValueGen::new(&master_secret_for(AS_ID))
-        .secret_value(Epoch::containing(now))
-        .cmac();
+    let mut pkt = PacketBuilder::eer(ri, info).path(PATH).ts(ts).build(payload).unwrap();
     let size = pkt.len();
-    {
-        let mut v = PacketViewMut::parse(&mut pkt).unwrap();
-        let sigma = hop_auth(&k_i, &ri, &info, path[1]);
-        v.set_hvf(1, eer_hvf(&sigma, ts, size));
-        v.set_curr_hop(1);
-    }
+    let mut v = PacketViewMut::parse(&mut pkt).unwrap();
+    v.set_hvf(1, eer_hvf(&hop_auth(&k_i(now), &ri, &info, PATH[1]), ts, size));
+    v.set_curr_hop(1);
     pkt
 }
 
-/// A correctly tokened SegR control packet for hop 1 of a 3-hop path.
-fn valid_segr(now: Instant, payload: &[u8]) -> Vec<u8> {
-    let ri = res_info(now, 10);
-    let path = [HopField::new(0, 1), HopField::new(2, 3), HopField::new(4, 0)];
-    let mut pkt =
-        PacketBuilder::segr(ri).control().path(path).ts(0).build(payload).unwrap();
-    let k_i = SecretValueGen::new(&master_secret_for(AS_ID))
-        .secret_value(Epoch::containing(now))
-        .cmac();
-    {
-        let mut v = PacketViewMut::parse(&mut pkt).unwrap();
-        v.set_hvf(1, segr_token(&k_i, &ri, path[1]));
-        v.set_curr_hop(1);
-    }
+/// A correctly tokened SegR control packet of `ri` for hop 1 of a 3-hop
+/// path, carrying timestamp `ts`.
+fn segr_packet(ri: ResInfo, now: Instant, ts: u64, payload: &[u8]) -> Vec<u8> {
+    let mut pkt = PacketBuilder::segr(ri).control().path(PATH).ts(ts).build(payload).unwrap();
+    let mut v = PacketViewMut::parse(&mut pkt).unwrap();
+    v.set_hvf(1, segr_token(&k_i(now), &ri, PATH[1]));
+    v.set_curr_hop(1);
+    pkt
+}
+
+fn valid_eer(now: Instant, payload: &[u8], ts_offset: u64, exp_offset_secs: i64) -> Vec<u8> {
+    eer_packet(res_info(now, exp_offset_secs), now, payload, ts_offset)
+}
+
+/// Flips one bit inside hop 1's HVF (the one this router checks).
+fn flip_hvf(mut pkt: Vec<u8>, bit: u8) -> Vec<u8> {
+    let mut v = PacketViewMut::parse(&mut pkt).unwrap();
+    let mut hvf = v.hvf(1);
+    hvf[(bit as usize / 8) % hvf.len()] ^= 1 << (bit % 8);
+    v.set_hvf(1, hvf);
     pkt
 }
 
@@ -94,15 +97,11 @@ fn materialize(g: &Gen, now: Instant) -> Vec<u8> {
         Gen::ValidEer { payload_len, ts_offset } => {
             valid_eer(now, &vec![0xAB; *payload_len], ts_offset % 1000, 10)
         }
-        Gen::ValidSegr { payload_len } => valid_segr(now, &vec![0xCD; *payload_len]),
+        Gen::ValidSegr { payload_len } => {
+            segr_packet(res_info(now, 10), now, 0, &vec![0xCD; *payload_len])
+        }
         Gen::FlippedHvf { payload_len, bit } => {
-            let mut pkt = valid_eer(now, &vec![0xAB; *payload_len], 0, 10);
-            // Flip one bit inside hop 1's HVF (the one this router checks).
-            let mut v = PacketViewMut::parse(&mut pkt).unwrap();
-            let mut hvf = v.hvf(1);
-            hvf[(*bit as usize / 8) % hvf.len()] ^= 1 << (bit % 8);
-            v.set_hvf(1, hvf);
-            pkt
+            flip_hvf(valid_eer(now, &vec![0xAB; *payload_len], 0, 10), *bit)
         }
         Gen::Stale => {
             // Fresh expiry but a timestamp claiming the packet was sent
@@ -119,12 +118,11 @@ fn materialize(g: &Gen, now: Instant) -> Vec<u8> {
     }
 }
 
-/// One generated element for the cache-differential test: reservation id
-/// and version vary so distinct cache keys compete for the (tiny,
-/// randomized) capacities, and forged packets probe the caches without
-/// ever populating them with attacker-controlled values.
+/// One generated element of a multi-reservation stream: reservation id
+/// and version vary so packets spread over flows (and, in a pool, over
+/// shards), with forged packets mixed into the same flows.
 #[derive(Debug, Clone)]
-enum CacheGen {
+enum FlowGen {
     Eer { res_id: u32, ver: u8, ts_off: u64, payload_len: usize },
     EerForged { res_id: u32, bit: u8 },
     Segr { res_id: u32, ver: u8 },
@@ -132,95 +130,46 @@ enum CacheGen {
     Garbage(Vec<u8>),
 }
 
-/// A valid EER packet for hop 1, parameterized by reservation identity.
-/// Distinct `(res_id, ver)` pairs produce distinct σ-cache keys; distinct
-/// `ts_off` values defeat the replay filter across rounds.
-fn eer_for_res(now: Instant, res_id: u32, ver: u8, ts_off: u64, payload_len: usize) -> Vec<u8> {
-    let mut ri = res_info(now, 10);
-    ri.res_id = ResId(res_id);
-    ri.ver = ver;
-    let info = EerInfo { src_host: HostAddr(1), dst_host: HostAddr(2) };
-    let path = [HopField::new(0, 1), HopField::new(2, 3), HopField::new(4, 0)];
-    let ts = ri.exp_t.as_nanos().saturating_sub(now.as_nanos()) + ts_off;
-    let mut pkt =
-        PacketBuilder::eer(ri, info).path(path).ts(ts).build(&vec![0xAB; payload_len]).unwrap();
-    let k_i = SecretValueGen::new(&master_secret_for(AS_ID))
-        .secret_value(Epoch::containing(now))
-        .cmac();
-    let size = pkt.len();
-    {
-        let mut v = PacketViewMut::parse(&mut pkt).unwrap();
-        let sigma = hop_auth(&k_i, &ri, &info, path[1]);
-        v.set_hvf(1, eer_hvf(&sigma, ts, size));
-        v.set_curr_hop(1);
-    }
-    pkt
+/// `ResInfo` of flow `res_id` at version `ver`.
+fn flow(now: Instant, res_id: u32, ver: u8) -> ResInfo {
+    ResInfo { res_id: ResId(res_id), ver, ..res_info(now, 10) }
 }
 
-/// A valid SegR control packet for hop 1, parameterized likewise.
-fn segr_for_res(now: Instant, res_id: u32, ver: u8) -> Vec<u8> {
-    let mut ri = res_info(now, 10);
-    ri.res_id = ResId(res_id);
-    ri.ver = ver;
-    let path = [HopField::new(0, 1), HopField::new(2, 3), HopField::new(4, 0)];
-    // Sent "now": unlike the `Gen::ValidSegr` packets (whose verdict-level
-    // equivalence is all the other tests need), these must actually pass
-    // the freshness check so the SegR token cache sees hits.
-    let ts = ri.exp_t.as_nanos().saturating_sub(now.as_nanos());
-    let mut pkt = PacketBuilder::segr(ri).control().path(path).ts(ts).build(b"ctl").unwrap();
-    let k_i = SecretValueGen::new(&master_secret_for(AS_ID))
-        .secret_value(Epoch::containing(now))
-        .cmac();
-    {
-        let mut v = PacketViewMut::parse(&mut pkt).unwrap();
-        v.set_hvf(1, segr_token(&k_i, &ri, path[1]));
-        v.set_curr_hop(1);
-    }
-    pkt
+/// A SegR control packet of flow `res_id`, sent "now": unlike the
+/// `Gen::ValidSegr` packets (whose verdict-level equivalence is all the
+/// other tests need), these pass the freshness check and reach the crypto.
+fn flow_segr(now: Instant, res_id: u32, ver: u8) -> Vec<u8> {
+    let ri = flow(now, res_id, ver);
+    segr_packet(ri, now, ri.exp_t.as_nanos().saturating_sub(now.as_nanos()), b"ctl")
 }
 
-/// Materializes one cache-differential element for `round`. The round
-/// salt keeps same-reservation EER packets distinct across rounds (fresh
-/// timestamps, no replay drops), so rounds ≥ 1 actually exercise the
-/// cache-hit paths of the cached routers.
-fn materialize_cache(g: &CacheGen, now: Instant, round: u64) -> Vec<u8> {
-    let salt = round * 7919;
+/// Materializes one multi-reservation element. Distinct `ts_off` values
+/// keep same-flow EER packets out of the replay filter.
+fn materialize_flow(g: &FlowGen, now: Instant) -> Vec<u8> {
     match g {
-        CacheGen::Eer { res_id, ver, ts_off, payload_len } => {
-            eer_for_res(now, *res_id, *ver, ts_off % 1000 + salt, *payload_len)
+        FlowGen::Eer { res_id, ver, ts_off, payload_len } => {
+            eer_packet(flow(now, *res_id, *ver), now, &vec![0xAB; *payload_len], ts_off % 1000)
         }
-        CacheGen::EerForged { res_id, bit } => {
-            let mut pkt = eer_for_res(now, *res_id, 0, 500 + salt, 24);
-            let mut v = PacketViewMut::parse(&mut pkt).unwrap();
-            let mut hvf = v.hvf(1);
-            hvf[(*bit as usize / 8) % hvf.len()] ^= 1 << (bit % 8);
-            v.set_hvf(1, hvf);
-            pkt
+        FlowGen::EerForged { res_id, bit } => {
+            flip_hvf(eer_packet(flow(now, *res_id, 0), now, &[0xAB; 24], 500), *bit)
         }
-        CacheGen::Segr { res_id, ver } => segr_for_res(now, *res_id, *ver),
-        CacheGen::SegrForged { res_id, bit } => {
-            let mut pkt = segr_for_res(now, *res_id, 0);
-            let mut v = PacketViewMut::parse(&mut pkt).unwrap();
-            let mut hvf = v.hvf(1);
-            hvf[(*bit as usize / 8) % hvf.len()] ^= 1 << (bit % 8);
-            v.set_hvf(1, hvf);
-            pkt
-        }
-        CacheGen::Garbage(bytes) => bytes.clone(),
+        FlowGen::Segr { res_id, ver } => flow_segr(now, *res_id, *ver),
+        FlowGen::SegrForged { res_id, bit } => flip_hvf(flow_segr(now, *res_id, 0), *bit),
+        FlowGen::Garbage(bytes) => bytes.clone(),
     }
 }
 
-fn cache_gen_strategy() -> impl Strategy<Value = CacheGen> {
+fn flow_gen_strategy() -> impl Strategy<Value = FlowGen> {
     prop_oneof![
         4 => (0u32..4, 0u8..2, any::<u64>(), 0usize..96).prop_map(
-            |(res_id, ver, ts_off, payload_len)| CacheGen::Eer { res_id, ver, ts_off, payload_len }
+            |(res_id, ver, ts_off, payload_len)| FlowGen::Eer { res_id, ver, ts_off, payload_len }
         ),
         1 => (0u32..4, any::<u8>())
-            .prop_map(|(res_id, bit)| CacheGen::EerForged { res_id, bit }),
-        2 => (0u32..4, 0u8..2).prop_map(|(res_id, ver)| CacheGen::Segr { res_id, ver }),
+            .prop_map(|(res_id, bit)| FlowGen::EerForged { res_id, bit }),
+        2 => (0u32..4, 0u8..2).prop_map(|(res_id, ver)| FlowGen::Segr { res_id, ver }),
         1 => (0u32..4, any::<u8>())
-            .prop_map(|(res_id, bit)| CacheGen::SegrForged { res_id, bit }),
-        1 => prop::collection::vec(any::<u8>(), 0..64).prop_map(CacheGen::Garbage),
+            .prop_map(|(res_id, bit)| FlowGen::SegrForged { res_id, bit }),
+        1 => prop::collection::vec(any::<u8>(), 0..64).prop_map(FlowGen::Garbage),
     ]
 }
 
@@ -456,72 +405,6 @@ proptest! {
         );
     }
 
-    /// The crypto caches are invisible: a router with randomly sized
-    /// caches (including capacity 0 and capacities tiny enough to thrash)
-    /// produces bit-identical verdicts, buffers, and [`RouterStats`] to a
-    /// cache-disabled router, in both the scalar and the batched path,
-    /// across multiple rounds (so rounds ≥ 1 hit warm caches), version
-    /// bumps, forged HVFs, and eviction pressure.
-    #[test]
-    fn cached_router_equals_uncached(
-        gens in prop::collection::vec(cache_gen_strategy(), 1..20),
-        segr_cap in 0usize..5,
-        sigma_cap in 0usize..5,
-    ) {
-        let now = Instant::from_secs(1000);
-        let cached_cfg = RouterConfig {
-            cache: CryptoCacheConfig { segr_capacity: segr_cap, sigma_capacity: sigma_cap },
-            ..RouterConfig::default()
-        };
-        let uncached_cfg =
-            RouterConfig { cache: CryptoCacheConfig::DISABLED, ..RouterConfig::default() };
-        let secret = master_secret_for(AS_ID);
-        let mut scalar_cached = BorderRouter::new(AS_ID, &secret, cached_cfg);
-        let mut scalar_uncached = BorderRouter::new(AS_ID, &secret, uncached_cfg);
-        let mut batch_cached = BorderRouter::new(AS_ID, &secret, cached_cfg);
-        let mut batch_uncached = BorderRouter::new(AS_ID, &secret, uncached_cfg);
-
-        for round in 0..3u64 {
-            let originals: Vec<Vec<u8>> =
-                gens.iter().map(|g| materialize_cache(g, now, round)).collect();
-
-            let mut sc_bufs = originals.clone();
-            let sc: Vec<RouterVerdict> =
-                sc_bufs.iter_mut().map(|p| scalar_cached.process(p, now)).collect();
-            let mut su_bufs = originals.clone();
-            let su: Vec<RouterVerdict> =
-                su_bufs.iter_mut().map(|p| scalar_uncached.process(p, now)).collect();
-            let mut bc_bufs = originals.clone();
-            let mut refs: Vec<&mut [u8]> = bc_bufs.iter_mut().map(Vec::as_mut_slice).collect();
-            let bc = batch_cached.process_batch(&mut refs, now);
-            let mut bu_bufs = originals.clone();
-            let mut refs: Vec<&mut [u8]> = bu_bufs.iter_mut().map(Vec::as_mut_slice).collect();
-            let bu = batch_uncached.process_batch(&mut refs, now);
-
-            prop_assert_eq!(&sc, &su, "round {}: scalar cached vs uncached", round);
-            prop_assert_eq!(&sc, &bc, "round {}: scalar vs batch cached", round);
-            prop_assert_eq!(&sc, &bu, "round {}: scalar vs batch uncached", round);
-            for (i, b) in su_bufs.iter().enumerate() {
-                prop_assert_eq!(&sc_bufs[i], b, "round {}: buffer {} (scalar unc.)", round, i);
-                prop_assert_eq!(&sc_bufs[i], &bc_bufs[i], "round {}: buffer {} (batch c.)", round, i);
-                prop_assert_eq!(&sc_bufs[i], &bu_bufs[i], "round {}: buffer {} (batch unc.)", round, i);
-            }
-        }
-        prop_assert_eq!(scalar_cached.stats, scalar_uncached.stats);
-        prop_assert_eq!(scalar_cached.stats, batch_cached.stats);
-        prop_assert_eq!(scalar_cached.stats, batch_uncached.stats);
-        // Every crypto lookup is counted exactly once whether it hits,
-        // misses, or always-misses (capacity 0).
-        prop_assert_eq!(
-            scalar_cached.cache_stats().lookups(),
-            scalar_uncached.cache_stats().lookups()
-        );
-        prop_assert_eq!(
-            batch_cached.cache_stats().lookups(),
-            batch_uncached.cache_stats().lookups()
-        );
-    }
-
     /// The 8-lane interleaved crypto kernels are drop-in equal to eight
     /// scalar calls over arbitrary keys, inputs, and (short) messages:
     /// Eq. 3 ([`segr_token8_from_inputs`]), Eq. 4
@@ -595,7 +478,7 @@ proptest! {
     /// shaping) is order-identical to the sequential reference.
     #[test]
     fn steered_pool_equals_single_shard(
-        gens in prop::collection::vec(cache_gen_strategy(), 1..24),
+        gens in prop::collection::vec(flow_gen_strategy(), 1..24),
         shards in 2usize..5,
     ) {
         use colibri_dataplane::ShardRouterPool;
@@ -603,7 +486,7 @@ proptest! {
         let now = Instant::from_secs(1000);
         let secret = master_secret_for(AS_ID);
         let originals: Vec<Vec<u8>> =
-            gens.iter().map(|g| materialize_cache(g, now, 0)).collect();
+            gens.iter().map(|g| materialize_flow(g, now)).collect();
 
         let run = |n: usize| {
             let mut pool = ShardRouterPool::new(n, originals.len() + 1, move |_| {

@@ -177,6 +177,35 @@ fn expired_reservation_rejected() {
 }
 
 #[test]
+fn exhausted_timestamps_are_refused_at_the_gateway_not_replayed() {
+    // `Ts` counts down the nanoseconds to the version's expiry. In its
+    // last nanosecond the first packet takes Ts = 1 and the second Ts = 0;
+    // a third has no unique Ts left. Stamping Ts = 0 again would make a
+    // monitoring router drop it as a replay of the second, so the gateway
+    // refuses it instead.
+    let now = Instant::from_secs(5);
+    let mut net = build(3, Bandwidth::from_mbps(100), now);
+    let probe = net.gateway.process(SRC_HOST, net.res_id, b"probe", now).unwrap();
+    let exp = PacketView::parse(&probe.bytes).unwrap().res_info().exp_t;
+    assert_eq!(exp.as_nanos() % 1_000_000_000, 0, "whole-second expiry");
+    let last_ns = Instant::from_nanos(exp.as_nanos() - 1);
+    for expected_ts in [1, 0] {
+        let stamped = net.gateway.process(SRC_HOST, net.res_id, b"data", last_ns).unwrap();
+        assert_eq!(PacketView::parse(&stamped.bytes).unwrap().ts(), expected_ts);
+        assert_eq!(walk(&mut net, stamped.bytes, last_ns), RouterVerdict::DeliverHost(DST_HOST));
+    }
+    assert_eq!(
+        net.gateway.process(SRC_HOST, net.res_id, b"data", last_ns),
+        Err(GatewayError::Expired(net.res_id))
+    );
+    assert_eq!(net.gateway.stats.rejected, 1);
+    assert_eq!(net.gateway.stats.forwarded, 3);
+    for as_id in &net.path_ases {
+        assert_eq!(net.routers[as_id].stats.duplicates, 0, "{as_id}");
+    }
+}
+
+#[test]
 fn gateway_rate_limits_overuse() {
     let now = Instant::from_secs(5);
     let mut net = build(3, Bandwidth::from_mbps(8), now); // 1 MB/s

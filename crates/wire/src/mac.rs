@@ -42,12 +42,8 @@ fn encode_hop(hop: HopField, out: &mut [u8; HOP_ENC_LEN]) {
     out[2..4].copy_from_slice(&hop.egress.0.to_be_bytes());
 }
 
-/// Encodes the full Eq. 3 MAC input `ResInfo || (In_i, Eg_i)`.
-///
-/// This byte string is exactly the set of packet bits the SegR token
-/// authenticates, which makes it the natural key for a router-side token
-/// cache: two packets with equal `segr_input` are cryptographically
-/// indistinguishable at this hop, so a cached verdict is sound.
+/// Encodes the full Eq. 3 MAC input `ResInfo || (In_i, Eg_i)`: exactly
+/// the set of packet bits the SegR token authenticates.
 pub fn segr_input(res: &ResInfo, hop: HopField) -> [u8; SEGR_INPUT_LEN] {
     let mut msg = [0u8; SEGR_INPUT_LEN];
     encode_res_info(res, (&mut msg[..RES_INFO_ENC_LEN]).try_into().unwrap());
@@ -55,9 +51,7 @@ pub fn segr_input(res: &ResInfo, hop: HopField) -> [u8; SEGR_INPUT_LEN] {
     msg
 }
 
-/// Encodes the full Eq. 4 MAC input `ResInfo || EERInfo || (In_i, Eg_i)`.
-///
-/// Like [`segr_input`], this doubles as the cache key for σ-caches: it is
+/// Encodes the full Eq. 4 MAC input `ResInfo || EERInfo || (In_i, Eg_i)`:
 /// precisely the authenticated tuple from which σ_i is derived.
 pub fn hop_auth_input(res: &ResInfo, eer: &EerInfo, hop: HopField) -> [u8; HOP_AUTH_INPUT_LEN] {
     let mut msg = [0u8; HOP_AUTH_INPUT_LEN];
@@ -100,9 +94,9 @@ pub fn eer_hvf(sigma: &Key, ts: u64, pkt_size: usize) -> [u8; HVF_LEN] {
     sigma.cmac().tag_truncated::<HVF_LEN>(&msg)
 }
 
-/// Computes `V_i^(E)` when the verifier has a ready-made CMAC instance for
-/// σ_i (routers derive σ_i fresh per packet, so they key a new instance;
-/// gateways may cache instances per reservation — both paths meet here).
+/// Computes `V_i^(E)` when the caller has a ready-made CMAC instance for
+/// σ_i (gateways keep one per hop from install time; batched routers key
+/// fresh instances eight at a time — both paths meet here).
 pub fn eer_hvf_with(sigma_cmac: &Cmac, ts: u64, pkt_size: usize) -> [u8; HVF_LEN] {
     let mut msg = [0u8; 12];
     msg[..8].copy_from_slice(&ts.to_be_bytes());
@@ -126,8 +120,7 @@ pub fn segr_token4(k_i: &Cmac, inputs: [(&ResInfo, HopField); 4]) -> [[u8; HVF_L
     segr_token4_from_inputs(k_i, [&msgs[0], &msgs[1], &msgs[2], &msgs[3]])
 }
 
-/// Batched Eq. 3 over pre-encoded inputs — the miss path of a SegR token
-/// cache feeds here directly, since the cache key *is* the MAC input.
+/// Batched Eq. 3 over pre-encoded inputs (see [`segr_input`]).
 pub fn segr_token4_from_inputs(
     k_i: &Cmac,
     inputs: [&[u8; SEGR_INPUT_LEN]; 4],
@@ -147,8 +140,7 @@ pub fn hop_auth4(k_i: &Cmac, inputs: [(&ResInfo, &EerInfo, HopField); 4]) -> [Ke
     hop_auth4_from_inputs(k_i, [&msgs[0], &msgs[1], &msgs[2], &msgs[3]])
 }
 
-/// Batched Eq. 4 over pre-encoded inputs — the miss path of a σ-cache
-/// feeds here directly, since the cache key *is* the MAC input.
+/// Batched Eq. 4 over pre-encoded inputs (see [`hop_auth_input`]).
 pub fn hop_auth4_from_inputs(k_i: &Cmac, inputs: [&[u8; HOP_AUTH_INPUT_LEN]; 4]) -> [Key; 4] {
     k_i.tag4([inputs[0], inputs[1], inputs[2], inputs[3]]).map(Key)
 }
@@ -174,9 +166,9 @@ pub fn eer_hvf4(sigmas: [&Key; 4], inputs: [(u64, usize); 4]) -> [[u8; HVF_LEN];
 }
 
 /// Batched Eq. 6 over four *pre-expanded* σ CMAC instances
-/// ([`Cmac::tag4_short_each`]): the cache-hit path. Skips all four key
-/// expansions and subkey derivations, leaving exactly four AES block
-/// operations for four packets. Bit-identical to four [`eer_hvf_with`]
+/// ([`Cmac::tag4_short_each`]). Skips all four key expansions and subkey
+/// derivations, leaving exactly four AES block operations for four
+/// packets. Bit-identical to four [`eer_hvf_with`]
 /// calls and hence to [`eer_hvf4`] over the corresponding σ keys.
 pub fn eer_hvf4_with(sigma_cmacs: [&Cmac; 4], inputs: [(u64, usize); 4]) -> [[u8; HVF_LEN]; 4] {
     let mut msgs = [[0u8; 12]; 4];
@@ -202,8 +194,9 @@ pub fn segr_token8_from_inputs(
     core::array::from_fn(|l| if l < 4 { lo[l] } else { hi[l - 4] })
 }
 
-/// Batched Eq. 4 over eight pre-encoded inputs — the σ-cache miss path at
-/// double width. Bit-identical to eight [`hop_auth_from_input`] calls.
+/// Batched Eq. 4 over eight pre-encoded inputs — the router's σ
+/// derivation at double width. Bit-identical to eight
+/// [`hop_auth_from_input`] calls.
 pub fn hop_auth8_from_inputs(k_i: &Cmac, inputs: [&[u8; HOP_AUTH_INPUT_LEN]; 8]) -> [Key; 8] {
     let lo = hop_auth4_from_inputs(k_i, [inputs[0], inputs[1], inputs[2], inputs[3]]);
     let hi = hop_auth4_from_inputs(k_i, [inputs[4], inputs[5], inputs[6], inputs[7]]);
@@ -229,8 +222,8 @@ pub fn eer_hvf8(sigmas: [&Key; 8], inputs: [(u64, usize); 8]) -> [[u8; HVF_LEN];
 }
 
 /// Batched Eq. 6 over eight *pre-expanded* σ CMAC instances
-/// ([`Cmac::tag8_short_each`]): the cache-hit path at double width —
-/// exactly one 8-wide AES batch for eight packets. Bit-identical to eight
+/// ([`Cmac::tag8_short_each`]) — exactly one 8-wide AES batch for eight
+/// packets or eight hops. Bit-identical to eight
 /// [`eer_hvf_with`] calls.
 pub fn eer_hvf8_with(sigma_cmacs: [&Cmac; 8], inputs: [(u64, usize); 8]) -> [[u8; HVF_LEN]; 8] {
     let mut msgs = [[0u8; 12]; 8];

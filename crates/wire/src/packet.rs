@@ -121,10 +121,11 @@ pub struct PacketView<'a> {
 /// Reads the reservation ID at its fixed header offset without a full
 /// parse. This is the RSS-style steering key for the shard dispatcher:
 /// hashing on `res_id` pins every packet of a reservation to one shard,
-/// which is what makes that shard's crypto caches private to its working
-/// set. Returns `None` when the buffer is too short or carries a foreign
-/// wire version — such packets cannot be steered meaningfully and the
-/// dispatcher spreads them round-robin (they fail validation anyway).
+/// which is what keeps that reservation's monitor state (replay filter,
+/// shaping) on one shard, in FIFO order. Returns `None` when the buffer
+/// is too short or carries a foreign wire version — such packets cannot
+/// be steered meaningfully and the dispatcher spreads them round-robin
+/// (they fail validation anyway).
 pub fn peek_res_id(buf: &[u8]) -> Option<ResId> {
     if buf.len() < FIXED_HEADER_LEN || buf[0] != WIRE_VERSION {
         return None;
