@@ -1,24 +1,33 @@
-//! Shared fixtures and measurement helpers for the Colibri benchmark and
-//! paper-reproduction harnesses.
+//! The paper-reproduction harness: one `repro` binary over one table of
+//! experiments (`src/bin/repro.rs`), one module per experiment group, and
+//! the shared fixtures below.
 //!
-//! Every figure/table of the paper's evaluation (§6–§7, Appendix E) has
-//! two regeneration paths:
-//!
-//! * a Criterion bench (`benches/`) for statistically solid
-//!   micro-measurements, and
-//! * a `repro_*` binary (`src/bin/`) that prints the same rows/series as
-//!   the paper, suitable for pasting into EXPERIMENTS.md.
+//! Every figure/table of the paper's evaluation (§6–§7, Appendix E) and
+//! every extension claim is one row of that table: it prints the paper's
+//! rows/series, records them in `REPRO.json`, and states its *shape* —
+//! an exact count, a fitted log-log slope, a ratio or a deterministic
+//! bound — as checks that `repro --gate` enforces.
 //!
 //! The fixtures here construct gateway/router state *directly* (bypassing
-//! the multi-AS setup orchestration) so that building 2²⁰ reservations is
+//! the multi-AS setup orchestration) so that building 2¹⁷ reservations is
 //! fast; the cryptographic material is nevertheless real — σᵢ are derived
 //! from the same per-AS secrets a router uses, so every stamped packet
 //! verifies.
 
-use colibri::base::{Bandwidth, Duration, HostAddr, Instant, IsdAsId, ResId, ReservationKey};
-use colibri::crypto::{Epoch, SecretValueGen};
+pub mod figs;
+pub mod harness;
+pub mod pipeline;
+pub mod qos;
+pub mod resilience;
+pub mod store;
+pub mod survivability;
+
+use colibri::base::{
+    Bandwidth, BwClass, Duration, HostAddr, Instant, InterfaceId, IsdAsId, ResId, ReservationKey,
+};
+use colibri::crypto::{Cmac, Epoch, SecretValueGen};
 use colibri::ctrl::{master_secret_for, OwnedEer, OwnedEerVersion};
-use colibri::dataplane::{BorderRouter, Gateway, GatewayConfig, RouterConfig};
+use colibri::dataplane::{BorderRouter, Gateway, GatewayConfig, RouterConfig, RouterVerdict};
 use colibri::wire::mac::hop_auth;
 use colibri::wire::{EerInfo, HopField, ResInfo};
 
@@ -43,37 +52,28 @@ pub fn path_hops(n_hops: usize) -> Vec<HopField> {
         .collect()
 }
 
-/// Builds an owned EER whose hop authenticators are derived from the real
-/// per-AS secrets, so packets stamped from it verify at the matching
-/// [`bench_router`].
-pub fn synthetic_owned_eer(
-    res_id: u32,
-    n_hops: usize,
-    bw: Bandwidth,
-    exp: Instant,
-) -> OwnedEer {
-    let ases = path_ases(n_hops);
-    let hops = path_hops(n_hops);
-    let src_as = ases[0];
+/// The per-AS keys `K_i` of the synthetic `n_hops` path in `epoch`.
+fn path_keys(n_hops: usize, epoch: Epoch) -> Vec<Cmac> {
+    let key = |a: &IsdAsId| SecretValueGen::new(&master_secret_for(*a)).secret_value(epoch).cmac();
+    path_ases(n_hops).iter().map(key).collect()
+}
+
+/// An owned EER over the synthetic path whose hop authenticators are
+/// derived from the path keys `k_is`.
+fn owned_eer(res_id: u32, k_is: &[Cmac], bw: Bandwidth, exp: Instant) -> OwnedEer {
+    let (ases, hops) = (path_ases(k_is.len()), path_hops(k_is.len()));
     let eer_info = EerInfo { src_host: SRC_HOST, dst_host: DST_HOST };
     let res_info = ResInfo {
-        src_as,
+        src_as: ases[0],
         res_id: ResId(res_id),
-        bw: colibri::base::BwClass::from_bandwidth_ceil(bw),
+        bw: BwClass::from_bandwidth_ceil(bw),
         exp_t: exp,
         ver: 0,
     };
-    let epoch = Epoch::containing(exp.saturating_sub(Duration::from_secs(1)));
-    let hop_auths = ases
-        .iter()
-        .zip(&hops)
-        .map(|(as_id, hop)| {
-            let k_i = SecretValueGen::new(&master_secret_for(*as_id)).secret_value(epoch).cmac();
-            hop_auth(&k_i, &res_info, &eer_info, *hop)
-        })
-        .collect();
+    let hop_auths =
+        k_is.iter().zip(&hops).map(|(k_i, hop)| hop_auth(k_i, &res_info, &eer_info, *hop)).collect();
     OwnedEer {
-        key: ReservationKey::new(src_as, ResId(res_id)),
+        key: ReservationKey::new(ases[0], ResId(res_id)),
         eer_info,
         path_ases: ases,
         hop_fields: hops,
@@ -81,10 +81,18 @@ pub fn synthetic_owned_eer(
     }
 }
 
+/// Builds an owned EER whose hop authenticators are derived from the real
+/// per-AS secrets, so packets stamped from it verify at the matching
+/// [`bench_router`].
+pub fn synthetic_owned_eer(res_id: u32, n_hops: usize, bw: Bandwidth, exp: Instant) -> OwnedEer {
+    let epoch = Epoch::containing(exp.saturating_sub(Duration::from_secs(1)));
+    owned_eer(res_id, &path_keys(n_hops, epoch), bw, exp)
+}
+
 /// A gateway loaded with `r` reservations over `n_hops`-AS paths, plus the
 /// reservation IDs for stamping. Monitoring is configured wide open so the
 /// benchmark measures processing cost, not policing. Per-AS key schedules
-/// are cached so that building 2²⁰ reservations stays fast.
+/// are shared so that building 2¹⁷ reservations stays fast.
 pub fn bench_gateway(n_hops: usize, r: usize, now: Instant) -> (Gateway, Vec<ResId>) {
     bench_gateway_for(n_hops, 0..r as u32, now)
 }
@@ -96,41 +104,29 @@ pub fn bench_gateway_for(
     now: Instant,
 ) -> (Gateway, Vec<ResId>) {
     let exp = now + Duration::from_secs(3600); // long-lived: no mid-bench expiry
-    let bw = Bandwidth::from_gbps(400);
-    let ases = path_ases(n_hops);
-    let hops = path_hops(n_hops);
-    let eer_info = EerInfo { src_host: SRC_HOST, dst_host: DST_HOST };
-    let epoch = Epoch::containing(now);
-    let k_is: Vec<_> = ases
-        .iter()
-        .map(|a| SecretValueGen::new(&master_secret_for(*a)).secret_value(epoch).cmac())
-        .collect();
+    let k_is = path_keys(n_hops, Epoch::containing(now));
     let mut gw = Gateway::new(GatewayConfig { burst: Duration::from_secs(3600), ..Default::default() });
-    let mut installed = Vec::new();
-    for i in ids {
-        let res_info = ResInfo {
-            src_as: ases[0],
-            res_id: ResId(i),
-            bw: colibri::base::BwClass::from_bandwidth_ceil(bw),
-            exp_t: exp,
-            ver: 0,
-        };
-        let hop_auths = k_is
-            .iter()
-            .zip(&hops)
-            .map(|(k_i, hop)| hop_auth(k_i, &res_info, &eer_info, *hop))
-            .collect();
-        let owned = OwnedEer {
-            key: ReservationKey::new(ases[0], ResId(i)),
-            eer_info,
-            path_ases: ases.clone(),
-            hop_fields: hops.clone(),
-            versions: vec![OwnedEerVersion { ver: 0, bw, exp, hop_auths }],
-        };
-        gw.install(&owned, now);
-        installed.push(ResId(i));
-    }
+    let installed = ids
+        .into_iter()
+        .map(|i| {
+            gw.install(&owned_eer(i, &k_is, Bandwidth::from_gbps(400), exp), now);
+            ResId(i)
+        })
+        .collect();
     (gw, installed)
+}
+
+/// A 10 Mbps single-slot SegR request of `key` from interface 1 to 2,
+/// the shape of every SegR the admission fixtures hold.
+pub fn segr_request(key: ReservationKey) -> colibri::ctrl::SegrRequest {
+    colibri::ctrl::SegrRequest {
+        key,
+        ingress: InterfaceId(1),
+        egress: InterfaceId(2),
+        demand: Bandwidth::from_mbps(10),
+        min_bw: Bandwidth::ZERO,
+        window: colibri::base::SlotWindow::at(0),
+    }
 }
 
 /// Fig. 3 fixture: a SegR admission module pre-loaded with `n` existing
@@ -138,8 +134,7 @@ pub fn bench_gateway_for(
 /// source AS of the reservation about to be admitted (the paper's `ratio`
 /// parameter).
 pub fn segr_admission_fixture(n: u32, ratio: f64) -> colibri::ctrl::SegrAdmission {
-    use colibri::ctrl::{SegrAdmission, SegrAdmissionConfig, SegrRequest};
-    use colibri::base::InterfaceId;
+    use colibri::ctrl::{SegrAdmission, SegrAdmissionConfig};
     let mut a = SegrAdmission::new(SegrAdmissionConfig {
         colibri_share: 1.0,
         ..SegrAdmissionConfig::default()
@@ -148,14 +143,7 @@ pub fn segr_admission_fixture(n: u32, ratio: f64) -> colibri::ctrl::SegrAdmissio
     a.set_interface_capacity(InterfaceId(2), Bandwidth::from_gbps(100_000));
     for i in 0..n {
         let src = if (i as f64) < ratio * n as f64 { FIG3_SOURCE } else { 1000 + i };
-        let _ = a.admit(SegrRequest {
-            key: ReservationKey::new(IsdAsId::new(1, src), ResId(i)),
-            ingress: InterfaceId(1),
-            egress: InterfaceId(2),
-            demand: Bandwidth::from_mbps(10),
-            min_bw: Bandwidth::ZERO,
-            window: colibri::base::SlotWindow::at(0),
-        });
+        let _ = a.admit(segr_request(ReservationKey::new(IsdAsId::new(1, src), ResId(i))));
     }
     a
 }
@@ -166,15 +154,7 @@ pub const FIG3_SOURCE: u32 = 7;
 
 /// The admission request measured in Fig. 3 (always a fresh ResId).
 pub fn fig3_request(res_id: u32) -> colibri::ctrl::SegrRequest {
-    use colibri::base::InterfaceId;
-    colibri::ctrl::SegrRequest {
-        key: ReservationKey::new(IsdAsId::new(1, FIG3_SOURCE), ResId(10_000_000 + res_id)),
-        ingress: InterfaceId(1),
-        egress: InterfaceId(2),
-        demand: Bandwidth::from_mbps(10),
-        min_bw: Bandwidth::ZERO,
-        window: colibri::base::SlotWindow::at(0),
-    }
+    segr_request(ReservationKey::new(IsdAsId::new(1, FIG3_SOURCE), ResId(10_000_000 + res_id)))
 }
 
 /// Fig. 4 fixture: EER usage tracking for one SegR with `n_eers` existing
@@ -238,7 +218,7 @@ pub fn bench_router(n_hops: usize, hop_index: usize) -> BorderRouter {
 }
 
 /// Pre-stamps `count` packets over random reservations of a fixture and
-/// advances each to `hop_index` — the working set for router benches.
+/// advances each to `hop_index` — the working set for router rows.
 pub fn stamped_packets(
     gw: &mut Gateway,
     ids: &[ResId],
@@ -265,7 +245,8 @@ pub fn stamp_at_hop(
     hop_index: usize,
     now: Instant,
 ) -> Vec<u8> {
-    let mut pkt = gw.process(SRC_HOST, id, payload, now).expect("stamp").bytes;
+    let mut pkt = Vec::new();
+    gw.process_into(SRC_HOST, id, payload, now, &mut pkt).expect("stamp");
     let mut v = colibri::wire::PacketViewMut::parse(&mut pkt).unwrap();
     for _ in 0..hop_index {
         v.advance_hop();
@@ -294,37 +275,40 @@ impl Xor64 {
     }
 }
 
+/// Whether `pkt`, stamped for hop 0 of the synthetic `n_hops` path, is
+/// forwarded by every router on it and delivered to [`DST_HOST`].
+pub fn delivered_end_to_end(mut pkt: Vec<u8>, n_hops: usize, now: Instant) -> bool {
+    (0..n_hops).all(|hop| match bench_router(n_hops, hop).process(&mut pkt, now) {
+        RouterVerdict::Forward(_) => hop + 1 < n_hops,
+        RouterVerdict::DeliverHost(host) => hop + 1 == n_hops && host == DST_HOST,
+        _ => false,
+    })
+}
+
+/// AES block operations and key expansions the calling thread runs in `f`.
+pub fn crypto_ops(f: impl FnOnce()) -> (u64, u64) {
+    use colibri::crypto::ops::{aes_block_ops, key_expansions};
+    let (b0, x0) = (aes_block_ops(), key_expansions());
+    f();
+    (aes_block_ops() - b0, key_expansions() - x0)
+}
+
 /// Measures million-packets-per-second of a per-packet closure over `iters`
 /// invocations.
-pub fn measure_mpps(iters: u64, mut f: impl FnMut(u64)) -> f64 {
-    let t0 = std::time::Instant::now();
-    for i in 0..iters {
-        f(i);
-    }
-    let dt = t0.elapsed().as_secs_f64();
-    iters as f64 / dt / 1e6
+pub fn measure_mpps(iters: u64, f: impl FnMut(u64)) -> f64 {
+    1e3 / harness::ns_per_call(iters, f)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use colibri::dataplane::RouterVerdict;
 
     #[test]
     fn synthetic_fixture_packets_verify_at_every_hop() {
         let now = Instant::from_secs(10);
-        let n = 4;
-        let (mut gw, ids) = bench_gateway(n, 8, now);
-        let mut pkt = gw.process(SRC_HOST, ids[3], b"payload", now).expect("stamp").bytes;
-        for hop in 0..n {
-            let mut router = bench_router(n, hop);
-            let verdict = router.process(&mut pkt, now);
-            if hop + 1 == n {
-                assert_eq!(verdict, RouterVerdict::DeliverHost(DST_HOST));
-            } else {
-                assert!(matches!(verdict, RouterVerdict::Forward(_)), "hop {hop}: {verdict:?}");
-            }
-        }
+        let (mut gw, ids) = bench_gateway(4, 8, now);
+        let pkt = stamp_at_hop(&mut gw, ids[3], b"payload", 0, now);
+        assert!(delivered_end_to_end(pkt, 4, now));
     }
 
     #[test]

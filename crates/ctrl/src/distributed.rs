@@ -12,9 +12,8 @@
 //!   parallel and lock-local.
 //!
 //! [`DistributedCServ`] realizes this with a sharded, lock-per-shard EER
-//! admission plane in front of a single-lock coordinator. The
-//! `ablation_distributed` benchmark measures the resulting multi-core
-//! admission throughput.
+//! admission plane in front of a single-lock coordinator. `repro appd`
+//! measures the resulting multi-core admission throughput.
 
 use crate::admission::{AdmissionError, SegrAdmission, SegrAdmissionConfig, SegrRequest};
 use crate::eer::{EerError, SegrUsage};

@@ -319,7 +319,7 @@ impl Gateway {
     }
 
     /// Mutable access to the hierarchy (drive `enqueue`/`service` rounds,
-    /// e.g. from the simulator or the `repro_qos` bench), if configured.
+    /// e.g. from the simulator or `repro qos`), if configured.
     pub fn qdisc_mut(&mut self) -> Option<&mut Qdisc> {
         self.qdisc.as_mut()
     }

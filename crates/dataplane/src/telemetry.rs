@@ -14,7 +14,7 @@
 //! between the scalar and batched paths by the differential proptests,
 //! so the exported Invariant metrics inherit that equality for free, and
 //! the hot-path cost collapses to a handful of relaxed `fetch_add`s per
-//! *batch* (the ≤2 % throughput gate in `repro_pipeline`).
+//! *batch* (the ≤2 % throughput gate of `repro pipeline`).
 //!
 //! Both latency histograms read the wall clock for one event in
 //! [`CLOCK_SAMPLE`] — one `process_batch` call of a router, one packet of

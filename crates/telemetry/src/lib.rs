@@ -528,7 +528,7 @@ impl Snapshot {
         out
     }
 
-    /// JSON export consumed by `repro_pipeline` and the examples.
+    /// JSON export, as printed by `examples/observability.rs`.
     pub fn render_json(&self) -> String {
         let mut out = String::from("{");
         let _ = write!(out, "\"epoch\":{},\"metrics\":[", self.epoch);

@@ -8,7 +8,7 @@ cd "$(dirname "$0")/.."
 # `check.sh --attack` runs only the adversarial battery: the seeded
 # mutation/flood/kill gates plus the attack-focused unit suites. Fast
 # enough to run on every data-plane change; the full gate below also
-# covers all of it via `cargo test -q` and the quick bench gates.
+# covers all of it via `cargo test -q` and `repro --quick --gate`.
 if [[ "${1:-}" == "--attack" ]]; then
   echo "==> adversarial test battery (mutation taxonomy, 4x flood goodput, shard-kill recovery)"
   cargo test --release -q -p colibri-dataplane --test adversarial
@@ -16,9 +16,9 @@ if [[ "${1:-}" == "--attack" ]]; then
   cargo test --release -q -p colibri-sim --lib attack
   cargo test --release -q -p colibri-dataplane --lib -- parallel:: supervisor::
   cargo test --release -q -p colibri-ring --lib
-  echo "==> repro_pipeline --quick --gate (survivability rows: taxonomy exact, goodput ≥95%, ledger balanced)"
-  cargo run --release -q -p colibri-bench --bin repro_pipeline -- \
-    --quick --gate --out target/BENCH_dataplane.attack.json
+  echo "==> repro --quick --gate survivability (mutation taxonomy exact, reserved goodput ≥95% under a" \
+       "4x flood with zero reserved shed, shard-kill ledger balanced)"
+  cargo run --release -q -p colibri-bench --bin repro -- --quick --gate survivability
   echo "==> attack checks passed"
   exit 0
 fi
@@ -34,21 +34,13 @@ cargo test -q
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 
-echo "==> repro_pipeline --quick --gate (data plane must not regress; telemetry ≤2%," \
-     "scrape verified: no unregistered/duplicate metric names; storm amplification ≤3," \
-     "renewals admitted ahead of new setups under overload)"
-cargo run --release -q -p colibri-bench --bin repro_pipeline -- \
-  --quick --gate --out target/BENCH_dataplane.quick.json
-
-echo "==> repro_store --quick --gate (admit at 10^6 ≤ 2x 10^3; naive foil ≥100x;" \
-     "GC ∝ expired records and ∝ due EERs; timeline ≡ oracle in release)"
-cargo run --release -q -p colibri-bench --bin repro_store -- \
-  --quick --gate --out target/BENCH_store.quick.json
-
-echo "==> repro_qos --quick --gate (reserved goodput ≥95% of entitlement under 4x best-effort" \
-     "overload with zero reserved drops; idle link scavenged ≥90%; flat ≡ degenerate in release)"
-cargo run --release -q -p colibri-bench --bin repro_qos -- \
-  --quick --gate --out target/BENCH_qos.quick.json
+echo "==> repro --quick --gate (every paper shape: Figs. 3/4 admission slope ≤0.25; Fig. 5 and" \
+     "App. E exact AES counts; Table 2 guarantees ≥0.99, zero unauthentic; §5.3 DoC; OFD no false" \
+     "negatives; batched router ≡ scalar and flat in reservations; telemetry ≤2% with verified" \
+     "scrape; storm amplification ≤3; survivability ledgers; store O(log n) admit and GC ∝ expired;" \
+     "QoS isolation ≥95% with zero reserved drops)"
+cargo run --release -q -p colibri-bench --bin repro -- \
+  --quick --gate --out target/REPRO.quick.json
 
 echo "==> benchmark/ci.sh (the repo benchmark's own tests, then a 1 s oracle-checked smoke of all" \
      "five workloads, traced and untraced)"
