@@ -94,10 +94,11 @@ fn packet() {
     let eer = setup_eer(&mut reg, &path, &keys, hosts, Bandwidth::from_mbps(25), now).unwrap();
     let mut gw = Gateway::new(GatewayConfig::default());
     gw.install(reg.get(s.leaf_a).unwrap().store().owned_eer(eer.key).unwrap(), now);
-    let stamped = gw.process(hosts.src_host, eer.key.res_id, b"tour payload", now).unwrap();
-    let v = PacketView::parse(&stamped.bytes).unwrap();
+    let mut pkt = Vec::new();
+    gw.process_into(hosts.src_host, eer.key.res_id, b"tour payload", now, &mut pkt).unwrap();
+    let v = PacketView::parse(&pkt).unwrap();
     let ri = v.res_info();
-    println!("{} bytes on the wire:", stamped.bytes.len());
+    println!("{} bytes on the wire:", pkt.len());
     println!("  reservation : {} v{} ({} class {})", ri.key(), ri.ver, ri.bw.bandwidth(), ri.bw.0);
     println!("  expires     : {}", ri.exp_t);
     println!("  hosts       : {} → {}", v.eer_info().unwrap().src_host, v.eer_info().unwrap().dst_host);
@@ -140,29 +141,33 @@ fn attack() {
 
     // Each attack gets its own freshly stamped packet (distinct Ts), so
     // the replay filter never masks the check under test.
-    let stamped = gw.process(hosts.src_host, eer.key.res_id, b"honest", now).unwrap();
-    let mut honest = stamped.bytes.clone();
+    let mut stamp = || {
+        let mut pkt = Vec::new();
+        gw.process_into(hosts.src_host, eer.key.res_id, b"honest", now, &mut pkt).unwrap();
+        pkt
+    };
+    let mut honest = stamp();
+    let mut replayed = honest.clone();
     let verdict = routers.get_mut(&first).unwrap().process(&mut honest, now);
     println!("honest packet           → {verdict:?}");
 
-    let mut replayed = stamped.bytes;
     let verdict = routers.get_mut(&first).unwrap().process(&mut replayed, now);
     println!("replayed honest packet  → {verdict:?}");
 
-    let mut forged = gw.process(hosts.src_host, eer.key.res_id, b"honest", now).unwrap().bytes;
+    let mut forged = stamp();
     // Corrupt this hop's HVF (after the fixed header, EERInfo, and path).
     let hvf0 = 32 + 8 + 4 * 4;
     forged[hvf0] ^= 0xFF;
     let verdict = routers.get_mut(&first).unwrap().process(&mut forged, now);
     println!("forged HVF              → {verdict:?}");
 
-    let mut spoofed = gw.process(hosts.src_host, eer.key.res_id, b"honest", now).unwrap().bytes;
+    let mut spoofed = stamp();
     spoofed[11] ^= 1; // flip the source AS
     let verdict = routers.get_mut(&first).unwrap().process(&mut spoofed, now);
     println!("spoofed source AS       → {verdict:?}");
 
     let late = now + Duration::from_secs(30);
-    let mut expired = gw.process(hosts.src_host, eer.key.res_id, b"honest", now).unwrap().bytes;
+    let mut expired = stamp();
     let verdict = routers.get_mut(&first).unwrap().process(&mut expired, late);
     println!("after reservation expiry→ {verdict:?}");
     println!("\nevery attack dies at the first stateless router ✓");

@@ -39,14 +39,14 @@
 //! let mut gateway = Gateway::new(GatewayConfig::default());
 //! let owned = reg.get(sample.leaf_a).unwrap().store().owned_eer(eer.key).unwrap().clone();
 //! gateway.install(&owned, now);
-//! let stamped = gateway.process(HostAddr(1), eer.key.res_id, b"hello", now).unwrap();
+//! let mut pkt = Vec::new();
+//! gateway.process_into(HostAddr(1), eer.key.res_id, b"hello", now, &mut pkt).unwrap();
 //!
 //! let mut router = BorderRouter::new(
 //!     sample.leaf_a,
 //!     &master_secret_for(sample.leaf_a),
 //!     RouterConfig::default(),
 //! );
-//! let mut pkt = stamped.bytes;
 //! assert!(matches!(router.process(&mut pkt, now), RouterVerdict::Forward(_)));
 //! ```
 //!

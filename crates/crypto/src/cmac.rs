@@ -43,8 +43,7 @@ pub struct Cmac {
 impl Cmac {
     /// Creates a CMAC instance for `key`, deriving subkeys K1/K2.
     pub fn new(key: &[u8; 16]) -> Self {
-        let mut cmac = Self::ZERO;
-        Self::key_each([key], [&mut cmac]);
+        let [cmac] = Self::new_each([key]);
         cmac
     }
 
@@ -54,43 +53,27 @@ impl Cmac {
         Self { cipher, k1, k2: dbl(k1) }
     }
 
-    /// An unkeyed instance, overwritten by [`Self::key_each`].
+    /// An unkeyed instance, overwritten by [`Self::new_each`].
     const ZERO: Cmac = Cmac { cipher: Aes128::ZERO, k1: [0; 16], k2: [0; 16] };
 
-    /// Keys `N` instances in place for `N` independent keys with both
+    /// Creates `N` CMAC instances for `N` independent keys with both
     /// serial bottlenecks interleaved: the key expansions run in lockstep
     /// ([`Aes128::new_each`]) and the subkey derivations `L = AES_K(0)`
-    /// run as one `N`-wide batch.
+    /// run as one `N`-wide batch — `N` key expansions and `N` AES blocks,
+    /// like `N` [`Self::new`] calls. This is how the router expands a
+    /// burst of freshly derived σ authenticators and the gateway a path's
+    /// σ at install.
     #[inline]
-    fn key_each<const N: usize>(keys: [&[u8; 16]; N], mut cmacs: [&mut Cmac; N]) {
+    pub fn new_each<const N: usize>(keys: [&[u8; 16]; N]) -> [Cmac; N] {
+        let mut cmacs = [Self::ZERO; N];
         Aes128::expand_into(keys, cmacs.each_mut().map(|c| &mut c.cipher));
         let mut l_blocks = [[0u8; 16]; N];
         Aes128::encrypt_each(cmacs.each_ref().map(|c| &c.cipher), &mut l_blocks);
-        for (cmac, l) in cmacs.into_iter().zip(l_blocks) {
+        for (cmac, l) in cmacs.iter_mut().zip(l_blocks) {
             cmac.k1 = dbl(l);
             cmac.k2 = dbl(cmac.k1);
         }
-    }
-
-    fn new_lanes<const N: usize>(keys: [&[u8; 16]; N]) -> [Cmac; N] {
-        let mut cmacs = [Self::ZERO; N];
-        Self::key_each(keys, cmacs.each_mut());
         cmacs
-    }
-
-    /// Creates four CMAC instances for four independent keys, expanded
-    /// and subkeyed 4-wide. This is how the batched router pre-expands
-    /// four freshly derived σ authenticators before caching them.
-    pub fn new4(keys: [&[u8; 16]; 4]) -> [Cmac; 4] {
-        Self::new_lanes(keys)
-    }
-
-    /// Creates eight CMAC instances for eight independent keys — the
-    /// 8-wide analog of [`Self::new4`]. This is how the batched router
-    /// pre-expands a full miss burst of σ authenticators before caching
-    /// them.
-    pub fn new8(keys: [&[u8; 16]; 8]) -> [Cmac; 8] {
-        Self::new_lanes(keys)
     }
 
     /// Builds the final CMAC block for a message that fits in one block:
@@ -142,42 +125,46 @@ impl Cmac {
         out
     }
 
-    /// Computes four tags under this key over four independent messages,
-    /// driving the block cipher 4-wide ([`Aes128::encrypt_each`]) block
-    /// by block when the four messages have one length — the router's
-    /// Eq. 3 SegR tokens and Eq. 4 hop authenticators, where one AS secret
-    /// authenticates four packets' fixed-size inputs concurrently. Lanes
-    /// of different lengths fall back to four [`Self::tag`] calls; either
-    /// way the result is bit-identical to four [`Self::tag`] calls and
+    /// Computes `N` tags under this key over `N` independent messages,
+    /// driving the block cipher `N`-wide ([`Aes128::encrypt_each`]) block
+    /// by block when the messages have one length — the router's Eq. 3
+    /// SegR tokens and Eq. 4 hop authenticators, where one AS secret
+    /// authenticates `N` packets' fixed-size inputs concurrently. Lanes
+    /// of different lengths fall back to `N` [`Self::tag`] calls; either
+    /// way the result is bit-identical to `N` [`Self::tag`] calls and
     /// costs the same AES blocks. Always inlined, so fixed-size inputs
     /// split and pad without a `memcpy` call.
     #[inline(always)]
-    pub fn tag4(&self, msgs: [&[u8]; 4]) -> [[u8; 16]; 4] {
-        let len = msgs[0].len();
+    pub fn tag_each<const N: usize>(&self, msgs: [&[u8]; N]) -> [[u8; 16]; N] {
+        let len = msgs.first().map_or(0, |m| m.len());
         if msgs.iter().any(|m| m.len() != len) {
             return msgs.map(|m| self.tag(m));
         }
         let split = len.saturating_sub(1) / BLOCK * BLOCK;
-        let mut x = [[0u8; 16]; 4];
+        let mut x = [[0u8; 16]; N];
         for at in (0..split).step_by(BLOCK) {
             for (x, m) in x.iter_mut().zip(msgs) {
                 *x = xor_block(*x, m[at..at + BLOCK].try_into().expect("one block"));
             }
-            Aes128::encrypt_each([&self.cipher; 4], &mut x);
+            Aes128::encrypt_each([&self.cipher; N], &mut x);
         }
         for (x, m) in x.iter_mut().zip(msgs) {
             *x = xor_block(*x, &self.last_block_short(&m[split..]));
         }
-        Aes128::encrypt_each([&self.cipher; 4], &mut x);
+        Aes128::encrypt_each([&self.cipher; N], &mut x);
         x
     }
 
-    /// `N` single-block tags under `N` pre-expanded instances, in exactly
-    /// one `N`-wide AES batch. Panics unless every message fits in one
-    /// block (≤ 16 bytes). Always inlined, so the wire-level callers'
-    /// fixed 12-byte Eq. 6 inputs pad without a `memcpy` call.
+    /// Computes `N` single-block tags under `N` *pre-expanded* instances
+    /// in exactly one `N`-wide AES batch — the Eq. 6 kernel, where the
+    /// caller already holds the expanded round keys and K1/K2 subkeys
+    /// (the gateway per installed hop, the router per freshly expanded
+    /// σ), so only the final block encryption remains: `N` AES blocks and
+    /// no key expansion. Panics unless every message fits in one block
+    /// (≤ 16 bytes). Always inlined, so the wire-level callers' fixed
+    /// 12-byte Eq. 6 inputs pad without a `memcpy` call.
     #[inline(always)]
-    fn tags_short<const N: usize>(cmacs: [&Cmac; N], msgs: [&[u8]; N]) -> [[u8; 16]; N] {
+    pub fn tags_short<const N: usize>(cmacs: [&Cmac; N], msgs: [&[u8]; N]) -> [[u8; 16]; N] {
         for m in msgs {
             assert!(m.len() <= BLOCK, "short-message CMAC batches require single-block messages");
         }
@@ -187,55 +174,6 @@ impl Cmac {
         }
         Aes128::encrypt_each(cmacs.map(|c| &c.cipher), &mut last);
         last
-    }
-
-    /// Computes four single-block CMAC tags under four *independent* keys
-    /// in one interleaved pass. Every message must fit in one block
-    /// (≤ 16 bytes); panics otherwise.
-    ///
-    /// This is the Eq. 6 batch kernel: the verifier holds four distinct
-    /// hop authenticators σ (one per packet on the router, one per hop on
-    /// the gateway) and MACs a 12-byte `Ts || PktSize` input under each.
-    /// The key expansions, the subkey derivation `L = AES_K(0)` and the
-    /// final block encryption all run 4-wide.
-    #[inline]
-    pub fn tag4_short_multikey(keys: [&[u8; 16]; 4], msgs: [&[u8]; 4]) -> [[u8; 16]; 4] {
-        Self::tags_short(Cmac::new_lanes(keys).each_ref(), msgs)
-    }
-
-    /// Computes four single-block CMAC tags under four *pre-expanded*
-    /// instances in one interleaved pass — the fully amortized Eq. 6
-    /// kernel. Every message must fit in one block (≤ 16 bytes); panics
-    /// otherwise.
-    ///
-    /// Where [`Self::tag4_short_multikey`] spends four key expansions plus
-    /// a 4-wide subkey derivation per call, this variant spends exactly
-    /// *one* 4-wide AES batch: the caller already holds the expanded round
-    /// keys and K1/K2 subkeys (the gateway per installed hop, the router
-    /// per freshly expanded σ), so only the final block encryption
-    /// remains.
-    #[inline]
-    pub fn tag4_short_each(cmacs: [&Cmac; 4], msgs: [&[u8]; 4]) -> [[u8; 16]; 4] {
-        Self::tags_short(cmacs, msgs)
-    }
-
-    /// Computes eight single-block CMAC tags under eight *independent*
-    /// keys in one interleaved pass — the 8-wide analog of
-    /// [`Self::tag4_short_multikey`]. Every message must fit in one block
-    /// (≤ 16 bytes); panics otherwise.
-    #[inline]
-    pub fn tag8_short_multikey(keys: [&[u8; 16]; 8], msgs: [&[u8]; 8]) -> [[u8; 16]; 8] {
-        Self::tags_short(Cmac::new_lanes(keys).each_ref(), msgs)
-    }
-
-    /// Computes eight single-block CMAC tags under eight *pre-expanded*
-    /// instances in exactly one 8-wide AES batch — the fully amortized
-    /// Eq. 6 kernel at double the interleave width of
-    /// [`Self::tag4_short_each`]. Every message must fit in one block
-    /// (≤ 16 bytes); panics otherwise.
-    #[inline]
-    pub fn tag8_short_each(cmacs: [&Cmac; 8], msgs: [&[u8]; 8]) -> [[u8; 16]; 8] {
-        Self::tags_short(cmacs, msgs)
     }
 
     /// Begins an incremental computation.
@@ -357,7 +295,7 @@ mod tests {
             ),
         ];
         crate::aes::tests::on_both_backends(|| {
-            let [lane, ..] = Cmac::new4([&KEY; 4]);
+            let [lane, ..] = Cmac::new_each([&KEY; 4]);
             for cmac in [Cmac::new(&KEY), lane] {
                 for (msg, expect) in cases {
                     assert_eq!(cmac.tag(msg), expect, "len {}", msg.len());
@@ -395,117 +333,131 @@ mod tests {
         assert_eq!(short, full[..4]);
     }
 
-    #[test]
-    fn tag4_matches_four_scalar_tags() {
-        let cmac = Cmac::new(&KEY);
-        // Mixed lengths: empty, exactly one block, interior+padded tail,
-        // and several full blocks — exercises every lockstep shape.
-        let cases: [[&[u8]; 4]; 3] = [
-            [&[], &MSG[..16], &MSG[..40], &MSG[..64]],
-            [&MSG[..12], &MSG[..12], &MSG[..12], &MSG[..12]],
-            [&MSG[..32], &MSG[..48], &MSG[..17], &MSG[..1]],
-        ];
-        for msgs in cases {
-            let batched = cmac.tag4(msgs);
-            for l in 0..4 {
-                assert_eq!(batched[l], cmac.tag(msgs[l]), "lane {l} len {}", msgs[l].len());
+    /// `f` with its `(AES blocks, key expansions)` cost.
+    fn with_cost<R>(f: impl FnOnce() -> R) -> (R, (u64, u64)) {
+        let (b0, x0) = (crate::ops::aes_block_ops(), crate::ops::key_expansions());
+        let r = f();
+        (r, (crate::ops::aes_block_ops() - b0, crate::ops::key_expansions() - x0))
+    }
+
+    /// `N` distinct lane keys.
+    fn lane_keys<const N: usize>(seed: u8) -> [[u8; 16]; N] {
+        core::array::from_fn(|l| [(l as u8).wrapping_mul(seed).wrapping_add(3); 16])
+    }
+
+    /// Runs `$check::<N>()` at the data plane's lane widths 1, 4 and 8 and
+    /// at the odd widths 2 and 3.
+    macro_rules! at_widths {
+        ($check:ident) => {{
+            $check::<1>();
+            $check::<2>();
+            $check::<3>();
+            $check::<4>();
+            $check::<8>();
+        }};
+    }
+
+    fn new_each_at<const N: usize>() {
+        let keys = lane_keys::<N>(17);
+        let (cmacs, cost) = with_cost(|| Cmac::new_each(keys.each_ref()));
+        // N lockstep expansions plus one N-wide subkey batch.
+        assert_eq!(cost, (N as u64, N as u64));
+        for (cmac, key) in cmacs.iter().zip(&keys) {
+            for msg in [&MSG[..0], &MSG[..12], &MSG[..16], &MSG[..40]] {
+                assert_eq!(cmac.tag(msg), Cmac::new(key).tag(msg), "N {N} len {}", msg.len());
             }
+        }
+    }
+
+    #[test]
+    fn new_each_matches_scalar_instances() {
+        at_widths!(new_each_at);
+    }
+
+    #[test]
+    fn new4_matches_scalar_instances() {
+        new_each_at::<4>();
+    }
+
+    #[test]
+    fn new8_matches_scalar_instances() {
+        new_each_at::<8>();
+    }
+
+    fn tag_each_at<const N: usize>() {
+        let cmac = Cmac::new(&KEY);
+        let check = |msgs: [&[u8]; N]| {
+            let (batched, cost) = with_cost(|| cmac.tag_each(msgs));
+            let (scalar, scalar_cost) = with_cost(|| msgs.map(|m| cmac.tag(m)));
+            assert_eq!(batched, scalar, "N {N} lens {:?}", msgs.map(<[u8]>::len));
+            assert_eq!(cost, scalar_cost, "N {N}: the AES blocks of N scalar tags");
+        };
+        // One length per batch (the lockstep path) at every block shape:
+        // empty, a padded block, one full block, interior blocks plus a
+        // padded or full tail.
+        for len in [0, 1, 12, 16, 17, 22, 30, 32, 48] {
+            check(core::array::from_fn(|l| &MSG[l..l + len]));
+        }
+        // Mixed lengths fall back lane by lane.
+        check(core::array::from_fn(|l| &MSG[..l * 13 % 65]));
+    }
+
+    #[test]
+    fn tag_each_matches_scalar_tags() {
+        at_widths!(tag_each_at);
+    }
+
+    fn tags_short_at<const N: usize>() {
+        let keys = lane_keys::<N>(29);
+        let cmacs = Cmac::new_each(keys.each_ref());
+        let msgs: [&[u8]; N] = core::array::from_fn(|l| &MSG[..[12, 16, 0, 7, 3, 1, 15, 10][l]]);
+        let (tags, cost) = with_cost(|| Cmac::tags_short(cmacs.each_ref(), msgs));
+        // Pre-expanded: one N-wide block batch, no expansion.
+        assert_eq!(cost, (N as u64, 0), "N {N}");
+        for l in 0..N {
+            assert_eq!(tags[l], Cmac::new(&keys[l]).tag(msgs[l]), "N {N} lane {l}");
+        }
+    }
+
+    #[test]
+    fn tags_short_matches_scalar_and_skips_expansion() {
+        at_widths!(tags_short_at);
+    }
+
+    #[test]
+    fn tag4_short_each_matches_scalar_and_skips_expansion() {
+        tags_short_at::<4>();
+    }
+
+    #[test]
+    fn tag8_short_each_matches_scalar_and_skips_expansion() {
+        tags_short_at::<8>();
+    }
+
+    /// Short tags straight from `N` raw keys: [`Cmac::new_each`] then
+    /// [`Cmac::tags_short`].
+    fn tags_short_from_keys_at<const N: usize>() {
+        let keys = lane_keys::<N>(11);
+        let msgs: [&[u8]; N] = core::array::from_fn(|l| &MSG[..[12, 16, 0, 5, 12, 1, 15, 8][l]]);
+        let (tags, cost) = with_cost(|| {
+            let cmacs = Cmac::new_each(keys.each_ref());
+            Cmac::tags_short(cmacs.each_ref(), msgs)
+        });
+        // N lockstep expansions, one N-wide subkey batch, one N-wide tag batch.
+        assert_eq!(cost, (2 * N as u64, N as u64), "N {N}");
+        for l in 0..N {
+            assert_eq!(tags[l], Cmac::new(&keys[l]).tag(msgs[l]), "N {N} lane {l}");
         }
     }
 
     #[test]
     fn tag4_short_multikey_matches_scalar() {
-        let keys: [[u8; 16]; 4] = core::array::from_fn(|l| [(l as u8) * 31 + 1; 16]);
-        let msgs: [&[u8]; 4] = [&MSG[..12], &MSG[..16], &[], &MSG[..5]];
-        let batched =
-            Cmac::tag4_short_multikey([&keys[0], &keys[1], &keys[2], &keys[3]], msgs);
-        for l in 0..4 {
-            assert_eq!(batched[l], Cmac::new(&keys[l]).tag(msgs[l]), "lane {l}");
-        }
-    }
-
-    #[test]
-    fn new4_matches_scalar_instances() {
-        let keys: [[u8; 16]; 4] = core::array::from_fn(|l| [(l as u8) * 17 + 3; 16]);
-        let batched = Cmac::new4([&keys[0], &keys[1], &keys[2], &keys[3]]);
-        for l in 0..4 {
-            let scalar = Cmac::new(&keys[l]);
-            for msg in [&MSG[..0], &MSG[..12], &MSG[..16], &MSG[..40]] {
-                assert_eq!(batched[l].tag(msg), scalar.tag(msg), "lane {l} len {}", msg.len());
-            }
-        }
-    }
-
-    #[test]
-    fn tag4_short_each_matches_scalar_and_skips_expansion() {
-        let keys: [[u8; 16]; 4] = core::array::from_fn(|l| [(l as u8) * 29 + 5; 16]);
-        let cmacs = Cmac::new4([&keys[0], &keys[1], &keys[2], &keys[3]]);
-        let msgs: [&[u8]; 4] = [&MSG[..12], &MSG[..16], &[], &MSG[..7]];
-        let x0 = crate::ops::key_expansions();
-        let b0 = crate::ops::aes_block_ops();
-        let batched = Cmac::tag4_short_each([&cmacs[0], &cmacs[1], &cmacs[2], &cmacs[3]], msgs);
-        // Pre-expanded path: zero expansions, one 4-wide block batch.
-        assert_eq!(crate::ops::key_expansions() - x0, 0);
-        assert_eq!(crate::ops::aes_block_ops() - b0, 4);
-        for l in 0..4 {
-            assert_eq!(batched[l], Cmac::new(&keys[l]).tag(msgs[l]), "lane {l}");
-        }
-    }
-
-    #[test]
-    fn new8_matches_scalar_instances() {
-        let keys: [[u8; 16]; 8] = core::array::from_fn(|l| [(l as u8) * 23 + 7; 16]);
-        let batched = Cmac::new8(core::array::from_fn(|l| &keys[l]));
-        for l in 0..8 {
-            let scalar = Cmac::new(&keys[l]);
-            for msg in [&MSG[..0], &MSG[..12], &MSG[..16], &MSG[..40]] {
-                assert_eq!(batched[l].tag(msg), scalar.tag(msg), "lane {l} len {}", msg.len());
-            }
-        }
+        tags_short_from_keys_at::<4>();
     }
 
     #[test]
     fn tag8_short_multikey_matches_scalar() {
-        let keys: [[u8; 16]; 8] = core::array::from_fn(|l| [(l as u8) * 11 + 3; 16]);
-        let msgs: [&[u8]; 8] = [
-            &MSG[..12],
-            &MSG[..16],
-            &[],
-            &MSG[..5],
-            &MSG[..12],
-            &MSG[..1],
-            &MSG[..15],
-            &MSG[..8],
-        ];
-        let batched = Cmac::tag8_short_multikey(core::array::from_fn(|l| &keys[l]), msgs);
-        for l in 0..8 {
-            assert_eq!(batched[l], Cmac::new(&keys[l]).tag(msgs[l]), "lane {l}");
-        }
-    }
-
-    #[test]
-    fn tag8_short_each_matches_scalar_and_skips_expansion() {
-        let keys: [[u8; 16]; 8] = core::array::from_fn(|l| [(l as u8).wrapping_mul(37).wrapping_add(9); 16]);
-        let cmacs = Cmac::new8(core::array::from_fn(|l| &keys[l]));
-        let msgs: [&[u8]; 8] = [
-            &MSG[..12],
-            &MSG[..16],
-            &[],
-            &MSG[..7],
-            &MSG[..3],
-            &MSG[..12],
-            &MSG[..16],
-            &MSG[..10],
-        ];
-        let x0 = crate::ops::key_expansions();
-        let b0 = crate::ops::aes_block_ops();
-        let batched = Cmac::tag8_short_each(core::array::from_fn(|l| &cmacs[l]), msgs);
-        // Pre-expanded path: zero expansions, one 8-wide block batch.
-        assert_eq!(crate::ops::key_expansions() - x0, 0);
-        assert_eq!(crate::ops::aes_block_ops() - b0, 8);
-        for l in 0..8 {
-            assert_eq!(batched[l], Cmac::new(&keys[l]).tag(msgs[l]), "lane {l}");
-        }
+        tags_short_from_keys_at::<8>();
     }
 
     #[test]

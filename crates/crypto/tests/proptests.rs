@@ -3,6 +3,33 @@
 use colibri_crypto::{ct_eq, Aead, Aes128, Cmac, Epoch, SecretValueGen};
 use proptest::prelude::*;
 
+/// Runs `$check::<N>(args..)` at lane widths 1, 2, 3, 4 and 8.
+macro_rules! at_widths {
+    ($check:ident($($arg:expr),*)) => {{
+        $check::<1>($($arg),*);
+        $check::<2>($($arg),*);
+        $check::<3>($($arg),*);
+        $check::<4>($($arg),*);
+        $check::<8>($($arg),*);
+    }};
+}
+
+/// [`Cmac::tag_each`] over the first `N` messages equals `N` scalar tags.
+fn tag_each_at<const N: usize>(key: &[u8; 16], msgs: &[Vec<u8>]) {
+    let lanes: [&[u8]; N] = core::array::from_fn(|l| msgs[l].as_slice());
+    let scalar = lanes.map(|m| Cmac::new(key).tag(m));
+    prop_assert_eq!(Cmac::new(key).tag_each(lanes), scalar, "N = {}", N);
+}
+
+/// [`Cmac::tags_short`] over `N` pre-expanded per-lane keys equals `N`
+/// scalar tags.
+fn tags_short_at<const N: usize>(keys: &[[u8; 16]], msgs: &[Vec<u8>]) {
+    let cmacs = Cmac::new_each::<N>(core::array::from_fn(|l| &keys[l]));
+    let lanes: [&[u8]; N] = core::array::from_fn(|l| msgs[l].as_slice());
+    let scalar: [[u8; 16]; N] = core::array::from_fn(|l| Cmac::new(&keys[l]).tag(lanes[l]));
+    prop_assert_eq!(Cmac::tags_short(cmacs.each_ref(), lanes), scalar, "N = {}", N);
+}
+
 proptest! {
     /// AES decryption inverts encryption for arbitrary keys and blocks.
     #[test]
@@ -115,40 +142,31 @@ proptest! {
         }
     }
 
-    /// The 4-wide interleaved CMAC is bit-identical to four scalar tags,
-    /// for arbitrary per-lane message lengths (including empty and
-    /// unequal numbers of blocks).
+    /// The `N`-wide interleaved CMAC under one key is bit-identical to `N`
+    /// scalar tags at every lane width, for arbitrary per-lane message
+    /// lengths (including empty and unequal numbers of blocks) and for
+    /// one shared length (the lockstep path).
     #[test]
-    fn tag4_equals_scalar(
+    fn tag_each_equals_scalar(
         key in any::<[u8; 16]>(),
-        msgs in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..80), 4),
+        msgs in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..80), 8),
+        same in prop::collection::vec(any::<u8>(), 0..80),
     ) {
-        let cmac = Cmac::new(&key);
-        let tags = cmac.tag4([&msgs[0], &msgs[1], &msgs[2], &msgs[3]]);
-        for lane in 0..4 {
-            prop_assert_eq!(tags[lane], cmac.tag(&msgs[lane]), "tag4 lane {} diverged", lane);
+        let equal: Vec<Vec<u8>> = (0..8u8).map(|l| same.iter().map(|b| b ^ l).collect()).collect();
+        for msgs in [&msgs, &equal] {
+            at_widths!(tag_each_at(&key, msgs));
         }
     }
 
-    /// The multi-key short-message CMAC batch (the Eq. 6 HVF path: four
-    /// distinct hop authenticators, one block each) matches scalar CMAC.
+    /// The pre-expanded short-message CMAC batch (the Eq. 6 HVF path:
+    /// `N` distinct hop authenticators, one block each) matches scalar
+    /// CMAC at every lane width.
     #[test]
-    fn tag4_short_multikey_equals_scalar(
-        keys in prop::collection::vec(any::<[u8; 16]>(), 4),
-        msgs in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..17), 4),
+    fn tags_short_equals_scalar(
+        keys in prop::collection::vec(any::<[u8; 16]>(), 8),
+        msgs in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..17), 8),
     ) {
-        let tags = Cmac::tag4_short_multikey(
-            [&keys[0], &keys[1], &keys[2], &keys[3]],
-            [&msgs[0], &msgs[1], &msgs[2], &msgs[3]],
-        );
-        for lane in 0..4 {
-            prop_assert_eq!(
-                tags[lane],
-                Cmac::new(&keys[lane]).tag(&msgs[lane]),
-                "tag4_short_multikey lane {} diverged",
-                lane
-            );
-        }
+        at_widths!(tags_short_at(&keys, &msgs));
     }
 
     /// DRKey derivation is injective-in-practice across remotes and epochs

@@ -14,16 +14,16 @@
 //! preserved: per-packet cost grows with path length (one CMAC per on-path
 //! AS) and with the table size through cache misses (Fig. 5).
 
-use crate::router::{by_width, for_each_by_width};
+use crate::router::{for_each_by_width, LaneKernel};
 use crate::telemetry::GatewayTelemetry;
 use colibri_base::{Bandwidth, Duration, HostAddr, Instant, ResId};
-use colibri_crypto::Cmac;
+use colibri_crypto::{Cmac, Key};
 use colibri_ctrl::OwnedEer;
 use colibri_telemetry::Registry;
 use colibri_monitor::TokenBucket;
 use colibri_qdisc::{AdmitError, HtbConfig, Qdisc, QdiscStats, TrafficClass};
-use colibri_wire::mac::{eer_hvf4_with, eer_hvf8_with, eer_hvf_with};
-use colibri_wire::{EerInfo, HopField, PacketBuilder, PacketViewMut, ResInfo};
+use colibri_wire::mac::eer_hvfs;
+use colibri_wire::{EerInfo, HopField, PacketBuilder, PacketViewMut, ResInfo, HVF_LEN};
 use std::collections::HashMap;
 
 /// Why the gateway refused to send a packet.
@@ -69,19 +69,43 @@ struct InstalledVersion {
     sigma_cmacs: Vec<Cmac>,
     bw: Bandwidth,
     exp: Instant,
+    /// Last timestamp issued on this version (`u64::MAX` before the
+    /// first), to guarantee uniqueness of `Ts` (the duplicate-suppression
+    /// ID, §4.3). Tracked per version because `Ts` is relative to the
+    /// version's `ExpT`: a renewal moves the expiry forward and restarts
+    /// the countdown higher up. Distinct versions cannot collide within
+    /// the replay window, since their expiries differ by far more than
+    /// the window.
+    last_ts: u64,
 }
 
-/// Expands raw σ keys into ready-to-MAC CMAC instances, eight at a time
-/// so the serial AES key-expansion chains of up to eight hops interleave
-/// ([`Cmac::new8`]); a remainder of at least four hops takes the 4-wide
-/// kernel, the rest expand scalar.
-fn expand_hop_auths(hop_auths: &[colibri_crypto::Key]) -> Vec<Cmac> {
-    by_width(
-        hop_auths,
-        |oct| Cmac::new8(oct.each_ref().map(|k| &k.0)),
-        |quad| Cmac::new4(quad.each_ref().map(|k| &k.0)),
-        colibri_crypto::Key::cmac,
-    )
+/// Expands a version's raw σ keys into ready-to-MAC CMAC instances at
+/// install, with the serial AES key-expansion chains of up to eight hops
+/// interleaved.
+struct ExpandSigmas;
+
+impl LaneKernel<Key> for ExpandSigmas {
+    type Out = Cmac;
+
+    fn run<const N: usize>(&self, keys: &[Key; N]) -> [Cmac; N] {
+        Cmac::new_each(keys.each_ref().map(|k| &k.0))
+    }
+}
+
+/// Stamps Eq. 6 for one packet's `(Ts, PktSize)` under a version's
+/// pre-expanded σ instances, up to eight hops per AES batch.
+struct StampHvfs {
+    ts: u64,
+    pkt_size: usize,
+}
+
+impl LaneKernel<Cmac> for StampHvfs {
+    type Out = [u8; HVF_LEN];
+
+    #[inline]
+    fn run<const N: usize>(&self, sigma_cmacs: &[Cmac; N]) -> [[u8; HVF_LEN]; N] {
+        eer_hvfs(sigma_cmacs.each_ref(), [(self.ts, self.pkt_size); N])
+    }
 }
 
 /// One reservation's gateway state.
@@ -90,14 +114,6 @@ struct Entry {
     hops: Vec<HopField>,
     versions: Vec<InstalledVersion>,
     monitor: TokenBucket,
-    /// Last timestamp issued *per version* (`u64::MAX` before the first),
-    /// to guarantee uniqueness of `Ts` (the duplicate-suppression ID,
-    /// §4.3). Tracked per version because `Ts` is relative to the
-    /// version's `ExpT`: a renewal moves the expiry forward and restarts
-    /// the countdown higher up. Distinct versions cannot collide within
-    /// the replay window, since their expiries differ by far more than
-    /// the window.
-    last_ts: HashMap<u8, u64>,
 }
 
 /// A successfully stamped packet.
@@ -204,10 +220,9 @@ impl Gateway {
     /// Structurally invalid EERs — an empty path or one longer than the
     /// wire format can carry — are rejected outright (the reservation is
     /// removed if present), so the per-packet stamping path can rely on
-    /// `1..=MAX_HOPS` hops and never fail on path shape. Superseded
-    /// version entries are pruned from the replay-ordering (`last_ts`) map
-    /// here, so a long-lived gateway's memory is bounded by its *live*
-    /// versions, not by every version a reservation ever had.
+    /// `1..=MAX_HOPS` hops and never fail on path shape. Every version
+    /// that stays live keeps its last issued `Ts`, so a re-install never
+    /// repeats a timestamp.
     pub fn install(&mut self, eer: &OwnedEer, now: Instant) {
         if eer.hop_fields.is_empty() || eer.hop_fields.len() > colibri_wire::MAX_HOPS {
             self.table.remove(&eer.key.res_id);
@@ -216,21 +231,30 @@ impl Gateway {
             }
             return;
         }
+        let installed = self.table.get(&eer.key.res_id).map_or(&[][..], |e| &e.versions);
         let versions: Vec<InstalledVersion> = eer
             .versions
             .iter()
             .filter(|v| v.exp > now)
-            .map(|v| InstalledVersion {
-                res_info: ResInfo {
-                    src_as: eer.key.src_as,
-                    res_id: eer.key.res_id,
-                    bw: colibri_base::BwClass::from_bandwidth_ceil(v.bw),
-                    exp_t: v.exp,
-                    ver: v.ver,
-                },
-                sigma_cmacs: expand_hop_auths(&v.hop_auths),
-                bw: v.bw,
-                exp: v.exp,
+            .map(|v| {
+                let mut sigma_cmacs = Vec::with_capacity(v.hop_auths.len());
+                for_each_by_width(&v.hop_auths, &ExpandSigmas, |_, c| sigma_cmacs.push(c));
+                InstalledVersion {
+                    res_info: ResInfo {
+                        src_as: eer.key.src_as,
+                        res_id: eer.key.res_id,
+                        bw: colibri_base::BwClass::from_bandwidth_ceil(v.bw),
+                        exp_t: v.exp,
+                        ver: v.ver,
+                    },
+                    sigma_cmacs,
+                    bw: v.bw,
+                    exp: v.exp,
+                    last_ts: installed
+                        .iter()
+                        .find(|old| old.res_info.ver == v.ver)
+                        .map_or(u64::MAX, |old| old.last_ts),
+                }
             })
             .collect();
         if versions.is_empty() {
@@ -255,13 +279,6 @@ impl Gateway {
                 // new depth — so a mid-stream rate change never mints a
                 // retroactive free burst (see `TokenBucket::reconfigure`).
                 entry.monitor.reconfigure(rate, self.cfg.burst, now);
-                // Evict replay-ordering state of versions that no longer
-                // exist (expired or superseded): their `Ts` values can
-                // never be stamped again, so keeping them only grows the
-                // map — one stale u64 per version, forever, on a gateway
-                // that renews every few seconds.
-                let live = &entry.versions;
-                entry.last_ts.retain(|ver, _| live.iter().any(|v| v.res_info.ver == *ver));
             }
             None => {
                 self.table.insert(
@@ -271,7 +288,6 @@ impl Gateway {
                         hops: eer.hop_fields.clone(),
                         versions,
                         monitor: TokenBucket::with_burst_duration(rate, self.cfg.burst, now),
-                        last_ts: HashMap::new(),
                     },
                 );
             }
@@ -336,33 +352,18 @@ impl Gateway {
 
     /// Processes one packet from end host `src_host` over reservation
     /// `res_id` (Fig. 1c ➊–➋): monitor, stamp `Ts`, compute all HVFs, and
-    /// emit the wire packet.
-    pub fn process(
-        &mut self,
-        src_host: HostAddr,
-        res_id: ResId,
-        payload: &[u8],
-        now: Instant,
-    ) -> Result<StampedPacket, GatewayError> {
-        let mut bytes = Vec::new();
-        let first_egress = self.process_into(src_host, res_id, payload, now, &mut bytes)?;
-        Ok(StampedPacket { bytes, first_egress })
-    }
-
-    /// Allocation-free variant of [`Gateway::process`]: serializes the
-    /// stamped packet into `buf` (cleared and reused; it only grows when
-    /// its capacity is insufficient) and returns the first-hop egress
-    /// interface. This is the hot path for drivers that recycle packet
-    /// buffers — after warm-up the gateway performs zero heap allocations
-    /// per packet, matching the paper's preallocated-mbuf DPDK pipeline.
+    /// serialize the wire packet into `buf` (cleared and reused; it only
+    /// grows when its capacity is insufficient). Returns the first-hop
+    /// egress interface. A driver that recycles packet buffers makes no
+    /// heap allocation per packet after warm-up, matching the paper's
+    /// preallocated-mbuf DPDK pipeline.
     ///
     /// Hop validation fields are computed eight hops at a time over the
-    /// version's pre-expanded σ CMAC instances (Eq. 6 via
-    /// [`eer_hvf8_with`]), so the per-hop AES blocks of up to eight
-    /// on-path ASes are in flight concurrently and *no* AES key expansion
-    /// runs per packet — the schedules were expanded at install time.
-    /// Remainder hops take the 4-wide kernel when at least four remain,
-    /// and otherwise reuse their instance through [`eer_hvf_with`].
+    /// version's pre-expanded σ CMAC instances (Eq. 6 via [`eer_hvfs`]),
+    /// so the per-hop AES blocks of up to eight on-path ASes are in flight
+    /// concurrently and *no* AES key expansion runs per packet — the
+    /// schedules were expanded at install time. Remainder hops run four
+    /// wide when at least four remain, the rest one by one.
     pub fn process_into(
         &mut self,
         src_host: HostAddr,
@@ -384,21 +385,19 @@ impl Gateway {
             return Err(refuse(&mut self.stats, &self.telemetry, GatewayError::WrongHost));
         }
         // Use the latest live version (§4.2).
-        let Some(version) = entry.versions.iter().rev().find(|v| v.exp > now) else {
+        let Some(version) = entry.versions.iter_mut().rev().find(|v| v.exp > now) else {
             return Err(refuse(&mut self.stats, &self.telemetry, GatewayError::Expired(res_id)));
         };
         let pkt_size = colibri_wire::header_len(entry.hops.len(), true) + payload.len();
         // High-precision timestamp: ns until expiry, strictly decreasing
-        // per version so every packet is unique (`u64::MAX` marks a version
-        // with nothing stamped yet). Decided before policing, so a packet
-        // refused here consumes no tokens.
-        let last_ts = entry.last_ts.entry(version.res_info.ver).or_insert(u64::MAX);
+        // per version so every packet is unique. Decided before policing,
+        // so a packet refused here consumes no tokens.
         let mut ts = version.exp.as_nanos().saturating_sub(now.as_nanos());
-        if ts >= *last_ts {
+        if ts >= version.last_ts {
             // Once `Ts = 0` is stamped the version has no timestamp left:
             // another packet would repeat a `(key, Ts)` pair, which the
             // routers' replay filter drops as a duplicate.
-            let Some(next) = last_ts.checked_sub(1) else {
+            let Some(next) = version.last_ts.checked_sub(1) else {
                 let err = GatewayError::Expired(res_id);
                 return Err(refuse(&mut self.stats, &self.telemetry, err));
             };
@@ -427,7 +426,7 @@ impl Gateway {
             }
             return Err(GatewayError::RateLimited(res_id));
         }
-        *last_ts = ts;
+        version.last_ts = ts;
 
         PacketBuilder::eer(version.res_info, entry.eer_info)
             .path(entry.hops.iter().copied())
@@ -437,16 +436,10 @@ impl Gateway {
         debug_assert_eq!(buf.len(), pkt_size);
         let mut view = PacketViewMut::parse(buf).expect("self-built packet");
         let mut hop = 0;
-        for_each_by_width(
-            &version.sigma_cmacs,
-            |oct| eer_hvf8_with(oct.each_ref(), [(ts, pkt_size); 8]),
-            |quad| eer_hvf4_with(quad.each_ref(), [(ts, pkt_size); 4]),
-            |sigma_cmac| eer_hvf_with(sigma_cmac, ts, pkt_size),
-            |hvf| {
-                view.set_hvf(hop, hvf);
-                hop += 1;
-            },
-        );
+        for_each_by_width(&version.sigma_cmacs, &StampHvfs { ts, pkt_size }, |_, hvf| {
+            view.set_hvf(hop, hvf);
+            hop += 1;
+        });
         self.stats.forwarded += 1;
         if let Some(t) = &self.telemetry {
             t.forwarded.inc();
@@ -484,7 +477,6 @@ impl std::fmt::Debug for Gateway {
 mod tests {
     use super::*;
     use colibri_base::{IsdAsId, ReservationKey};
-    use colibri_crypto::Key;
     use colibri_ctrl::OwnedEerVersion;
     use colibri_wire::PacketView;
 
@@ -492,7 +484,7 @@ mod tests {
 
     fn owned(res_id: u32, versions: Vec<(u8, Bandwidth, Instant)>) -> OwnedEer {
         OwnedEer {
-            key: ReservationKey::new(IsdAsId::new(1, 10), colibri_base::ResId(res_id)),
+            key: ReservationKey::new(IsdAsId::new(1, 10), ResId(res_id)),
             eer_info: EerInfo { src_host: HOST, dst_host: HostAddr(8) },
             path_ases: vec![IsdAsId::new(1, 10), IsdAsId::new(1, 1)],
             hop_fields: vec![HopField::new(0, 1), HopField::new(2, 0)],
@@ -565,26 +557,27 @@ mod tests {
         g.install(&long, t0);
         assert!(g.is_empty());
         assert_eq!(
-            g.process(HOST, colibri_base::ResId(2), b"x", t0),
-            Err(GatewayError::UnknownReservation(colibri_base::ResId(2)))
+            g.process_into(HOST, ResId(2), b"x", t0, &mut Vec::new()),
+            Err(GatewayError::UnknownReservation(ResId(2)))
         );
     }
 
     #[test]
-    fn renewals_prune_replay_state_of_dead_versions() {
+    fn renewals_carry_replay_state_over() {
+        // Re-installing a live version (as every renewal does for the
+        // versions it keeps) must not reset its last issued `Ts`: at one
+        // fixed `now`, the next packet would otherwise repeat it.
         let mut g = gw();
-        let bw = Bandwidth::from_mbps(5);
-        // A long-lived reservation renewed across many version numbers:
-        // stamp a packet on each version (populating its last_ts slot),
-        // then renew to the next. The replay map must track only live
-        // versions, not every version ever seen.
-        for ver in 0u8..50 {
-            let exp = Instant::from_secs(100 + ver as u64);
-            let now = Instant::from_secs(ver as u64);
-            g.install(&owned(1, vec![(ver, bw, exp)]), now);
-            g.process(HOST, colibri_base::ResId(1), b"x", now).unwrap();
-            let slots = g.table[&colibri_base::ResId(1)].last_ts.len();
-            assert!(slots <= 1, "replay map grew to {slots} slots at ver {ver}");
+        let now = Instant::from_secs(10);
+        let o = owned(1, vec![(0, Bandwidth::from_mbps(5), Instant::from_secs(100))]);
+        let mut buf = Vec::new();
+        let mut prev = u64::MAX;
+        for _ in 0..3 {
+            g.install(&o, now);
+            g.process_into(HOST, ResId(1), b"x", now, &mut buf).unwrap();
+            let ts = PacketView::parse(&buf).unwrap().ts();
+            assert!(ts < prev, "ts {ts} repeated across a re-install");
+            prev = ts;
         }
     }
 
@@ -602,13 +595,14 @@ mod tests {
             ),
             t0,
         );
-        let pkt = g.process(HOST, colibri_base::ResId(1), b"x", t0).unwrap();
-        assert_eq!(PacketView::parse(&pkt.bytes).unwrap().res_info().ver, 1);
+        let mut buf = Vec::new();
+        g.process_into(HOST, ResId(1), b"x", t0, &mut buf).unwrap();
+        assert_eq!(PacketView::parse(&buf).unwrap().res_info().ver, 1);
         // After version 1 expires, nothing remains (version 0 is older).
         let late = Instant::from_secs(40);
         assert_eq!(
-            g.process(HOST, colibri_base::ResId(1), b"x", late),
-            Err(GatewayError::Expired(colibri_base::ResId(1)))
+            g.process_into(HOST, ResId(1), b"x", late, &mut buf),
+            Err(GatewayError::Expired(ResId(1)))
         );
     }
 
@@ -617,11 +611,12 @@ mod tests {
         let mut g = gw();
         let t0 = Instant::from_secs(0);
         g.install(&owned(1, vec![(0, Bandwidth::from_mbps(5), Instant::from_secs(16))]), t0);
+        let mut buf = Vec::new();
         let mut prev = u64::MAX;
         for _ in 0..50 {
             // Same `now` for every packet: Ts must still be unique.
-            let pkt = g.process(HOST, colibri_base::ResId(1), b"", t0).unwrap();
-            let ts = PacketView::parse(&pkt.bytes).unwrap().ts();
+            g.process_into(HOST, ResId(1), b"", t0, &mut buf).unwrap();
+            let ts = PacketView::parse(&buf).unwrap().ts();
             assert!(ts < prev, "ts {ts} not strictly decreasing");
             prev = ts;
         }
@@ -641,22 +636,23 @@ mod tests {
         let t = Instant::from_nanos(exp.as_nanos() - 1);
         g.install(&owned(1, vec![(0, bw, exp)]), Instant::from_secs(0));
         let payload = [0u8; 400];
+        let mut buf = Vec::new();
         for _ in 0..2 {
-            g.process(HOST, colibri_base::ResId(1), &payload, t).unwrap();
+            g.process_into(HOST, ResId(1), &payload, t, &mut buf).unwrap();
         }
         for _ in 0..5 {
             assert_eq!(
-                g.process(HOST, colibri_base::ResId(1), &payload, t),
-                Err(GatewayError::Expired(colibri_base::ResId(1)))
+                g.process_into(HOST, ResId(1), &payload, t, &mut buf),
+                Err(GatewayError::Expired(ResId(1)))
             );
         }
         assert_eq!((g.stats.rejected, g.stats.rate_limited), (5, 0));
         g.install(&owned(1, vec![(0, bw, exp), (1, bw, Instant::from_secs(32))]), t);
-        let pkt = g.process(HOST, colibri_base::ResId(1), &payload, t).unwrap();
-        assert_eq!(PacketView::parse(&pkt.bytes).unwrap().res_info().ver, 1);
+        g.process_into(HOST, ResId(1), &payload, t, &mut buf).unwrap();
+        assert_eq!(PacketView::parse(&buf).unwrap().res_info().ver, 1);
         assert_eq!(
-            g.process(HOST, colibri_base::ResId(1), &payload, t),
-            Err(GatewayError::RateLimited(colibri_base::ResId(1)))
+            g.process_into(HOST, ResId(1), &payload, t, &mut buf),
+            Err(GatewayError::RateLimited(ResId(1)))
         );
     }
 
@@ -672,12 +668,9 @@ mod tests {
         let mut o = owned(1, vec![(0, Bandwidth::from_kbps(8), Instant::from_secs(16))]);
         o.versions[0].bw = Bandwidth::from_kbps(8);
         g.install(&o, t0);
-        let mut sent = 0;
-        for _ in 0..100 {
-            if g.process(HOST, colibri_base::ResId(1), b"", t0).is_ok() {
-                sent += 1;
-            }
-        }
+        let mut buf = Vec::new();
+        let sent = (0..100).filter(|_| g.process_into(HOST, ResId(1), b"", t0, &mut buf).is_ok());
+        let sent = sent.count();
         assert!(sent < 30, "header bytes not charged: {sent} empty packets passed");
         assert!(g.stats.rate_limited > 0);
     }
@@ -687,8 +680,8 @@ mod tests {
         let mut g = gw();
         let t0 = Instant::from_secs(0);
         g.install(&owned(1, vec![(0, Bandwidth::from_mbps(5), Instant::from_secs(16))]), t0);
-        let pkt = g.process(HOST, colibri_base::ResId(1), b"x", t0).unwrap();
-        assert_eq!(pkt.first_egress, colibri_base::InterfaceId(1));
+        let egress = g.process_into(HOST, ResId(1), b"x", t0, &mut Vec::new());
+        assert_eq!(egress, Ok(colibri_base::InterfaceId(1)));
     }
 
     #[test]
@@ -696,9 +689,10 @@ mod tests {
         let mut g = gw();
         let t0 = Instant::from_secs(0);
         g.install(&owned(1, vec![(0, Bandwidth::from_mbps(5), Instant::from_secs(16))]), t0);
-        g.process(HOST, colibri_base::ResId(1), b"x", t0).unwrap();
-        let _ = g.process(HostAddr(99), colibri_base::ResId(1), b"x", t0);
-        let _ = g.process(HOST, colibri_base::ResId(2), b"x", t0);
+        let mut buf = Vec::new();
+        g.process_into(HOST, ResId(1), b"x", t0, &mut buf).unwrap();
+        let _ = g.process_into(HostAddr(99), ResId(1), b"x", t0, &mut buf);
+        let _ = g.process_into(HOST, ResId(2), b"x", t0, &mut buf);
         assert_eq!(g.stats.forwarded, 1);
         assert_eq!(g.stats.rejected, 2);
     }

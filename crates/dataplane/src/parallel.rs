@@ -468,9 +468,10 @@ mod tests {
             pg.install(&owned(i), now);
             single.install(&owned(i), now);
         }
+        let mut buf = Vec::new();
         for k in 0..120u32 {
             pg.submit(HostAddr(7), ResId(k % 6), vec![0u8; 1000], now);
-            let _ = single.process(HostAddr(7), ResId(k % 6), &[0u8; 1000], now);
+            let _ = single.process_into(HostAddr(7), ResId(k % 6), &[0u8; 1000], now, &mut buf);
         }
         let mut outs = Vec::new();
         pg.flush(&mut outs);
@@ -532,10 +533,11 @@ mod tests {
         let mut sent = 0;
         for i in 0..30u32 {
             let r = ResId(1 + i % 3);
-            let pkt = gw.process(HostAddr(7), r, b"data", now).unwrap();
+            let mut pkt = Vec::new();
+            gw.process_into(HostAddr(7), r, b"data", now, &mut pkt).unwrap();
             let s = shard_index(r, 4);
             expected_shard.insert(r, s);
-            pool.submit(pkt.bytes, now, &mut outs);
+            pool.submit(pkt, now, &mut outs);
             sent += 1;
         }
         // Garbage falls back round-robin.

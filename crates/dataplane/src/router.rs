@@ -23,12 +23,7 @@
 use colibri_base::{Bandwidth, Duration, HostAddr, Instant, InterfaceId, IsdAsId};
 use colibri_crypto::{ct_eq, Cmac, Epoch, SecretValueGen};
 use colibri_monitor::{MonitorAction, OveruseReport, TransitMonitor, TransitMonitorConfig};
-use colibri_wire::mac::{
-    eer_hvf, eer_hvf4_with, eer_hvf8_with, hop_auth, hop_auth4_from_inputs,
-    hop_auth8_from_inputs, hop_auth_from_input, hop_auth_input, segr_input, segr_token,
-    segr_token4_from_inputs, segr_token8_from_inputs, segr_token_from_input, HOP_AUTH_INPUT_LEN,
-    SEGR_INPUT_LEN,
-};
+use colibri_wire::mac::{eer_hvfs, hop_auth_input, hop_auths, segr_input, segr_tokens};
 use colibri_wire::{EerInfo, HopField, PacketViewMut, ResInfo, HVF_LEN};
 
 use crate::telemetry::RouterTelemetry;
@@ -260,6 +255,7 @@ impl BorderRouter {
     ///
     /// The packet is parsed exactly once: the same [`PacketViewMut`]
     /// serves header validation, the HVF read, and the final hop advance.
+    /// The HVF check is [`Self::process_batch`]'s kernel at width 1.
     pub fn process(&mut self, pkt: &mut [u8], now: Instant) -> RouterVerdict {
         let verdict = self.process_inner(pkt, now);
         self.flush_telemetry();
@@ -267,24 +263,21 @@ impl BorderRouter {
     }
 
     fn process_inner(&mut self, pkt: &mut [u8], now: Instant) -> RouterVerdict {
-        let (mut view, mut lane) = match self.screen(pkt, 0, now) {
+        let (mut view, lane) = match self.screen(pkt, 0, now) {
             Ok(screened) => screened,
             Err(dropped) => return dropped,
         };
         if lane.eer_info.is_some() {
             self.sigma_derivations += 1;
         }
-        // Cryptographic validation, derived from the AS secret alone: an
-        // EER hop is Eq. 4 → σ expansion → Eq. 6, a SegR hop is Eq. 3.
+        // Cryptographic validation from the AS secret alone: the batch's
+        // kernels at width 1.
         let k_i = self.k_i(Epoch::containing(now));
-        let expected = match &lane.eer_info {
-            Some(info) => {
-                eer_hvf(&hop_auth(k_i, &lane.res_info, info, lane.hop), lane.ts, lane.pkt_size)
-            }
-            None => segr_token(k_i, &lane.res_info, lane.hop),
+        let [valid] = match &lane.eer_info {
+            Some(info) => EerCheck(k_i).run(&[(&lane, info)]),
+            None => SegrCheck(k_i).run(&[&lane]),
         };
-        lane.valid = ct_eq(&expected, &lane.hvf);
-        self.finish(&lane, &mut view, now)
+        self.finish(&lane, valid, &mut view, now)
     }
 
     /// Parses `pkt` once and runs the stateless header checks (§4.6):
@@ -320,7 +313,6 @@ impl BorderRouter {
             hop: view.hop(curr),
             hvf: view.hvf(curr),
             pkt_size: view.pkt_size(),
-            valid: false,
         };
         Ok((view, lane))
     }
@@ -329,8 +321,14 @@ impl BorderRouter {
     /// (monitoring runs for EER data traffic only — SegR control traffic
     /// is rate-limited at the CServ, §4.8) and forwards it: delivery on a
     /// local egress, otherwise the hop pointer advances.
-    fn finish(&mut self, lane: &Lane, view: &mut PacketViewMut<'_>, now: Instant) -> RouterVerdict {
-        if !lane.valid {
+    fn finish(
+        &mut self,
+        lane: &Lane,
+        valid: bool,
+        view: &mut PacketViewMut<'_>,
+        now: Instant,
+    ) -> RouterVerdict {
+        if !valid {
             return self.drop(DropReason::BadHvf);
         }
         if lane.eer_info.is_some() && self.cfg.monitoring {
@@ -367,14 +365,14 @@ impl BorderRouter {
     /// * each packet is parsed once, and the per-epoch `K_i` lookup is
     ///   hoisted out of the per-packet loop;
     /// * the MAC verification runs eight packets wide, one lane list per
-    ///   MAC construction: EER lanes through Eq. 4
-    ///   ([`hop_auth8_from_inputs`] under the shared `K_i`), σ expansion
-    ///   ([`Cmac::new8`]) and Eq. 6 ([`eer_hvf8_with`]); SegR lanes
-    ///   through Eq. 3 ([`segr_token8_from_inputs`]). The AES round
-    ///   latency of one packet hides behind the other seven. Remainders
-    ///   of at least four lanes take the 4-wide kernels; shorter tails run
-    ///   scalar — all three widths are bit-identical and cost the same
-    ///   AES blocks and key expansions as the scalar path.
+    ///   MAC construction: EER lanes through Eq. 4 ([`hop_auths`] under
+    ///   the shared `K_i`), σ expansion ([`Cmac::new_each`]) and Eq. 6
+    ///   ([`eer_hvfs`]); SegR lanes through Eq. 3 ([`segr_tokens`]). The
+    ///   AES round latency of one packet hides behind the other seven.
+    ///   Remainders of at least four lanes run 4-wide, shorter tails one
+    ///   by one — the same kernels [`Self::process`] runs at width 1, so
+    ///   every width is bit-identical and costs the same AES blocks and
+    ///   key expansions.
     ///
     /// Monitoring (stateful: replay filter, OFD sketch, token buckets)
     /// still runs packet-by-packet in submission order, which is what
@@ -402,50 +400,23 @@ impl BorderRouter {
         // Phase 2 — stateless crypto under the hoisted per-epoch key, one
         // lane list per MAC construction. Crypto has no ordering effects,
         // so regrouping cannot change any verdict.
-        let mut eer: Vec<(usize, [u8; HOP_AUTH_INPUT_LEN])> = Vec::new();
-        let mut segr: Vec<(usize, [u8; SEGR_INPUT_LEN])> = Vec::new();
-        for (li, lane) in lanes.iter().enumerate() {
+        let mut eer = Vec::new();
+        let mut segr = Vec::new();
+        for lane in &lanes {
             match &lane.eer_info {
-                Some(info) => eer.push((li, hop_auth_input(&lane.res_info, info, lane.hop))),
-                None => segr.push((li, segr_input(&lane.res_info, lane.hop))),
+                Some(info) => eer.push((lane, info)),
+                None => segr.push(lane),
             }
         }
         self.sigma_derivations += eer.len() as u64;
         let k_i = self.k_i(Epoch::containing(now));
-        // EER: Eq. 4 → σ expansion → Eq. 6.
-        let ts_size = |li: usize| (lanes[li].ts, lanes[li].pkt_size);
-        let eer_expected = by_width(
-            &eer,
-            |oct| {
-                let sigmas = hop_auth8_from_inputs(k_i, oct.each_ref().map(|(_, input)| input));
-                let sigma_cmacs = Cmac::new8(sigmas.each_ref().map(|s| &s.0));
-                eer_hvf8_with(sigma_cmacs.each_ref(), oct.each_ref().map(|(li, _)| ts_size(*li)))
-            },
-            |quad| {
-                let sigmas = hop_auth4_from_inputs(k_i, quad.each_ref().map(|(_, input)| input));
-                let sigma_cmacs = Cmac::new4(sigmas.each_ref().map(|s| &s.0));
-                eer_hvf4_with(sigma_cmacs.each_ref(), quad.each_ref().map(|(li, _)| ts_size(*li)))
-            },
-            |(li, input)| {
-                let (ts, pkt_size) = ts_size(*li);
-                eer_hvf(&hop_auth_from_input(k_i, input), ts, pkt_size)
-            },
-        );
-        // SegR: Eq. 3.
-        let segr_expected = by_width(
-            &segr,
-            |oct| segr_token8_from_inputs(k_i, oct.each_ref().map(|(_, input)| input)),
-            |quad| segr_token4_from_inputs(k_i, quad.each_ref().map(|(_, input)| input)),
-            |(_, input)| segr_token_from_input(k_i, input),
-        );
-        let indices = eer.iter().map(|(li, _)| *li).chain(segr.iter().map(|(li, _)| *li));
-        for (li, expected) in indices.zip(eer_expected.iter().chain(&segr_expected)) {
-            lanes[li].valid = ct_eq(expected, &lanes[li].hvf);
-        }
+        let mut valid = vec![false; verdicts.len()];
+        for_each_by_width(&eer, &EerCheck(k_i), |(lane, _), ok| valid[lane.idx] = ok);
+        for_each_by_width(&segr, &SegrCheck(k_i), |lane, ok| valid[lane.idx] = ok);
         // Phase 3 — stateful monitoring and forwarding, in submission
         // order (lanes are already index-ordered).
         for (lane, view) in lanes.iter().zip(&mut views) {
-            verdicts[lane.idx] = self.finish(lane, view, now);
+            verdicts[lane.idx] = self.finish(lane, valid[lane.idx], view, now);
         }
         if let Some(t) = &self.telemetry {
             t.observe_batch(pkts.len(), wall_start.map(|s| s.elapsed().as_nanos() as u64));
@@ -490,41 +461,69 @@ struct Lane {
     hop: HopField,
     hvf: [u8; HVF_LEN],
     pkt_size: usize,
-    /// Set by the crypto phase.
-    valid: bool,
 }
 
-/// Runs `items` through the 8-wide kernel `f8` in groups of eight, a
-/// remaining group of four through `f4`, and the (at most three) left over
-/// through `f1`, handing every result to `sink` in the order of `items`.
-pub(crate) fn for_each_by_width<T, R>(
+/// One MAC kernel of the data plane, written once for every lane width:
+/// `run::<N>` maps `N` items to `N` results through the `N`-wide crypto
+/// primitives. (A trait because closures cannot be generic over `N`.)
+pub(crate) trait LaneKernel<T> {
+    type Out;
+    fn run<const N: usize>(&self, items: &[T; N]) -> [Self::Out; N];
+}
+
+/// Runs `items` through `kernel` eight wide, a remaining group of four
+/// four wide, and the (at most three) left over one by one, handing every
+/// item with its result to `sink` in the order of `items`.
+pub(crate) fn for_each_by_width<T, K: LaneKernel<T>>(
     items: &[T],
-    f8: impl Fn(&[T; 8]) -> [R; 8],
-    f4: impl Fn(&[T; 4]) -> [R; 4],
-    f1: impl Fn(&T) -> R,
-    mut sink: impl FnMut(R),
+    kernel: &K,
+    mut sink: impl FnMut(&T, K::Out),
 ) {
     let mut octs = items.chunks_exact(8);
-    for oct in &mut octs {
-        f8(oct.try_into().expect("a chunk of eight")).into_iter().for_each(&mut sink);
-    }
+    octs.by_ref().for_each(|oct| run_chunk::<_, _, 8>(kernel, oct, &mut sink));
     let mut quads = octs.remainder().chunks_exact(4);
-    for quad in &mut quads {
-        f4(quad.try_into().expect("a chunk of four")).into_iter().for_each(&mut sink);
-    }
-    quads.remainder().iter().map(f1).for_each(sink);
+    quads.by_ref().for_each(|quad| run_chunk::<_, _, 4>(kernel, quad, &mut sink));
+    quads.remainder().chunks(1).for_each(|one| run_chunk::<_, _, 1>(kernel, one, &mut sink));
 }
 
-/// [`for_each_by_width`], collected.
-pub(crate) fn by_width<T, R>(
-    items: &[T],
-    f8: impl Fn(&[T; 8]) -> [R; 8],
-    f4: impl Fn(&[T; 4]) -> [R; 4],
-    f1: impl Fn(&T) -> R,
-) -> Vec<R> {
-    let mut out = Vec::with_capacity(items.len());
-    for_each_by_width(items, f8, f4, f1, |r| out.push(r));
-    out
+fn run_chunk<T, K: LaneKernel<T>, const N: usize>(
+    kernel: &K,
+    chunk: &[T],
+    sink: &mut impl FnMut(&T, K::Out),
+) {
+    let items: &[T; N] = chunk.try_into().expect("a chunk of N");
+    items.iter().zip(kernel.run(items)).for_each(|(item, out)| sink(item, out));
+}
+
+/// The EER check: Eq. 4 under `K_i` → σ expansion → Eq. 6, compared in
+/// constant time with the packet's HVF (Fig. 2).
+struct EerCheck<'k>(&'k Cmac);
+
+impl LaneKernel<(&Lane, &EerInfo)> for EerCheck<'_> {
+    type Out = bool;
+
+    #[inline]
+    fn run<const N: usize>(&self, lanes: &[(&Lane, &EerInfo); N]) -> [bool; N] {
+        let inputs = lanes.map(|(l, info)| hop_auth_input(&l.res_info, info, l.hop));
+        let sigmas = hop_auths(self.0, inputs.each_ref());
+        let sigma_cmacs = Cmac::new_each(sigmas.each_ref().map(|s| &s.0));
+        let hvfs = eer_hvfs(sigma_cmacs.each_ref(), lanes.map(|(l, _)| (l.ts, l.pkt_size)));
+        core::array::from_fn(|i| ct_eq(&hvfs[i], &lanes[i].0.hvf))
+    }
+}
+
+/// The SegR check: Eq. 3 under `K_i`, compared in constant time.
+struct SegrCheck<'k>(&'k Cmac);
+
+impl LaneKernel<&Lane> for SegrCheck<'_> {
+    type Out = bool;
+
+    #[inline]
+    fn run<const N: usize>(&self, lanes: &[&Lane; N]) -> [bool; N] {
+        let inputs = lanes.map(|l| segr_input(&l.res_info, l.hop));
+        let tokens = segr_tokens(self.0, inputs.each_ref());
+        core::array::from_fn(|i| ct_eq(&tokens[i], &lanes[i].hvf))
+    }
 }
 
 impl std::fmt::Debug for BorderRouter {

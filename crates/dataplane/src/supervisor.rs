@@ -700,8 +700,9 @@ pub(crate) mod tests {
         let mut gw = auth_gateway(1, now);
         let mut outs = Vec::new();
         for _ in 0..valid {
-            let pkt = gw.process(HostAddr(7), ResId(1), b"data", now).unwrap();
-            p.submit(pkt.bytes, now, &mut outs);
+            let mut pkt = Vec::new();
+            gw.process_into(HostAddr(7), ResId(1), b"data", now, &mut pkt).unwrap();
+            p.submit(pkt, now, &mut outs);
         }
         p.submit(vec![0xFF; 10], now, &mut outs);
         while outs.len() < valid + 1 {
@@ -758,8 +759,9 @@ pub(crate) mod tests {
         // Stall shard 0 with steered packets (2 fill its output ring, 1
         // is held at the send), then fill its job ring.
         for i in 0..5 {
-            let pkt = gw.process(HostAddr(7), ResId(r), b"x", now).unwrap();
-            p.try_submit(pkt.bytes, now).unwrap();
+            let mut pkt = Vec::new();
+            gw.process_into(HostAddr(7), ResId(r), b"x", now, &mut pkt).unwrap();
+            p.try_submit(pkt, now).unwrap();
             while i < 3 && p.health()[0].queued > 0 {
                 std::thread::yield_now();
             }
@@ -799,8 +801,9 @@ pub(crate) mod tests {
                 p.submit_classed(vec![0xEE; 24], TrafficClass::BestEffort, now, &mut outs);
                 be_offered += 1;
             }
-            let pkt = gw.process(HostAddr(7), ResId(1), &[i as u8; 16], now).unwrap();
-            let v = p.submit_classed(pkt.bytes, TrafficClass::ColibriData, now, &mut outs);
+            let mut pkt = Vec::new();
+            gw.process_into(HostAddr(7), ResId(1), &[i as u8; 16], now, &mut pkt).unwrap();
+            let v = p.submit_classed(pkt, TrafficClass::ColibriData, now, &mut outs);
             assert_eq!(v, SubmitVerdict::Enqueued, "reserved traffic must never shed");
             reserved += 1;
         }
@@ -820,13 +823,15 @@ pub(crate) mod tests {
         let mut outs = Vec::new();
         // First half, then poison, then second half — all one shard.
         for _ in 0..8 {
-            let pkt = gw.process(HostAddr(7), ResId(1), b"pre", now).unwrap();
-            p.try_submit(pkt.bytes, now).unwrap();
+            let mut pkt = Vec::new();
+            gw.process_into(HostAddr(7), ResId(1), b"pre", now, &mut pkt).unwrap();
+            p.try_submit(pkt, now).unwrap();
         }
         p.inject_panic(0, &mut outs);
         for _ in 0..8 {
-            let pkt = gw.process(HostAddr(7), ResId(1), b"post", now).unwrap();
-            p.try_submit(pkt.bytes, now).unwrap();
+            let mut pkt = Vec::new();
+            gw.process_into(HostAddr(7), ResId(1), b"post", now, &mut pkt).unwrap();
+            p.try_submit(pkt, now).unwrap();
         }
         while outs.len() < 16 {
             p.try_drain(&mut outs, usize::MAX);
@@ -910,14 +915,16 @@ pub(crate) mod tests {
         let mut p = pool(1, 64);
         let mut outs = Vec::new();
         for _ in 0..20 {
-            let pkt = gw.process(HostAddr(7), ResId(1), b"one", now).unwrap();
-            p.try_submit(pkt.bytes, now).unwrap();
+            let mut pkt = Vec::new();
+            gw.process_into(HostAddr(7), ResId(1), b"one", now, &mut pkt).unwrap();
+            p.try_submit(pkt, now).unwrap();
         }
         p.kill_shard(0, &mut outs);
         assert!(!p.health()[0].alive);
         // Submitting after the kill transparently respawns the shard.
         for _ in 0..20 {
-            let pkt = gw.process(HostAddr(7), ResId(1), b"two", now).unwrap().bytes;
+            let mut pkt = Vec::new();
+            gw.process_into(HostAddr(7), ResId(1), b"two", now, &mut pkt).unwrap();
             p.submit(pkt, now, &mut outs);
         }
         let snap = p.shutdown(&mut outs);

@@ -318,14 +318,16 @@ fn reserved_goodput_survives_4x_flood() {
         // 4× flood: forged-HVF frames (valid structure, garbage
         // credentials) as best-effort, interleaved with reserved data.
         for j in 0..4u64 {
-            let mut forged = gw.process(HostAddr(7), ResId(1), b"fwd", now).unwrap().bytes;
+            let mut forged = Vec::new();
+            gw.process_into(HostAddr(7), ResId(1), b"fwd", now, &mut forged).unwrap();
             let hvf_at = forged.len() - b"fwd".len() - 8 + (j as usize % 8);
             forged[hvf_at] ^= 0x5A; // corrupt an HVF byte
             pool.submit_classed(forged, TrafficClass::BestEffort, now, &mut outs);
             attack_offered += 1;
         }
-        let pkt = gw.process(HostAddr(7), ResId(1), &i.to_be_bytes(), now).unwrap();
-        let v = pool.submit_classed(pkt.bytes, TrafficClass::ColibriData, now, &mut outs);
+        let mut pkt = Vec::new();
+        gw.process_into(HostAddr(7), ResId(1), &i.to_be_bytes(), now, &mut pkt).unwrap();
+        let v = pool.submit_classed(pkt, TrafficClass::ColibriData, now, &mut outs);
         assert_eq!(v, SubmitVerdict::Enqueued, "reserved traffic must never shed");
     }
     let snap = pool.shutdown(&mut outs);
@@ -352,8 +354,9 @@ fn mid_run_shard_kill_recovers_with_exact_accounting() {
                       outs: &mut Vec<_>,
                       n: u64| {
         for i in 0..n {
-            let pkt = gw.process(HostAddr(7), ResId(1), &i.to_be_bytes(), now).unwrap();
-            pool.submit_classed(pkt.bytes, TrafficClass::ColibriData, now, outs);
+            let mut pkt = Vec::new();
+            gw.process_into(HostAddr(7), ResId(1), &i.to_be_bytes(), now, &mut pkt).unwrap();
+            pool.submit_classed(pkt, TrafficClass::ColibriData, now, outs);
         }
     };
     submit_all(&mut pool, &mut gw, &mut outs, 200);
@@ -391,13 +394,15 @@ fn poisoned_worker_is_contained_and_caches_rebuild() {
     let mut pool = survivable_pool(1, 128);
     let mut outs = Vec::new();
     for i in 0..50u64 {
-        let pkt = gw.process(HostAddr(7), ResId(1), &i.to_be_bytes(), now).unwrap();
-        pool.submit_classed(pkt.bytes, TrafficClass::ColibriData, now, &mut outs);
+        let mut pkt = Vec::new();
+        gw.process_into(HostAddr(7), ResId(1), &i.to_be_bytes(), now, &mut pkt).unwrap();
+        pool.submit_classed(pkt, TrafficClass::ColibriData, now, &mut outs);
     }
     pool.inject_panic(0, &mut outs);
     for i in 0..50u64 {
-        let pkt = gw.process(HostAddr(7), ResId(1), &i.to_be_bytes(), now).unwrap();
-        pool.submit_classed(pkt.bytes, TrafficClass::ColibriData, now, &mut outs);
+        let mut pkt = Vec::new();
+        gw.process_into(HostAddr(7), ResId(1), &i.to_be_bytes(), now, &mut pkt).unwrap();
+        pool.submit_classed(pkt, TrafficClass::ColibriData, now, &mut outs);
     }
     // Drain everything; the worker must still be alive and validating.
     while outs.len() < 100 {

@@ -1,20 +1,23 @@
 //! Differential properties of the batched data-plane pipeline.
 //!
-//! The whole point of `BorderRouter::process_batch` and
-//! `Gateway::process_into` is that they are *pure optimizations*: byte-
-//! for-byte and counter-for-counter equivalent to the scalar paths. These
-//! tests drive both implementations with identical adversarial inputs —
+//! The whole point of `BorderRouter::process_batch` and the lane kernels
+//! under it is that they are *pure optimizations*: byte-for-byte and
+//! counter-for-counter equivalent to the scalar paths. These tests drive
+//! both implementations with identical adversarial inputs —
 //! valid EER packets, valid SegR control packets, flipped HVF bytes,
 //! stale timestamps, expired reservations, truncations, and raw garbage,
 //! in arbitrary interleavings — and demand identical verdicts, identical
 //! statistics, and identical output buffers.
 
-use colibri_base::{Bandwidth, Duration, HostAddr, Instant, IsdAsId, ResId};
-use colibri_ctrl::{master_secret_for, OwnedEer, OwnedEerVersion};
-use colibri_crypto::{Epoch, SecretValueGen};
-use colibri_dataplane::{BorderRouter, Gateway, GatewayConfig, RouterConfig, RouterVerdict};
-use colibri_wire::mac::{eer_hvf, hop_auth, segr_token};
-use colibri_wire::{EerInfo, HopField, PacketBuilder, PacketViewMut, ResInfo};
+use colibri_base::{Duration, HostAddr, Instant, IsdAsId, ResId};
+use colibri_crypto::{Cmac, Epoch, SecretValueGen};
+use colibri_ctrl::master_secret_for;
+use colibri_dataplane::{BorderRouter, RouterConfig, RouterVerdict};
+use colibri_wire::mac::{
+    eer_hvf, eer_hvfs, hop_auth, hop_auths, segr_token, segr_tokens, HOP_AUTH_INPUT_LEN,
+    SEGR_INPUT_LEN,
+};
+use colibri_wire::{EerInfo, HopField, PacketBuilder, PacketViewMut, ResInfo, HVF_LEN};
 use proptest::prelude::*;
 
 const AS_ID: IsdAsId = IsdAsId::new(1, 5);
@@ -40,7 +43,7 @@ fn res_info(now: Instant, exp_offset_secs: i64) -> ResInfo {
 
 const PATH: [HopField; 3] = [HopField::new(0, 1), HopField::new(2, 3), HopField::new(4, 0)];
 
-fn k_i(now: Instant) -> colibri_crypto::Cmac {
+fn k_i(now: Instant) -> Cmac {
     SecretValueGen::new(&master_secret_for(AS_ID)).secret_value(Epoch::containing(now)).cmac()
 }
 
@@ -189,6 +192,31 @@ fn gen_strategy() -> impl Strategy<Value = Gen> {
     ]
 }
 
+/// The lane kernels at width `N` over the first `N` generated inputs, each
+/// against the scalar CMAC: Eq. 4 ([`hop_auths`]) and Eq. 3
+/// ([`segr_tokens`]) under `K_i`, and Eq. 6 ([`eer_hvfs`]) over σ
+/// instances expanded `N`-wide ([`Cmac::new_each`]).
+fn lane_primitives_at<const N: usize>(
+    k_i: &Cmac,
+    sigma_keys: &[[u8; 16]],
+    auth_inputs: &[[u8; HOP_AUTH_INPUT_LEN]],
+    segr_inputs: &[[u8; SEGR_INPUT_LEN]],
+    hvf_inputs: &[(u64, usize)],
+) {
+    let sigmas = hop_auths::<N>(k_i, std::array::from_fn(|j| &auth_inputs[j]));
+    let tokens = segr_tokens::<N>(k_i, std::array::from_fn(|j| &segr_inputs[j]));
+    let sigma_cmacs = Cmac::new_each::<N>(std::array::from_fn(|j| &sigma_keys[j]));
+    let hvfs = eer_hvfs(sigma_cmacs.each_ref(), std::array::from_fn(|j| hvf_inputs[j]));
+    for j in 0..N {
+        prop_assert_eq!(sigmas[j].0, k_i.tag(&auth_inputs[j]), "N {} σ lane {}", N, j);
+        prop_assert_eq!(tokens[j], k_i.tag(&segr_inputs[j])[..HVF_LEN], "N {} lane {}", N, j);
+        let (ts, size) = hvf_inputs[j];
+        let msg = [&ts.to_be_bytes()[..], &(size as u32).to_be_bytes()].concat();
+        let hvf = Cmac::new(&sigma_keys[j]).tag(&msg);
+        prop_assert_eq!(hvfs[j], hvf[..HVF_LEN], "N {} hvf lane {}", N, j);
+    }
+}
+
 proptest! {
     /// `process_batch` is bit- and counter-identical to the scalar path
     /// over arbitrary mixes of valid/invalid packets, including the
@@ -250,79 +278,13 @@ proptest! {
         prop_assert_eq!(batched.stats, scalar.stats);
     }
 
-    /// `Gateway::process_into` produces byte-identical packets, identical
-    /// errors, and identical statistics to `Gateway::process`, across
-    /// reservations, hosts, and payloads — even when the reused buffer
-    /// starts dirty.
-    #[test]
-    fn gateway_process_into_equals_process(
-        ops in prop::collection::vec(
-            (0u32..6, 0u64..3, 0usize..128),
-            1..32
-        )
-    ) {
-        let now = Instant::from_secs(100);
-        let cfg = GatewayConfig { burst: Duration::from_secs(3600), ..Default::default() };
-        let mut a = Gateway::new(cfg);
-        let mut b = Gateway::new(cfg);
-        for id in 0..4u32 {
-            let eer = OwnedEer {
-                key: colibri_base::ReservationKey::new(IsdAsId::new(1, 10), ResId(id)),
-                eer_info: EerInfo { src_host: HostAddr(7), dst_host: HostAddr(8) },
-                path_ases: vec![
-                    IsdAsId::new(1, 10),
-                    IsdAsId::new(1, 2),
-                    IsdAsId::new(1, 3),
-                    IsdAsId::new(1, 4),
-                    IsdAsId::new(1, 5),
-                    IsdAsId::new(1, 1),
-                ],
-                hop_fields: vec![
-                    HopField::new(0, 1),
-                    HopField::new(2, 3),
-                    HopField::new(4, 5),
-                    HopField::new(6, 7),
-                    HopField::new(8, 9),
-                    HopField::new(10, 0),
-                ],
-                versions: vec![OwnedEerVersion {
-                    ver: 0,
-                    bw: Bandwidth::from_mbps(50),
-                    exp: Instant::from_secs(200),
-                    hop_auths: (0..6).map(|h| colibri_crypto::Key([h as u8 + id as u8; 16])).collect(),
-                }],
-            };
-            a.install(&eer, now);
-            b.install(&eer, now);
-        }
-
-        let mut buf = vec![0xEE; 777]; // deliberately dirty, reused across ops
-        for (i, &(res, host_sel, payload_len)) in ops.iter().enumerate() {
-            let host = HostAddr(if host_sel == 0 { 99 } else { 7 });
-            let payload = vec![i as u8; payload_len];
-            let t = now + Duration::from_millis(i as u64);
-            let via_process = a.process(host, ResId(res), &payload, t);
-            let via_into = b.process_into(host, ResId(res), &payload, t, &mut buf);
-            match (via_process, via_into) {
-                (Ok(p), Ok(egress)) => {
-                    prop_assert_eq!(&p.bytes, &buf, "op {}: bytes diverged", i);
-                    prop_assert_eq!(p.first_egress, egress);
-                }
-                (Err(ea), Err(eb)) => prop_assert_eq!(ea, eb),
-                (pa, pb) => prop_assert!(false, "op {}: {:?} vs {:?}", i, pa, pb),
-            }
-        }
-        prop_assert_eq!(a.stats, b.stats);
-    }
-
     /// Telemetry observes, it never perturbs — and its `Invariant`
     /// metrics are themselves a differential oracle: a scalar and a
     /// batched router, instrumented on separate registries, must produce
     /// identical [`Stability::Invariant`] cross-shard totals over
     /// arbitrary adversarial batches. (`PathDependent` metrics like
     /// batch-size distributions legitimately differ and are excluded by
-    /// `invariant_totals`.) The same holds for `Gateway::process` vs
-    /// `Gateway::process_into`.
+    /// `invariant_totals`.)
     #[test]
     fn telemetry_invariant_totals_equal_scalar_vs_batched(
         gens in prop::collection::vec(gen_strategy(), 1..24)
@@ -358,115 +320,22 @@ proptest! {
         );
     }
 
-    /// Gateway telemetry is equally batching-blind: `process_into` with a
-    /// dirty reused buffer leaves the same invariant totals as `process`.
+    /// The lane kernels are drop-in equal to scalar CMACs at every lane
+    /// width over arbitrary keys and inputs (see [`lane_primitives_at`]).
     #[test]
-    fn gateway_telemetry_invariant_totals_equal(
-        ops in prop::collection::vec((0u32..6, 0u64..3, 0usize..128), 1..32)
-    ) {
-        use colibri_telemetry::Registry;
-
-        let now = Instant::from_secs(100);
-        let cfg = GatewayConfig { burst: Duration::from_secs(3600), ..Default::default() };
-        let reg_a = Registry::new();
-        let reg_b = Registry::new();
-        let mut a = Gateway::new(cfg);
-        a.attach_telemetry(&reg_a, "scalar");
-        let mut b = Gateway::new(cfg);
-        b.attach_telemetry(&reg_b, "into");
-        for id in 0..4u32 {
-            let eer = OwnedEer {
-                key: colibri_base::ReservationKey::new(IsdAsId::new(1, 10), ResId(id)),
-                eer_info: EerInfo { src_host: HostAddr(7), dst_host: HostAddr(8) },
-                path_ases: vec![IsdAsId::new(1, 10), IsdAsId::new(1, 1)],
-                hop_fields: vec![HopField::new(0, 1), HopField::new(2, 0)],
-                versions: vec![OwnedEerVersion {
-                    ver: 0,
-                    bw: Bandwidth::from_mbps(50),
-                    exp: Instant::from_secs(200),
-                    hop_auths: vec![colibri_crypto::Key([id as u8; 16]); 2],
-                }],
-            };
-            a.install(&eer, now);
-            b.install(&eer, now);
-        }
-        let mut buf = vec![0xEE; 777];
-        for (i, &(res, host_sel, payload_len)) in ops.iter().enumerate() {
-            let host = HostAddr(if host_sel == 0 { 99 } else { 7 });
-            let payload = vec![i as u8; payload_len];
-            let t = now + Duration::from_millis(i as u64);
-            let _ = a.process(host, ResId(res), &payload, t);
-            let _ = b.process_into(host, ResId(res), &payload, t, &mut buf);
-        }
-        prop_assert_eq!(a.stats, b.stats);
-        prop_assert_eq!(
-            reg_a.snapshot().invariant_totals(),
-            reg_b.snapshot().invariant_totals()
-        );
-    }
-
-    /// The 8-lane interleaved crypto kernels are drop-in equal to eight
-    /// scalar calls over arbitrary keys, inputs, and (short) messages:
-    /// Eq. 3 ([`segr_token8_from_inputs`]), Eq. 4
-    /// ([`hop_auth8_from_inputs`]), Eq. 6 ([`eer_hvf8_with`]) and the
-    /// multi-key short-message CMAC they are built from.
-    #[test]
-    fn eight_lane_primitives_equal_scalar(
+    fn lane_primitives_equal_scalar(
         k_i_key in any::<[u8; 16]>(),
         sigma_keys in prop::collection::vec(any::<[u8; 16]>(), 8usize),
         hvf_inputs in prop::collection::vec((any::<u64>(), 0usize..4096), 8usize),
-        auth_inputs in prop::collection::vec(
-            any::<[u8; colibri_wire::mac::HOP_AUTH_INPUT_LEN]>(), 8usize),
-        segr_inputs in prop::collection::vec(
-            any::<[u8; colibri_wire::mac::SEGR_INPUT_LEN]>(), 8usize),
-        msgs in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..=16usize), 8usize),
+        auth_inputs in prop::collection::vec(any::<[u8; HOP_AUTH_INPUT_LEN]>(), 8usize),
+        segr_inputs in prop::collection::vec(any::<[u8; SEGR_INPUT_LEN]>(), 8usize),
     ) {
-        use colibri_crypto::{Cmac, Key};
-        use colibri_wire::mac::{
-            eer_hvf8_with, eer_hvf_with, hop_auth8_from_inputs, hop_auth_from_input,
-            segr_token8_from_inputs, segr_token_from_input,
-        };
-
-        let k_i = Key(k_i_key).cmac();
-
-        // Eq. 4: σ derivation under K_i.
-        let auth_refs: [&[u8; colibri_wire::mac::HOP_AUTH_INPUT_LEN]; 8] =
-            std::array::from_fn(|j| &auth_inputs[j]);
-        let sigmas8 = hop_auth8_from_inputs(&k_i, auth_refs);
-        for j in 0..8 {
-            prop_assert_eq!(sigmas8[j].0, hop_auth_from_input(&k_i, &auth_inputs[j]).0);
-        }
-
-        // Eq. 3: SegR tokens under K_i.
-        let segr_refs: [&[u8; colibri_wire::mac::SEGR_INPUT_LEN]; 8] =
-            std::array::from_fn(|j| &segr_inputs[j]);
-        let tokens8 = segr_token8_from_inputs(&k_i, segr_refs);
-        for j in 0..8 {
-            prop_assert_eq!(tokens8[j], segr_token_from_input(&k_i, &segr_inputs[j]));
-        }
-
-        // Interleaved key expansion: new8 ≡ eight scalar expansions,
-        // checked through the tags it produces.
-        let key_refs: [&[u8; 16]; 8] = std::array::from_fn(|j| &sigma_keys[j]);
-        let cmacs8 = Cmac::new8(key_refs);
-        let msg_refs: [&[u8]; 8] = std::array::from_fn(|j| msgs[j].as_slice());
-        let tags8 = Cmac::tag8_short_each(std::array::from_fn(|j| &cmacs8[j]), msg_refs);
-        let tags8_multikey = Cmac::tag8_short_multikey(key_refs, msg_refs);
-        for j in 0..8 {
-            let scalar = Cmac::new(&sigma_keys[j]).tag(&msgs[j]);
-            prop_assert_eq!(tags8[j], scalar);
-            prop_assert_eq!(tags8_multikey[j], scalar);
-        }
-
-        // Eq. 6: per-packet HVFs over pre-expanded σ instances.
-        let hvfs8 = eer_hvf8_with(
-            std::array::from_fn(|j| &cmacs8[j]),
-            std::array::from_fn(|j| hvf_inputs[j]),
-        );
-        for j in 0..8 {
-            let (ts, size) = hvf_inputs[j];
-            prop_assert_eq!(hvfs8[j], eer_hvf_with(&cmacs8[j], ts, size));
-        }
+        let k_i = Cmac::new(&k_i_key);
+        lane_primitives_at::<1>(&k_i, &sigma_keys, &auth_inputs, &segr_inputs, &hvf_inputs);
+        lane_primitives_at::<2>(&k_i, &sigma_keys, &auth_inputs, &segr_inputs, &hvf_inputs);
+        lane_primitives_at::<3>(&k_i, &sigma_keys, &auth_inputs, &segr_inputs, &hvf_inputs);
+        lane_primitives_at::<4>(&k_i, &sigma_keys, &auth_inputs, &segr_inputs, &hvf_inputs);
+        lane_primitives_at::<8>(&k_i, &sigma_keys, &auth_inputs, &segr_inputs, &hvf_inputs);
     }
 
     /// RSS-style steering is invisible to correctness: a steered

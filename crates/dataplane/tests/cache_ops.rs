@@ -228,10 +228,17 @@ fn ten_thousand_reservations_cost_the_same_per_packet() {
     assert_eq!(batched.cache_stats().sigma_misses, u64::from(N));
 }
 
+/// Every shape of the 8 → 4 → 1 lane ladder, from one hop to two full
+/// eight-wide batches.
 #[test]
 fn gateway_steady_state_performs_no_key_expansion() {
+    for hops in [1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16] {
+        gateway_stamping_costs(hops);
+    }
+}
+
+fn gateway_stamping_costs(hops: usize) {
     let now = Instant::from_secs(100);
-    let hops = 4usize;
     let eer = OwnedEer {
         key: ReservationKey::new(IsdAsId::new(1, 10), ResId(1)),
         eer_info: EerInfo { src_host: HostAddr(7), dst_host: HostAddr(8) },
@@ -254,7 +261,7 @@ fn gateway_steady_state_performs_no_key_expansion() {
     let mut gw = Gateway::new(GatewayConfig { burst: Duration::from_secs(3600), ..Default::default() });
     // Install expands every σ schedule exactly once.
     let (_, install_expansions) = crypto_ops_of(|| gw.install(&eer, now));
-    assert_eq!(install_expansions as usize, hops);
+    assert_eq!(install_expansions as usize, hops, "{hops} hops");
     // Steady state: stamping never expands a key again, and each packet
     // costs exactly one single-block Eq. 6 CMAC per on-path hop.
     let packets = 16u64;
@@ -265,8 +272,8 @@ fn gateway_steady_state_performs_no_key_expansion() {
             gw.process_into(HostAddr(7), ResId(1), b"payload", t, &mut buf).unwrap();
         }
     });
-    assert_eq!(expansions, 0, "gateway must not expand keys per packet");
-    assert_eq!(blocks, packets * hops as u64);
+    assert_eq!(expansions, 0, "gateway must not expand keys per packet ({hops} hops)");
+    assert_eq!(blocks, packets * hops as u64, "{hops} hops");
 }
 
 /// `K_i` is the router's only crypto state, and it rolls with the DRKey

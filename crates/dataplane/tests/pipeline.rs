@@ -74,14 +74,15 @@ fn walk(net: &mut TestNet, mut pkt: Vec<u8>, now: Instant) -> RouterVerdict {
 fn end_to_end_delivery() {
     let now = Instant::from_secs(5);
     let mut net = build(4, Bandwidth::from_mbps(100), now);
-    let stamped = net.gateway.process(SRC_HOST, net.res_id, b"hello colibri", now).unwrap();
+    let mut pkt = Vec::new();
+    net.gateway.process_into(SRC_HOST, net.res_id, b"hello colibri", now, &mut pkt).unwrap();
     // The stamped packet parses and carries non-zero HVFs for every hop.
-    let v = PacketView::parse(&stamped.bytes).unwrap();
+    let v = PacketView::parse(&pkt).unwrap();
     assert_eq!(v.n_hops(), 4);
     for i in 0..4 {
         assert_ne!(v.hvf(i), [0u8; 4], "hop {i}");
     }
-    let verdict = walk(&mut net, stamped.bytes, now + Duration::from_micros(50));
+    let verdict = walk(&mut net, pkt, now + Duration::from_micros(50));
     assert_eq!(verdict, RouterVerdict::DeliverHost(DST_HOST));
     // All four routers forwarded.
     for as_id in net.path_ases.clone() {
@@ -95,9 +96,10 @@ fn tampered_payload_size_detected() {
     // breaks the HVF at the next AS.
     let now = Instant::from_secs(5);
     let mut net = build(3, Bandwidth::from_mbps(100), now);
-    let mut stamped = net.gateway.process(SRC_HOST, net.res_id, b"data", now).unwrap();
-    stamped.bytes.extend_from_slice(b"junk");
-    let verdict = walk(&mut net, stamped.bytes, now);
+    let mut pkt = Vec::new();
+    net.gateway.process_into(SRC_HOST, net.res_id, b"data", now, &mut pkt).unwrap();
+    pkt.extend_from_slice(b"junk");
+    let verdict = walk(&mut net, pkt, now);
     assert_eq!(verdict, RouterVerdict::Drop(DropReason::BadHvf));
 }
 
@@ -106,11 +108,12 @@ fn forged_hvf_rejected() {
     // Attack 2 of §7.1: random authentication tags.
     let now = Instant::from_secs(5);
     let mut net = build(3, Bandwidth::from_mbps(100), now);
-    let mut stamped = net.gateway.process(SRC_HOST, net.res_id, b"data", now).unwrap();
+    let mut pkt = Vec::new();
+    net.gateway.process_into(SRC_HOST, net.res_id, b"data", now, &mut pkt).unwrap();
     // Corrupt the first HVF (offset: fixed header + eer info + path).
     let hvf0 = 32 + 8 + 3 * 4;
-    stamped.bytes[hvf0] ^= 0xFF;
-    let verdict = walk(&mut net, stamped.bytes, now);
+    pkt[hvf0] ^= 0xFF;
+    let verdict = walk(&mut net, pkt, now);
     assert_eq!(verdict, RouterVerdict::Drop(DropReason::BadHvf));
 }
 
@@ -121,9 +124,10 @@ fn spoofed_source_as_rejected() {
     // flipping the source breaks verification.
     let now = Instant::from_secs(5);
     let mut net = build(3, Bandwidth::from_mbps(100), now);
-    let mut stamped = net.gateway.process(SRC_HOST, net.res_id, b"data", now).unwrap();
-    stamped.bytes[11] ^= 0x01; // low byte of src_as
-    let verdict = walk(&mut net, stamped.bytes, now);
+    let mut pkt = Vec::new();
+    net.gateway.process_into(SRC_HOST, net.res_id, b"data", now, &mut pkt).unwrap();
+    pkt[11] ^= 0x01; // low byte of src_as
+    let verdict = walk(&mut net, pkt, now);
     assert_eq!(verdict, RouterVerdict::Drop(DropReason::BadHvf));
 }
 
@@ -132,10 +136,11 @@ fn replayed_packet_dropped_at_router() {
     // Framing attack (ii) of §5.1: replay of an authentic packet.
     let now = Instant::from_secs(5);
     let mut net = build(3, Bandwidth::from_mbps(100), now);
-    let stamped = net.gateway.process(SRC_HOST, net.res_id, b"data", now).unwrap();
+    let mut pkt = Vec::new();
+    net.gateway.process_into(SRC_HOST, net.res_id, b"data", now, &mut pkt).unwrap();
     let first = net.routers.get_mut(&net.path_ases[0]).unwrap();
-    let mut copy1 = stamped.bytes.clone();
-    let mut copy2 = stamped.bytes.clone();
+    let mut copy1 = pkt.clone();
+    let mut copy2 = pkt;
     assert!(matches!(first.process(&mut copy1, now), RouterVerdict::Forward(_)));
     assert_eq!(first.process(&mut copy2, now), RouterVerdict::Drop(DropReason::Duplicate));
     assert_eq!(first.stats.duplicates, 1);
@@ -146,11 +151,11 @@ fn distinct_packets_are_not_duplicates() {
     let now = Instant::from_secs(5);
     let mut net = build(3, Bandwidth::from_mbps(100), now);
     let first_as = net.path_ases[0];
+    let mut pkt = Vec::new();
     for i in 0..100 {
         let t = now + Duration::from_micros(i * 200);
-        let stamped = net.gateway.process(SRC_HOST, net.res_id, b"data", t).unwrap();
+        net.gateway.process_into(SRC_HOST, net.res_id, b"data", t, &mut pkt).unwrap();
         let router = net.routers.get_mut(&first_as).unwrap();
-        let mut pkt = stamped.bytes;
         assert!(matches!(router.process(&mut pkt, t), RouterVerdict::Forward(_)), "pkt {i}");
     }
 }
@@ -159,9 +164,10 @@ fn distinct_packets_are_not_duplicates() {
 fn stale_packet_rejected() {
     let now = Instant::from_secs(5);
     let mut net = build(3, Bandwidth::from_mbps(100), now);
-    let stamped = net.gateway.process(SRC_HOST, net.res_id, b"data", now).unwrap();
+    let mut pkt = Vec::new();
+    net.gateway.process_into(SRC_HOST, net.res_id, b"data", now, &mut pkt).unwrap();
     // Replayed two seconds later: outside the freshness window.
-    let verdict = walk(&mut net, stamped.bytes, now + Duration::from_secs(2));
+    let verdict = walk(&mut net, pkt, now + Duration::from_secs(2));
     assert_eq!(verdict, RouterVerdict::Drop(DropReason::Stale));
 }
 
@@ -169,10 +175,11 @@ fn stale_packet_rejected() {
 fn expired_reservation_rejected() {
     let now = Instant::from_secs(5);
     let mut net = build(3, Bandwidth::from_mbps(100), now);
-    let stamped = net.gateway.process(SRC_HOST, net.res_id, b"data", now).unwrap();
+    let mut pkt = Vec::new();
+    net.gateway.process_into(SRC_HOST, net.res_id, b"data", now, &mut pkt).unwrap();
     // EERs live 16 s; far in the future both expiry and staleness trigger —
     // expiry is checked first.
-    let verdict = walk(&mut net, stamped.bytes, now + Duration::from_secs(30));
+    let verdict = walk(&mut net, pkt, now + Duration::from_secs(30));
     assert_eq!(verdict, RouterVerdict::Drop(DropReason::ReservationExpired));
 }
 
@@ -185,17 +192,18 @@ fn exhausted_timestamps_are_refused_at_the_gateway_not_replayed() {
     // refuses it instead.
     let now = Instant::from_secs(5);
     let mut net = build(3, Bandwidth::from_mbps(100), now);
-    let probe = net.gateway.process(SRC_HOST, net.res_id, b"probe", now).unwrap();
-    let exp = PacketView::parse(&probe.bytes).unwrap().res_info().exp_t;
+    let mut pkt = Vec::new();
+    net.gateway.process_into(SRC_HOST, net.res_id, b"probe", now, &mut pkt).unwrap();
+    let exp = PacketView::parse(&pkt).unwrap().res_info().exp_t;
     assert_eq!(exp.as_nanos() % 1_000_000_000, 0, "whole-second expiry");
     let last_ns = Instant::from_nanos(exp.as_nanos() - 1);
     for expected_ts in [1, 0] {
-        let stamped = net.gateway.process(SRC_HOST, net.res_id, b"data", last_ns).unwrap();
-        assert_eq!(PacketView::parse(&stamped.bytes).unwrap().ts(), expected_ts);
-        assert_eq!(walk(&mut net, stamped.bytes, last_ns), RouterVerdict::DeliverHost(DST_HOST));
+        net.gateway.process_into(SRC_HOST, net.res_id, b"data", last_ns, &mut pkt).unwrap();
+        assert_eq!(PacketView::parse(&pkt).unwrap().ts(), expected_ts);
+        assert_eq!(walk(&mut net, pkt.clone(), last_ns), RouterVerdict::DeliverHost(DST_HOST));
     }
     assert_eq!(
-        net.gateway.process(SRC_HOST, net.res_id, b"data", last_ns),
+        net.gateway.process_into(SRC_HOST, net.res_id, b"data", last_ns, &mut pkt),
         Err(GatewayError::Expired(net.res_id))
     );
     assert_eq!(net.gateway.stats.rejected, 1);
@@ -210,12 +218,13 @@ fn gateway_rate_limits_overuse() {
     let now = Instant::from_secs(5);
     let mut net = build(3, Bandwidth::from_mbps(8), now); // 1 MB/s
     let payload = vec![0u8; 1000];
+    let mut buf = Vec::new();
     let mut sent = 0u64;
     let mut dropped = 0u64;
     // Offer 10 MB/s for 100 ms.
     for i in 0..1000u64 {
         let t = now + Duration::from_micros(i * 100);
-        match net.gateway.process(SRC_HOST, net.res_id, &payload, t) {
+        match net.gateway.process_into(SRC_HOST, net.res_id, &payload, t, &mut buf) {
             Ok(_) => sent += 1,
             Err(GatewayError::RateLimited(_)) => dropped += 1,
             Err(e) => panic!("unexpected {e}"),
@@ -231,12 +240,13 @@ fn gateway_rate_limits_overuse() {
 fn gateway_rejects_wrong_host_and_unknown_reservation() {
     let now = Instant::from_secs(5);
     let mut net = build(3, Bandwidth::from_mbps(100), now);
+    let mut buf = Vec::new();
     assert_eq!(
-        net.gateway.process(HostAddr(99), net.res_id, b"x", now),
+        net.gateway.process_into(HostAddr(99), net.res_id, b"x", now, &mut buf),
         Err(GatewayError::WrongHost)
     );
     assert_eq!(
-        net.gateway.process(SRC_HOST, ResId(4242), b"x", now),
+        net.gateway.process_into(SRC_HOST, ResId(4242), b"x", now, &mut buf),
         Err(GatewayError::UnknownReservation(ResId(4242)))
     );
 }
@@ -288,15 +298,14 @@ fn overusing_source_as_gets_blocked_at_transit() {
 
     let second_as = net.path_ases[1];
     let payload = vec![0u8; 1200];
+    let mut pkt = Vec::new();
     let mut blocked_seen = false;
     // Send at ~96 Mbps against an 8 Mbps reservation for ~400 ms.
     for i in 0..4000u64 {
         let t = now + Duration::from_micros(i * 100);
-        let stamped = match net.gateway.process(SRC_HOST, net.res_id, &payload, t) {
-            Ok(s) => s,
-            Err(_) => continue,
-        };
-        let mut pkt = stamped.bytes;
+        if net.gateway.process_into(SRC_HOST, net.res_id, &payload, t, &mut pkt).is_err() {
+            continue;
+        }
         {
             // The misbehaving AS's own border router forwards without
             // policing itself; advance the packet past hop 0.

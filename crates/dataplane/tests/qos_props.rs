@@ -72,15 +72,17 @@ proptest! {
         }
         let mut sched = pkts;
         sched.sort_unstable_by_key(|(t, ..)| *t);
+        let (mut flat_buf, mut buf) = (Vec::new(), Vec::new());
         for (off_us, len, which) in sched {
             let now = t0 + Duration::from_micros(off_us);
             // `which` may address an uninstalled reservation (unknown) and
             // `off_us` may land past expiry — error paths must agree too.
             let res = ResId(which as u32);
             let payload = vec![0xabu8; len];
-            let vf = flat.process(HOST, res, &payload, now);
-            let vh = hier.process(HOST, res, &payload, now);
+            let vf = flat.process_into(HOST, res, &payload, now, &mut flat_buf);
+            let vh = hier.process_into(HOST, res, &payload, now, &mut buf);
             prop_assert_eq!(vf, vh, "flat and degenerate hierarchy diverged");
+            prop_assert_eq!(&flat_buf, &buf);
         }
         prop_assert_eq!(flat.stats, hier.stats);
         // The hierarchy admitted exactly the packets the flat path forwarded.
@@ -111,6 +113,7 @@ proptest! {
         sched.sort_unstable();
         let mut next_renew = renew_every_us;
         let mut ver = 0u8;
+        let mut buf = Vec::new();
         for (off_us, len) in sched {
             let now = t0 + Duration::from_micros(off_us);
             while off_us >= next_renew {
@@ -119,8 +122,8 @@ proptest! {
                 next_renew += renew_every_us;
             }
             let payload = vec![0u8; len];
-            let vq = quiet.process(HOST, ResId(1), &payload, now).is_ok();
-            let vc = churny.process(HOST, ResId(1), &payload, now).is_ok();
+            let vq = quiet.process_into(HOST, ResId(1), &payload, now, &mut buf).is_ok();
+            let vc = churny.process_into(HOST, ResId(1), &payload, now, &mut buf).is_ok();
             prop_assert_eq!(vq, vc, "a same-rate renewal changed an admit verdict");
         }
     }
@@ -141,18 +144,19 @@ proptest! {
         let t0 = Instant::from_secs(1);
         let exp = Instant::from_secs(100);
         let mut live = std::collections::HashSet::new();
+        let mut buf = Vec::new();
         for (is_install, id, kbps) in ops {
             let now = t0 + Duration::from_micros(live.len() as u64);
             if is_install {
                 g.install(&owned(id, vec![(0, Bandwidth::from_kbps(kbps), exp)]), now);
                 live.insert(id);
                 // A freshly (re)installed reservation processes packets.
-                prop_assert!(g.process(HOST, ResId(id), b"", now).is_ok());
+                prop_assert!(g.process_into(HOST, ResId(id), b"", now, &mut buf).is_ok());
             } else {
                 g.remove(ResId(id));
                 live.remove(&id);
                 prop_assert!(matches!(
-                    g.process(HOST, ResId(id), b"", now),
+                    g.process_into(HOST, ResId(id), b"", now, &mut buf),
                     Err(GatewayError::UnknownReservation(_))
                 ));
             }
@@ -193,9 +197,10 @@ fn renewal_to_higher_rate_grants_no_free_burst() {
         };
         let mut g = Gateway::new(GatewayConfig { burst, qos });
         g.install(&owned(1, vec![(0, low, exp)]), t0);
+        let mut buf = Vec::new();
 
         // Drain the 50 kB bucket completely at t0.
-        while g.process(HOST, ResId(1), &[0u8; 944], t0).is_ok() {}
+        while g.process_into(HOST, ResId(1), &[0u8; 944], t0, &mut buf).is_ok() {}
 
         // Idle one second (refills at the OLD 1 MB/s rate → back to the
         // old 50 kB cap), then renew to 100× the rate.
@@ -206,7 +211,7 @@ fn renewal_to_higher_rate_grants_no_free_burst() {
         // ≤50 kB — not the new 5 MB capacity, and not the 100 MB a
         // new-rate re-pricing of the idle second would mint.
         let mut admitted = 0u64;
-        while g.process(HOST, ResId(1), &[0u8; 944], t1).is_ok() {
+        while g.process_into(HOST, ResId(1), &[0u8; 944], t1, &mut buf).is_ok() {
             admitted += 1000; // 944 B payload + 56 B header
             assert!(
                 admitted <= 51_000,
@@ -223,7 +228,7 @@ fn renewal_to_higher_rate_grants_no_free_burst() {
         // From here the refill runs at the new rate: 10 ms buys 1 MB.
         let t2 = t1 + Duration::from_millis(10);
         let mut refilled = 0u64;
-        while g.process(HOST, ResId(1), &[0u8; 944], t2).is_ok() {
+        while g.process_into(HOST, ResId(1), &[0u8; 944], t2, &mut buf).is_ok() {
             refilled += 1000;
             assert!(refilled <= 1_001_000);
         }
@@ -250,12 +255,13 @@ fn override_monitor_rate_carries_tokens_over() {
         };
         let mut g = Gateway::new(GatewayConfig { burst, qos });
         g.install(&owned(1, vec![(0, Bandwidth::from_mbps(8), exp)]), t0);
-        while g.process(HOST, ResId(1), &[0u8; 944], t0).is_ok() {}
+        let mut buf = Vec::new();
+        while g.process_into(HOST, ResId(1), &[0u8; 944], t0, &mut buf).is_ok() {}
 
         let t1 = t0 + Duration::from_secs(1);
         g.override_monitor_rate(ResId(1), Bandwidth::from_mbps(800), t1);
         let mut admitted = 0u64;
-        while g.process(HOST, ResId(1), &[0u8; 944], t1).is_ok() {
+        while g.process_into(HOST, ResId(1), &[0u8; 944], t1, &mut buf).is_ok() {
             admitted += 1000;
             assert!(
                 admitted <= 51_000,

@@ -531,7 +531,8 @@ impl FlowManager {
         report
     }
 
-    /// Sends one payload on a reserved flow through the gateway.
+    /// Sends one payload on a reserved flow through the gateway, into a
+    /// freshly allocated packet.
     pub fn send(
         &self,
         gateway: &mut Gateway,
@@ -541,9 +542,13 @@ impl FlowManager {
     ) -> Result<StampedPacket, SendError> {
         let flow = self.flows.get(&id).ok_or(SendError::UnknownFlow)?;
         match flow.kind {
-            FlowKind::Reserved(key) => gateway
-                .process(flow.hosts.src_host, key.res_id, payload, now)
-                .map_err(SendError::Gateway),
+            FlowKind::Reserved(key) => {
+                let mut bytes = Vec::new();
+                gateway
+                    .process_into(flow.hosts.src_host, key.res_id, payload, now, &mut bytes)
+                    .map(|first_egress| StampedPacket { bytes, first_egress })
+                    .map_err(SendError::Gateway)
+            }
             FlowKind::BestEffort | FlowKind::Degraded => Err(SendError::BestEffortFlow),
         }
     }

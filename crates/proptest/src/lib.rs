@@ -350,7 +350,7 @@ pub mod collection {
         }
     }
 
-    /// Strategy for `Vec<S::Value>` (from [`vec`]).
+    /// Strategy for `Vec<S::Value>` (from [`vec()`]).
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         elem: S,

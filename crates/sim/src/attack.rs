@@ -251,7 +251,9 @@ mod tests {
         };
         let mut gw = Gateway::new(GatewayConfig { burst: Duration::from_secs(3600), ..Default::default() });
         gw.install(&eer, now);
-        gw.process(HostAddr(7), ResId(77), b"attack-template", now).unwrap().bytes
+        let mut template = Vec::new();
+        gw.process_into(HostAddr(7), ResId(77), b"attack-template", now, &mut template).unwrap();
+        template
     }
 
     fn router() -> BorderRouter {

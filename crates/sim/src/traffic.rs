@@ -136,14 +136,11 @@ impl Generator {
         match self {
             Generator::Eer { src_as, src_host, res_id, payload, tag, .. } => {
                 let payload_buf = vec![0u8; *payload];
-                let stamped = {
-                    let node = net.node_mut(*src_as);
-                    node.gateway.process(*src_host, *res_id, &payload_buf, now)
-                };
-                if let Ok(stamped) = stamped {
+                let mut bytes = Vec::new();
+                let gateway = &mut net.node_mut(*src_as).gateway;
+                if gateway.process_into(*src_host, *res_id, &payload_buf, now, &mut bytes).is_ok() {
                     // The source AS's own border router validates hop 0 and
                     // forwards (Fig. 1c ➋→➌).
-                    let mut bytes = stamped.bytes;
                     let verdict = net.node_mut(*src_as).router.process(&mut bytes, now);
                     if let RouterVerdict::Forward(egress) = verdict {
                         net.enqueue(

@@ -62,178 +62,80 @@ pub fn hop_auth_input(res: &ResInfo, eer: &EerInfo, hop: HopField) -> [u8; HOP_A
     msg
 }
 
-/// Computes the SegR token `V_i^(S)` (Eq. 3) under the AS secret `k_i`.
+/// Computes `N` SegR tokens `V_i^(S)` (Eq. 3) under the AS secret `k_i`
+/// over pre-encoded inputs (see [`segr_input`]), `N`-wide through the
+/// interleaved CMAC ([`Cmac::tag_each`]). Every width costs the AES
+/// blocks of `N` scalar [`segr_token`] calls and returns the same tokens.
+#[inline]
+pub fn segr_tokens<const N: usize>(
+    k_i: &Cmac,
+    inputs: [&[u8; SEGR_INPUT_LEN]; N],
+) -> [[u8; HVF_LEN]; N] {
+    k_i.tag_each(inputs.map(|m| m.as_slice())).map(truncate)
+}
+
+/// Computes `N` EER hop authenticators `σ_i` (Eq. 4) under the AS secret
+/// `k_i` over pre-encoded inputs (see [`hop_auth_input`]) — the router's
+/// σ derivation for `N` packets at once. Unlike the SegR token σ_i is
+/// *not* truncated: it doubles as a reservation-specific key for the
+/// per-packet MAC.
+#[inline]
+pub fn hop_auths<const N: usize>(k_i: &Cmac, inputs: [&[u8; HOP_AUTH_INPUT_LEN]; N]) -> [Key; N] {
+    k_i.tag_each(inputs.map(|m| m.as_slice())).map(Key)
+}
+
+/// Computes `N` per-packet hop validation fields `V_i^(E)` (Eq. 6) over
+/// `N` *pre-expanded* σ CMAC instances ([`Cmac::tags_short`]): exactly
+/// one `N`-wide AES batch and no key expansion. The router uses it across
+/// packets (distinct σ per packet), the gateway across the hops of one
+/// packet (distinct σ per hop, shared `ts`/`pkt_size`). `pkt_size` is
+/// the total packet size including the Colibri header, which prevents
+/// header-only flooding (paper §4.8).
+#[inline]
+pub fn eer_hvfs<const N: usize>(
+    sigma_cmacs: [&Cmac; N],
+    inputs: [(u64, usize); N],
+) -> [[u8; HVF_LEN]; N] {
+    let msgs = inputs.map(|(ts, pkt_size)| {
+        let mut msg = [0u8; 12];
+        msg[..8].copy_from_slice(&ts.to_be_bytes());
+        msg[8..].copy_from_slice(&(pkt_size as u32).to_be_bytes());
+        msg
+    });
+    Cmac::tags_short(sigma_cmacs, msgs.each_ref().map(|m| m.as_slice())).map(truncate)
+}
+
+fn truncate(tag: [u8; 16]) -> [u8; HVF_LEN] {
+    tag[..HVF_LEN].try_into().expect("HVF_LEN ≤ 16")
+}
+
+/// Eq. 3 for one hop: [`segr_tokens`] at width 1.
 pub fn segr_token(k_i: &Cmac, res: &ResInfo, hop: HopField) -> [u8; HVF_LEN] {
-    segr_token_from_input(k_i, &segr_input(res, hop))
+    let [token] = segr_tokens(k_i, [&segr_input(res, hop)]);
+    token
 }
 
-/// Eq. 3 over a pre-encoded input (see [`segr_input`]).
-pub fn segr_token_from_input(k_i: &Cmac, input: &[u8; SEGR_INPUT_LEN]) -> [u8; HVF_LEN] {
-    k_i.tag_truncated::<HVF_LEN>(input)
-}
-
-/// Computes the EER hop authenticator `σ_i` (Eq. 4) under the AS secret
-/// `k_i`. Unlike the SegR token this is *not* truncated: σ_i doubles as a
-/// reservation-specific key for the per-packet MAC.
+/// Eq. 4 for one hop: [`hop_auths`] at width 1.
 pub fn hop_auth(k_i: &Cmac, res: &ResInfo, eer: &EerInfo, hop: HopField) -> Key {
-    hop_auth_from_input(k_i, &hop_auth_input(res, eer, hop))
+    let [sigma] = hop_auths(k_i, [&hop_auth_input(res, eer, hop)]);
+    sigma
 }
 
-/// Eq. 4 over a pre-encoded input (see [`hop_auth_input`]).
-pub fn hop_auth_from_input(k_i: &Cmac, input: &[u8; HOP_AUTH_INPUT_LEN]) -> Key {
-    Key(k_i.tag(input))
-}
-
-/// Computes the per-packet hop validation field `V_i^(E)` (Eq. 6) from a
-/// hop authenticator. `pkt_size` is the total packet size including the
-/// Colibri header, which prevents header-only flooding (paper §4.8).
+/// Eq. 6 for one hop from its raw authenticator (expands σ first).
 pub fn eer_hvf(sigma: &Key, ts: u64, pkt_size: usize) -> [u8; HVF_LEN] {
-    let mut msg = [0u8; 12];
-    msg[..8].copy_from_slice(&ts.to_be_bytes());
-    msg[8..].copy_from_slice(&(pkt_size as u32).to_be_bytes());
-    sigma.cmac().tag_truncated::<HVF_LEN>(&msg)
+    eer_hvf_with(&sigma.cmac(), ts, pkt_size)
 }
 
-/// Computes `V_i^(E)` when the caller has a ready-made CMAC instance for
-/// σ_i (gateways keep one per hop from install time; batched routers key
-/// fresh instances eight at a time — both paths meet here).
+/// Eq. 6 for one hop over a ready-made CMAC instance for σ_i:
+/// [`eer_hvfs`] at width 1.
 pub fn eer_hvf_with(sigma_cmac: &Cmac, ts: u64, pkt_size: usize) -> [u8; HVF_LEN] {
-    let mut msg = [0u8; 12];
-    msg[..8].copy_from_slice(&ts.to_be_bytes());
-    msg[8..].copy_from_slice(&(pkt_size as u32).to_be_bytes());
-    sigma_cmac.tag_truncated::<HVF_LEN>(&msg)
+    let [hvf] = eer_hvfs([sigma_cmac], [(ts, pkt_size)]);
+    hvf
 }
 
 /// Control-plane payload MAC: `MAC_{K_{AS_i→SrcAS}}(payload)` (paper §4.5).
 pub fn control_payload_mac(key: &Key, payload: &[u8]) -> [u8; 16] {
     key.cmac().tag(payload)
-}
-
-/// Batched Eq. 3: four SegR tokens under one AS secret, computed with the
-/// 4-wide interleaved CMAC ([`Cmac::tag4`]). Bit-identical to four
-/// [`segr_token`] calls.
-pub fn segr_token4(k_i: &Cmac, inputs: [(&ResInfo, HopField); 4]) -> [[u8; HVF_LEN]; 4] {
-    let msgs: [[u8; SEGR_INPUT_LEN]; 4] = core::array::from_fn(|l| {
-        let (res, hop) = inputs[l];
-        segr_input(res, hop)
-    });
-    segr_token4_from_inputs(k_i, [&msgs[0], &msgs[1], &msgs[2], &msgs[3]])
-}
-
-/// Batched Eq. 3 over pre-encoded inputs (see [`segr_input`]).
-pub fn segr_token4_from_inputs(
-    k_i: &Cmac,
-    inputs: [&[u8; SEGR_INPUT_LEN]; 4],
-) -> [[u8; HVF_LEN]; 4] {
-    let tags = k_i.tag4([inputs[0], inputs[1], inputs[2], inputs[3]]);
-    tags.map(|t| t[..HVF_LEN].try_into().unwrap())
-}
-
-/// Batched Eq. 4: four hop authenticators under one AS secret — the
-/// router's σ derivation for four packets at once. Bit-identical to four
-/// [`hop_auth`] calls.
-pub fn hop_auth4(k_i: &Cmac, inputs: [(&ResInfo, &EerInfo, HopField); 4]) -> [Key; 4] {
-    let msgs: [[u8; HOP_AUTH_INPUT_LEN]; 4] = core::array::from_fn(|l| {
-        let (res, eer, hop) = inputs[l];
-        hop_auth_input(res, eer, hop)
-    });
-    hop_auth4_from_inputs(k_i, [&msgs[0], &msgs[1], &msgs[2], &msgs[3]])
-}
-
-/// Batched Eq. 4 over pre-encoded inputs (see [`hop_auth_input`]).
-pub fn hop_auth4_from_inputs(k_i: &Cmac, inputs: [&[u8; HOP_AUTH_INPUT_LEN]; 4]) -> [Key; 4] {
-    k_i.tag4([inputs[0], inputs[1], inputs[2], inputs[3]]).map(Key)
-}
-
-/// Batched Eq. 6: four per-packet HVFs under four *different* hop
-/// authenticators, interleaving the key-dependent AES calls
-/// ([`Cmac::tag4_short_multikey`]). The router uses it across four
-/// packets (distinct σ per packet); the gateway uses it across four hops
-/// of one packet (distinct σ per hop, shared `ts`/`pkt_size`).
-/// Bit-identical to four [`eer_hvf`] calls.
-pub fn eer_hvf4(sigmas: [&Key; 4], inputs: [(u64, usize); 4]) -> [[u8; HVF_LEN]; 4] {
-    let mut msgs = [[0u8; 12]; 4];
-    for l in 0..4 {
-        let (ts, pkt_size) = inputs[l];
-        msgs[l][..8].copy_from_slice(&ts.to_be_bytes());
-        msgs[l][8..].copy_from_slice(&(pkt_size as u32).to_be_bytes());
-    }
-    let tags = Cmac::tag4_short_multikey(
-        [&sigmas[0].0, &sigmas[1].0, &sigmas[2].0, &sigmas[3].0],
-        [&msgs[0], &msgs[1], &msgs[2], &msgs[3]],
-    );
-    tags.map(|t| t[..HVF_LEN].try_into().unwrap())
-}
-
-/// Batched Eq. 6 over four *pre-expanded* σ CMAC instances
-/// ([`Cmac::tag4_short_each`]). Skips all four key expansions and subkey
-/// derivations, leaving exactly four AES block operations for four
-/// packets. Bit-identical to four [`eer_hvf_with`]
-/// calls and hence to [`eer_hvf4`] over the corresponding σ keys.
-pub fn eer_hvf4_with(sigma_cmacs: [&Cmac; 4], inputs: [(u64, usize); 4]) -> [[u8; HVF_LEN]; 4] {
-    let mut msgs = [[0u8; 12]; 4];
-    for l in 0..4 {
-        let (ts, pkt_size) = inputs[l];
-        msgs[l][..8].copy_from_slice(&ts.to_be_bytes());
-        msgs[l][8..].copy_from_slice(&(pkt_size as u32).to_be_bytes());
-    }
-    let tags =
-        Cmac::tag4_short_each(sigma_cmacs, [&msgs[0], &msgs[1], &msgs[2], &msgs[3]]);
-    tags.map(|t| t[..HVF_LEN].try_into().unwrap())
-}
-
-/// Batched Eq. 3 over eight pre-encoded inputs: two 4-wide interleaved
-/// CMAC batches under one AS secret. Bit-identical to eight
-/// [`segr_token_from_input`] calls.
-pub fn segr_token8_from_inputs(
-    k_i: &Cmac,
-    inputs: [&[u8; SEGR_INPUT_LEN]; 8],
-) -> [[u8; HVF_LEN]; 8] {
-    let lo = segr_token4_from_inputs(k_i, [inputs[0], inputs[1], inputs[2], inputs[3]]);
-    let hi = segr_token4_from_inputs(k_i, [inputs[4], inputs[5], inputs[6], inputs[7]]);
-    core::array::from_fn(|l| if l < 4 { lo[l] } else { hi[l - 4] })
-}
-
-/// Batched Eq. 4 over eight pre-encoded inputs — the router's σ
-/// derivation at double width. Bit-identical to eight
-/// [`hop_auth_from_input`] calls.
-pub fn hop_auth8_from_inputs(k_i: &Cmac, inputs: [&[u8; HOP_AUTH_INPUT_LEN]; 8]) -> [Key; 8] {
-    let lo = hop_auth4_from_inputs(k_i, [inputs[0], inputs[1], inputs[2], inputs[3]]);
-    let hi = hop_auth4_from_inputs(k_i, [inputs[4], inputs[5], inputs[6], inputs[7]]);
-    core::array::from_fn(|l| if l < 4 { lo[l] } else { hi[l - 4] })
-}
-
-/// Batched Eq. 6: eight per-packet HVFs under eight *different* hop
-/// authenticators, with the key expansions, subkey derivations, and final
-/// block encryptions all running 8-wide ([`Cmac::tag8_short_multikey`]).
-/// Bit-identical to eight [`eer_hvf`] calls.
-pub fn eer_hvf8(sigmas: [&Key; 8], inputs: [(u64, usize); 8]) -> [[u8; HVF_LEN]; 8] {
-    let mut msgs = [[0u8; 12]; 8];
-    for l in 0..8 {
-        let (ts, pkt_size) = inputs[l];
-        msgs[l][..8].copy_from_slice(&ts.to_be_bytes());
-        msgs[l][8..].copy_from_slice(&(pkt_size as u32).to_be_bytes());
-    }
-    let tags = Cmac::tag8_short_multikey(
-        core::array::from_fn(|l| &sigmas[l].0),
-        core::array::from_fn(|l| msgs[l].as_slice()),
-    );
-    tags.map(|t| t[..HVF_LEN].try_into().unwrap())
-}
-
-/// Batched Eq. 6 over eight *pre-expanded* σ CMAC instances
-/// ([`Cmac::tag8_short_each`]) — exactly one 8-wide AES batch for eight
-/// packets or eight hops. Bit-identical to eight
-/// [`eer_hvf_with`] calls.
-pub fn eer_hvf8_with(sigma_cmacs: [&Cmac; 8], inputs: [(u64, usize); 8]) -> [[u8; HVF_LEN]; 8] {
-    let mut msgs = [[0u8; 12]; 8];
-    for l in 0..8 {
-        let (ts, pkt_size) = inputs[l];
-        msgs[l][..8].copy_from_slice(&ts.to_be_bytes());
-        msgs[l][8..].copy_from_slice(&(pkt_size as u32).to_be_bytes());
-    }
-    let tags = Cmac::tag8_short_each(sigma_cmacs, core::array::from_fn(|l| msgs[l].as_slice()));
-    tags.map(|t| t[..HVF_LEN].try_into().unwrap())
 }
 
 #[cfg(test)]
@@ -307,109 +209,75 @@ mod tests {
         assert_eq!(eer_hvf(&router_sigma, 42, 128), gateway_hvf);
     }
 
+    /// The three lane kernels at width `N`, each against the scalar CMAC
+    /// over its encoded input.
+    fn lane_kernels_at<const N: usize>() {
+        let k_i = k();
+        let infos: [ResInfo; N] =
+            core::array::from_fn(|l| ResInfo { res_id: ResId(300 + l as u32), ..res() });
+        let hops: [HopField; N] =
+            core::array::from_fn(|l| HopField::new(l as u16, (l as u16 + 3) % 8));
+        let seg_ins: [_; N] = core::array::from_fn(|l| segr_input(&infos[l], hops[l]));
+        let auth_ins: [_; N] = core::array::from_fn(|l| hop_auth_input(&infos[l], &eer(), hops[l]));
+        let tokens = segr_tokens(&k_i, seg_ins.each_ref());
+        let sigmas = hop_auths(&k_i, auth_ins.each_ref());
+        let ts_size: [(u64, usize); N] =
+            core::array::from_fn(|l| [(10, 64), (11, 65), (u64::MAX, 0), (0, 1500)][l % 4]);
+        let sigma_cmacs = Cmac::new_each(sigmas.each_ref().map(|s| &s.0));
+        let hvfs = eer_hvfs(sigma_cmacs.each_ref(), ts_size);
+        for l in 0..N {
+            assert_eq!(tokens[l], k_i.tag(&seg_ins[l])[..HVF_LEN], "N {N} segr lane {l}");
+            assert_eq!(sigmas[l].0, k_i.tag(&auth_ins[l]), "N {N} auth lane {l}");
+            let (ts, size) = ts_size[l];
+            let msg = [&ts.to_be_bytes()[..], &(size as u32).to_be_bytes()].concat();
+            let hvf = Cmac::new(&sigmas[l].0).tag(&msg);
+            assert_eq!(hvfs[l], hvf[..HVF_LEN], "N {N} hvf lane {l}");
+        }
+    }
+
     #[test]
     fn batched_macs_match_scalar() {
+        lane_kernels_at::<1>();
+        lane_kernels_at::<2>();
+        lane_kernels_at::<3>();
+        lane_kernels_at::<4>();
+        lane_kernels_at::<8>();
+    }
+
+    /// The three lane kernels at width `N` over encoded inputs against the
+    /// struct-level scalar [`segr_token`], [`hop_auth`] and key-expanding
+    /// [`eer_hvf`].
+    fn kernels_match_struct_api_at<const N: usize>() {
         let k_i = k();
-        let mut infos = Vec::new();
-        for i in 0..4u32 {
-            let mut r = res();
-            r.res_id = ResId(100 + i);
-            infos.push(r);
-        }
-        let hops = [HopField::new(1, 2), HopField::new(3, 4), HopField::new(5, 0), HopField::new(0, 7)];
         let e = eer();
-
-        let seg4 = segr_token4(&k_i, core::array::from_fn(|l| (&infos[l], hops[l])));
-        let auth4 = hop_auth4(&k_i, core::array::from_fn(|l| (&infos[l], &e, hops[l])));
-        for l in 0..4 {
-            assert_eq!(seg4[l], segr_token(&k_i, &infos[l], hops[l]), "segr lane {l}");
-            assert_eq!(auth4[l], hop_auth(&k_i, &infos[l], &e, hops[l]), "auth lane {l}");
-        }
-
-        let ts_size = [(10u64, 64usize), (11, 65), (u64::MAX, 0), (0, 1500)];
-        let hvf4 = eer_hvf4(core::array::from_fn(|l| &auth4[l]), ts_size);
-        for l in 0..4 {
-            assert_eq!(hvf4[l], eer_hvf(&auth4[l], ts_size[l].0, ts_size[l].1), "hvf lane {l}");
+        let infos: [ResInfo; N] =
+            core::array::from_fn(|l| ResInfo { res_id: ResId(200 + l as u32), ..res() });
+        let hops: [HopField; N] =
+            core::array::from_fn(|l| HopField::new((l as u16 * 5) % 8, (l as u16 + 1) % 8));
+        let seg_ins: [_; N] = core::array::from_fn(|l| segr_input(&infos[l], hops[l]));
+        let auth_ins: [_; N] = core::array::from_fn(|l| hop_auth_input(&infos[l], &e, hops[l]));
+        let tokens = segr_tokens(&k_i, seg_ins.each_ref());
+        let sigmas = hop_auths(&k_i, auth_ins.each_ref());
+        let ts_size: [(u64, usize); N] = core::array::from_fn(|l| (40 + l as u64, 64 + 13 * l));
+        let sigma_cmacs = sigmas.each_ref().map(Key::cmac);
+        let hvfs = eer_hvfs(sigma_cmacs.each_ref(), ts_size);
+        for l in 0..N {
+            assert_eq!(tokens[l], segr_token(&k_i, &infos[l], hops[l]), "N {N} segr lane {l}");
+            assert_eq!(sigmas[l], hop_auth(&k_i, &infos[l], &e, hops[l]), "N {N} auth lane {l}");
+            let (ts, size) = ts_size[l];
+            assert_eq!(hvfs[l], eer_hvf(&sigmas[l], ts, size), "N {N} hvf lane {l}");
         }
     }
 
     #[test]
     fn from_input_variants_match_struct_variants() {
-        let k_i = k();
-        let r = res();
-        let e = eer();
-        let hop = HopField::new(4, 7);
-
-        let seg_in = segr_input(&r, hop);
-        assert_eq!(segr_token_from_input(&k_i, &seg_in), segr_token(&k_i, &r, hop));
-        let auth_in = hop_auth_input(&r, &e, hop);
-        assert_eq!(hop_auth_from_input(&k_i, &auth_in), hop_auth(&k_i, &r, &e, hop));
-
-        // 4-wide from-input paths agree with the struct-level batch.
-        let mut infos = Vec::new();
-        for i in 0..4u32 {
-            let mut ri = res();
-            ri.res_id = ResId(200 + i);
-            infos.push(ri);
-        }
-        let hops = [HopField::new(1, 2), HopField::new(3, 4), HopField::new(5, 0), HopField::new(0, 7)];
-        let seg_ins: [[u8; SEGR_INPUT_LEN]; 4] =
-            core::array::from_fn(|l| segr_input(&infos[l], hops[l]));
-        assert_eq!(
-            segr_token4_from_inputs(&k_i, [&seg_ins[0], &seg_ins[1], &seg_ins[2], &seg_ins[3]]),
-            segr_token4(&k_i, core::array::from_fn(|l| (&infos[l], hops[l]))),
-        );
-        let auth_ins: [[u8; HOP_AUTH_INPUT_LEN]; 4] =
-            core::array::from_fn(|l| hop_auth_input(&infos[l], &e, hops[l]));
-        let sigmas = hop_auth4_from_inputs(
-            &k_i,
-            [&auth_ins[0], &auth_ins[1], &auth_ins[2], &auth_ins[3]],
-        );
-        assert_eq!(sigmas, hop_auth4(&k_i, core::array::from_fn(|l| (&infos[l], &e, hops[l]))));
-
-        // Pre-expanded Eq. 6 path matches the key-expanding batch.
-        let ts_size = [(10u64, 64usize), (11, 65), (u64::MAX, 0), (0, 1500)];
-        let cmacs: Vec<Cmac> = sigmas.iter().map(|s| s.cmac()).collect();
-        assert_eq!(
-            eer_hvf4_with(core::array::from_fn(|l| &cmacs[l]), ts_size),
-            eer_hvf4(core::array::from_fn(|l| &sigmas[l]), ts_size),
-        );
+        kernels_match_struct_api_at::<1>();
+        kernels_match_struct_api_at::<4>();
     }
 
     #[test]
     fn eight_wide_variants_match_scalar() {
-        let k_i = k();
-        let e = eer();
-        let mut infos = Vec::new();
-        for i in 0..8u32 {
-            let mut ri = res();
-            ri.res_id = ResId(300 + i);
-            infos.push(ri);
-        }
-        let hops: [HopField; 8] =
-            core::array::from_fn(|l| HopField::new(l as u16, (l as u16 + 3) % 8));
-
-        let seg_ins: [[u8; SEGR_INPUT_LEN]; 8] =
-            core::array::from_fn(|l| segr_input(&infos[l], hops[l]));
-        let seg8 = segr_token8_from_inputs(&k_i, core::array::from_fn(|l| &seg_ins[l]));
-        let auth_ins: [[u8; HOP_AUTH_INPUT_LEN]; 8] =
-            core::array::from_fn(|l| hop_auth_input(&infos[l], &e, hops[l]));
-        let sigmas = hop_auth8_from_inputs(&k_i, core::array::from_fn(|l| &auth_ins[l]));
-        for l in 0..8 {
-            assert_eq!(seg8[l], segr_token(&k_i, &infos[l], hops[l]), "segr lane {l}");
-            assert_eq!(sigmas[l], hop_auth(&k_i, &infos[l], &e, hops[l]), "auth lane {l}");
-        }
-
-        let ts_size: [(u64, usize); 8] =
-            core::array::from_fn(|l| (40 + l as u64, 64 + 13 * l));
-        let hvf8 = eer_hvf8(core::array::from_fn(|l| &sigmas[l]), ts_size);
-        let cmacs: Vec<Cmac> = sigmas.iter().map(|s| s.cmac()).collect();
-        let hvf8_with = eer_hvf8_with(core::array::from_fn(|l| &cmacs[l]), ts_size);
-        for l in 0..8 {
-            let scalar = eer_hvf(&sigmas[l], ts_size[l].0, ts_size[l].1);
-            assert_eq!(hvf8[l], scalar, "hvf lane {l}");
-            assert_eq!(hvf8_with[l], scalar, "hvf-with lane {l}");
-        }
+        kernels_match_struct_api_at::<8>();
     }
 
     #[test]

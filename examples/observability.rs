@@ -85,17 +85,17 @@ fn main() {
     let mut router = BorderRouter::new(src, &master_secret_for(src), RouterConfig::default());
     router.attach_telemetry(&registry, "router0");
 
+    let mut pkt = Vec::new();
     for i in 0..32u32 {
-        let stamped = gateway
-            .process(hosts.src_host, eer.key.res_id, &i.to_be_bytes(), later)
+        gateway
+            .process_into(hosts.src_host, eer.key.res_id, &i.to_be_bytes(), later, &mut pkt)
             .expect("stamp");
-        let mut pkt = stamped.bytes;
         let verdict = router.process(&mut pkt, later);
         assert!(matches!(verdict, RouterVerdict::Forward(_)));
     }
     // One forged packet: shows up as a bad-HVF drop in the scrape.
-    let mut forged =
-        gateway.process(hosts.src_host, eer.key.res_id, b"forged", later).unwrap().bytes;
+    let mut forged = Vec::new();
+    gateway.process_into(hosts.src_host, eer.key.res_id, b"forged", later, &mut forged).unwrap();
     let n = forged.len();
     forged[n - 20] ^= 0xFF;
     assert_eq!(router.process(&mut forged, later), RouterVerdict::Drop(DropReason::BadHvf));

@@ -69,12 +69,12 @@ fn main() {
         .collect();
 
     // ── Data plane (Fig. 1c) ───────────────────────────────────────────
-    let stamped = gateway
-        .process(hosts.src_host, eer.key.res_id, b"first colibri payload", now)
+    let mut pkt = Vec::new();
+    let egress = gateway
+        .process_into(hosts.src_host, eer.key.res_id, b"first colibri payload", now, &mut pkt)
         .expect("gateway stamping");
-    println!("\nstamped packet: {} bytes, egress {}", stamped.bytes.len(), stamped.first_egress);
+    println!("\nstamped packet: {} bytes, egress {egress}", pkt.len());
 
-    let mut pkt = stamped.bytes;
     for as_id in path.as_path() {
         let verdict = routers.get_mut(&as_id).unwrap().process(&mut pkt, now);
         println!("  {as_id}: {verdict:?}");
@@ -89,7 +89,8 @@ fn main() {
     }
 
     // A forged packet (wrong HVF) is dropped by the very first router.
-    let mut forged = gateway.process(hosts.src_host, eer.key.res_id, b"forged", now).unwrap().bytes;
+    let mut forged = Vec::new();
+    gateway.process_into(hosts.src_host, eer.key.res_id, b"forged", now, &mut forged).unwrap();
     let n = forged.len();
     forged[n - 20] ^= 0xFF; // clobber an HVF byte
     let verdict = routers.get_mut(&src).unwrap().process(&mut forged, now);
@@ -104,14 +105,18 @@ fn main() {
     gateway.install(&owned, later);
 
     // Old and new versions coexist; the gateway uses the newest.
-    let stamped = gateway.process(hosts.src_host, eer.key.res_id, b"after renewal", later).unwrap();
-    let v = PacketView::parse(&stamped.bytes).unwrap();
+    gateway
+        .process_into(hosts.src_host, eer.key.res_id, b"after renewal", later, &mut pkt)
+        .unwrap();
+    let v = PacketView::parse(&pkt).unwrap();
     println!("packet now carries version {}", v.res_info().ver);
     assert_eq!(v.res_info().ver, 1);
 
     // ── Expiry ─────────────────────────────────────────────────────────
     let expired = later + Duration::from_secs(30);
-    let err = gateway.process(hosts.src_host, eer.key.res_id, b"too late", expired).unwrap_err();
+    let err = gateway
+        .process_into(hosts.src_host, eer.key.res_id, b"too late", expired, &mut pkt)
+        .unwrap_err();
     println!("\nafter expiry: {err}");
     println!("\nquickstart complete ✓");
 }

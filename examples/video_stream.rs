@@ -69,6 +69,7 @@ fn main() {
     let mut delivered = 0u64;
     let mut dropped_at_gw = 0u64;
     let payload = vec![0u8; FRAME_PAYLOAD];
+    let mut pkt = Vec::new();
 
     // Stream for 60 seconds of simulated time: renew every 8 s (half the
     // EER lifetime), switch to HD at t = 30 s.
@@ -95,10 +96,9 @@ fn main() {
                 println!("[{now}] renewed to version {} ({})", g.ver, g.bw);
             }
         }
-        match gateway.process(server, eer.key.res_id, &payload, now) {
-            Ok(stamped) => {
+        match gateway.process_into(server, eer.key.res_id, &payload, now, &mut pkt) {
+            Ok(_) => {
                 // Walk the packet across the path.
-                let mut pkt = stamped.bytes;
                 for as_id in path.as_path() {
                     match routers.get_mut(&as_id).unwrap().process(&mut pkt, now) {
                         RouterVerdict::Forward(_) => {}
@@ -134,7 +134,7 @@ fn main() {
     let blast_end = now + Duration::from_secs(1);
     while now < blast_end {
         blast_sent += 1;
-        if gateway.process(server, eer.key.res_id, &payload, now).is_err() {
+        if gateway.process_into(server, eer.key.res_id, &payload, now, &mut pkt).is_err() {
             blast_dropped += 1;
         }
         now += blast_gap;

@@ -83,11 +83,11 @@ fn bogus_colibri_packets_dropped_by_every_router() {
 #[test]
 fn replay_storm_does_not_frame_source() {
     let (_s, _reg, path, _keys, eer, mut gw, mut routers, now) = setup();
-    let stamped = gw.process(HostAddr(1), eer.key.res_id, b"victim packet", now).unwrap();
+    let mut template = Vec::new();
+    gw.process_into(HostAddr(1), eer.key.res_id, b"victim packet", now, &mut template).unwrap();
     let second = path.as_path()[1];
     let router = routers.get_mut(&second).unwrap();
     // Advance past hop 0 as the (honest) first AS would.
-    let mut template = stamped.bytes.clone();
     {
         let mut v = colibri::wire::PacketViewMut::parse(&mut template).unwrap();
         v.advance_hop();

@@ -66,9 +66,10 @@ fn inter_isd_full_lifecycle() {
 
     for i in 0..50u64 {
         let t = now + colibri::base::Duration::from_micros(500 * i);
-        let stamped = gateway.process(hosts.src_host, eer.key.res_id, b"payload", t).unwrap();
+        let mut pkt = Vec::new();
+        gateway.process_into(hosts.src_host, eer.key.res_id, b"payload", t, &mut pkt).unwrap();
         assert_eq!(
-            deliver(&mut routers, &path, stamped.bytes, t),
+            deliver(&mut routers, &path, pkt, t),
             RouterVerdict::DeliverHost(hosts.dst_host),
             "packet {i}"
         );
@@ -107,9 +108,10 @@ fn every_leaf_pair_in_random_topology_can_reserve() {
             let mut gateway = Gateway::new(GatewayConfig::default());
             gateway.install(reg.get(src).unwrap().store().owned_eer(eer.key).unwrap(), now);
             let mut routers = routers_for(&path);
-            let stamped = gateway.process(hosts.src_host, eer.key.res_id, b"x", now).unwrap();
+            let mut pkt = Vec::new();
+            gateway.process_into(hosts.src_host, eer.key.res_id, b"x", now, &mut pkt).unwrap();
             assert_eq!(
-                deliver(&mut routers, &path, stamped.bytes, now),
+                deliver(&mut routers, &path, pkt, now),
                 RouterVerdict::DeliverHost(hosts.dst_host),
                 "{src} → {dst}"
             );
@@ -147,9 +149,10 @@ fn segr_renewal_cycle_preserves_data_plane() {
     }
 
     // The existing EER's packets still verify and deliver.
-    let stamped = gateway.process(hosts.src_host, eer.key.res_id, b"still alive", later).unwrap();
+    let mut pkt = Vec::new();
+    gateway.process_into(hosts.src_host, eer.key.res_id, b"still alive", later, &mut pkt).unwrap();
     assert_eq!(
-        deliver(&mut routers, &path, stamped.bytes, later),
+        deliver(&mut routers, &path, pkt, later),
         RouterVerdict::DeliverHost(hosts.dst_host)
     );
 

@@ -149,9 +149,10 @@ fn gateway_handles_many_reservations() {
     }
     assert_eq!(gw.len(), n as usize);
     // Stamp against scattered IDs.
+    let mut pkt = Vec::new();
     for i in (0..n).step_by(9973) {
-        let pkt = gw.process(HostAddr(1), ResId(i), b"x", now).unwrap();
-        assert!(PacketView::parse(&pkt.bytes).is_ok());
+        gw.process_into(HostAddr(1), ResId(i), b"x", now, &mut pkt).unwrap();
+        assert!(PacketView::parse(&pkt).is_ok());
     }
 }
 
