@@ -109,6 +109,37 @@ impl std::fmt::Display for ResId {
     }
 }
 
+/// A fixed multiplicative hash for tables keyed by [`ResId`] alone.
+///
+/// ResIds come from the local Colibri service's counter, not from hosts,
+/// so no host can pick colliding keys and a keyed hash (SipHash, the
+/// `HashMap` default) buys nothing. Multiplying by an odd constant maps
+/// sequential ResIds to distinct low bits — a table's bucket index — and
+/// spreads them over the high bits, which `HashMap` uses as its
+/// per-bucket tag.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ResIdHasher(u64);
+
+/// The [`std::hash::BuildHasher`] of [`ResIdHasher`]:
+/// `HashMap<ResId, V, ResIdHashing>`.
+pub type ResIdHashing = std::hash::BuildHasherDefault<ResIdHasher>;
+
+impl std::hash::Hasher for ResIdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    #[inline]
+    fn write_u32(&mut self, id: u32) {
+        // 2⁶⁴/φ, rounded to odd (Fibonacci hashing).
+        self.0 = (self.0 ^ u64::from(id)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u32(b.into()));
+    }
+}
+
 /// The globally unique reservation key `(SrcAS, ResId)`.
 ///
 /// This pair is the flow label used by traffic monitors (paper §4.8): all
@@ -138,6 +169,17 @@ impl std::fmt::Display for ReservationKey {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn sequential_res_ids_hash_to_distinct_low_bits() {
+        use std::hash::BuildHasher;
+        let mut low = vec![false; 1 << 17];
+        for id in 0..1u32 << 17 {
+            let slot = ResIdHashing::default().hash_one(ResId(id)) as usize & ((1 << 17) - 1);
+            assert!(!low[slot], "ResId {id} shares its low 17 bits with an earlier ResId");
+            low[slot] = true;
+        }
+    }
 
     #[test]
     fn isd_as_u64_roundtrip() {

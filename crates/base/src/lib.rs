@@ -13,6 +13,8 @@ pub mod id;
 pub mod time;
 pub mod units;
 
-pub use id::{AsId, HostAddr, InterfaceId, IsdAsId, IsdId, ResId, ReservationKey};
+pub use id::{
+    AsId, HostAddr, InterfaceId, IsdAsId, IsdId, ResId, ResIdHasher, ResIdHashing, ReservationKey,
+};
 pub use time::{Clock, Duration, Instant, SlotGrid, SlotWindow};
 pub use units::{Bandwidth, BwClass};

@@ -130,15 +130,17 @@ fn router_loop(pkts: Vec<Vec<u8>>, hops: usize, now: Instant) -> impl FnMut(u64)
 }
 
 /// Fig. 5: gateway stamping vs path length {2, 4, 8, 16} and installed
-/// reservations r, zero payload, random ResIds. The shape is exact: one
-/// AES block per on-path AS and no key expansion per packet at every r,
-/// and every stamped packet verifies along its whole path.
+/// reservations r, zero payload, random ResIds. The crypto is exact: one
+/// key expansion (the compact σ) and one AES block per on-path AS and
+/// packet at every r, and every stamped packet verifies along its whole
+/// path. The rate is gated flat-ish in r: at 4 hops, r = 2¹⁵ keeps at
+/// least `FIG5_COLD_FLOOR` of the r = 1 rate.
 pub fn fig5(mode: Mode) -> Outcome {
     const COUNTED: u64 = 64;
     let rs: Vec<usize> = mode.pick(vec![1, 1 << 15], vec![1, 1 << 10, 1 << 15, 1 << 17]);
     let iters = mode.pick(50_000, 400_000);
     let now = Instant::from_secs(10);
-    let (mut rows, mut checks) = (Vec::new(), Vec::new());
+    let (mut rows, mut checks, mut mpps_at_4_hops) = (Vec::new(), Vec::new(), Vec::new());
     for hops in [2usize, 4, 8, 16] {
         let mut counts = Vec::new();
         for &r in &rs {
@@ -149,8 +151,11 @@ pub fn fig5(mode: Mode) -> Outcome {
             let mut run = |_: u64| stamp(&[]);
             (0..10_000).for_each(&mut run);
             let (blocks, expansions) = crypto_ops(|| (0..COUNTED).for_each(&mut run));
-            let mpps = 1e3 / ns_per_call(iters, run);
+            let mpps = 1e3 / best_ns_per_call(iters, 8, run);
             counts.push((blocks, expansions, delivered));
+            if hops == 4 {
+                mpps_at_4_hops.push((r, mpps));
+            }
             rows.push(obj! {
                 "hops": hops, "reservations": r, "mpps": mpps,
                 "aes_blocks_per_pkt": blocks as f64 / COUNTED as f64,
@@ -161,11 +166,23 @@ pub fn fig5(mode: Mode) -> Outcome {
         checks.push(Check::exact(
             format!("{hops} hops: (AES blocks, key expansions, delivered) of {COUNTED} packets, every r"),
             counts,
-            vec![(COUNTED * hops as u64, 0, true); rs.len()],
+            vec![(COUNTED * hops as u64, COUNTED * hops as u64, true); rs.len()],
         ));
     }
+    let mpps_at = |r: usize| mpps_at_4_hops.iter().find(|&&(at, _)| at == r).expect("measured r").1;
+    checks.push(Check::at_least(
+        "4 hops: Mpps at r = 2^15 / Mpps at r = 1",
+        mpps_at(1 << 15) / mpps_at(1),
+        FIG5_COLD_FLOOR,
+    ));
     Outcome { json: obj! { "iters": iters, "rows": rows }, checks }
 }
+
+/// The least share of its r = 1 rate the 4-hop gateway keeps at r = 2¹⁵.
+/// On a 2-core Xeon host in quick mode, the layout with 208 B of
+/// expanded σ per hop behind three pointers measured 0.23–0.34, the
+/// compact flat slot 0.46–0.49.
+const FIG5_COLD_FLOOR: f64 = 0.38;
 
 /// Aggregate Mpps of `cores` threads, each running `iters` calls of the
 /// loop `setup(core)` builds on that thread; the slowest sets the time.

@@ -172,6 +172,29 @@ impl Aes128 {
         soft::encrypt_each(ciphers, blocks)
     }
 
+    /// Encrypts `N` independent blocks in place, lane `l` under the raw
+    /// key `keys[l]`, without storing any schedule: each round key is
+    /// derived and applied in the same pass, round-major over the lanes,
+    /// so the `N` key-expansion chains and the `N` encryptions overlap.
+    /// Equal to [`Self::new_each`] then [`Self::encrypt_each`], and counts
+    /// the same: `N` key expansions and `N` block operations. This is the
+    /// kernel of a MAC whose key is kept in 16 bytes rather than 176.
+    #[inline]
+    #[allow(unsafe_code)]
+    pub fn expand_encrypt_each<const N: usize>(keys: [&[u8; 16]; N], blocks: &mut [[u8; 16]; N]) {
+        crate::ops::record_key_expansions(N as u64);
+        crate::ops::record_aes_blocks(N as u64);
+        if hardware() {
+            // SAFETY: `hardware()` detected AES-NI and SSSE3 on this CPU,
+            // the target features `ni::expand_encrypt_each` is compiled for.
+            #[cfg(target_arch = "x86_64")]
+            return unsafe { ni::expand_encrypt_each(keys, blocks) };
+        }
+        let mut ciphers = [Self::ZERO; N];
+        soft::expand_each(keys, ciphers.each_mut());
+        soft::encrypt_each(ciphers.each_ref(), blocks)
+    }
+
     /// Decrypts one 16-byte block in place (straightforward inverse-cipher;
     /// not on any hot path — Colibri's modes only require encryption).
     pub fn decrypt_block(&self, block: &mut [u8; 16]) {
@@ -258,8 +281,6 @@ mod ni {
     /// Compiled for AES-NI and SSSE3: call only once [`detected`] holds.
     #[target_feature(enable = "aes,ssse3")]
     pub(super) fn expand_each<const N: usize>(keys: [&[u8; 16]; N], out: [&mut Aes128; N]) {
-        // Byte indices 13, 14, 15, 12 in each 32-bit column: RotWord(w3).
-        let rot_word_3 = _mm_set1_epi32(0x0c0f_0e0d);
         let mut k = [_mm_setzero_si128(); N];
         for l in 0..N {
             k[l] = load(keys[l]);
@@ -268,12 +289,53 @@ mod ni {
         for (r, &rc) in RCON.iter().enumerate() {
             let rcon = _mm_set1_epi32(i32::from(rc));
             for l in 0..N {
-                let t = _mm_aesenclast_si128(_mm_shuffle_epi8(k[l], rot_word_3), rcon);
-                let x = _mm_xor_si128(k[l], _mm_slli_si128::<4>(k[l]));
-                let x = _mm_xor_si128(x, _mm_slli_si128::<8>(x));
-                k[l] = _mm_xor_si128(x, t);
+                k[l] = next_round_key(k[l], rcon);
                 store(&mut out[l].round_keys[r + 1], k[l]);
             }
+        }
+    }
+
+    /// One step of the schedule: round key `r + 1` from round key `r`.
+    #[target_feature(enable = "aes,ssse3")]
+    #[inline]
+    fn next_round_key(k: __m128i, rcon: __m128i) -> __m128i {
+        // Byte indices 13, 14, 15, 12 in each 32-bit column: RotWord(w3).
+        let rot_word_3 = _mm_set1_epi32(0x0c0f_0e0d);
+        let t = _mm_aesenclast_si128(_mm_shuffle_epi8(k, rot_word_3), rcon);
+        let x = _mm_xor_si128(k, _mm_slli_si128::<4>(k));
+        let x = _mm_xor_si128(x, _mm_slli_si128::<8>(x));
+        _mm_xor_si128(x, t)
+    }
+
+    /// `N` blocks, lane `l` under the raw key `keys[l]`: each round
+    /// derives every lane's next round key and applies it at once, so no
+    /// schedule is written and the expansion chains overlap with the
+    /// encryptions.
+    ///
+    /// # Safety
+    /// Compiled for AES-NI and SSSE3: call only once [`detected`] holds.
+    #[target_feature(enable = "aes,ssse3")]
+    pub(super) fn expand_encrypt_each<const N: usize>(
+        keys: [&[u8; 16]; N],
+        blocks: &mut [[u8; 16]; N],
+    ) {
+        let mut k = [_mm_setzero_si128(); N];
+        let mut s = [_mm_setzero_si128(); N];
+        for l in 0..N {
+            k[l] = load(keys[l]);
+            s[l] = _mm_xor_si128(load(&blocks[l]), k[l]);
+        }
+        for &rc in &RCON[..NR - 1] {
+            let rcon = _mm_set1_epi32(i32::from(rc));
+            for l in 0..N {
+                k[l] = next_round_key(k[l], rcon);
+                s[l] = _mm_aesenc_si128(s[l], k[l]);
+            }
+        }
+        let rcon = _mm_set1_epi32(i32::from(RCON[NR - 1]));
+        for l in 0..N {
+            let last = _mm_aesenclast_si128(s[l], next_round_key(k[l], rcon));
+            store(&mut blocks[l], last);
         }
     }
 
@@ -585,11 +647,19 @@ pub(crate) mod tests {
                 "N={N} lane {l}"
             );
         }
+        let expand_encrypt = || {
+            let mut out = blocks;
+            Aes128::expand_encrypt_each(keys, &mut out);
+            out
+        };
+        assert_eq!(expand_encrypt(), expect, "N={N}: schedule expanded in the encryption pass");
+        assert_eq!(soft_only(expand_encrypt), expect, "N={N}: the same on the soft backend");
     }
 
     proptest! {
-        /// Hardware and T-table key expansion and encryption are
-        /// byte-equal for random keys and blocks, 1, 4 and 8 lanes wide.
+        /// Hardware and T-table key expansion and encryption — stored or
+        /// expanded in the encryption pass — are byte-equal for random
+        /// keys and blocks, 1, 4 and 8 lanes wide.
         #[test]
         fn hardware_and_soft_backends_are_byte_equal(
             keys in prop::collection::vec(any::<[u8; 16]>(), 8),
@@ -689,8 +759,7 @@ pub(crate) mod tests {
 
     #[test]
     fn schedule_keeps_its_size() {
-        // Gateway state holds one schedule per hop: the shared byte
-        // layout must not grow it.
+        // Both backends share one byte layout: it must not grow it.
         assert_eq!(std::mem::size_of::<Aes128>(), 176);
     }
 

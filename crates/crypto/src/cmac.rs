@@ -29,6 +29,23 @@ fn xor_block(a: [u8; 16], b: &[u8; 16]) -> [u8; 16] {
     core::array::from_fn(|i| a[i] ^ b[i])
 }
 
+/// Pads a message shorter than one block (`10*`) and XORs it with the
+/// subkey K2: the final CMAC block of a short message (RFC 4493 §2.4).
+#[inline(always)]
+fn pad_short(msg: &[u8], k2: &[u8; 16]) -> [u8; 16] {
+    let mut last = [0u8; 16];
+    last[..msg.len()].copy_from_slice(msg);
+    last[msg.len()] = 0x80;
+    xor_block(last, k2)
+}
+
+/// A CMAC key in the 32 bytes that tags over messages shorter than one
+/// block need: `[key, K2]`. Built by [`Cmac::compact_each`]; no AES
+/// schedule is stored, so [`Cmac::tags_compact`] expands the key again
+/// for every tag, interleaved with the one block it encrypts. A
+/// pre-expanded [`Cmac`] is 208 bytes.
+pub type CompactKey = [[u8; 16]; 2];
+
 /// A keyed AES-CMAC instance with precomputed subkeys.
 ///
 /// Cloning is cheap (a few round keys); routers keep one instance per local
@@ -85,10 +102,7 @@ impl Cmac {
         if let Ok(full) = <[u8; 16]>::try_from(msg) {
             return xor_block(full, &self.k1);
         }
-        let mut last = [0u8; 16];
-        last[..msg.len()].copy_from_slice(msg);
-        last[msg.len()] = 0x80;
-        xor_block(last, &self.k2)
+        pad_short(msg, &self.k2)
     }
 
     /// Computes the 16-byte tag over `msg` in one shot.
@@ -110,19 +124,6 @@ impl Cmac {
         let mut last = xor_block(x, &self.last_block_short(tail));
         self.cipher.encrypt_block(&mut last);
         last
-    }
-
-    /// Computes the tag truncated to `N` bytes (N ≤ 16). Colibri uses
-    /// `N = 4` for hop validation fields (`ℓ_hvf = 4` in the paper).
-    /// A short message costs exactly one AES block, so the 4-byte HVF
-    /// path is one block per hop.
-    #[inline(always)]
-    pub fn tag_truncated<const N: usize>(&self, msg: &[u8]) -> [u8; N] {
-        const { assert!(N <= 16) };
-        let full = self.tag(msg);
-        let mut out = [0u8; N];
-        out.copy_from_slice(&full[..N]);
-        out
     }
 
     /// Computes `N` tags under this key over `N` independent messages,
@@ -176,6 +177,34 @@ impl Cmac {
         last
     }
 
+    /// Derives `N` [`CompactKey`]s in one `N`-wide pass — the lockstep
+    /// expansions and subkey blocks of [`Self::new_each`], `N` of each —
+    /// and keeps only each key and its K2. This is how the gateway keeps
+    /// a path's σ at install.
+    pub fn compact_each<const N: usize>(keys: [&[u8; 16]; N]) -> [CompactKey; N] {
+        let cmacs = Self::new_each(keys);
+        core::array::from_fn(|l| [*keys[l], cmacs[l].k2])
+    }
+
+    /// Computes `N` tags over messages shorter than one block under `N`
+    /// [`CompactKey`]s: each lane's padded block is XORed with its K2,
+    /// then the `N` key expansions and the `N` encryptions run
+    /// interleaved ([`Aes128::expand_encrypt_each`]) — `N` key expansions
+    /// and `N` AES blocks, bit-identical to `N` [`Self::tag`] calls.
+    /// Panics unless every message is shorter than 16 bytes (a complete
+    /// block would need K1). Always inlined, so the fixed 12-byte Eq. 6
+    /// inputs pad without a `memcpy` call.
+    #[inline(always)]
+    pub fn tags_compact<const N: usize>(keys: [&CompactKey; N], msgs: [&[u8]; N]) -> [[u8; 16]; N] {
+        let mut last = [[0u8; 16]; N];
+        for (last, (key, msg)) in last.iter_mut().zip(keys.iter().zip(msgs)) {
+            assert!(msg.len() < BLOCK, "compact CMAC keys tag messages shorter than one block");
+            *last = pad_short(msg, &key[1]);
+        }
+        Aes128::expand_encrypt_each(keys.map(|k| &k[0]), &mut last);
+        last
+    }
+
     /// Begins an incremental computation.
     pub fn start(&self) -> CmacState<'_> {
         CmacState {
@@ -184,6 +213,32 @@ impl Cmac {
             buf: [0u8; 16],
             buf_len: 0,
         }
+    }
+}
+
+/// A CMAC key form that tags `N` single-block messages in one batch:
+/// a pre-expanded [`Cmac`] ([`Cmac::tags_short`]: `N` AES blocks) or a
+/// [`CompactKey`] ([`Cmac::tags_compact`]: `N` key expansions and `N` AES
+/// blocks). The Eq. 6 hop-validation kernel is written once over it: the
+/// router runs it on the σ it has just expanded, the gateway on the
+/// compact σ it stores.
+pub trait ShortTagKey {
+    /// `N` tags, lane `l` over `msgs[l]` under `keys[l]`, each equal to
+    /// [`Cmac::tag`] under the same key.
+    fn short_tags<const N: usize>(keys: [&Self; N], msgs: [&[u8]; N]) -> [[u8; 16]; N];
+}
+
+impl ShortTagKey for Cmac {
+    #[inline(always)]
+    fn short_tags<const N: usize>(keys: [&Self; N], msgs: [&[u8]; N]) -> [[u8; 16]; N] {
+        Cmac::tags_short(keys, msgs)
+    }
+}
+
+impl ShortTagKey for CompactKey {
+    #[inline(always)]
+    fn short_tags<const N: usize>(keys: [&Self; N], msgs: [&[u8]; N]) -> [[u8; 16]; N] {
+        Cmac::tags_compact(keys, msgs)
     }
 }
 
@@ -325,14 +380,6 @@ mod tests {
         assert_eq!(st.finish(), cmac.tag(&MSG));
     }
 
-    #[test]
-    fn truncation_is_prefix() {
-        let cmac = Cmac::new(&KEY);
-        let full = cmac.tag(&MSG);
-        let short: [u8; 4] = cmac.tag_truncated(&MSG);
-        assert_eq!(short, full[..4]);
-    }
-
     /// `f` with its `(AES blocks, key expansions)` cost.
     fn with_cost<R>(f: impl FnOnce() -> R) -> (R, (u64, u64)) {
         let (b0, x0) = (crate::ops::aes_block_ops(), crate::ops::key_expansions());
@@ -458,6 +505,40 @@ mod tests {
     #[test]
     fn tag8_short_multikey_matches_scalar() {
         tags_short_from_keys_at::<8>();
+    }
+
+    /// [`Cmac::compact_each`] then [`Cmac::tags_compact`] against
+    /// `Cmac::new(key).tag(msg)` at every message length 0–15, on both
+    /// AES backends.
+    fn tags_compact_at<const N: usize>() {
+        let keys = lane_keys::<N>(23);
+        let (compact, cost) = with_cost(|| Cmac::compact_each(keys.each_ref()));
+        // The expansions and subkey blocks of `new_each`.
+        assert_eq!(cost, (N as u64, N as u64), "N {N}");
+        crate::aes::tests::on_both_backends(|| {
+            for len in 0..BLOCK {
+                let msgs: [&[u8]; N] = core::array::from_fn(|l| &MSG[l..l + len]);
+                let (tags, cost) = with_cost(|| Cmac::tags_compact(compact.each_ref(), msgs));
+                // One expansion interleaved with one block per lane.
+                assert_eq!(cost, (N as u64, N as u64), "N {N} len {len}");
+                for l in 0..N {
+                    let scalar = Cmac::new(&keys[l]).tag(msgs[l]);
+                    assert_eq!(tags[l], scalar, "N {N} len {len} lane {l}");
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn tags_compact_matches_scalar_at_every_short_length() {
+        at_widths!(tags_compact_at);
+    }
+
+    #[test]
+    #[should_panic(expected = "shorter than one block")]
+    fn tags_compact_refuses_a_full_block() {
+        let [key] = Cmac::compact_each([&KEY]);
+        Cmac::tags_compact([&key], [&MSG[..16]]);
     }
 
     #[test]

@@ -36,5 +36,5 @@ pub mod ops;
 
 pub use aead::{Aead, AeadError};
 pub use aes::Aes128;
-pub use cmac::{ct_eq, Cmac};
+pub use cmac::{ct_eq, Cmac, CompactKey, ShortTagKey};
 pub use drkey::{derive_as_key, derive_host_key, Epoch, Key, KeyCache, SecretValueGen};

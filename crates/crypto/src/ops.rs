@@ -4,10 +4,10 @@
 //! The data plane's performance story is entirely about *how many* AES
 //! block operations and key expansions run per packet (paper §7.1: the
 //! border router is AES-bound). These counters make that number
-//! observable, so tests can *prove* claims like "a SegR cache hit
-//! validates with zero AES block operations" or "the gateway performs no
-//! key expansion per packet after install" instead of inferring them from
-//! throughput.
+//! observable, so tests can *prove* claims like "a SegR packet-hop
+//! validates with two AES blocks and no key expansion" or "the gateway
+//! performs one key expansion and one AES block per hop and packet"
+//! instead of inferring them from throughput.
 //!
 //! Storage lives in [`colibri_telemetry::global`]: each thread lazily
 //! registers its own shard (`crypto_thread_<n>`) and keeps the counter

@@ -30,6 +30,15 @@ fn tags_short_at<const N: usize>(keys: &[[u8; 16]], msgs: &[Vec<u8>]) {
     prop_assert_eq!(Cmac::tags_short(cmacs.each_ref(), lanes), scalar, "N = {}", N);
 }
 
+/// [`Cmac::tags_compact`] over `N` compact per-lane keys equals `N`
+/// scalar tags.
+fn tags_compact_at<const N: usize>(keys: &[[u8; 16]], msgs: &[Vec<u8>]) {
+    let compact = Cmac::compact_each::<N>(core::array::from_fn(|l| &keys[l]));
+    let lanes: [&[u8]; N] = core::array::from_fn(|l| msgs[l].as_slice());
+    let scalar: [[u8; 16]; N] = core::array::from_fn(|l| Cmac::new(&keys[l]).tag(lanes[l]));
+    prop_assert_eq!(Cmac::tags_compact(compact.each_ref(), lanes), scalar, "N = {}", N);
+}
+
 proptest! {
     /// AES decryption inverts encryption for arbitrary keys and blocks.
     #[test]
@@ -167,6 +176,17 @@ proptest! {
         msgs in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..17), 8),
     ) {
         at_widths!(tags_short_at(&keys, &msgs));
+    }
+
+    /// The compact-key batch (the gateway's Eq. 6 path: `N` hops' σ
+    /// expanded per packet, one block each) matches scalar CMAC at every
+    /// lane width over messages shorter than one block.
+    #[test]
+    fn tags_compact_equals_scalar(
+        keys in prop::collection::vec(any::<[u8; 16]>(), 8),
+        msgs in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..16), 8),
+    ) {
+        at_widths!(tags_compact_at(&keys, &msgs));
     }
 
     /// DRKey derivation is injective-in-practice across remotes and epochs

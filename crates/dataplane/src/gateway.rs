@@ -9,22 +9,30 @@
 //! (Eq. 6) — thereby certifying to the rest of the path that the mandatory
 //! flow monitoring has been performed.
 //!
-//! The paper's implementation keys a DPDK `rte_hash` by `ResId`; here it
-//! is a `HashMap` with the same access pattern. Performance behaviour is
-//! preserved: per-packet cost grows with path length (one CMAC per on-path
-//! AS) and with the table size through cache misses (Fig. 5).
+//! The paper's implementation keys a DPDK `rte_hash` by `ResId`; here a
+//! flat open-addressed table under a fixed multiplicative `ResId` hash
+//! ([`ResIdHashing`]) holds one slot per reservation with the hot header —
+//! `EERInfo`, token bucket, first egress, hop count — and a pointer to one
+//! body allocation
+//! with the hop fields and, per live version, its head and 32 B of compact
+//! σ state per hop (σ and its CMAC subkey K2). A packet reads one slot and
+//! one contiguous body, and expands each hop's σ in the same `N`-wide AES
+//! pass that MACs it: one key expansion and one AES block per on-path AS,
+//! whatever the number of reservations (Fig. 5).
 
 use crate::router::{for_each_by_width, LaneKernel};
 use crate::telemetry::GatewayTelemetry;
-use colibri_base::{Bandwidth, Duration, HostAddr, Instant, ResId};
-use colibri_crypto::{Cmac, Key};
-use colibri_ctrl::OwnedEer;
-use colibri_telemetry::Registry;
+use colibri_base::{
+    Bandwidth, BwClass, Duration, HostAddr, Instant, InterfaceId, IsdAsId, ResId, ResIdHashing,
+};
+use colibri_crypto::{Cmac, CompactKey, Key};
+use colibri_ctrl::{OwnedEer, OwnedEerVersion};
 use colibri_monitor::TokenBucket;
 use colibri_qdisc::{AdmitError, HtbConfig, Qdisc, QdiscStats, TrafficClass};
+use colibri_telemetry::Registry;
 use colibri_wire::mac::eer_hvfs;
-use colibri_wire::{EerInfo, HopField, PacketBuilder, PacketViewMut, ResInfo, HVF_LEN};
-use std::collections::HashMap;
+use colibri_wire::{encode_packet_into, hvf_offset, EerInfo, HopField, ResInfo, HVF_LEN, MAX_HOPS};
+use std::hash::BuildHasher;
 
 /// Why the gateway refused to send a packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,20 +62,21 @@ impl std::fmt::Display for GatewayError {
 
 impl std::error::Error for GatewayError {}
 
-/// One installed version: everything needed to stamp packets.
-#[derive(Clone)]
-struct InstalledVersion {
-    res_info: ResInfo,
-    /// The hop authenticators σᵢ, one per on-path AS, stored as *fully
-    /// expanded* CMAC instances (AES round keys + subkeys K1/K2). The
-    /// reservation is installed once and then stamps every packet of its
-    /// lifetime, so the key expansion — a serial AES dependency chain the
-    /// 4-wide interleaving cannot hide — is paid at install time instead
-    /// of per packet × per hop. ~256 B per hop instead of 16 B; even at
-    /// 2²⁰ installed reservations × 8 hops that is ~2 GiB on a middlebox
-    /// appliance, and typical tables (Fig. 5's r ≤ 2¹⁶) stay in the MiBs.
-    sigma_cmacs: Vec<Cmac>,
-    bw: Bandwidth,
+/// One 32-byte unit of a reservation's body: one hop's compact σ
+/// ([`CompactKey`]), one version's [`Head`], or eight hop fields.
+type Cell = CompactKey;
+
+/// Hop fields per cell.
+const HOPS_PER_CELL: usize = 32 / 4;
+
+/// One installed version's head: what its packets carry besides the
+/// reservation's fixed fields, and its replay state. (The exact rate is
+/// read only at install, from the owned EER.)
+#[derive(Clone, Copy)]
+struct Head {
+    ver: u8,
+    bw_class: BwClass,
+    /// `ExpT`, which `Ts` counts down to.
     exp: Instant,
     /// Last timestamp issued on this version (`u64::MAX` before the
     /// first), to guarantee uniqueness of `Ts` (the duplicate-suppression
@@ -79,41 +88,202 @@ struct InstalledVersion {
     last_ts: u64,
 }
 
-/// Expands a version's raw σ keys into ready-to-MAC CMAC instances at
-/// install, with the serial AES key-expansion chains of up to eight hops
-/// interleaved.
-struct ExpandSigmas;
+impl Head {
+    fn encode(&self) -> Cell {
+        let mut cell = Cell::default();
+        let b = cell.as_flattened_mut();
+        b[0] = self.ver;
+        b[1] = self.bw_class.0;
+        b[8..16].copy_from_slice(&self.exp.as_nanos().to_ne_bytes());
+        b[16..24].copy_from_slice(&self.last_ts.to_ne_bytes());
+        cell
+    }
 
-impl LaneKernel<Key> for ExpandSigmas {
-    type Out = Cmac;
+    fn decode(cell: &Cell) -> Head {
+        let b = cell.as_flattened();
+        let word = |at: usize| u64::from_ne_bytes(b[at..at + 8].try_into().expect("8 bytes"));
+        Head {
+            ver: b[0],
+            bw_class: BwClass(b[1]),
+            exp: Instant::from_nanos(word(8)),
+            last_ts: word(16),
+        }
+    }
+}
 
-    fn run<const N: usize>(&self, keys: &[Key; N]) -> [Cmac; N] {
-        Cmac::new_each(keys.each_ref().map(|k| &k.0))
+/// A reservation's state past its slot, in one allocation of 32-byte
+/// cells read front to back: ⌈hops / 8⌉ cells of hop fields, then per
+/// live version (oldest first) one [`Head`] cell and `hops` σ cells.
+struct Body(Box<[Cell]>);
+
+impl Body {
+    fn hop_cells(hops: usize) -> usize {
+        hops.div_ceil(HOPS_PER_CELL)
+    }
+
+    /// Lays out `hops` and `versions`, deriving each version's compact σ
+    /// (K2 included) up to eight hops per AES batch.
+    fn new(hops: &[HopField], versions: &[(Head, &OwnedEerVersion)]) -> Body {
+        let mut cells = vec![Cell::default(); Self::hop_cells(hops.len())];
+        let bytes = cells.as_flattened_mut().as_flattened_mut();
+        for (b, hop) in bytes.chunks_exact_mut(4).zip(hops) {
+            b[..2].copy_from_slice(&hop.ingress.0.to_ne_bytes());
+            b[2..].copy_from_slice(&hop.egress.0.to_ne_bytes());
+        }
+        cells.reserve_exact(versions.len() * (1 + hops.len()));
+        for (head, v) in versions {
+            cells.push(head.encode());
+            for_each_by_width(&v.hop_auths, &CompactSigmas, |_, sigma| cells.push(sigma));
+        }
+        Body(cells.into_boxed_slice())
+    }
+
+    /// The hop fields, decoded into the first `hops` entries.
+    fn hops(&self, hops: usize) -> [HopField; MAX_HOPS] {
+        let bytes = self.0[..Self::hop_cells(hops)].as_flattened().as_flattened();
+        let mut out = [HopField::new(0, 0); MAX_HOPS];
+        for (hop, b) in out.iter_mut().zip(bytes.chunks_exact(4)).take(hops) {
+            let (ingress, egress) = ([b[0], b[1]], [b[2], b[3]]);
+            *hop = HopField::new(u16::from_ne_bytes(ingress), u16::from_ne_bytes(egress));
+        }
+        out
+    }
+
+    /// Each version's head, oldest first.
+    fn heads(&self, hops: usize) -> impl DoubleEndedIterator<Item = Head> + ExactSizeIterator + '_ {
+        self.0[Self::hop_cells(hops)..].chunks_exact(1 + hops).map(|v| Head::decode(&v[0]))
+    }
+
+    /// Index of version `v`'s head cell; its σ cells follow.
+    fn head_at(hops: usize, v: usize) -> usize {
+        Self::hop_cells(hops) + v * (1 + hops)
+    }
+
+    fn set_head(&mut self, hops: usize, v: usize, head: &Head) {
+        self.0[Self::head_at(hops, v)] = head.encode();
+    }
+
+    /// Version `v`'s compact σ keys, one per hop.
+    fn sigmas(&self, hops: usize, v: usize) -> &[CompactKey] {
+        let at = Self::head_at(hops, v) + 1;
+        &self.0[at..at + hops]
+    }
+}
+
+/// Derives a version's compact σ keys at install, with the key
+/// expansions and subkey blocks of up to eight hops interleaved.
+struct CompactSigmas;
+
+impl LaneKernel<Key> for CompactSigmas {
+    type Out = CompactKey;
+
+    fn run<const N: usize>(&self, keys: &[Key; N]) -> [CompactKey; N] {
+        Cmac::compact_each(keys.each_ref().map(|k| &k.0))
     }
 }
 
 /// Stamps Eq. 6 for one packet's `(Ts, PktSize)` under a version's
-/// pre-expanded σ instances, up to eight hops per AES batch.
+/// compact σ keys, up to eight hops per AES batch, each hop's key
+/// expanded in the same pass.
 struct StampHvfs {
     ts: u64,
     pkt_size: usize,
 }
 
-impl LaneKernel<Cmac> for StampHvfs {
+impl LaneKernel<CompactKey> for StampHvfs {
     type Out = [u8; HVF_LEN];
 
     #[inline]
-    fn run<const N: usize>(&self, sigma_cmacs: &[Cmac; N]) -> [[u8; HVF_LEN]; N] {
-        eer_hvfs(sigma_cmacs.each_ref(), [(self.ts, self.pkt_size); N])
+    fn run<const N: usize>(&self, sigmas: &[CompactKey; N]) -> [[u8; HVF_LEN]; N] {
+        eer_hvfs(sigmas.each_ref(), [(self.ts, self.pkt_size); N])
     }
 }
 
-/// One reservation's gateway state.
-struct Entry {
+/// One reservation's table slot: the hot header and its body.
+struct Slot {
+    res_id: ResId,
+    src_as: IsdAsId,
     eer_info: EerInfo,
-    hops: Vec<HopField>,
-    versions: Vec<InstalledVersion>,
     monitor: TokenBucket,
+    first_egress: InterfaceId,
+    /// On-path ASes, `1..=MAX_HOPS`.
+    hops: u8,
+    body: Body,
+}
+
+/// The reservation table: one flat array of slots, open-addressed by
+/// linear probing from the [`ResIdHashing`] hash of the `ResId` and kept
+/// at most half full. A lookup reads the slot at the hashed index — for
+/// the sequential ResIds of one CServ almost always the only probe — with
+/// no separate control bytes to read first.
+#[derive(Default)]
+struct Table {
+    slots: Box<[Option<Slot>]>,
+    len: usize,
+}
+
+impl Table {
+    fn home(&self, res_id: ResId) -> usize {
+        ResIdHashing::default().hash_one(res_id) as usize & (self.slots.len() - 1)
+    }
+
+    /// The index holding `res_id`, if any.
+    fn find(&self, res_id: ResId) -> Option<usize> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mut i = self.home(res_id);
+        // At most half full, so a probe always ends at an empty slot.
+        while let Some(slot) = &self.slots[i] {
+            if slot.res_id == res_id {
+                return Some(i);
+            }
+            i = (i + 1) & (self.slots.len() - 1);
+        }
+        None
+    }
+
+    fn get(&self, res_id: ResId) -> Option<&Slot> {
+        self.find(res_id).and_then(|i| self.slots[i].as_ref())
+    }
+
+    fn get_mut(&mut self, res_id: ResId) -> Option<&mut Slot> {
+        self.find(res_id).and_then(|i| self.slots[i].as_mut())
+    }
+
+    /// Inserts a slot for a `ResId` not yet in the table.
+    fn insert(&mut self, slot: Slot) {
+        if 2 * (self.len + 1) > self.slots.len() {
+            let grown = (2 * self.slots.len()).max(8);
+            let old = std::mem::replace(&mut self.slots, (0..grown).map(|_| None).collect());
+            self.len = 0;
+            old.into_vec().into_iter().flatten().for_each(|s| self.insert(s));
+        }
+        let mut i = self.home(slot.res_id);
+        while self.slots[i].is_some() {
+            i = (i + 1) & (self.slots.len() - 1);
+        }
+        self.slots[i] = Some(slot);
+        self.len += 1;
+    }
+
+    /// Removes `res_id`'s slot, shifting later slots of its probe run
+    /// back so that no lookup meets a hole before its slot.
+    fn remove(&mut self, res_id: ResId) {
+        let Some(mut hole) = self.find(res_id) else { return };
+        self.slots[hole] = None;
+        self.len -= 1;
+        let mask = self.slots.len() - 1;
+        let mut i = (hole + 1) & mask;
+        while let Some(slot) = &self.slots[i] {
+            // The slot may move back unless its home lies in (hole, i].
+            if i.wrapping_sub(self.home(slot.res_id)) & mask >= i.wrapping_sub(hole) & mask {
+                self.slots[hole] = self.slots[i].take();
+                hole = i;
+            }
+            i = (i + 1) & mask;
+        }
+    }
 }
 
 /// A successfully stamped packet.
@@ -158,10 +328,10 @@ impl Default for GatewayConfig {
 /// The Colibri gateway of one AS.
 pub struct Gateway {
     cfg: GatewayConfig,
-    table: HashMap<ResId, Entry>,
+    table: Table,
     /// The hierarchical QoS tree, present iff `cfg.qos` is
-    /// [`QosMode::Hierarchical`]. When present it replaces the per-entry
-    /// flat monitor as the admission authority; the entry monitors are
+    /// [`QosMode::Hierarchical`]. When present it replaces the per-slot
+    /// flat monitor as the admission authority; the slot monitors are
     /// kept installed but not consulted, preserving the flat path as the
     /// differential foil.
     qdisc: Option<Qdisc>,
@@ -199,7 +369,13 @@ impl Gateway {
             // equivalent to building it at first use.
             QosMode::Hierarchical(htb) => Some(Qdisc::new(htb, Instant::EPOCH)),
         };
-        Self { cfg, table: HashMap::new(), qdisc, telemetry: None, stats: GatewayStats::default() }
+        Self {
+            cfg,
+            table: Table::default(),
+            qdisc,
+            telemetry: None,
+            stats: GatewayStats::default(),
+        }
     }
 
     /// Attaches telemetry (outcome counters plus the Volatile per-packet
@@ -217,79 +393,58 @@ impl Gateway {
     /// Installs (or refreshes) a reservation from the CServ's owned-EER
     /// state (Fig. 1b ➎). Call after every successful setup or renewal.
     ///
-    /// Structurally invalid EERs — an empty path or one longer than the
-    /// wire format can carry — are rejected outright (the reservation is
-    /// removed if present), so the per-packet stamping path can rely on
-    /// `1..=MAX_HOPS` hops and never fail on path shape. Every version
+    /// Structurally invalid EERs — an empty path, one longer than the
+    /// wire format can carry, or a live version without exactly one σ per
+    /// hop — are rejected outright (the reservation is removed if
+    /// present), so the per-packet stamping path can rely on
+    /// `1..=MAX_HOPS` hops, each with its σ, and never fail on path shape. Every version
     /// that stays live keeps its last issued `Ts`, so a re-install never
-    /// repeats a timestamp.
+    /// repeats a timestamp. Each hop's σ is kept compact: install costs
+    /// one key expansion and one AES block (the subkey) per hop and
+    /// version, and the schedule is not stored.
     pub fn install(&mut self, eer: &OwnedEer, now: Instant) {
-        if eer.hop_fields.is_empty() || eer.hop_fields.len() > colibri_wire::MAX_HOPS {
-            self.table.remove(&eer.key.res_id);
-            if let Some(q) = &mut self.qdisc {
-                q.remove(eer.key.res_id);
-            }
+        let (res_id, path) = (eer.key.res_id, &eer.hop_fields);
+        let live: Vec<&OwnedEerVersion> = eer.versions.iter().filter(|v| v.exp > now).collect();
+        let one_sigma_per_hop = live.iter().all(|v| v.hop_auths.len() == path.len());
+        if path.is_empty() || path.len() > MAX_HOPS || live.is_empty() || !one_sigma_per_hop {
+            self.remove(res_id);
             return;
         }
-        let installed = self.table.get(&eer.key.res_id).map_or(&[][..], |e| &e.versions);
-        let versions: Vec<InstalledVersion> = eer
-            .versions
+        let installed = self.table.get(res_id);
+        let heads: Vec<(Head, &OwnedEerVersion)> = live
             .iter()
-            .filter(|v| v.exp > now)
             .map(|v| {
-                let mut sigma_cmacs = Vec::with_capacity(v.hop_auths.len());
-                for_each_by_width(&v.hop_auths, &ExpandSigmas, |_, c| sigma_cmacs.push(c));
-                InstalledVersion {
-                    res_info: ResInfo {
-                        src_as: eer.key.src_as,
-                        res_id: eer.key.res_id,
-                        bw: colibri_base::BwClass::from_bandwidth_ceil(v.bw),
-                        exp_t: v.exp,
-                        ver: v.ver,
-                    },
-                    sigma_cmacs,
-                    bw: v.bw,
-                    exp: v.exp,
-                    last_ts: installed
-                        .iter()
-                        .find(|old| old.res_info.ver == v.ver)
-                        .map_or(u64::MAX, |old| old.last_ts),
-                }
+                let last_ts = installed
+                    .and_then(|s| s.body.heads(s.hops.into()).find(|old| old.ver == v.ver))
+                    .map_or(u64::MAX, |old| old.last_ts);
+                let bw_class = BwClass::from_bandwidth_ceil(v.bw);
+                (Head { ver: v.ver, bw_class, exp: v.exp, last_ts }, *v)
             })
             .collect();
-        if versions.is_empty() {
-            self.table.remove(&eer.key.res_id);
-            if let Some(q) = &mut self.qdisc {
-                q.remove(eer.key.res_id);
-            }
-            return;
-        }
+        let body = Body::new(path, &heads);
         // The monitored rate is the maximum over live versions: using
         // several versions cannot multiply bandwidth (§4.2/§4.8).
-        let rate = versions.iter().map(|v| v.bw).max().unwrap();
+        let rate = live.iter().map(|v| v.bw).max().expect("a live version");
         if let Some(q) = &mut self.qdisc {
             // Renewals reconfigure the node inside: tokens carry over.
-            q.install(eer.key.res_id, TrafficClass::ColibriData, rate, now);
+            q.install(res_id, TrafficClass::ColibriData, rate, now);
         }
-        match self.table.get_mut(&eer.key.res_id) {
-            Some(entry) => {
-                entry.versions = versions;
+        let (src_as, eer_info) = (eer.key.src_as, eer.eer_info);
+        let (first_egress, hops) = (path[0].egress, path.len() as u8);
+        match self.table.get_mut(res_id) {
+            Some(slot) => {
+                (slot.src_as, slot.eer_info, slot.first_egress, slot.hops, slot.body) =
+                    (src_as, eer_info, first_egress, hops, body);
                 // A renewal carries the accumulated bucket tokens over —
                 // settle elapsed time at the *old* rate, then clamp to the
                 // new depth — so a mid-stream rate change never mints a
                 // retroactive free burst (see `TokenBucket::reconfigure`).
-                entry.monitor.reconfigure(rate, self.cfg.burst, now);
+                slot.monitor.reconfigure(rate, self.cfg.burst, now);
             }
             None => {
-                self.table.insert(
-                    eer.key.res_id,
-                    Entry {
-                        eer_info: eer.eer_info,
-                        hops: eer.hop_fields.clone(),
-                        versions,
-                        monitor: TokenBucket::with_burst_duration(rate, self.cfg.burst, now),
-                    },
-                );
+                let monitor = TokenBucket::with_burst_duration(rate, self.cfg.burst, now);
+                let slot = Slot { res_id, src_as, eer_info, monitor, first_egress, hops, body };
+                self.table.insert(slot);
             }
         }
     }
@@ -306,8 +461,8 @@ impl Gateway {
     /// burst state: even a malicious override cannot retroactively mint
     /// tokens for the interval before it happened.
     pub fn override_monitor_rate(&mut self, res_id: ResId, rate: Bandwidth, now: Instant) {
-        if let Some(e) = self.table.get_mut(&res_id) {
-            e.monitor.reconfigure(rate, self.cfg.burst, now);
+        if let Some(slot) = self.table.get_mut(res_id) {
+            slot.monitor.reconfigure(rate, self.cfg.burst, now);
             if let Some(q) = &mut self.qdisc {
                 if q.rate_of(res_id).is_some() {
                     q.install(res_id, TrafficClass::ColibriData, rate, now);
@@ -318,7 +473,7 @@ impl Gateway {
 
     /// Removes a reservation.
     pub fn remove(&mut self, res_id: ResId) {
-        self.table.remove(&res_id);
+        self.table.remove(res_id);
         if let Some(q) = &mut self.qdisc {
             q.remove(res_id);
         }
@@ -326,7 +481,7 @@ impl Gateway {
 
     /// Number of installed reservations (the `r` parameter of Figs. 5–6).
     pub fn len(&self) -> usize {
-        self.table.len()
+        self.table.len
     }
 
     /// The qdisc's accumulated counters, if the gateway is hierarchical.
@@ -347,7 +502,7 @@ impl Gateway {
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.table.is_empty()
+        self.table.len == 0
     }
 
     /// Processes one packet from end host `src_host` over reservation
@@ -358,12 +513,14 @@ impl Gateway {
     /// heap allocation per packet after warm-up, matching the paper's
     /// preallocated-mbuf DPDK pipeline.
     ///
-    /// Hop validation fields are computed eight hops at a time over the
-    /// version's pre-expanded σ CMAC instances (Eq. 6 via [`eer_hvfs`]),
-    /// so the per-hop AES blocks of up to eight on-path ASes are in flight
-    /// concurrently and *no* AES key expansion runs per packet — the
-    /// schedules were expanded at install time. Remainder hops run four
-    /// wide when at least four remain, the rest one by one.
+    /// The packet is encoded straight into `buf` from the stored hop
+    /// fields, and each hop validation field (Eq. 6 via [`eer_hvfs`]) is
+    /// written at its offset. The HVFs are computed eight hops at a time
+    /// from the version's compact σ keys: each hop's key expansion is
+    /// interleaved with its one AES block, so the work of up to eight
+    /// on-path ASes is in flight at once — `hops` key expansions and
+    /// `hops` AES blocks per packet. Remainder hops run four wide when at
+    /// least four remain, the rest one by one.
     pub fn process_into(
         &mut self,
         src_host: HostAddr,
@@ -377,27 +534,29 @@ impl Gateway {
         // processing (determinism rules, DESIGN.md §11).
         let timed = self.telemetry.as_mut().is_some_and(GatewayTelemetry::time_packet);
         let wall_start = timed.then(std::time::Instant::now);
-        let Some(entry) = self.table.get_mut(&res_id) else {
+        let Some(slot) = self.table.get_mut(res_id) else {
             let err = GatewayError::UnknownReservation(res_id);
             return Err(refuse(&mut self.stats, &self.telemetry, err));
         };
-        if entry.eer_info.src_host != src_host {
+        if slot.eer_info.src_host != src_host {
             return Err(refuse(&mut self.stats, &self.telemetry, GatewayError::WrongHost));
         }
+        let hops = usize::from(slot.hops);
         // Use the latest live version (§4.2).
-        let Some(version) = entry.versions.iter_mut().rev().find(|v| v.exp > now) else {
+        let latest = slot.body.heads(hops).enumerate().rev().find(|(_, head)| head.exp > now);
+        let Some((version, mut head)) = latest else {
             return Err(refuse(&mut self.stats, &self.telemetry, GatewayError::Expired(res_id)));
         };
-        let pkt_size = colibri_wire::header_len(entry.hops.len(), true) + payload.len();
+        let pkt_size = colibri_wire::header_len(hops, true) + payload.len();
         // High-precision timestamp: ns until expiry, strictly decreasing
         // per version so every packet is unique. Decided before policing,
         // so a packet refused here consumes no tokens.
-        let mut ts = version.exp.as_nanos().saturating_sub(now.as_nanos());
-        if ts >= version.last_ts {
+        let mut ts = head.exp.as_nanos().saturating_sub(now.as_nanos());
+        if ts >= head.last_ts {
             // Once `Ts = 0` is stamped the version has no timestamp left:
             // another packet would repeat a `(key, Ts)` pair, which the
             // routers' replay filter drops as a duplicate.
-            let Some(next) = version.last_ts.checked_sub(1) else {
+            let Some(next) = head.last_ts.checked_sub(1) else {
                 let err = GatewayError::Expired(res_id);
                 return Err(refuse(&mut self.stats, &self.telemetry, err));
             };
@@ -405,19 +564,19 @@ impl Gateway {
         }
         // Deterministic monitoring (§4.8), sized by the full packet: the
         // hierarchical tree when configured (host → reservation → class →
-        // uplink accounting), the flat per-entry bucket otherwise.
+        // uplink accounting), the flat per-slot bucket otherwise.
         let admitted = match &mut self.qdisc {
             Some(q) => match q.admit(res_id, src_host, pkt_size as u64, now) {
                 Ok(()) => true,
                 Err(AdmitError::UnknownReservation(_)) => {
-                    // Tree and table are installed/removed together; an
-                    // entry without a node means teardown raced ahead.
+                    // Tree and table are installed/removed together; a
+                    // slot without a node means teardown raced ahead.
                     let err = GatewayError::UnknownReservation(res_id);
                     return Err(refuse(&mut self.stats, &self.telemetry, err));
                 }
                 Err(AdmitError::RateLimited(_) | AdmitError::HostCapped(..)) => false,
             },
-            None => entry.monitor.try_consume(pkt_size as u64, now),
+            None => slot.monitor.try_consume(pkt_size as u64, now),
         };
         if !admitted {
             self.stats.rate_limited += 1;
@@ -426,19 +585,24 @@ impl Gateway {
             }
             return Err(GatewayError::RateLimited(res_id));
         }
-        version.last_ts = ts;
+        head.last_ts = ts;
+        slot.body.set_head(hops, version, &head);
 
-        PacketBuilder::eer(version.res_info, entry.eer_info)
-            .path(entry.hops.iter().copied())
-            .ts(ts)
-            .build_into(payload, buf)
+        let res_info = ResInfo {
+            src_as: slot.src_as,
+            res_id,
+            bw: head.bw_class,
+            exp_t: head.exp,
+            ver: head.ver,
+        };
+        let path = slot.body.hops(hops);
+        encode_packet_into(&res_info, Some(&slot.eer_info), false, &path[..hops], ts, payload, buf)
             .expect("installed path is valid");
         debug_assert_eq!(buf.len(), pkt_size);
-        let mut view = PacketViewMut::parse(buf).expect("self-built packet");
-        let mut hop = 0;
-        for_each_by_width(&version.sigma_cmacs, &StampHvfs { ts, pkt_size }, |_, hvf| {
-            view.set_hvf(hop, hvf);
-            hop += 1;
+        let (sigmas, mut at) = (slot.body.sigmas(hops, version), hvf_offset(hops, true, 0));
+        for_each_by_width(sigmas, &StampHvfs { ts, pkt_size }, |_, hvf| {
+            buf[at..at + HVF_LEN].copy_from_slice(&hvf);
+            at += HVF_LEN;
         });
         self.stats.forwarded += 1;
         if let Some(t) = &self.telemetry {
@@ -447,7 +611,7 @@ impl Gateway {
                 t.stamp_ns.observe(start.elapsed().as_nanos() as u64);
             }
         }
-        Ok(entry.hops[0].egress)
+        Ok(slot.first_egress)
     }
 }
 
@@ -467,7 +631,7 @@ fn refuse(
 impl std::fmt::Debug for Gateway {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Gateway")
-            .field("reservations", &self.table.len())
+            .field("reservations", &self.table.len)
             .field("stats", &self.stats)
             .finish()
     }
@@ -479,6 +643,7 @@ mod tests {
     use colibri_base::{IsdAsId, ReservationKey};
     use colibri_ctrl::OwnedEerVersion;
     use colibri_wire::PacketView;
+    use proptest::prelude::*;
 
     const HOST: HostAddr = HostAddr(7);
 
@@ -550,6 +715,12 @@ mod tests {
         let mut bad = owned(1, vec![(0, Bandwidth::from_mbps(5), exp)]);
         bad.hop_fields.clear();
         g.install(&bad, t0);
+        assert!(g.is_empty());
+        // So is a version with a σ missing for one hop.
+        let mut short = owned(1, vec![(0, Bandwidth::from_mbps(5), exp)]);
+        short.versions[0].hop_auths.pop();
+        g.install(&owned(1, vec![(0, Bandwidth::from_mbps(5), exp)]), t0);
+        g.install(&short, t0);
         assert!(g.is_empty());
         // A path longer than the wire format carries is equally rejected.
         let mut long = owned(2, vec![(0, Bandwidth::from_mbps(5), exp)]);
@@ -682,6 +853,47 @@ mod tests {
         g.install(&owned(1, vec![(0, Bandwidth::from_mbps(5), Instant::from_secs(16))]), t0);
         let egress = g.process_into(HOST, ResId(1), b"x", t0, &mut Vec::new());
         assert_eq!(egress, Ok(colibri_base::InterfaceId(1)));
+    }
+
+    /// ResIds equal modulo the table size share a home slot; `k << 20`
+    /// does for every table below 2²⁰ slots.
+    fn probe_id(k: u32) -> u32 {
+        if k < 12 {
+            k << 20
+        } else {
+            k
+        }
+    }
+
+    proptest! {
+        /// Any sequence of installs and removals, with long probe runs of
+        /// colliding ResIds, leaves exactly the installed reservations
+        /// reachable.
+        #[test]
+        fn table_matches_a_set_model(
+            ops in prop::collection::vec((any::<bool>(), 0u32..24), 0..200),
+        ) {
+            let mut g = gw();
+            let (t0, exp) = (Instant::from_secs(0), Instant::from_secs(100));
+            let mut model = std::collections::BTreeSet::new();
+            for (install, k) in ops {
+                let id = probe_id(k);
+                if install {
+                    g.install(&owned(id, vec![(0, Bandwidth::from_mbps(5), exp)]), t0);
+                    model.insert(id);
+                } else {
+                    g.remove(ResId(id));
+                    model.remove(&id);
+                }
+                prop_assert_eq!(g.len(), model.len());
+                for k in 0..24 {
+                    let id = probe_id(k);
+                    let found = g.table.get(ResId(id)).map(|slot| slot.res_id);
+                    let expect = model.contains(&id).then_some(ResId(id));
+                    prop_assert_eq!(found, expect, "ResId {}", id);
+                }
+            }
+        }
     }
 
     #[test]

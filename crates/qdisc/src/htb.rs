@@ -29,7 +29,7 @@ use crate::codel::CodelConfig;
 use crate::sched::{EnqueueError, Lane, LeafId};
 use crate::telemetry::QdiscTelemetry;
 use crate::TrafficClass;
-use colibri_base::{Bandwidth, Duration, HostAddr, Instant, ResId};
+use colibri_base::{Bandwidth, Duration, HostAddr, Instant, ResId, ResIdHashing};
 use colibri_monitor::TokenBucket;
 use colibri_telemetry::Registry;
 use std::collections::HashMap;
@@ -265,7 +265,7 @@ pub struct Qdisc {
     root: Option<TokenBucket>,
     /// Class buckets, present only when the uplink is shaped.
     classes: [Option<TokenBucket>; 3],
-    res: HashMap<ResId, ResNode>,
+    res: HashMap<ResId, ResNode, ResIdHashing>,
     lanes: [Lane; 3],
     stats: QdiscStats,
     telemetry: Option<QdiscTelemetry>,
@@ -295,7 +295,7 @@ impl Qdisc {
             cfg,
             root,
             classes,
-            res: HashMap::new(),
+            res: HashMap::default(),
             lanes: [Lane::new(), Lane::new(), Lane::new()],
             stats: QdiscStats::default(),
             telemetry: None,

@@ -20,6 +20,7 @@ pub mod packet;
 
 pub use error::WireError;
 pub use packet::{
-    encode_packet_into, header_len, peek_res_id, EerInfo, HopField, PacketBuilder, PacketView,
-    PacketViewMut, ResInfo, EER_INFO_LEN, FIXED_HEADER_LEN, HVF_LEN, MAX_HOPS, WIRE_VERSION,
+    encode_packet_into, header_len, hvf_offset, peek_res_id, EerInfo, HopField, PacketBuilder,
+    PacketView, PacketViewMut, ResInfo, EER_INFO_LEN, FIXED_HEADER_LEN, HVF_LEN, MAX_HOPS,
+    WIRE_VERSION,
 };

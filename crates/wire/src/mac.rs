@@ -17,7 +17,7 @@
 //! already rules out path splicing (paper §4.5).
 
 use crate::packet::{EerInfo, HopField, ResInfo, HVF_LEN};
-use colibri_crypto::{Cmac, Key};
+use colibri_crypto::{Cmac, Key, ShortTagKey};
 
 /// Length of the canonical `ResInfo` encoding.
 pub const RES_INFO_ENC_LEN: usize = 18;
@@ -84,16 +84,18 @@ pub fn hop_auths<const N: usize>(k_i: &Cmac, inputs: [&[u8; HOP_AUTH_INPUT_LEN];
     k_i.tag_each(inputs.map(|m| m.as_slice())).map(Key)
 }
 
-/// Computes `N` per-packet hop validation fields `V_i^(E)` (Eq. 6) over
-/// `N` *pre-expanded* σ CMAC instances ([`Cmac::tags_short`]): exactly
-/// one `N`-wide AES batch and no key expansion. The router uses it across
-/// packets (distinct σ per packet), the gateway across the hops of one
-/// packet (distinct σ per hop, shared `ts`/`pkt_size`). `pkt_size` is
-/// the total packet size including the Colibri header, which prevents
+/// Computes `N` per-packet hop validation fields `V_i^(E)` (Eq. 6) under
+/// `N` σ keys in either form of [`ShortTagKey`]: one `N`-wide AES batch
+/// over pre-expanded [`Cmac`] instances, or `N` key expansions
+/// interleaved with it over [`colibri_crypto::CompactKey`]s. The router
+/// uses it across packets on the σ it has just expanded (distinct σ per
+/// packet), the gateway across the hops of one packet on the compact σ it
+/// stores (distinct σ per hop, shared `ts`/`pkt_size`). `pkt_size` is the
+/// total packet size including the Colibri header, which prevents
 /// header-only flooding (paper §4.8).
 #[inline]
-pub fn eer_hvfs<const N: usize>(
-    sigma_cmacs: [&Cmac; N],
+pub fn eer_hvfs<K: ShortTagKey, const N: usize>(
+    sigmas: [&K; N],
     inputs: [(u64, usize); N],
 ) -> [[u8; HVF_LEN]; N] {
     let msgs = inputs.map(|(ts, pkt_size)| {
@@ -102,7 +104,7 @@ pub fn eer_hvfs<const N: usize>(
         msg[8..].copy_from_slice(&(pkt_size as u32).to_be_bytes());
         msg
     });
-    Cmac::tags_short(sigma_cmacs, msgs.each_ref().map(|m| m.as_slice())).map(truncate)
+    K::short_tags(sigmas, msgs.each_ref().map(|m| m.as_slice())).map(truncate)
 }
 
 fn truncate(tag: [u8; 16]) -> [u8; HVF_LEN] {
@@ -225,6 +227,8 @@ mod tests {
             core::array::from_fn(|l| [(10, 64), (11, 65), (u64::MAX, 0), (0, 1500)][l % 4]);
         let sigma_cmacs = Cmac::new_each(sigmas.each_ref().map(|s| &s.0));
         let hvfs = eer_hvfs(sigma_cmacs.each_ref(), ts_size);
+        let compact = Cmac::compact_each(sigmas.each_ref().map(|s| &s.0));
+        assert_eq!(eer_hvfs(compact.each_ref(), ts_size), hvfs, "N {N}: compact σ");
         for l in 0..N {
             assert_eq!(tokens[l], k_i.tag(&seg_ins[l])[..HVF_LEN], "N {N} segr lane {l}");
             assert_eq!(sigmas[l].0, k_i.tag(&auth_ins[l]), "N {N} auth lane {l}");

@@ -107,6 +107,12 @@ pub fn header_len(n_hops: usize, eer: bool) -> usize {
     FIXED_HEADER_LEN + if eer { EER_INFO_LEN } else { 0 } + n_hops * (4 + HVF_LEN)
 }
 
+/// Byte offset of the `i`-th hop validation field (`i < n_hops`): the
+/// HVFs close the header.
+pub fn hvf_offset(n_hops: usize, eer: bool, i: usize) -> usize {
+    header_len(n_hops, eer) - HVF_LEN * (n_hops - i)
+}
+
 /// An immutable, validated view over a Colibri packet buffer.
 ///
 /// Construction ([`PacketView::parse`]) performs all framing checks once;
@@ -365,10 +371,7 @@ impl<'a> PacketViewMut<'a> {
     /// Writes the `i`-th hop validation field.
     pub fn set_hvf(&mut self, i: usize, hvf: [u8; HVF_LEN]) {
         assert!(i < self.n_hops);
-        let off = FIXED_HEADER_LEN
-            + if self.eer { EER_INFO_LEN } else { 0 }
-            + 4 * self.n_hops
-            + HVF_LEN * i;
+        let off = hvf_offset(self.n_hops, self.eer, i);
         self.buf[off..off + HVF_LEN].copy_from_slice(&hvf);
     }
 
