@@ -136,67 +136,6 @@ pub fn derive_host_key(as_key: &Key, host: u32) -> Key {
     Key(as_key.cmac().tag(&msg))
 }
 
-/// The slow side of DRKey: a cache of fetched first-level keys.
-///
-/// AS *B* cannot recompute `K_{A→B}`; it must ask A's key server. The cache
-/// records the epoch with each entry and evicts on epoch change. The fetch
-/// itself is modeled by the closure passed to [`KeyCache::get_or_fetch`] —
-/// in the simulator this is an RPC to the remote key server; the number of
-/// fetches is observable so tests can assert that keys are fetched once per
-/// epoch, not per packet.
-#[derive(Debug, Default)]
-pub struct KeyCache {
-    entries: std::collections::HashMap<u64, (Epoch, Key)>,
-    fetches: u64,
-}
-
-impl KeyCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns the cached key for `remote_as` valid in `epoch`, fetching
-    /// through `fetch` on a miss (or when only a stale epoch is cached).
-    pub fn get_or_fetch(
-        &mut self,
-        remote_as: u64,
-        epoch: Epoch,
-        fetch: impl FnOnce() -> Key,
-    ) -> Key {
-        match self.entries.get(&remote_as) {
-            Some((e, k)) if *e == epoch => *k,
-            _ => {
-                let k = fetch();
-                self.entries.insert(remote_as, (epoch, k));
-                self.fetches += 1;
-                k
-            }
-        }
-    }
-
-    /// Removes one cached entry (e.g. after discovering it is stale or was
-    /// fetched erroneously).
-    pub fn remove(&mut self, remote_as: u64) {
-        self.entries.remove(&remote_as);
-    }
-
-    /// How many fetches the cache has performed (misses).
-    pub fn fetch_count(&self) -> u64 {
-        self.fetches
-    }
-
-    /// Number of cached entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,32 +190,6 @@ mod tests {
         let h2 = derive_host_key(&as_key, 0x0a00_0002);
         assert_ne!(h1, h2);
         assert_ne!(h1, as_key);
-    }
-
-    #[test]
-    fn cache_fetches_once_per_epoch() {
-        let a = gen_a();
-        let mut cache = KeyCache::new();
-        let e0 = Epoch(0);
-        for _ in 0..100 {
-            cache.get_or_fetch(42, e0, || a.as_key(e0, 42));
-        }
-        assert_eq!(cache.fetch_count(), 1);
-        // Epoch rollover forces exactly one refetch.
-        let e1 = Epoch(1);
-        let k = cache.get_or_fetch(42, e1, || a.as_key(e1, 42));
-        assert_eq!(cache.fetch_count(), 2);
-        assert_eq!(k, a.as_key(e1, 42));
-    }
-
-    #[test]
-    fn cache_distinct_remotes() {
-        let a = gen_a();
-        let mut cache = KeyCache::new();
-        cache.get_or_fetch(1, Epoch(0), || a.as_key(Epoch(0), 1));
-        cache.get_or_fetch(2, Epoch(0), || a.as_key(Epoch(0), 2));
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.fetch_count(), 2);
     }
 
     #[test]

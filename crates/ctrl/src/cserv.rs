@@ -640,11 +640,6 @@ impl CServ {
         Ok((granted, undo))
     }
 
-    /// Cleans up a forward-pass admission after a downstream refusal.
-    pub fn segr_abort_hop(&mut self, undo: UndoToken) {
-        self.admission.undo(undo);
-    }
-
     /// Tears down a finalized SegR at this AS: releases its admission
     /// contribution and removes the stored record. Used by the initiator
     /// to release an advance reservation before its start tick; exact —

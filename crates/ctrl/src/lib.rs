@@ -6,19 +6,18 @@
 //! SegR-headroom checks ([`eer`]), stores reservation state ([`store`]),
 //! authenticates control messages with DRKey MACs ([`messages`]), and
 //! enforces intra-AS policies ([`policy`]). Multi-AS setup flows are
-//! orchestrated by [`setup`]; segment-reservation dissemination and
-//! caching (Appendix C) live in [`dissemination`].
+//! orchestrated by [`setup`], with one channel-aware driver per operation
+//! that moves every hop exchange over a [`reliable::ControlChannel`]; the
+//! plain-named functions are those drivers over the lossless
+//! [`reliable::PerfectChannel`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod admission;
-pub mod billing;
 pub mod cserv;
-pub mod dissemination;
 pub mod distributed;
 pub mod eer;
-pub mod keyserver;
 pub mod messages;
 pub mod overload;
 pub mod policy;
@@ -32,29 +31,26 @@ pub mod timeline;
 pub use admission::{
     AdmissionError, AggregateSnapshot, SegrAdmission, SegrAdmissionConfig, SegrRequest,
 };
-pub use billing::{PricingAgreement, Settlement, SettlementLedger};
 pub use cserv::{CServ, CservConfig, CservError};
 pub use eer::{EerError, SegrUsage, TransferSplit};
-pub use keyserver::{KeyClient, KeyServer, KeyServerConfig, KeyServerError};
 pub use messages::{CtrlMsg, EerSetupReq, EerSetupResp, SegSetupReq, SegSetupResp};
 pub use overload::{
     BreakerState, DestStats, GuardedChannel, OverloadConfig, OverloadControl,
 };
 pub use policy::{AllowAll, DenyAll, EerPolicy, PerHostCap};
 pub use reliable::{
-    activate_segr_reliable, renew_eer_adaptive_reliable, renew_eer_reliable,
-    renew_segr_reliable, setup_eer_reliable, setup_segr_reliable, ControlChannel, Delivery,
-    FastFailReason, PerfectChannel, Preflight, RetryPolicy, RetryStats,
+    ControlChannel, Delivery, FastFailReason, PerfectChannel, Preflight, RetryPolicy, RetryStats,
 };
 pub use shed::{AdmissionQueue, RequestClass, ShedConfig, ShedStats, ShedVerdict};
-pub use setup::{master_secret_for, renew_eer_adaptive,
-    activate_segr, renew_eer, renew_segr, setup_eer, setup_segr, setup_segr_at, teardown_segr,
-    CservRegistry, EerGrant, SegrGrant, SetupError,
+pub use setup::{
+    activate_segr, activate_segr_with, master_secret_for, renew_eer, renew_eer_adaptive,
+    renew_eer_adaptive_with, renew_eer_with, renew_segr, renew_segr_with, setup_eer,
+    setup_eer_with, setup_segr, setup_segr_at, setup_segr_with, teardown_segr, CservRegistry,
+    EerGrant, SegrGrant, SetupError,
 };
 pub use store::{
     GcStats, OwnedEer, OwnedEerVersion, OwnedSegr, PendingOwned, ReservationStore, SegrRecord,
 };
 pub use telemetry::CservTelemetry;
 pub use timeline::{ExpiryWheel, Timeline, TimelineError};
-pub use dissemination::{RegisteredSegr, SegrCache, SegrRegistry};
 pub use distributed::{DistributedCServ, DistributedError, EerAdmitRequest};

@@ -322,14 +322,6 @@ impl OverloadControl {
         self.dests.get(&to).map(|d| d.stats).unwrap_or_default()
     }
 
-    /// Whole retry tokens currently available towards `to`.
-    pub fn retry_tokens(&self, to: IsdAsId) -> u64 {
-        self.dests
-            .get(&to)
-            .map(|d| d.tokens_ppm / TOKEN)
-            .unwrap_or(u64::from(self.cfg.retry_burst))
-    }
-
     /// Counters summed over every destination.
     pub fn totals(&self) -> DestStats {
         let mut t = DestStats::default();

@@ -1,21 +1,21 @@
 //! Reliable control-message delivery over a lossy inter-domain network.
 //!
-//! The in-process orchestration of [`crate::setup`] assumes every control
-//! message arrives. Real inter-domain paths drop, delay, and partition;
-//! CServs crash mid-setup. This module supplies the delivery model and
-//! retry machinery that make the setup passes robust against all of that:
+//! Real inter-domain paths drop, delay, and partition; CServs crash
+//! mid-setup. This module supplies the delivery model and retry machinery
+//! that the setup passes of [`crate::setup`] run on:
 //!
 //! - [`ControlChannel`] abstracts one control-message leg between two
-//!   ASes. [`PerfectChannel`] (no loss, no latency) reproduces the legacy
-//!   in-process behavior exactly; the simulator's fault plan provides a
+//!   ASes. [`PerfectChannel`] (no loss, no latency) is the channel of the
+//!   plain-named setup functions; the simulator's fault plan provides a
 //!   lossy implementation.
 //! - [`RetryPolicy`] bounds retries with exponential backoff plus
 //!   deterministic jitter, and imposes a per-hop round-trip timeout.
-//! - The `*_reliable` entry points drive the same forward/backward passes
-//!   as [`crate::setup`], but every hop exchange is retried under the
-//!   policy, and a failed setup is rolled back hop by hop with the
-//!   idempotent abort path, leaving every admission aggregate in its
-//!   exact pre-request state.
+//! - The one driver per operation in [`crate::setup`] (the `*_with`
+//!   functions, e.g. [`crate::setup::setup_segr_with`]) takes the channel
+//!   and the policy: every hop exchange is retried under the policy, and
+//!   a failed setup is rolled back hop by hop with the idempotent abort
+//!   path, leaving every admission aggregate in its exact pre-request
+//!   state.
 //!
 //! Correctness under retries rests on the request-id replay cache in
 //! [`crate::cserv::CServ`]: a retried request replays the recorded
@@ -101,8 +101,8 @@ pub trait ControlChannel {
 }
 
 /// The ideal channel: every leg is delivered instantly, every node is up.
-/// Drivers running over it behave byte-identically to the legacy
-/// in-process orchestration.
+/// The plain-named setup functions ([`crate::setup::setup_segr`] and the
+/// rest) are the channel-aware drivers over it.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PerfectChannel;
 
@@ -341,109 +341,6 @@ fn exchange_inner<T>(
         clock.advance(policy.backoff(attempt, salt));
     }
     None
-}
-
-// ---------------------------------------------------------------------
-// Public reliable entry points (thin wrappers over the channel-aware
-// passes in `crate::setup`).
-// ---------------------------------------------------------------------
-
-use crate::setup::{CservRegistry, EerGrant, SegrGrant, SetupError};
-use colibri_base::{Bandwidth, ReservationKey};
-use colibri_topology::{FullPath, Segment};
-use colibri_wire::EerInfo;
-
-/// [`crate::setup::setup_segr`] over a lossy channel with retries; on
-/// failure, every partially admitted hop is rolled back exactly.
-#[allow(clippy::too_many_arguments)]
-pub fn setup_segr_reliable(
-    reg: &mut CservRegistry,
-    segment: &Segment,
-    demand: Bandwidth,
-    min_bw: Bandwidth,
-    clock: &Clock,
-    ch: &mut dyn ControlChannel,
-    policy: &RetryPolicy,
-) -> Result<(SegrGrant, RetryStats), SetupError> {
-    crate::setup::setup_segr_with(
-        reg,
-        segment,
-        demand,
-        min_bw,
-        colibri_base::Instant::EPOCH,
-        clock,
-        ch,
-        policy,
-    )
-}
-
-/// [`crate::setup::renew_segr`] over a lossy channel with retries.
-#[allow(clippy::too_many_arguments)]
-pub fn renew_segr_reliable(
-    reg: &mut CservRegistry,
-    key: ReservationKey,
-    demand: Bandwidth,
-    min_bw: Bandwidth,
-    clock: &Clock,
-    ch: &mut dyn ControlChannel,
-    policy: &RetryPolicy,
-) -> Result<(SegrGrant, RetryStats), SetupError> {
-    crate::setup::renew_segr_with(reg, key, demand, min_bw, clock, ch, policy)
-}
-
-/// [`crate::setup::activate_segr`] over a lossy channel with retries; a
-/// duplicate activation that already took effect is treated as success.
-pub fn activate_segr_reliable(
-    reg: &mut CservRegistry,
-    key: ReservationKey,
-    ver: u8,
-    clock: &Clock,
-    ch: &mut dyn ControlChannel,
-    policy: &RetryPolicy,
-) -> Result<RetryStats, SetupError> {
-    crate::setup::activate_segr_with(reg, key, ver, clock, ch, policy)
-}
-
-/// [`crate::setup::setup_eer`] over a lossy channel with retries.
-#[allow(clippy::too_many_arguments)]
-pub fn setup_eer_reliable(
-    reg: &mut CservRegistry,
-    path: &FullPath,
-    segr_ids: &[ReservationKey],
-    eer_info: EerInfo,
-    demand: Bandwidth,
-    clock: &Clock,
-    ch: &mut dyn ControlChannel,
-    policy: &RetryPolicy,
-) -> Result<(EerGrant, RetryStats), SetupError> {
-    crate::setup::setup_eer_with(reg, path, segr_ids, eer_info, demand, clock, ch, policy)
-}
-
-/// [`crate::setup::renew_eer`] over a lossy channel with retries.
-pub fn renew_eer_reliable(
-    reg: &mut CservRegistry,
-    key: ReservationKey,
-    demand: Bandwidth,
-    clock: &Clock,
-    ch: &mut dyn ControlChannel,
-    policy: &RetryPolicy,
-) -> Result<(EerGrant, RetryStats), SetupError> {
-    crate::setup::renew_eer_with(reg, key, demand, clock, ch, policy)
-}
-
-/// [`crate::setup::renew_eer_adaptive`] over a lossy channel with
-/// retries.
-#[allow(clippy::too_many_arguments)]
-pub fn renew_eer_adaptive_reliable(
-    reg: &mut CservRegistry,
-    key: ReservationKey,
-    demand: Bandwidth,
-    min_bw: Bandwidth,
-    clock: &Clock,
-    ch: &mut dyn ControlChannel,
-    policy: &RetryPolicy,
-) -> Result<(EerGrant, RetryStats), SetupError> {
-    crate::setup::renew_eer_adaptive_with(reg, key, demand, min_bw, clock, ch, policy)
 }
 
 #[cfg(test)]

@@ -1,10 +1,15 @@
 //! Multi-AS reservation setup orchestration (paper §3.3, Fig. 1a/1b).
 //!
 //! These functions drive the forward/backward passes of SegR and EER
-//! setup across the CServs of all on-path ASes. They operate on an
-//! in-process [`CservRegistry`]; the network simulator reuses the same
-//! handlers but moves the messages over simulated links. Either way the
-//! per-AS processing — admission, token computation, authentication — is
+//! setup across the CServs of all on-path ASes of an in-process
+//! [`CservRegistry`]. Each operation has one driver — [`setup_segr_with`],
+//! [`renew_segr_with`], [`activate_segr_with`], [`setup_eer_with`],
+//! [`renew_eer_with`], [`renew_eer_adaptive_with`] — that moves every hop
+//! exchange over a [`ControlChannel`] under a [`RetryPolicy`] and returns
+//! the [`RetryStats`] of the operation. The plain-named functions
+//! ([`setup_segr`], [`renew_segr`], …) are those drivers over the lossless
+//! [`PerfectChannel`] with the default policy. Either way the per-AS
+//! processing — admission, token computation, authentication — is
 //! identical, which is what the control-plane evaluation (Figs. 3–4)
 //! measures.
 //!
@@ -205,18 +210,7 @@ pub fn setup_segr(
     min_bw: Bandwidth,
     now: Instant,
 ) -> Result<SegrGrant, SetupError> {
-    let clock = Clock::starting_at(now);
-    setup_segr_with(
-        reg,
-        segment,
-        demand,
-        min_bw,
-        Instant::EPOCH,
-        &clock,
-        &mut PerfectChannel,
-        &RetryPolicy::default(),
-    )
-    .map(|(g, _)| g)
+    setup_segr_at(reg, segment, demand, min_bw, Instant::EPOCH, now)
 }
 
 /// Books an *advance reservation*: a new SegR admitted now against the
@@ -248,11 +242,12 @@ pub fn setup_segr_at(
 }
 
 /// Channel-aware [`setup_segr`]: every hop exchange travels over `ch`
-/// under `policy`, with `clock` advancing across latencies and backoffs.
+/// under `policy`, with `clock` advancing across latencies and backoffs;
+/// on failure, every partially admitted hop is rolled back exactly.
 /// `starts_at` books an advance reservation (`Instant::EPOCH` =
 /// immediate).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn setup_segr_with(
+pub fn setup_segr_with(
     reg: &mut CservRegistry,
     segment: &Segment,
     demand: Bandwidth,
@@ -297,7 +292,7 @@ pub fn renew_segr(
 }
 
 /// Channel-aware [`renew_segr`].
-pub(crate) fn renew_segr_with(
+pub fn renew_segr_with(
     reg: &mut CservRegistry,
     key: ReservationKey,
     demand: Bandwidth,
@@ -545,7 +540,7 @@ pub fn teardown_segr(reg: &mut CservRegistry, key: ReservationKey) -> Result<(),
 /// Channel-aware [`activate_segr`]. A retried activation that already
 /// took effect at a hop (response lost) is recognized by the hop's
 /// current active version and treated as success.
-pub(crate) fn activate_segr_with(
+pub fn activate_segr_with(
     reg: &mut CservRegistry,
     key: ReservationKey,
     ver: u8,
@@ -646,7 +641,7 @@ pub fn setup_eer(
 
 /// Channel-aware [`setup_eer`].
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn setup_eer_with(
+pub fn setup_eer_with(
     reg: &mut CservRegistry,
     path: &FullPath,
     segr_ids: &[ReservationKey],
@@ -684,7 +679,7 @@ pub fn renew_eer(
 }
 
 /// Channel-aware [`renew_eer`].
-pub(crate) fn renew_eer_with(
+pub fn renew_eer_with(
     reg: &mut CservRegistry,
     key: ReservationKey,
     demand: Bandwidth,
@@ -693,34 +688,16 @@ pub(crate) fn renew_eer_with(
     policy: &RetryPolicy,
 ) -> Result<(EerGrant, RetryStats), SetupError> {
     let src = key.src_as;
-    let (path, eer_info, last_ver, segr_ids) = {
-        let cserv = reg.get(src).ok_or(SetupError::UnknownAs(src))?;
-        let eer = cserv.store().owned_eer(key).ok_or(SetupError::NotOwned(key))?;
-        let last_ver = eer.versions.iter().map(|v| v.ver).max().unwrap_or(0);
-        (
-            eer.path_ases
-                .iter()
-                .zip(&eer.hop_fields)
-                .map(|(a, h)| (*a, *h))
-                .collect::<Vec<_>>(),
-            eer.eer_info,
-            last_ver,
-            Vec::<ReservationKey>::new(), // filled below from the stored request
-        )
-    };
+    let cserv = reg.get(src).ok_or(SetupError::UnknownAs(src))?;
+    let eer = cserv.store().owned_eer(key).ok_or(SetupError::NotOwned(key))?;
+    let last_ver = eer.versions.iter().map(|v| v.ver).max().unwrap_or(0);
+    let path: Vec<_> = eer.path_ases.iter().zip(&eer.hop_fields).map(|(a, h)| (*a, *h)).collect();
+    let eer_info = eer.eer_info;
     // Renewals reuse the original underlying SegRs. The owned record does
-    // not persist them, so recover from the source's EER-request bookkeeping
-    // — kept in the renewal map.
-    let _ = segr_ids;
-    let segr_ids = {
-        let cserv = reg.get(src).unwrap();
-        cserv
-            .store()
-            .eer_segrs(key)
-            .ok_or(SetupError::NotOwned(key))?
-            .to_vec()
-    };
-    let lifetime = reg.get(src).unwrap().config().eer_lifetime;
+    // not persist them, so recover them from the source's EER-request
+    // bookkeeping.
+    let segr_ids = cserv.store().eer_segrs(key).ok_or(SetupError::NotOwned(key))?.to_vec();
+    let lifetime = cserv.config().eer_lifetime;
     let res_info = ResInfo {
         src_as: src,
         res_id: key.res_id,
@@ -918,7 +895,7 @@ pub fn renew_eer_adaptive(
 /// is exactly why request ids — not `(key, version)` — key the replay
 /// caches.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn renew_eer_adaptive_with(
+pub fn renew_eer_adaptive_with(
     reg: &mut CservRegistry,
     key: ReservationKey,
     demand: Bandwidth,

@@ -30,7 +30,7 @@ pub enum RequestClass {
     Renewal = 0,
     /// First-time setup (version 0).
     NewSetup = 1,
-    /// Best-effort queries (dissemination fetches, diagnostics).
+    /// Best-effort queries (lookups, diagnostics).
     Query = 2,
 }
 

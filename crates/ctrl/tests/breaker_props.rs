@@ -14,7 +14,7 @@
 
 use colibri_base::{Bandwidth, Clock, Duration, Instant, IsdAsId};
 use colibri_ctrl::{
-    setup_segr_reliable, BreakerState, ControlChannel, CservConfig, CservRegistry, Delivery,
+    setup_segr_with, BreakerState, ControlChannel, CservConfig, CservRegistry, Delivery,
     GuardedChannel, OverloadConfig, OverloadControl, Preflight, RetryPolicy,
 };
 use colibri_topology::gen::sample_two_isd;
@@ -237,11 +237,12 @@ proptest! {
             per_hop_timeout: Duration::from_millis(500),
             deadline: Duration::MAX,
         };
-        let res = setup_segr_reliable(
+        let res = setup_segr_with(
             &mut reg,
             &up,
             Bandwidth::from_mbps(100),
             Bandwidth::from_mbps(1),
+            Instant::EPOCH,
             &clock,
             &mut GuardedChannel::new(&mut ch, &mut guard),
             &policy,

@@ -11,7 +11,7 @@
 
 use colibri_base::{Bandwidth, Clock, Duration, HostAddr, Instant, IsdAsId};
 use colibri_ctrl::{
-    activate_segr, renew_eer, renew_segr, setup_eer, setup_segr, setup_segr_reliable,
+    activate_segr, renew_eer, renew_segr, setup_eer, setup_segr, setup_segr_with,
     AggregateSnapshot, ControlChannel, CservConfig, CservRegistry, Delivery, RetryPolicy,
 };
 use colibri_topology::gen::sample_two_isd;
@@ -121,11 +121,12 @@ proptest! {
             per_hop_timeout: Duration::from_millis(500),
             deadline: Duration::MAX,
         };
-        let _ = setup_segr_reliable(
+        let _ = setup_segr_with(
             &mut reg,
             &up,
             Bandwidth::from_gbps(demand_gbps),
             Bandwidth::from_mbps(1),
+            Instant::EPOCH,
             &clock,
             &mut ch,
             &policy,

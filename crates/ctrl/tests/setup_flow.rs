@@ -307,3 +307,29 @@ fn expired_segr_rejects_new_eers() {
     let SetupError::Refused { reason, .. } = err else { panic!("{err:?}") };
     assert!(matches!(reason, CservError::SegrExpired(_)), "{reason:?}");
 }
+
+#[test]
+fn lapsed_segrs_renewed_in_place_admit_the_same_eer() {
+    // Appendix C: an EER setup over a lapsed SegR version fails with an
+    // indication, the initiators refresh the SegRs, and the host retries.
+    let mut w = world();
+    let t0 = Instant::from_secs(10);
+    let segr_keys = setup_three_segrs(&mut w, t0);
+    let path = w.path.clone();
+    let late = t0 + Duration::from_secs(400);
+    let err = setup_eer(&mut w.reg, &path, &segr_keys, hosts(), Bandwidth::from_mbps(1), late)
+        .unwrap_err();
+    let SetupError::Refused { reason, .. } = err else { panic!("{err:?}") };
+    assert!(matches!(reason, CservError::SegrExpired(_)), "{reason:?}");
+
+    // The initiators refresh the lapsed SegRs in place (same keys, new
+    // versions) and the very same EER request now goes through.
+    for &k in &segr_keys {
+        let g = renew_segr(&mut w.reg, k, Bandwidth::from_gbps(1), Bandwidth::from_mbps(1), late)
+            .unwrap();
+        activate_segr(&mut w.reg, k, g.ver, late).unwrap();
+        assert!(g.exp > late);
+    }
+    setup_eer(&mut w.reg, &path, &segr_keys, hosts(), Bandwidth::from_mbps(1), late)
+        .expect("EER over the renewed SegRs");
+}

@@ -28,9 +28,8 @@
 
 use colibri_base::{Bandwidth, Clock, Duration, HostAddr, Instant, IsdAsId, ReservationKey};
 use colibri_ctrl::{
-    activate_segr_reliable, renew_eer_reliable, renew_segr_reliable, setup_eer_reliable,
-    setup_segr_reliable, ControlChannel, CservError, CservRegistry, PerfectChannel, RetryPolicy,
-    SetupError,
+    activate_segr_with, renew_eer_with, renew_segr_with, setup_eer_with, setup_segr_with,
+    ControlChannel, CservError, CservRegistry, PerfectChannel, RetryPolicy, SetupError,
 };
 use colibri_dataplane::{Gateway, GatewayError, StampedPacket};
 use colibri_topology::{find_paths, FullPath, SegmentStore, Topology};
@@ -225,11 +224,12 @@ impl FlowManager {
             }
             self.segr_cache.remove(&as_path);
         }
-        let (grant, _stats) = setup_segr_reliable(
+        let (grant, _stats) = setup_segr_with(
             env.reg,
             seg,
             self.cfg.segr_demand,
             Bandwidth::from_mbps(1),
+            Instant::EPOCH,
             clock,
             ch,
             policy,
@@ -274,8 +274,7 @@ impl FlowManager {
             if !ok {
                 continue;
             }
-            match setup_eer_reliable(env.reg, &path, &segr_keys, hosts, demand, clock, ch, policy)
-            {
+            match setup_eer_with(env.reg, &path, &segr_keys, hosts, demand, clock, ch, policy) {
                 Ok((grant, _stats)) => {
                     return Ok(Established { key: grant.key, exp: grant.exp, path, segr_keys });
                 }
@@ -422,9 +421,9 @@ impl FlowManager {
             };
             if clock.now() + self.cfg.segr_renew_ahead >= exp {
                 if let Ok((grant, _)) =
-                    renew_segr_reliable(env.reg, key, bw, Bandwidth::from_mbps(1), clock, ch, policy)
+                    renew_segr_with(env.reg, key, bw, Bandwidth::from_mbps(1), clock, ch, policy)
                 {
-                    if activate_segr_reliable(env.reg, key, grant.ver, clock, ch, policy).is_ok() {
+                    if activate_segr_with(env.reg, key, grant.ver, clock, ch, policy).is_ok() {
                         report.renewals += 1;
                     }
                 }
@@ -455,7 +454,7 @@ impl FlowManager {
                         report.busy_deferred += 1;
                         continue;
                     }
-                    match renew_eer_reliable(env.reg, key, demand, clock, ch, policy) {
+                    match renew_eer_with(env.reg, key, demand, clock, ch, policy) {
                         Ok((grant, _)) => {
                             self.install(env, key, clock.now());
                             let f = self.flows.get_mut(&id).unwrap();

@@ -5,7 +5,7 @@
 
 use colibri_base::{Bandwidth, Duration, HostAddr, Instant};
 use colibri_ctrl::{
-    setup_eer_reliable, setup_segr_reliable, CservConfig, CservRegistry, RetryPolicy, RetryStats,
+    setup_eer_with, setup_segr_with, CservConfig, CservRegistry, RetryPolicy, RetryStats,
 };
 use colibri_base::Clock;
 use colibri_dataplane::RouterConfig;
@@ -34,11 +34,12 @@ fn control_run(seed: u64) -> (Vec<TraceEvent>, RetryStats, Instant, bool) {
     let mut keys = Vec::new();
     let mut all_ok = true;
     for seg in [&up, &core, &down] {
-        match setup_segr_reliable(
+        match setup_segr_with(
             &mut reg,
             seg,
             Bandwidth::from_gbps(1),
             Bandwidth::from_mbps(1),
+            Instant::EPOCH,
             &clock,
             &mut ch,
             &policy,
@@ -53,7 +54,7 @@ fn control_run(seed: u64) -> (Vec<TraceEvent>, RetryStats, Instant, bool) {
     if all_ok {
         let path = stitch(&[up, core, down]).unwrap();
         let hosts = EerInfo { src_host: HostAddr(1), dst_host: HostAddr(2) };
-        match setup_eer_reliable(
+        match setup_eer_with(
             &mut reg,
             &path,
             &keys,

@@ -23,6 +23,33 @@ if [[ "${1:-}" == "--attack" ]]; then
   exit 0
 fi
 
+# An island is a module nothing else reaches: none of its top-level
+# `pub` items, and no `<mod>::` path, is named anywhere but in its own
+# file, its crate root's `pub mod`/`pub use` lines and its crate's own
+# tests/. Such code serves no packet, request or figure; delete it or
+# give it a caller.
+echo "==> no islands (every crates/*/src/<mod>.rs is named outside its own file, crate-root" \
+     "re-exports and crate tests)"
+islands=0
+for f in crates/*/src/*.rs; do
+  mod=$(basename "$f" .rs)
+  crate=${f%/src/*}
+  [[ $mod == lib || $mod == main ]] && continue
+  pattern="\\b${mod}::"
+  for n in $(grep -oE '^pub (unsafe )?(fn|struct|enum|trait|type|const|static|mod|union) \w+' "$f" \
+               | awk '{print $NF}'); do
+    pattern+="|\\b$n\\b"
+  done
+  users=$(grep -rlE --include='*.rs' --exclude-dir=target "$pattern" crates tests examples benchmark \
+            | grep -vxF -e "$f" -e "$crate/src/lib.rs" | grep -v "^$crate/tests/" || true)
+  root=$(sed '/^pub use/,/;/d; /^pub mod/d' "$crate/src/lib.rs" 2>/dev/null | grep -cE "$pattern" || true)
+  if [[ -z $users && ${root:-0} == 0 ]]; then
+    echo "island: $f has no user outside its own file, its crate root's re-exports and $crate/tests/"
+    islands=1
+  fi
+done
+(( islands == 0 ))
+
 echo "==> cargo build --release"
 cargo build --release
 

@@ -19,8 +19,8 @@
 use colibri::base::Clock;
 use colibri::ctrl::telemetry::{METRIC_RETRY_ATTEMPTS, METRIC_RETRY_LOST, METRIC_RETRY_TIMEOUTS};
 use colibri::ctrl::{
-    renew_eer_reliable, setup_eer_reliable, setup_segr_reliable, ControlChannel, Delivery,
-    RetryPolicy, RetryStats,
+    renew_eer_with, setup_eer_with, setup_segr_with, ControlChannel, Delivery, RetryPolicy,
+    RetryStats,
 };
 use colibri::dataplane::{ParallelGateway, ShardRouterPool};
 use colibri::prelude::*;
@@ -103,11 +103,12 @@ fn drive_lossy_setups(seed: u64, telemetry: Option<(&Registry, &Arc<Tracer>)>) -
             .unwrap_or_else(|| panic!("no path {src} → {dst}"));
         let mut segr_keys = Vec::new();
         for seg in &path.segments {
-            let (grant, s) = setup_segr_reliable(
+            let (grant, s) = setup_segr_with(
                 &mut reg,
                 seg,
                 Bandwidth::from_mbps(200),
                 Bandwidth::from_mbps(1),
+                Instant::EPOCH,
                 &clock,
                 &mut ch,
                 &policy,
@@ -119,7 +120,7 @@ fn drive_lossy_setups(seed: u64, telemetry: Option<(&Registry, &Arc<Tracer>)>) -
         }
         let hosts =
             EerInfo { src_host: HostAddr(100 + k as u32), dst_host: HostAddr(200 + k as u32) };
-        let (eer, s) = setup_eer_reliable(
+        let (eer, s) = setup_eer_with(
             &mut reg,
             &path,
             &segr_keys,
@@ -132,15 +133,9 @@ fn drive_lossy_setups(seed: u64, telemetry: Option<(&Registry, &Arc<Tracer>)>) -
         .unwrap_or_else(|e| panic!("eer {src} → {dst} under loss: {e}"));
         run.truth.absorb(s);
         run.eer_setup_hops += path.hops.len() as u64;
-        let (_renewed, s) = renew_eer_reliable(
-            &mut reg,
-            eer.key,
-            Bandwidth::from_mbps(25),
-            &clock,
-            &mut ch,
-            &policy,
-        )
-        .unwrap_or_else(|e| panic!("renewal {src} → {dst} under loss: {e}"));
+        let (_renewed, s) =
+            renew_eer_with(&mut reg, eer.key, Bandwidth::from_mbps(25), &clock, &mut ch, &policy)
+                .unwrap_or_else(|e| panic!("renewal {src} → {dst} under loss: {e}"));
         run.truth.absorb(s);
         run.renewal_hops += path.hops.len() as u64;
     }
@@ -174,11 +169,12 @@ fn drive_timeout_setup() -> RetryStats {
     let clock = Clock::starting_at(Instant::from_secs(1));
     let mut ch = SlowStartChannel { slow_legs: 2 };
     let up = sample.segments.up_segments(sample.leaf_a, sample.core_11)[0].clone();
-    let (_grant, stats) = setup_segr_reliable(
+    let (_grant, stats) = setup_segr_with(
         &mut reg,
         &up,
         Bandwidth::from_mbps(100),
         Bandwidth::from_mbps(1),
+        Instant::EPOCH,
         &clock,
         &mut ch,
         &policy(),
