@@ -63,10 +63,6 @@ impl Duration {
     pub const fn as_millis(self) -> u64 {
         self.0 / 1_000_000
     }
-    /// Total whole seconds (truncating).
-    pub const fn as_secs(self) -> u64 {
-        self.0 / 1_000_000_000
-    }
     /// Fractional seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9

@@ -64,12 +64,6 @@ impl Cmac {
         cmac
     }
 
-    /// Builds a CMAC instance reusing an already-expanded cipher.
-    pub fn from_cipher(cipher: Aes128) -> Self {
-        let k1 = dbl(cipher.encrypt(&[0u8; 16]));
-        Self { cipher, k1, k2: dbl(k1) }
-    }
-
     /// An unkeyed instance, overwritten by [`Self::new_each`].
     const ZERO: Cmac = Cmac { cipher: Aes128::ZERO, k1: [0; 16], k2: [0; 16] };
 

@@ -80,11 +80,6 @@ impl DistributedCServ {
         }
     }
 
-    /// Number of EER sub-services.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The sub-service responsible for a SegR. The load balancer "must
     /// assign the requests such that all EEReqs based on the same
     /// underlying SegR are processed by the same sub-service" (App. D) —

@@ -351,15 +351,6 @@ pub struct GatewayStats {
     pub rejected: u64,
 }
 
-impl GatewayStats {
-    /// Folds another stats snapshot into this one (shard aggregation).
-    pub fn merge(&mut self, other: &GatewayStats) {
-        self.forwarded += other.forwarded;
-        self.rate_limited += other.rate_limited;
-        self.rejected += other.rejected;
-    }
-}
-
 impl Gateway {
     /// An empty gateway.
     pub fn new(cfg: GatewayConfig) -> Self {

@@ -1,5 +1,5 @@
 //! The Colibri data plane (paper §3.4, §4.6): gateway, border router, and
-//! the shard pools that run them across cores.
+//! the shard pool that runs routers across cores.
 //!
 //! * [`gateway`] — the stateful edge component: maps `ResId` → reservation
 //!   state, monitors deterministically, stamps timestamps and per-AS hop
@@ -9,9 +9,8 @@
 //!   secret, then forwards via packet-carried state; runs the transit
 //!   monitoring pipeline;
 //! * [`control`] — stamping control packets onto SegRs with their tokens;
-//! * [`parallel`] — the shard pools' shared ring pairs, the reservation →
-//!   shard hash, and the parallel gateway (paper §7.2);
-//! * [`supervisor`] — the router shard pool: reservation-ID steering,
+//! * [`supervisor`] — the shard pool (paper §7.2): border routers on
+//!   worker-owned ring pairs, the reservation → shard hash and steering,
 //!   panic isolation, kill/respawn, class-aware shedding (Appendix B) and
 //!   an exact packet ledger;
 //! * [`telemetry`] — opt-in bindings onto the `colibri-telemetry`
@@ -28,7 +27,6 @@
 
 pub mod control;
 pub mod gateway;
-pub mod parallel;
 pub mod router;
 pub mod supervisor;
 pub mod telemetry;
@@ -36,10 +34,9 @@ pub mod telemetry;
 pub use colibri_qdisc::TrafficClass;
 pub use control::stamp_segr_packet;
 pub use gateway::{Gateway, GatewayConfig, GatewayError, GatewayStats, QosMode, StampedPacket};
-pub use parallel::{shard_index, GatewayPoolSnapshot, ParallelGateway, StampedOutput, SubmitError};
 pub use router::{BorderRouter, DropReason, RouterConfig, RouterStats, RouterVerdict, SigmaStats};
 pub use supervisor::{
-    RoutedOutput, RouterPoolSnapshot, RouterShardSnapshot, ShardHealthReport, ShardOutcome,
-    ShardRouterPool, SubmitVerdict,
+    shard_index, RoutedOutput, RouterPoolSnapshot, RouterShardSnapshot, ShardHealthReport,
+    ShardOutcome, ShardRouterPool, SubmitError, SubmitVerdict,
 };
 pub use telemetry::{GatewayTelemetry, RouterTelemetry};

@@ -430,11 +430,6 @@ impl BorderRouter {
         self.monitor.take_reports()
     }
 
-    /// Blocks a source AS on instruction (e.g. from the CServ).
-    pub fn block_source(&mut self, src_as: IsdAsId, until: Option<Instant>) {
-        self.monitor.block(src_as, until);
-    }
-
     /// Places a flow under deterministic token-bucket shaping at `bw`
     /// (the Table 2 phase 3 router state: suspicious flows are limited to
     /// their guaranteed bandwidth, not blocked).

@@ -1,8 +1,13 @@
-//! The router shard pool, always supervised (DESIGN.md §9 "Shard pool").
+//! The router shard pool, always supervised (paper §7.2; DESIGN.md §9
+//! "Shard pool").
 //!
-//! [`ShardRouterPool`] runs `n` border-router workers on the ring pairs of
-//! [`crate::parallel`]; each validates its ring in batches with
-//! [`BorderRouter::process_batch`].
+//! The paper runs one DPDK lcore per NIC queue, each owning a disjoint
+//! slice of the state. [`ShardRouterPool`] reproduces that shape: per
+//! shard a border-router worker thread, a bounded lock-free SPSC job ring
+//! and an output ring ([`colibri_ring`]), with packet buffers recycling
+//! driver → worker → driver so the steady state allocates nothing and
+//! takes no lock per packet. Each worker validates its ring in batches
+//! with [`BorderRouter::process_batch`].
 //!
 //! * **Steering** — [`ShardRouterPool::try_submit`] pins each reservation
 //!   to one shard ([`shard_index`] over [`colibri_wire::peek_res_id`]), so
@@ -19,7 +24,9 @@
 //!   reserved traffic in `submit_classed`, `inject_panic`) retry with
 //!   `try_send` and drain outputs in between, so a worker stalled on a
 //!   full output ring always moves on. Best-effort traffic is shed
-//!   instead (Appendix B).
+//!   instead (Appendix B). Shutdown and kill drain a shard's output ring
+//!   until its worker thread has exited, so no worker stays blocked on a
+//!   full output ring.
 //!
 //! The ledger, checked by [`RouterPoolSnapshot::balanced`], is exact on
 //! what the caller receives: `submitted == verdicts + panic_discarded +
@@ -27,15 +34,40 @@
 //! failed, the rest of its drained batch and its job ring — never a
 //! `Poison` job, which is not a packet.
 
-use crate::parallel::{shard_index, Lanes, SubmitError, WORKER_BATCH};
 use crate::router::{BorderRouter, RouterStats, RouterVerdict};
-use colibri_base::Instant;
+use colibri_base::{Instant, ResId};
 use colibri_qdisc::TrafficClass;
-use colibri_ring::{Consumer, Producer, TrySendError};
+use colibri_ring::{ring, Consumer, Producer, TrySendError};
 use colibri_telemetry::{Registry, Stability};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
+
+/// The shard owning `res_id` among `n` shards.
+///
+/// A SplitMix64-style finalizer over the raw reservation ID: cheap, well
+/// mixed, and shared by every caller that must agree on the shard of a
+/// reservation (the pool's steering, per-shard gateways, attack traffic).
+pub fn shard_index(res_id: ResId, n: usize) -> usize {
+    let mut x = res_id.0 as u64 ^ 0x9E37_79B9_7F4A_7C15;
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    (x >> 33) as usize % n
+}
+
+/// Why a non-blocking submit could not enqueue. The packet buffer rides
+/// back in the error so the caller decides its fate: shed it (best-effort
+/// under attack), drain outputs and retry (reserved traffic), or hold it.
+#[derive(Debug)]
+pub enum SubmitError {
+    /// The owning shard's ring is at capacity (backpressure).
+    WouldBlock(Vec<u8>),
+}
+
+/// How many jobs a worker pulls per ring drain. Batching lets the router
+/// validate whole batches with the interleaved CMAC; kept modest so
+/// latency stays bounded.
+const WORKER_BATCH: usize = 32;
 
 /// What happened to one packet in a shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -200,9 +232,53 @@ impl WorkerReport {
     }
 }
 
-/// Driver-side state of one shard index, kept across respawns.
-#[derive(Default)]
+/// One shard's ring pair and worker thread, seen from the driver. A
+/// respawn replaces it whole.
+struct Lane {
+    /// The driver's end of the job ring.
+    jobs: Producer<Job>,
+    /// The driver's end of the output ring; closing it makes the worker's
+    /// next send fail, which is how a kill stops a worker.
+    out: Consumer<RoutedOutput>,
+    /// `None` once the worker has been joined (retired).
+    handle: Option<JoinHandle<WorkerReport>>,
+}
+
+impl Lane {
+    /// Starts shard `shard`'s worker on a fresh ring pair of `queue_cap`.
+    fn spawn(
+        shard: usize,
+        queue_cap: usize,
+        make: &RouterFactory,
+        health: &Arc<ShardHealth>,
+    ) -> Self {
+        let (jobs, jq) = ring(queue_cap);
+        let (oq, out) = ring(queue_cap);
+        let (make, health) = (Arc::clone(make), Arc::clone(health));
+        let handle = std::thread::spawn(move || run_worker(shard, &*make, &health, jq, oq));
+        Lane { jobs, out, handle: Some(handle) }
+    }
+
+    /// Closes the job ring, hands every output to `out` until the worker
+    /// thread has exited, and joins it. `None` if already retired.
+    fn retire(&mut self, out: &mut Vec<RoutedOutput>) -> Option<std::thread::Result<WorkerReport>> {
+        let handle = self.handle.take()?;
+        self.jobs.close();
+        while !handle.is_finished() {
+            out.extend(std::iter::from_fn(|| self.out.try_recv()));
+            std::thread::yield_now();
+        }
+        let joined = handle.join();
+        // The join orders every send of the worker before this drain.
+        out.extend(std::iter::from_fn(|| self.out.try_recv()));
+        Some(joined)
+    }
+}
+
+/// Driver-side state of one shard index: its current lane, and what is
+/// kept across respawns.
 struct Shard {
+    lane: Lane,
     health: Arc<ShardHealth>,
     /// Packets accepted into this shard's ring.
     submitted: u64,
@@ -216,8 +292,10 @@ type RouterFactory = Arc<dyn Fn(usize) -> BorderRouter + Send + Sync>;
 /// A pool of supervised border-router workers. See the module docs for
 /// the steering, supervision and ledger contract.
 pub struct ShardRouterPool {
-    lanes: Lanes<Job, RoutedOutput, WorkerReport>,
     shards: Vec<Shard>,
+    queue_cap: usize,
+    /// Next shard `try_drain` visits, so no shard's outputs starve.
+    drain_cursor: usize,
     /// Builds (and after a panic or kill, rebuilds) shard `i`'s router.
     make: RouterFactory,
     registry: Option<Registry>,
@@ -268,11 +346,18 @@ impl ShardRouterPool {
             }
             router
         });
-        let shards: Vec<Shard> = (0..n).map(|_| Shard::default()).collect();
-        let lanes = Lanes::spawn(n, queue_cap, |i| worker(i, &make, &shards[i].health));
+        assert!(n >= 1);
+        let shards = (0..n)
+            .map(|i| {
+                let health = Arc::default();
+                let lane = Lane::spawn(i, queue_cap, &make, &health);
+                Shard { lane, health, submitted: 0, respawns: 0, retired: WorkerReport::default() }
+            })
+            .collect();
         Self {
-            lanes,
             shards,
+            queue_cap,
+            drain_cursor: 0,
             make,
             registry,
             free_bufs: Vec::new(),
@@ -293,7 +378,7 @@ impl ShardRouterPool {
         let res_id = colibri_wire::peek_res_id(&pkt);
         let s = res_id.map_or(self.rr_cursor % n, |r| shard_index(r, n));
         self.respawn_shard(s);
-        match self.lanes[s].jobs.try_send(Job::Packet { pkt, now }) {
+        match self.shards[s].lane.jobs.try_send(Job::Packet { pkt, now }) {
             Ok(()) => {
                 self.shards[s].submitted += 1;
                 if res_id.is_some() {
@@ -353,7 +438,7 @@ impl ShardRouterPool {
     /// for ring room like [`Self::submit`]; a killed shard is left alone.
     pub fn inject_panic(&mut self, shard: usize, out: &mut Vec<RoutedOutput>) {
         let mut job = Job::Poison;
-        while let Err(TrySendError::Full(j)) = self.lanes[shard].jobs.try_send(job) {
+        while let Err(TrySendError::Full(j)) = self.shards[shard].lane.jobs.try_send(job) {
             job = j;
             self.wait(out);
         }
@@ -373,21 +458,22 @@ impl ShardRouterPool {
     /// packets included — into the ledger. The next submit, or
     /// [`Self::respawn_shard`], brings the shard back.
     pub fn kill_shard(&mut self, shard: usize, out: &mut Vec<RoutedOutput>) {
-        self.lanes[shard].out.close();
-        if let Some(joined) = self.lanes.retire(shard, |o| out.push(o)) {
+        let s = &mut self.shards[shard];
+        s.lane.out.close();
+        if let Some(joined) = s.lane.retire(out) {
             // `catch_unwind` keeps worker panics inside the loop; a join
             // error (a panic outside it) leaves nothing to fold.
-            self.shards[shard].retired.merge(&joined.unwrap_or_default());
+            s.retired.merge(&joined.unwrap_or_default());
         }
     }
 
     /// Respawns a killed shard: fresh rings, fresh worker, router rebuilt
     /// from the factory. No-op if the shard is running.
     pub fn respawn_shard(&mut self, shard: usize) {
-        if self.lanes[shard].retired() {
-            let work = worker(shard, &self.make, &self.shards[shard].health);
-            self.lanes.respawn(shard, work);
-            self.shards[shard].respawns += 1;
+        let s = &mut self.shards[shard];
+        if s.lane.handle.is_none() {
+            s.lane = Lane::spawn(shard, self.queue_cap, &self.make, &s.health);
+            s.respawns += 1;
         }
     }
 
@@ -397,12 +483,11 @@ impl ShardRouterPool {
     pub fn health(&self) -> Vec<ShardHealthReport> {
         self.shards
             .iter()
-            .zip(self.lanes.iter())
-            .map(|(s, lane)| ShardHealthReport {
+            .map(|s| ShardHealthReport {
                 heartbeat: s.health.heartbeat.load(Ordering::Relaxed),
                 panics: s.health.panics.load(Ordering::Relaxed),
-                alive: lane.alive(),
-                queued: lane.jobs.len(),
+                alive: s.lane.handle.as_ref().is_some_and(|h| !h.is_finished()),
+                queued: s.lane.jobs.len(),
             })
             .collect()
     }
@@ -423,9 +508,24 @@ impl ShardRouterPool {
         self.free_bufs.push(buf);
     }
 
-    /// Collects at most `max` outputs without blocking.
+    /// Collects at most `max` outputs without blocking, visiting shards
+    /// round-robin. Returns how many were collected.
     pub fn try_drain(&mut self, out: &mut Vec<RoutedOutput>, max: usize) -> usize {
-        self.lanes.try_drain(max, |o| out.push(o))
+        let n = self.shards.len();
+        let (mut got, mut idle) = (0, 0);
+        while got < max && idle < n {
+            let lane = &mut self.shards[self.drain_cursor].lane;
+            self.drain_cursor = (self.drain_cursor + 1) % n;
+            match lane.out.try_recv() {
+                Some(o) => {
+                    out.push(o);
+                    got += 1;
+                    idle = 0;
+                }
+                None => idle += 1,
+            }
+        }
+        got
     }
 
     /// Shuts the pool down: closes job rings, drains every remaining
@@ -433,7 +533,10 @@ impl ShardRouterPool {
     /// worker's thread exit, not its cooperation, ends each drain, so no
     /// worker can wedge shutdown.
     pub fn shutdown(mut self, out: &mut Vec<RoutedOutput>) -> RouterPoolSnapshot {
-        let joined = self.lanes.shutdown(|o| out.push(o));
+        // Close every job ring first, so all workers wind down at once.
+        for shard in &self.shards {
+            shard.lane.jobs.close();
+        }
         let mut snap = RouterPoolSnapshot {
             shards: self.shards.len(),
             steered: self.steered,
@@ -441,10 +544,10 @@ impl ShardRouterPool {
             shed_best_effort: self.shed_best_effort,
             ..Default::default()
         };
-        for (shard, joined) in self.shards.iter().zip(joined) {
+        for shard in &mut self.shards {
             let mut report = shard.retired;
             // `None`: killed and never respawned, already retired.
-            if let Some(joined) = joined {
+            if let Some(joined) = shard.lane.retire(out) {
                 report.merge(&joined.unwrap_or_default());
             }
             let panics = shard.health.panics.load(Ordering::Relaxed);
@@ -509,16 +612,6 @@ fn absorb_telemetry(reg: &Registry, s: &RouterPoolSnapshot) {
             .counter("colibri_router_shard_submitted_total", dep, help)
             .add(shard.submitted);
     }
-}
-
-/// Shard `shard`'s worker loop, ready to run on a fresh ring pair.
-fn worker(
-    shard: usize,
-    make: &RouterFactory,
-    health: &Arc<ShardHealth>,
-) -> impl FnOnce(Consumer<Job>, Producer<RoutedOutput>) -> WorkerReport + Send + 'static {
-    let (make, health) = (Arc::clone(make), Arc::clone(health));
-    move |jobs, out| run_worker(shard, &*make, &health, jobs, out)
 }
 
 /// The supervised worker loop. It works through each drained batch front
@@ -606,7 +699,7 @@ fn run_worker(
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::gateway::{Gateway, GatewayConfig};
     use crate::router::RouterConfig;
@@ -618,9 +711,9 @@ pub(crate) mod tests {
     use colibri_wire::mac::hop_auth;
     use colibri_wire::{EerInfo, HopField, ResInfo};
 
-    pub(crate) const MASTER: [u8; 16] = [9u8; 16];
+    const MASTER: [u8; 16] = [9u8; 16];
 
-    pub(crate) fn test_cfg() -> RouterConfig {
+    fn test_cfg() -> RouterConfig {
         RouterConfig {
             freshness: Duration::from_secs(3600),
             skew: Duration::from_secs(3600),
@@ -630,7 +723,7 @@ pub(crate) mod tests {
     }
 
     /// A two-hop EER of AS 1-10 with placeholder hop authenticators.
-    pub(crate) fn owned(res_id: u32) -> OwnedEer {
+    fn owned(res_id: u32) -> OwnedEer {
         OwnedEer {
             key: ReservationKey::new(IsdAsId::new(1, 10), ResId(res_id)),
             eer_info: EerInfo { src_host: HostAddr(7), dst_host: HostAddr(8) },
@@ -647,7 +740,7 @@ pub(crate) mod tests {
 
     /// A gateway with one installed reservation whose packets verify at
     /// routers built from `MASTER`.
-    pub(crate) fn auth_gateway(res_id: u32, now: Instant) -> Gateway {
+    fn auth_gateway(res_id: u32, now: Instant) -> Gateway {
         let k_i = SecretValueGen::new(&MASTER).secret_value(colibri_crypto::Epoch::containing(now));
         let (hop, exp) = (HopField::new(3, 4), Instant::from_secs(90));
         let res_info = ResInfo {
@@ -667,7 +760,7 @@ pub(crate) mod tests {
         gw
     }
 
-    pub(crate) fn pool(n: usize, cap: usize) -> ShardRouterPool {
+    fn pool(n: usize, cap: usize) -> ShardRouterPool {
         let cfg = test_cfg();
         ShardRouterPool::new(n, cap, move |_| BorderRouter::new(IsdAsId::new(1, 10), &MASTER, cfg))
     }
@@ -695,7 +788,7 @@ pub(crate) mod tests {
 
     /// Pushes `valid` authentic packets and one garbage frame through `p`,
     /// checks every authentic one forwards, and shuts the pool down.
-    pub(crate) fn run_authentic(mut p: ShardRouterPool, valid: usize) -> RouterPoolSnapshot {
+    fn run_authentic(mut p: ShardRouterPool, valid: usize) -> RouterPoolSnapshot {
         let now = Instant::from_secs(50);
         let mut gw = auth_gateway(1, now);
         let mut outs = Vec::new();
@@ -725,6 +818,134 @@ pub(crate) mod tests {
         assert_eq!(snap.submitted, 11);
         assert!(snap.balanced(), "{snap:?}");
         assert_eq!(snap.panics, 0);
+    }
+
+    #[test]
+    fn router_pool_validates_and_shuts_down() {
+        // Six authentic packets (σ matches the routers' secret) and one
+        // garbage frame through two shards.
+        let snap = run_authentic(pool(2, 8), 6);
+        assert_eq!(snap.shards, 2);
+        assert_eq!(snap.stats.forwarded, 6);
+        assert_eq!(snap.stats.parse_errors, 1);
+    }
+
+    #[test]
+    fn steering_pins_reservations_and_counts_imbalance() {
+        let now = Instant::from_secs(50);
+        let cfg = test_cfg();
+        let reg = Registry::new();
+        let mut pool = ShardRouterPool::with_telemetry(4, 64, &reg, move |_| {
+            BorderRouter::new(IsdAsId::new(1, 10), &MASTER, cfg)
+        });
+
+        // Build minimally valid *headers* for three reservations (the
+        // packets won't verify, but steering only reads the header).
+        let mut gw =
+            Gateway::new(GatewayConfig { burst: Duration::from_secs(3600), ..Default::default() });
+        for r in [1u32, 2, 3] {
+            gw.install(&owned(r), now);
+        }
+        let mut expected_shard = std::collections::HashMap::new();
+        let mut outs = Vec::new();
+        let mut sent = 0;
+        for i in 0..30u32 {
+            let r = ResId(1 + i % 3);
+            let mut pkt = Vec::new();
+            gw.process_into(HostAddr(7), r, b"data", now, &mut pkt).unwrap();
+            let s = shard_index(r, 4);
+            expected_shard.insert(r, s);
+            pool.submit(pkt, now, &mut outs);
+            sent += 1;
+        }
+        // Garbage falls back round-robin.
+        pool.submit(vec![0u8; 4], now, &mut outs);
+        pool.submit(vec![0u8; 4], now, &mut outs);
+        sent += 2;
+
+        while outs.len() < sent {
+            pool.try_drain(&mut outs, usize::MAX);
+            std::thread::yield_now();
+        }
+        let snap = pool.shutdown(&mut outs);
+        assert_eq!(snap.steered, 30);
+        assert_eq!(snap.unsteered, 2);
+        assert_eq!(snap.per_shard.len(), 4);
+        // Each reservation's 10 packets all landed on its hash shard.
+        let mut by_shard = [0u64; 4];
+        for &s in expected_shard.values() {
+            by_shard[s] += 30 / 3;
+        }
+        // Round-robin garbage: shards 0 and 1 got one each.
+        by_shard[0] += 1;
+        by_shard[1] += 1;
+        for (s, expected) in by_shard.iter().enumerate() {
+            assert_eq!(snap.per_shard[s].submitted, *expected, "shard {s}");
+        }
+        assert!(snap.steering_imbalance() >= 1.0);
+        // Telemetry absorbed the dispatch counters.
+        let scrape = reg.snapshot();
+        assert_eq!(scrape.total("colibri_router_steered_total"), 30);
+        assert_eq!(scrape.total("colibri_router_unsteered_total"), 2);
+        assert_eq!(scrape.total("colibri_router_shard_submitted_total"), 32);
+    }
+
+    #[test]
+    fn telemetry_pools_scrape_per_shard_and_merged() {
+        // Two gateways (one per reservation shard) and the router pool
+        // share one registry; the scrape must split per shard and sum to
+        // the gateways' own counters.
+        let now = Instant::from_secs(50);
+        let reg = Registry::new();
+        let mut gws: Vec<Gateway> = (0..2)
+            .map(|i| {
+                let mut gw = Gateway::new(GatewayConfig {
+                    burst: Duration::from_secs(3600),
+                    ..Default::default()
+                });
+                gw.attach_telemetry(&reg, &format!("gw{i}"));
+                gw
+            })
+            .collect();
+        for i in 0..6 {
+            gws[shard_index(ResId(i), 2)].install(&owned(i), now);
+        }
+        let cfg = test_cfg();
+        let mut pool = ShardRouterPool::with_telemetry(2, 16, &reg, move |_| {
+            BorderRouter::new(IsdAsId::new(1, 10), &MASTER, cfg)
+        });
+        let mut outs = Vec::new();
+        for i in 0..6 {
+            let mut pkt = Vec::new();
+            gws[shard_index(ResId(i), 2)]
+                .process_into(HostAddr(7), ResId(i), b"p", now, &mut pkt)
+                .unwrap();
+            pool.submit(pkt, now, &mut outs);
+        }
+        // Unknown reservation → a rejected stamp on its shard.
+        let unknown = ResId(999);
+        assert!(gws[shard_index(unknown, 2)]
+            .process_into(HostAddr(7), unknown, b"x", now, &mut Vec::new())
+            .is_err());
+        while outs.len() < 6 {
+            pool.try_drain(&mut outs, usize::MAX);
+            std::thread::yield_now();
+        }
+        let snap = pool.shutdown(&mut outs);
+        let scrape = reg.snapshot();
+        // Scraped cross-shard totals equal the gateways' summed stats.
+        let forwarded: u64 = gws.iter().map(|gw| gw.stats.forwarded).sum();
+        let rejected: u64 = gws.iter().map(|gw| gw.stats.rejected).sum();
+        assert_eq!((forwarded, rejected), (6, 1));
+        assert_eq!(scrape.total("colibri_gateway_forwarded_total"), forwarded);
+        assert_eq!(scrape.total("colibri_gateway_rejected_total"), rejected);
+        assert_eq!(scrape.total("colibri_router_shard_submitted_total"), snap.submitted);
+        // Per-shard split is visible for both pools.
+        let m = scrape.metric("colibri_gateway_forwarded_total").unwrap();
+        assert_eq!(m.shards.len(), 2);
+        let m = scrape.metric("colibri_router_shard_submitted_total").unwrap();
+        assert_eq!(m.shards.len(), 2);
+        colibri_telemetry::verify_exposition(&scrape.render_prometheus()).unwrap();
     }
 
     #[test]

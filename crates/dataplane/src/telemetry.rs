@@ -5,8 +5,9 @@
 //! single predictable branch per packet. `attach_telemetry` registers the
 //! component's metrics under an explicit shard label in a caller-owned
 //! [`Registry`] — per-instance registries keep tests isolated, and the
-//! `parallel` drivers register one shard per worker so scrapes show both
-//! the per-shard split and the cross-shard merge.
+//! shard pool registers one shard per router worker (as do per-shard
+//! gateways) so scrapes show both the per-shard split and the
+//! cross-shard merge.
 //!
 //! The router records its verdict counters as **deltas of its
 //! [`RouterStats`]** at the end of `process`/`process_batch` rather than

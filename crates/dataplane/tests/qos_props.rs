@@ -11,8 +11,8 @@
 use colibri_base::{Bandwidth, Duration, HostAddr, Instant, IsdAsId, ResId, ReservationKey};
 use colibri_crypto::Key;
 use colibri_ctrl::{OwnedEer, OwnedEerVersion};
-use colibri_dataplane::{Gateway, GatewayConfig, GatewayError, QosMode};
-use colibri_qdisc::HtbConfig;
+use colibri_dataplane::{shard_index, Gateway, GatewayConfig, GatewayError, QosMode};
+use colibri_qdisc::{HtbConfig, QdiscStats};
 use colibri_wire::{EerInfo, HopField};
 use proptest::prelude::*;
 
@@ -269,4 +269,34 @@ fn override_monitor_rate_carries_tokens_over() {
             );
         }
     }
+}
+
+/// **Per-shard hierarchies merge exactly**: three gateways, each holding
+/// the reservations [`shard_index`] assigns it, each own a private
+/// qdisc. Merging their [`QdiscStats`] must equal one gateway's counters
+/// over the same stream — the pool-wide view `repro qos` reports.
+#[test]
+fn gateway_pool_merges_private_qos_hierarchies() {
+    let now = Instant::from_secs(1);
+    let burst = Duration::from_millis(1);
+    let cfg = GatewayConfig { burst, qos: QosMode::Hierarchical(HtbConfig::degenerate(burst)) };
+    let mut shards: Vec<Gateway> = (0..3).map(|_| Gateway::new(cfg)).collect();
+    let mut single = Gateway::new(cfg);
+    for i in 0..6 {
+        let o = owned(i, vec![(0, Bandwidth::from_mbps(100), Instant::from_secs(100))]);
+        shards[shard_index(ResId(i), 3)].install(&o, now);
+        single.install(&o, now);
+    }
+    let mut buf = Vec::new();
+    for k in 0..120u32 {
+        let res = ResId(k % 6);
+        let _ = shards[shard_index(res, 3)].process_into(HOST, res, &[0u8; 1000], now, &mut buf);
+        let _ = single.process_into(HOST, res, &[0u8; 1000], now, &mut buf);
+    }
+    let mut merged = QdiscStats::default();
+    for gw in &shards {
+        merged.merge(&gw.qos_stats().expect("hierarchical shard reports qos"));
+    }
+    assert_eq!(Some(merged), single.qos_stats());
+    assert!(merged.rate_limited > 0 && merged.admitted > 0, "{merged:?}");
 }

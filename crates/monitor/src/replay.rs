@@ -133,11 +133,6 @@ impl ReplaySuppressor {
         self.current.insert(uid);
         ReplayVerdict::Fresh
     }
-
-    /// Approximate number of packets recorded in the active window.
-    pub fn inserted_current(&self) -> u64 {
-        self.current.inserted
-    }
 }
 
 #[cfg(test)]

@@ -268,11 +268,6 @@ impl TransitMonitor {
         );
     }
 
-    /// Removes deterministic shaping from a flow.
-    pub fn unshape(&mut self, key: ReservationKey) {
-        self.shaped.remove(&key);
-    }
-
     /// Manually unblocks an AS.
     pub fn unblock(&mut self, src_as: IsdAsId) {
         self.blocklist.unblock(src_as);

@@ -601,15 +601,6 @@ impl Qdisc {
         }
     }
 
-    /// Bytes currently queued per class.
-    pub fn backlog_bytes(&self) -> [u64; 3] {
-        let mut out = [0u64; 3];
-        for (i, lane) in self.lanes.iter().enumerate() {
-            out[i] = lane.queued_bytes();
-        }
-        out
-    }
-
     /// Structural audit: verifies that every leaf belongs to a live
     /// reservation (or is best-effort), that per-leaf byte counters match
     /// their queues, and that the lane indexes are consistent; returns the

@@ -127,11 +127,6 @@ impl Lane {
         (pkts, bytes)
     }
 
-    /// Total bytes queued across the lane.
-    pub(crate) fn queued_bytes(&self) -> u64 {
-        self.leaves.iter().map(|(_, l)| l.queued_bytes).sum()
-    }
-
     /// The identities of all leaves (for structural audits).
     pub(crate) fn leaf_ids(&self) -> impl Iterator<Item = &LeafId> {
         self.leaves.iter().map(|(id, _)| id)
@@ -332,8 +327,8 @@ mod tests {
         lane.get_or_create(id(2, 0), cfg).push(100, now);
         let (pkts, bytes) = lane.remove_reservation(ResId(1));
         assert_eq!((pkts, bytes), (2, 200));
-        lane.audit().expect("index rebuilt consistently");
-        assert_eq!(lane.queued_bytes(), 100);
+        let (_, _, queued_bytes) = lane.audit().expect("index rebuilt consistently");
+        assert_eq!(queued_bytes, 100);
         assert_eq!(lane.remove_reservation(ResId(1)), (0, 0));
     }
 

@@ -291,11 +291,6 @@ impl FaultPlan {
         self
     }
 
-    /// The faults of the directed link `from → to`.
-    pub fn link_faults(&self, from: IsdAsId, to: IsdAsId) -> &LinkFaults {
-        self.per_link.get(&(from, to)).unwrap_or(&self.default_link)
-    }
-
     /// Whether `as_id`'s CServ is inside a crash window at `now`.
     pub fn is_crashed(&self, as_id: IsdAsId, now: Instant) -> bool {
         self.crashes.iter().any(|c| c.as_id == as_id && c.at <= now && now < c.restart_at)

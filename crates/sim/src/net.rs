@@ -180,13 +180,6 @@ impl Meter {
         self.delivered.get(&(dest, tag)).map(|d| d.on_time).unwrap_or(0)
     }
 
-    /// Worst delivery latency observed for `(dest, tag)`.
-    pub fn max_latency(&self, dest: IsdAsId, tag: FlowTag) -> Duration {
-        Duration::from_nanos(
-            self.delivered.get(&(dest, tag)).map(|d| d.max_latency_ns).unwrap_or(0),
-        )
-    }
-
     /// Average goodput of `(dest, tag)` over the window ending at `now`.
     pub fn rate(&self, dest: IsdAsId, tag: FlowTag, now: Instant) -> Bandwidth {
         let dt = now.saturating_since(self.window_start).as_nanos();

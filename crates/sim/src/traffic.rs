@@ -310,13 +310,6 @@ impl Simulation {
         self.now
     }
 
-    /// Adds a generator mid-run.
-    pub fn add_generator(&mut self, g: Generator) {
-        let start = g.schedule().start.max(self.now);
-        self.gens.push(g);
-        self.queue.push(start, Event::GeneratorTick { gen: self.gens.len() - 1 });
-    }
-
     /// Runs until `t_end` (events at exactly `t_end` are processed).
     pub fn run_until(&mut self, t_end: Instant) {
         while let Some(t) = self.queue.peek_time() {

@@ -13,8 +13,9 @@
 //! against earlier snapshots, and renders to Prometheus text or JSON.
 //!
 //! Shards are **explicit labels** (`"router3"`, `"gw0"`), not thread
-//! identities: the `parallel` drivers register one shard per worker, so
-//! a scrape can show per-shard splits and the cross-shard merge —
+//! identities: the router shard pool registers one shard per worker
+//! and per-shard gateways one each, so a scrape can show per-shard
+//! splits and the cross-shard merge —
 //! deterministically, regardless of how threads were scheduled.
 //!
 //! # Determinism and the `Stability` contract

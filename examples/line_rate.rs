@@ -1,12 +1,12 @@
 //! Line rate: the batched, multi-shard data plane end to end.
 //!
-//! Drives the full packet lifecycle of paper Fig. 1c through the parallel
-//! drivers: a [`ParallelGateway`] stamps packets on worker-owned shards
-//! (allocation-free `process_into` + interleaved multi-key CMAC), then a
-//! chain of [`ShardRouterPool`]s — one per on-path AS — validates and
-//! forwards them with `process_batch` (single parse, hoisted `K_i`,
-//! 8-wide HVF verification), until the last hop delivers to the
-//! destination host. Prints the measured throughput of every stage.
+//! Drives the full packet lifecycle of paper Fig. 1c: a [`Gateway`] stamps
+//! packets on the driver thread (allocation-free `process_into` +
+//! interleaved multi-key CMAC), then a chain of [`ShardRouterPool`]s —
+//! one per on-path AS — validates and forwards them with `process_batch`
+//! (single parse, hoisted `K_i`, 8-wide HVF verification), until the last
+//! hop delivers to the destination host. Prints the measured throughput
+//! of every stage.
 //!
 //! All numbers here come from one machine, so per-stage Mpps is the
 //! single-machine rate of that stage run in isolation; in a deployment
@@ -18,7 +18,7 @@ use colibri::base::{Bandwidth, Duration, HostAddr, Instant, IsdAsId, ResId, Rese
 use colibri::crypto::{Epoch, SecretValueGen};
 use colibri::ctrl::{master_secret_for, OwnedEer, OwnedEerVersion};
 use colibri::dataplane::{
-    GatewayConfig, ParallelGateway, RouterConfig, RouterVerdict, ShardOutcome, ShardRouterPool,
+    Gateway, GatewayConfig, RouterConfig, RouterVerdict, ShardOutcome, ShardRouterPool,
 };
 use colibri::wire::mac::hop_auth;
 use colibri::wire::{EerInfo, HopField, ResInfo};
@@ -88,43 +88,33 @@ fn main() {
     let now = Instant::from_secs(10);
     let ases = path_ases();
 
-    println!("line-rate pipeline: {HOPS} hops, {SHARDS} shards/stage, {packets} packets");
+    println!("line-rate pipeline: {HOPS} hops, {SHARDS} router shards/stage, {packets} packets");
 
     // ── Stage 0: gateway stamping ───────────────────────────────────────
-    let mut gw = ParallelGateway::new(
-        SHARDS,
-        GatewayConfig { burst: Duration::from_secs(3600), ..Default::default() },
-        packets + 1,
-    );
+    let mut gw =
+        Gateway::new(GatewayConfig { burst: Duration::from_secs(3600), ..Default::default() });
     for id in 0..RESERVATIONS {
         gw.install(&owned_eer(id, now), now);
     }
+    let payload = [0u8; 64];
+    let mut in_flight: Vec<Vec<u8>> = vec![Vec::new(); packets];
     let t0 = std::time::Instant::now();
-    for i in 0..packets {
-        gw.submit(SRC_HOST, ResId(i as u32 % RESERVATIONS), vec![0u8; 64], now);
+    for (i, buf) in in_flight.iter_mut().enumerate() {
+        gw.process_into(SRC_HOST, ResId(i as u32 % RESERVATIONS), &payload, now, buf)
+            .expect("every packet must stamp");
     }
-    let mut stamped = Vec::with_capacity(packets);
-    gw.flush(&mut stamped);
     let gw_secs = t0.elapsed().as_secs_f64();
-    let ok = stamped.iter().filter(|o| o.result.is_ok()).count();
-    assert_eq!(ok, packets, "every packet must stamp");
-    let gw_snap = gw.shutdown(&mut stamped);
-    let gw_stats = gw_snap.stats;
     println!(
         "  gateway    : {:>7.3} Mpps  (stamped {} packets, {} rate-limited)",
         mpps(packets, gw_secs),
-        gw_stats.forwarded,
-        gw_stats.rate_limited
+        gw.stats.forwarded,
+        gw.stats.rate_limited
     );
 
     // ── Stages 1..=HOPS: the border-router chain ───────────────────────
     // Each stage owns the AS's routers; the packet's curr_hop advances in
     // place, so the buffers flow from stage to stage untouched by any
     // re-serialization.
-    let mut in_flight: Vec<Vec<u8>> = stamped
-        .into_iter()
-        .filter_map(|o| o.result.ok().map(|_| o.bytes))
-        .collect();
     let cfg = RouterConfig {
         freshness: Duration::from_secs(3600),
         skew: Duration::from_secs(3600),

@@ -14,7 +14,7 @@ if [[ "${1:-}" == "--attack" ]]; then
   cargo test --release -q -p colibri-dataplane --test adversarial
   echo "==> attack-generator + shard-pool unit suites (steering, supervision, exact kill ledger)"
   cargo test --release -q -p colibri-sim --lib attack
-  cargo test --release -q -p colibri-dataplane --lib -- parallel:: supervisor::
+  cargo test --release -q -p colibri-dataplane --lib -- supervisor::
   cargo test --release -q -p colibri-ring --lib
   echo "==> repro --quick --gate survivability (mutation taxonomy exact, reserved goodput ≥95% under a" \
        "4x flood with zero reserved shed, shard-kill ledger balanced)"
@@ -49,6 +49,20 @@ for f in crates/*/src/*.rs; do
   fi
 done
 (( islands == 0 ))
+
+# A caller-less item is one public item nothing names: its name occurs
+# exactly once in the workspace's sources, in its own definition. One
+# pass counts every word; no allow-list.
+echo "==> no caller-less public items (every pub fn/struct/enum/trait/type/const/static under" \
+     "crates/*/src/ is named somewhere besides its own definition)"
+words=$(grep -rohw --include='*.rs' --exclude-dir=target -E '\w+' crates tests examples benchmark \
+          | sort | uniq -c)
+uncalled=$(grep -rnoE --include='*.rs' --exclude-dir=target \
+             '^\s*pub ((const|unsafe) )*(fn|struct|enum|trait|type|const|static) \w+' crates/*/src \
+  | awk 'NR == FNR { if ($1 == 1) once[$2]; next }
+         $NF in once { split($1, at, ":"); print "caller-less: " at[1] ":" at[2] " " $NF }' \
+        <(echo "$words") -)
+[[ -z $uncalled ]] || { echo "$uncalled"; false; }
 
 echo "==> cargo build --release"
 cargo build --release

@@ -12,9 +12,10 @@
 //!    lossy fault plan: fresh verdicts are counted exactly once per
 //!    (request, hop) no matter how many retries the faults forced, and
 //!    the replay-hit counter must agree with the `retry` trace events.
-//! 3. The `parallel` shard drivers: the registry scrape of a
-//!    multi-shard gateway + router run must equal the pools' aggregated
-//!    shutdown snapshots, with the per-shard split visible.
+//! 3. The sharded data plane: the registry scrape of three gateways
+//!    (picked per reservation by `shard_index`) and a two-shard router
+//!    pool must equal the summed gateway stats and the pool's shutdown
+//!    snapshot, with the per-shard split visible.
 
 use colibri::base::Clock;
 use colibri::ctrl::telemetry::{METRIC_RETRY_ATTEMPTS, METRIC_RETRY_LOST, METRIC_RETRY_TIMEOUTS};
@@ -22,7 +23,7 @@ use colibri::ctrl::{
     renew_eer_with, setup_eer_with, setup_segr_with, ControlChannel, Delivery, RetryPolicy,
     RetryStats,
 };
-use colibri::dataplane::{ParallelGateway, ShardRouterPool};
+use colibri::dataplane::{shard_index, GatewayStats, ShardRouterPool};
 use colibri::prelude::*;
 use colibri::sim::{FaultPlan, LinkFaults};
 use colibri::telemetry::{global, verify_exposition, Registry, TraceOp, Tracer};
@@ -277,26 +278,38 @@ fn pool_scrapes_equal_cross_shard_shutdown_snapshots() {
         );
     }
 
-    // One registry for both pools: 3 gateway shards + 2 router shards.
+    // One registry for every shard: 3 gateways + 2 router shards. Each
+    // reservation lives on the gateway `shard_index` picks for it.
     let registry = Registry::new();
-    let mut pg = ParallelGateway::with_telemetry(
-        3,
-        GatewayConfig { burst: Duration::from_secs(3600), ..Default::default() },
-        32,
-        &registry,
-    );
+    let mut gateways: Vec<Gateway> = (0..3)
+        .map(|i| {
+            let mut gw = Gateway::new(GatewayConfig {
+                burst: Duration::from_secs(3600),
+                ..Default::default()
+            });
+            gw.attach_telemetry(&registry, &format!("gw{i}"));
+            gw
+        })
+        .collect();
     for eer in &owned {
-        pg.install(eer, now);
+        gateways[shard_index(eer.key.res_id, 3)].install(eer, now);
     }
+    let mut stamped = Vec::new();
     for i in 0..48u32 {
         let eer = &owned[(i % 6) as usize];
-        pg.submit(eer.eer_info.src_host, eer.key.res_id, i.to_be_bytes().to_vec(), now);
+        let gw = &mut gateways[shard_index(eer.key.res_id, 3)];
+        let mut pkt = Vec::new();
+        gw.process_into(eer.eer_info.src_host, eer.key.res_id, &i.to_be_bytes(), now, &mut pkt)
+            .expect("stamp");
+        stamped.push(pkt);
     }
     // One unknown reservation: a rejected stamp, visible in the scrape.
-    pg.submit(HostAddr(1), ResId(99_999), b"x".to_vec(), now);
-    let mut stamped = Vec::new();
-    pg.flush(&mut stamped);
-    let gw_snap = pg.shutdown(&mut stamped);
+    let unknown = ResId(99_999);
+    let gw = &mut gateways[shard_index(unknown, 3)];
+    assert!(gw.process_into(HostAddr(1), unknown, b"x", now, &mut Vec::new()).is_err());
+    let gw_total = |field: fn(&GatewayStats) -> u64| -> u64 {
+        gateways.iter().map(|gw| field(&gw.stats)).sum()
+    };
 
     let leaf_a = sample.leaf_a;
     let mut pool = ShardRouterPool::with_telemetry(2, 32, &registry, move |_| {
@@ -304,8 +317,7 @@ fn pool_scrapes_equal_cross_shard_shutdown_snapshots() {
     });
     let mut routed = Vec::new();
     let mut sent = 0usize;
-    for (i, s) in stamped.into_iter().filter(|s| s.result.is_ok()).enumerate() {
-        let mut pkt = s.bytes;
+    for (i, mut pkt) in stamped.into_iter().enumerate() {
         if i < 3 {
             // Corrupt the HVF: a deterministic bad-HVF drop per packet.
             let n = pkt.len();
@@ -320,16 +332,15 @@ fn pool_scrapes_equal_cross_shard_shutdown_snapshots() {
     }
     let rt_snap = pool.shutdown(&mut routed);
 
-    // The scrape and the pools' own cross-shard merges must agree bit
-    // for bit — the scraped total IS the sum over worker shards.
+    // The scrape and the shards' own cross-shard sums must agree bit
+    // for bit — the scraped total IS the sum over shards.
     let snap = registry.snapshot();
-    assert_eq!(gw_snap.shards, 3);
     assert_eq!(rt_snap.shards, 2);
-    assert_eq!(snap.total("colibri_gateway_forwarded_total"), gw_snap.stats.forwarded);
-    assert_eq!(snap.total("colibri_gateway_rate_limited_total"), gw_snap.stats.rate_limited);
-    assert_eq!(snap.total("colibri_gateway_rejected_total"), gw_snap.stats.rejected);
-    assert_eq!(gw_snap.stats.forwarded, 48);
-    assert_eq!(gw_snap.stats.rejected, 1);
+    assert_eq!(snap.total("colibri_gateway_forwarded_total"), gw_total(|s| s.forwarded));
+    assert_eq!(snap.total("colibri_gateway_rate_limited_total"), gw_total(|s| s.rate_limited));
+    assert_eq!(snap.total("colibri_gateway_rejected_total"), gw_total(|s| s.rejected));
+    assert_eq!(gw_total(|s| s.forwarded), 48);
+    assert_eq!(gw_total(|s| s.rejected), 1);
     assert_eq!(snap.total("colibri_router_forwarded_total"), rt_snap.stats.forwarded);
     assert_eq!(snap.total("colibri_router_drop_bad_hvf_total"), rt_snap.stats.bad_hvf);
     assert_eq!(rt_snap.stats.forwarded, 45);
