@@ -96,6 +96,29 @@ pub fn host_cores() -> usize {
     std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
 }
 
+/// The size in bytes of the host's level-`level` data or unified cache,
+/// as cpu0's sysfs entry reports it (`None` where there is none),
+/// recorded beside a wall-clock ratio that depends on it.
+pub fn cache_bytes(level: u32) -> Option<u64> {
+    let dirs = std::fs::read_dir("/sys/devices/system/cpu/cpu0/cache").ok()?;
+    dirs.flatten().find_map(|dir| {
+        let read = |file: &str| std::fs::read_to_string(dir.path().join(file)).ok();
+        if read("level")?.trim().parse() != Ok(level) || read("type")?.trim() == "Instruction" {
+            return None;
+        }
+        let size = read("size")?;
+        let size = size.trim();
+        let (digits, unit) = size.split_at(size.trim_end_matches(char::is_alphabetic).len());
+        let shift = match unit {
+            "" => 0,
+            "K" => 10,
+            "M" => 20,
+            _ => return None,
+        };
+        digits.parse::<u64>().ok().map(|n| n << shift)
+    })
+}
+
 /// Least-squares slope of `ln y` against `ln x`.
 pub fn log_log_slope(points: &[(f64, f64)]) -> f64 {
     let logs: Vec<(f64, f64)> = points.iter().map(|&(x, y)| (x.ln(), y.ln())).collect();

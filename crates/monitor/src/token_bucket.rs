@@ -42,6 +42,18 @@ impl TokenBucket {
         Self::new(rate, burst_bytes, now)
     }
 
+    /// A bucket from the four words [`to_words`](Self::to_words) returns.
+    pub fn from_words(rate: Bandwidth, burst_bytes: u64, tokens_nb: u128, last: Instant) -> Self {
+        Self { tokens_nb, ..Self::new(rate, burst_bytes, last) }
+    }
+
+    /// The bucket's state as the words a packed table stores: rate, depth
+    /// in whole bytes (every depth is one), fill in nano-bytes, and the
+    /// last refill.
+    pub fn to_words(&self) -> (Bandwidth, u64, u128, Instant) {
+        (self.rate, (self.capacity_nb / 1_000_000_000) as u64, self.tokens_nb, self.last)
+    }
+
     /// The configured rate.
     pub fn rate(&self) -> Bandwidth {
         self.rate
@@ -77,6 +89,7 @@ impl TokenBucket {
         self.tokens_nb = self.tokens_nb.min(self.capacity_nb);
     }
 
+    #[inline]
     fn refill(&mut self, now: Instant) {
         let dt = now.saturating_since(self.last).as_nanos();
         if dt == 0 {
@@ -92,6 +105,7 @@ impl TokenBucket {
     /// `true` if allowed; otherwise leaves the bucket unchanged and returns
     /// `false` (the packet is dropped, giving backpressure to the sender's
     /// congestion control, §3.2).
+    #[inline]
     pub fn try_consume(&mut self, bytes: u64, now: Instant) -> bool {
         self.refill(now);
         let cost = bytes as u128 * 1_000_000_000;
