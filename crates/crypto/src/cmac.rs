@@ -4,45 +4,58 @@
 //! EER hop authenticators σᵢ (Eq. 4), per-packet hop validation fields
 //! (Eq. 6), and the DRKey pseudo-random function are all AES-CMAC
 //! computations. A border router performs two CMACs per EER packet and must
-//! do so without any per-flow state, so the implementation offers both a
-//! one-shot API over a slice and an incremental builder for composite
-//! inputs (`ResInfo || EERInfo || (Inᵢ, Egᵢ)`).
+//! do so without any per-flow state.
+//!
+//! Two kinds of input reach it. The control plane and DRKey MAC byte
+//! strings of any length ([`Cmac::tag`], [`Cmac::start`]). The data plane
+//! MACs fixed-layout messages whose fields it already holds as integers,
+//! so it hands over the message as whole [`Block`]s, built and padded in
+//! registers by the caller ([`Cmac::tag_padded_each`], [`PaddedTagKey`]),
+//! and the kernels XOR in the subkey as an integer: no block is assembled
+//! byte by byte in memory and read back as a whole.
 
 use crate::aes::Aes128;
+use crate::drkey::Key;
 
 const BLOCK: usize = 16;
-const RB: u8 = 0x87; // constant for 128-bit block doubling (RFC 4493 §2.3)
+const RB: u128 = 0x87; // constant for 128-bit block doubling (RFC 4493 §2.3)
 
-/// Doubles a value in GF(2^128) as required for CMAC subkey generation:
-/// shift the big-endian 128-bit value left by one and, if the top bit
-/// fell off, reduce by x¹²⁸ = x⁷ + x² + x + 1 (branch-free).
-fn dbl(block: [u8; 16]) -> [u8; 16] {
-    let v = u128::from_be_bytes(block);
-    ((v << 1) ^ ((v >> 127) * u128::from(RB))).to_be_bytes()
+/// One 16-byte CMAC block as an integer: the block's bytes read
+/// little-endian, so block byte `i` is bits `8i..8i + 8`. On x86 this is
+/// the layout of the block in memory and in an AES register, so a block
+/// moves between an integer register pair and the cipher without a byte
+/// swap; a big-endian field of the message sits at its byte offset
+/// byte-swapped (`Block::from(ts.swap_bytes())` for an 8-byte `Ts` at
+/// byte 0). A message whose length is not a multiple of 16 ends in a
+/// block padded `10*` — a `0x80` byte right after the last message byte
+/// ([`pad`]), zeros after it.
+pub type Block = u128;
+
+/// The `10*` padding of a final block that holds `len < 16` message bytes.
+pub const fn pad(len: usize) -> Block {
+    0x80 << (8 * (BLOCK - 1 - len))
 }
 
-/// XOR of two blocks. Written bytewise so it compiles to one vector XOR
-/// and a single 16-byte store, which the cipher's 16-byte load can
-/// forward from (two 8-byte stores would stall it).
+/// Doubles a block in GF(2^128) as required for CMAC subkey generation:
+/// shift left by one and, if the top bit fell off, reduce by
+/// x¹²⁸ = x⁷ + x² + x + 1 (branch-free).
+#[inline(always)]
+fn dbl(v: Block) -> Block {
+    (v << 1) ^ ((v >> 127) * RB)
+}
+
+/// XOR of two blocks of bytes. Written bytewise so it compiles to one
+/// vector XOR: the byte-string path ([`Cmac::tag`]) stays in vector
+/// registers from the message load to the cipher.
 #[inline]
 fn xor_block(a: [u8; 16], b: &[u8; 16]) -> [u8; 16] {
     core::array::from_fn(|i| a[i] ^ b[i])
 }
 
-/// Pads a message shorter than one block (`10*`) and XORs it with the
-/// subkey K2: the final CMAC block of a short message (RFC 4493 §2.4).
-#[inline(always)]
-fn pad_short(msg: &[u8], k2: &[u8; 16]) -> [u8; 16] {
-    let mut last = [0u8; 16];
-    last[..msg.len()].copy_from_slice(msg);
-    last[msg.len()] = 0x80;
-    xor_block(last, k2)
-}
-
 /// A CMAC key in the 32 bytes that tags over messages shorter than one
 /// block need: `[key, K2]`. Built by [`Cmac::compact_each`]; no AES
-/// schedule is stored, so [`Cmac::tags_compact`] expands the key again
-/// for every tag, interleaved with the one block it encrypts. A
+/// schedule is stored, so its [`PaddedTagKey`] kernel expands the key
+/// again for every tag, interleaved with the one block it encrypts. A
 /// pre-expanded [`Cmac`] is 208 bytes.
 pub type CompactKey = [[u8; 16]; 2];
 
@@ -71,104 +84,78 @@ impl Cmac {
     /// serial bottlenecks interleaved: the key expansions run in lockstep
     /// ([`Aes128::new_each`]) and the subkey derivations `L = AES_K(0)`
     /// run as one `N`-wide batch — `N` key expansions and `N` AES blocks,
-    /// like `N` [`Self::new`] calls. This is how the router expands a
-    /// burst of freshly derived σ authenticators and the gateway a path's
-    /// σ at install.
-    #[inline]
+    /// like `N` [`Self::new`] calls.
     pub fn new_each<const N: usize>(keys: [&[u8; 16]; N]) -> [Cmac; N] {
         let mut cmacs = [Self::ZERO; N];
         Aes128::expand_into(keys, cmacs.each_mut().map(|c| &mut c.cipher));
-        let mut l_blocks = [[0u8; 16]; N];
-        Aes128::encrypt_each(cmacs.each_ref().map(|c| &c.cipher), &mut l_blocks);
+        let l_blocks = Aes128::encrypt_each(cmacs.each_ref().map(|c| &c.cipher), |_| [0; 16]);
         for (cmac, l) in cmacs.iter_mut().zip(l_blocks) {
-            cmac.k1 = dbl(l);
-            cmac.k2 = dbl(cmac.k1);
+            let k1 = dbl(Block::from_be_bytes(l));
+            (cmac.k1, cmac.k2) = (k1.to_be_bytes(), dbl(k1).to_be_bytes());
         }
         cmacs
     }
 
-    /// Builds the final CMAC block for a message that fits in one block:
-    /// XOR with K1 when it is exactly one complete block, 10*-padded and
-    /// XORed with K2 otherwise (RFC 4493 §2.4). Since X₀ = 0, this block
-    /// is also the cipher input — no running state is needed.
-    #[inline(always)]
-    fn last_block_short(&self, msg: &[u8]) -> [u8; 16] {
-        if let Ok(full) = <[u8; 16]>::try_from(msg) {
+    /// The final CMAC block of a message whose last `tail` bytes (0–16)
+    /// did not fill a previous block: XOR with K1 when it is exactly one
+    /// complete block, `10*`-padded and XORed with K2 otherwise (RFC 4493
+    /// §2.4).
+    fn last_block(&self, tail: &[u8]) -> [u8; 16] {
+        if let Ok(full) = <[u8; 16]>::try_from(tail) {
             return xor_block(full, &self.k1);
         }
-        pad_short(msg, &self.k2)
+        let mut last = [0u8; 16];
+        last[..tail.len()].copy_from_slice(tail);
+        last[tail.len()] = 0x80;
+        xor_block(last, &self.k2)
+    }
+
+    /// Encrypts one block under this key.
+    #[inline]
+    fn encrypt(&self, block: [u8; 16]) -> [u8; 16] {
+        let [out] = Aes128::encrypt_each([&self.cipher], |_| block);
+        out
     }
 
     /// Computes the 16-byte tag over `msg` in one shot.
     ///
     /// Every block but the last is absorbed straight from `msg`; the last
     /// (1–16 bytes, or the empty message) gets the K1/K2 treatment of
-    /// [`Self::last_block_short`]. A single-block message — the data
-    /// plane's hottest MAC, the 12-byte `Ts || PktSize` input of Eq. 6 —
-    /// is one padded block and one AES call. Always inlined, so a caller's
-    /// constant message length folds the block split and the padding.
-    #[inline(always)]
+    /// RFC 4493 §2.4. This is the MAC of byte strings of any length — the
+    /// control plane's payloads and the DRKey PRF; the data plane's
+    /// fixed-layout messages go through the [`Block`] kernels.
     pub fn tag(&self, msg: &[u8]) -> [u8; 16] {
         let (body, tail) = msg.split_at(msg.len().saturating_sub(1) / BLOCK * BLOCK);
         let mut x = [0u8; 16];
         for blk in body.chunks_exact(BLOCK) {
-            x = xor_block(x, blk.try_into().expect("one block"));
-            self.cipher.encrypt_block(&mut x);
+            x = self.encrypt(xor_block(x, blk.try_into().expect("one block")));
         }
-        let mut last = xor_block(x, &self.last_block_short(tail));
-        self.cipher.encrypt_block(&mut last);
-        last
+        self.encrypt(xor_block(x, &self.last_block(tail)))
     }
 
-    /// Computes `N` tags under this key over `N` independent messages,
-    /// driving the block cipher `N`-wide ([`Aes128::encrypt_each`]) block
-    /// by block when the messages have one length — the router's Eq. 3
-    /// SegR tokens and Eq. 4 hop authenticators, where one AS secret
-    /// authenticates `N` packets' fixed-size inputs concurrently. Lanes
-    /// of different lengths fall back to `N` [`Self::tag`] calls; either
-    /// way the result is bit-identical to `N` [`Self::tag`] calls and
-    /// costs the same AES blocks. Always inlined, so fixed-size inputs
-    /// split and pad without a `memcpy` call.
+    /// Computes `N` tags under this key over `N` messages of `B` blocks
+    /// each, whose last block is `10*`-padded (the message length is not a
+    /// multiple of 16): the router's Eq. 3 SegR tokens and Eq. 4 hop
+    /// authenticators, where one AS secret authenticates `N` packets'
+    /// fixed-size inputs. The block cipher runs `N`-wide
+    /// ([`Aes128::encrypt_each`]) block by block, and K2 is XORed
+    /// into each last block as an integer inside the kernel. Costs `B·N`
+    /// AES blocks, like `N` [`Self::tag`] calls over the unpadded bytes,
+    /// and returns the same tags.
     #[inline(always)]
-    pub fn tag_each<const N: usize>(&self, msgs: [&[u8]; N]) -> [[u8; 16]; N] {
-        let len = msgs.first().map_or(0, |m| m.len());
-        if msgs.iter().any(|m| m.len() != len) {
-            return msgs.map(|m| self.tag(m));
-        }
-        let split = len.saturating_sub(1) / BLOCK * BLOCK;
+    pub fn tag_padded_each<const B: usize, const N: usize>(
+        &self,
+        msgs: [[Block; B]; N],
+    ) -> [[u8; 16]; N] {
         let mut x = [[0u8; 16]; N];
-        for at in (0..split).step_by(BLOCK) {
-            for (x, m) in x.iter_mut().zip(msgs) {
-                *x = xor_block(*x, m[at..at + BLOCK].try_into().expect("one block"));
-            }
-            Aes128::encrypt_each([&self.cipher; N], &mut x);
+        let k2 = Block::from_be_bytes(self.k2);
+        for (b, last) in (0..B).map(|b| (b, b + 1 == B)) {
+            let whiten = if last { k2 } else { 0 };
+            x = Aes128::encrypt_each([&self.cipher; N], |l| {
+                (Block::from_be_bytes(x[l]) ^ msgs[l][b] ^ whiten).to_be_bytes()
+            });
         }
-        for (x, m) in x.iter_mut().zip(msgs) {
-            *x = xor_block(*x, &self.last_block_short(&m[split..]));
-        }
-        Aes128::encrypt_each([&self.cipher; N], &mut x);
         x
-    }
-
-    /// Computes `N` single-block tags under `N` *pre-expanded* instances
-    /// in exactly one `N`-wide AES batch — the Eq. 6 kernel, where the
-    /// caller already holds the expanded round keys and K1/K2 subkeys
-    /// (the gateway per installed hop, the router per freshly expanded
-    /// σ), so only the final block encryption remains: `N` AES blocks and
-    /// no key expansion. Panics unless every message fits in one block
-    /// (≤ 16 bytes). Always inlined, so the wire-level callers' fixed
-    /// 12-byte Eq. 6 inputs pad without a `memcpy` call.
-    #[inline(always)]
-    pub fn tags_short<const N: usize>(cmacs: [&Cmac; N], msgs: [&[u8]; N]) -> [[u8; 16]; N] {
-        for m in msgs {
-            assert!(m.len() <= BLOCK, "short-message CMAC batches require single-block messages");
-        }
-        let mut last = [[0u8; 16]; N];
-        for (last, (cmac, msg)) in last.iter_mut().zip(cmacs.iter().zip(msgs)) {
-            *last = cmac.last_block_short(msg);
-        }
-        Aes128::encrypt_each(cmacs.map(|c| &c.cipher), &mut last);
-        last
     }
 
     /// Derives `N` [`CompactKey`]s in one `N`-wide pass — the lockstep
@@ -178,25 +165,6 @@ impl Cmac {
     pub fn compact_each<const N: usize>(keys: [&[u8; 16]; N]) -> [CompactKey; N] {
         let cmacs = Self::new_each(keys);
         core::array::from_fn(|l| [*keys[l], cmacs[l].k2])
-    }
-
-    /// Computes `N` tags over messages shorter than one block under `N`
-    /// [`CompactKey`]s: each lane's padded block is XORed with its K2,
-    /// then the `N` key expansions and the `N` encryptions run
-    /// interleaved ([`Aes128::expand_encrypt_each`]) — `N` key expansions
-    /// and `N` AES blocks, bit-identical to `N` [`Self::tag`] calls.
-    /// Panics unless every message is shorter than 16 bytes (a complete
-    /// block would need K1). Always inlined, so the fixed 12-byte Eq. 6
-    /// inputs pad without a `memcpy` call.
-    #[inline(always)]
-    pub fn tags_compact<const N: usize>(keys: [&CompactKey; N], msgs: [&[u8]; N]) -> [[u8; 16]; N] {
-        let mut last = [[0u8; 16]; N];
-        for (last, (key, msg)) in last.iter_mut().zip(keys.iter().zip(msgs)) {
-            assert!(msg.len() < BLOCK, "compact CMAC keys tag messages shorter than one block");
-            *last = pad_short(msg, &key[1]);
-        }
-        Aes128::expand_encrypt_each(keys.map(|k| &k[0]), &mut last);
-        last
     }
 
     /// Begins an incremental computation.
@@ -210,29 +178,51 @@ impl Cmac {
     }
 }
 
-/// A CMAC key form that tags `N` single-block messages in one batch:
-/// a pre-expanded [`Cmac`] ([`Cmac::tags_short`]: `N` AES blocks) or a
-/// [`CompactKey`] ([`Cmac::tags_compact`]: `N` key expansions and `N` AES
-/// blocks). The Eq. 6 hop-validation kernel is written once over it: the
-/// router runs it on the σ it has just expanded, the gateway on the
-/// compact σ it stores.
-pub trait ShortTagKey {
-    /// `N` tags, lane `l` over `msgs[l]` under `keys[l]`, each equal to
-    /// [`Cmac::tag`] under the same key.
-    fn short_tags<const N: usize>(keys: [&Self; N], msgs: [&[u8]; N]) -> [[u8; 16]; N];
+/// A CMAC key form that tags `N` one-block messages, each a `10*`-padded
+/// [`Block`] (shorter than 16 bytes), lane `l` under `keys[l]`: the Eq. 6
+/// hop-validation kernel is written once over it. Three forms, one cost
+/// each:
+///
+/// * a pre-expanded [`Cmac`]: `N` AES blocks;
+/// * a [`CompactKey`] (key and K2): `N` key expansions interleaved with
+///   the `N` blocks — the gateway's stored σ;
+/// * a raw [`Key`] nobody has expanded: per lane one key expansion, fused
+///   with `L = AES_K(0)`, K2 doubled from `L` as an integer, then the one
+///   tag block under the schedule just derived — `N` key expansions and
+///   `2N` AES blocks, the router's freshly derived σ.
+///
+/// Every form returns what [`Cmac::tag`] returns under the same key over
+/// the unpadded message bytes.
+pub trait PaddedTagKey {
+    /// `N` tags, lane `l` over the padded block `blocks[l]` under `keys[l]`.
+    fn tags_padded<const N: usize>(keys: [&Self; N], blocks: [Block; N]) -> [[u8; 16]; N];
 }
 
-impl ShortTagKey for Cmac {
+impl PaddedTagKey for Cmac {
     #[inline(always)]
-    fn short_tags<const N: usize>(keys: [&Self; N], msgs: [&[u8]; N]) -> [[u8; 16]; N] {
-        Cmac::tags_short(keys, msgs)
+    fn tags_padded<const N: usize>(keys: [&Self; N], blocks: [Block; N]) -> [[u8; 16]; N] {
+        Aes128::encrypt_each(keys.map(|k| &k.cipher), |l| {
+            (blocks[l] ^ Block::from_be_bytes(keys[l].k2)).to_be_bytes()
+        })
     }
 }
 
-impl ShortTagKey for CompactKey {
+impl PaddedTagKey for CompactKey {
     #[inline(always)]
-    fn short_tags<const N: usize>(keys: [&Self; N], msgs: [&[u8]; N]) -> [[u8; 16]; N] {
-        Cmac::tags_compact(keys, msgs)
+    fn tags_padded<const N: usize>(keys: [&Self; N], blocks: [Block; N]) -> [[u8; 16]; N] {
+        Aes128::expand_encrypt_each(keys.map(|k| &k[0]), |l| {
+            (blocks[l] ^ Block::from_be_bytes(keys[l][1])).to_be_bytes()
+        })
+    }
+}
+
+impl PaddedTagKey for Key {
+    #[inline(always)]
+    fn tags_padded<const N: usize>(keys: [&Self; N], blocks: [Block; N]) -> [[u8; 16]; N] {
+        Aes128::expand_encrypt_zero_then_each(keys.map(|k| &k.0), |l, zero_ct| {
+            let k2 = dbl(dbl(Block::from_be_bytes(zero_ct)));
+            (blocks[l] ^ k2).to_be_bytes()
+        })
     }
 }
 
@@ -259,8 +249,7 @@ impl CmacState<'_> {
             let take = BLOCK - self.buf_len;
             self.buf[self.buf_len..].copy_from_slice(&data[..take]);
             data = &data[take..];
-            self.x = xor_block(self.x, &self.buf);
-            self.mac.cipher.encrypt_block(&mut self.x);
+            self.x = self.mac.encrypt(xor_block(self.x, &self.buf));
             self.buf_len = 0;
         }
         self.buf[self.buf_len..self.buf_len + data.len()].copy_from_slice(data);
@@ -269,11 +258,9 @@ impl CmacState<'_> {
 
     /// Finalizes and returns the 16-byte tag. The pending bytes are the
     /// final block, so it gets the one-block K1/K2 treatment.
-    pub fn finish(mut self) -> [u8; 16] {
-        let last = self.mac.last_block_short(&self.buf[..self.buf_len]);
-        self.x = xor_block(self.x, &last);
-        self.mac.cipher.encrypt_block(&mut self.x);
-        self.x
+    pub fn finish(self) -> [u8; 16] {
+        let last = self.mac.last_block(&self.buf[..self.buf_len]);
+        self.mac.encrypt(xor_block(self.x, &last))
     }
 }
 
@@ -386,6 +373,18 @@ mod tests {
         core::array::from_fn(|l| [(l as u8).wrapping_mul(seed).wrapping_add(3); 16])
     }
 
+    /// `msg`, `(B - 1)·16 + 1` to `B·16 - 1` bytes long (or empty, for one
+    /// block), as `B` blocks, the last `10*`-padded — the reference for
+    /// the callers' integer-built blocks.
+    fn padded_msg<const B: usize>(msg: &[u8]) -> [Block; B] {
+        assert!(msg.len() < B * BLOCK && (B == 1 || msg.len() > (B - 1) * BLOCK));
+        let mut bytes = [[0u8; 16]; B];
+        for (i, byte) in msg.iter().chain(&[0x80]).enumerate() {
+            bytes[i / BLOCK][i % BLOCK] = *byte;
+        }
+        bytes.map(Block::from_be_bytes)
+    }
+
     /// Runs `$check::<N>()` at the data plane's lane widths 1, 4 and 8 and
     /// at the odd widths 2 and 3.
     macro_rules! at_widths {
@@ -425,35 +424,57 @@ mod tests {
         new_each_at::<8>();
     }
 
-    fn tag_each_at<const N: usize>() {
+    #[test]
+    fn pad_marks_the_byte_after_the_message() {
+        assert_eq!(pad(0), 0x80 << 120);
+        assert_eq!(pad(12).to_be_bytes()[12], 0x80);
+        assert_eq!(pad(15), 0x80);
+    }
+
+    /// [`Cmac::tag_padded_each`] at `B` blocks against `N` scalar tags
+    /// over every padded length of `B` blocks, with the same cost.
+    fn tag_padded_each_at<const B: usize, const N: usize>() {
         let cmac = Cmac::new(&KEY);
-        let check = |msgs: [&[u8]; N]| {
-            let (batched, cost) = with_cost(|| cmac.tag_each(msgs));
+        for len in (B - 1) * BLOCK + 1..B * BLOCK {
+            let msgs: [&[u8]; N] = core::array::from_fn(|l| &MSG[l..l + len]);
+            let (batched, cost) = with_cost(|| cmac.tag_padded_each(msgs.map(padded_msg::<B>)));
             let (scalar, scalar_cost) = with_cost(|| msgs.map(|m| cmac.tag(m)));
-            assert_eq!(batched, scalar, "N {N} lens {:?}", msgs.map(<[u8]>::len));
-            assert_eq!(cost, scalar_cost, "N {N}: the AES blocks of N scalar tags");
-        };
-        // One length per batch (the lockstep path) at every block shape:
-        // empty, a padded block, one full block, interior blocks plus a
-        // padded or full tail.
-        for len in [0, 1, 12, 16, 17, 22, 30, 32, 48] {
-            check(core::array::from_fn(|l| &MSG[l..l + len]));
+            assert_eq!(batched, scalar, "N {N} B {B} len {len}");
+            assert_eq!(cost, scalar_cost, "N {N} B {B}: the AES blocks of N scalar tags");
+            assert_eq!(cost, ((B * N) as u64, 0));
         }
-        // Mixed lengths fall back lane by lane.
-        check(core::array::from_fn(|l| &MSG[..l * 13 % 65]));
+    }
+
+    fn tag_padded_each_blocks_at<const N: usize>() {
+        tag_padded_each_at::<1, N>();
+        tag_padded_each_at::<2, N>();
+        tag_padded_each_at::<3, N>();
     }
 
     #[test]
     fn tag_each_matches_scalar_tags() {
-        at_widths!(tag_each_at);
+        on_both_backends(|| at_widths!(tag_padded_each_blocks_at));
     }
 
-    fn tags_short_at<const N: usize>() {
+    fn on_both_backends(check: impl FnMut()) {
+        crate::aes::tests::on_both_backends(check);
+    }
+
+    /// One padded block per lane, lane `l` of length `LENS[l % 8]`.
+    const LENS: [usize; 8] = [12, 14, 0, 7, 3, 1, 15, 10];
+
+    fn one_block_msgs<const N: usize>() -> [&'static [u8]; N] {
+        core::array::from_fn(|l| &MSG[l..l + LENS[l % 8]])
+    }
+
+    /// [`PaddedTagKey`] over pre-expanded [`Cmac`]s: one `N`-wide block
+    /// batch, no expansion.
+    fn tags_padded_cmac_at<const N: usize>() {
         let keys = lane_keys::<N>(29);
         let cmacs = Cmac::new_each(keys.each_ref());
-        let msgs: [&[u8]; N] = core::array::from_fn(|l| &MSG[..[12, 16, 0, 7, 3, 1, 15, 10][l]]);
-        let (tags, cost) = with_cost(|| Cmac::tags_short(cmacs.each_ref(), msgs));
-        // Pre-expanded: one N-wide block batch, no expansion.
+        let msgs = one_block_msgs::<N>();
+        let (tags, cost) =
+            with_cost(|| PaddedTagKey::tags_padded(cmacs.each_ref(), msgs.map(padded_msg::<1>).map(|[b]| b)));
         assert_eq!(cost, (N as u64, 0), "N {N}");
         for l in 0..N {
             assert_eq!(tags[l], Cmac::new(&keys[l]).tag(msgs[l]), "N {N} lane {l}");
@@ -462,57 +483,60 @@ mod tests {
 
     #[test]
     fn tags_short_matches_scalar_and_skips_expansion() {
-        at_widths!(tags_short_at);
+        on_both_backends(|| at_widths!(tags_padded_cmac_at));
     }
 
     #[test]
     fn tag4_short_each_matches_scalar_and_skips_expansion() {
-        tags_short_at::<4>();
+        tags_padded_cmac_at::<4>();
     }
 
     #[test]
     fn tag8_short_each_matches_scalar_and_skips_expansion() {
-        tags_short_at::<8>();
+        tags_padded_cmac_at::<8>();
     }
 
-    /// Short tags straight from `N` raw keys: [`Cmac::new_each`] then
-    /// [`Cmac::tags_short`].
-    fn tags_short_from_keys_at<const N: usize>() {
-        let keys = lane_keys::<N>(11);
-        let msgs: [&[u8]; N] = core::array::from_fn(|l| &MSG[..[12, 16, 0, 5, 12, 1, 15, 8][l]]);
-        let (tags, cost) = with_cost(|| {
-            let cmacs = Cmac::new_each(keys.each_ref());
-            Cmac::tags_short(cmacs.each_ref(), msgs)
-        });
-        // N lockstep expansions, one N-wide subkey batch, one N-wide tag batch.
+    /// [`PaddedTagKey`] over raw [`Key`]s: per lane one expansion fused
+    /// with the subkey block, then the tag block.
+    fn tags_padded_fresh_at<const N: usize>() {
+        let keys = lane_keys::<N>(11).map(Key);
+        let msgs = one_block_msgs::<N>();
+        let blocks = msgs.map(padded_msg::<1>).map(|[b]| b);
+        let (tags, cost) = with_cost(|| PaddedTagKey::tags_padded(keys.each_ref(), blocks));
         assert_eq!(cost, (2 * N as u64, N as u64), "N {N}");
         for l in 0..N {
-            assert_eq!(tags[l], Cmac::new(&keys[l]).tag(msgs[l]), "N {N} lane {l}");
+            assert_eq!(tags[l], Cmac::new(&keys[l].0).tag(msgs[l]), "N {N} lane {l}");
         }
     }
 
     #[test]
+    fn tags_fresh_matches_scalar_at_every_width() {
+        on_both_backends(|| at_widths!(tags_padded_fresh_at));
+    }
+
+    #[test]
     fn tag4_short_multikey_matches_scalar() {
-        tags_short_from_keys_at::<4>();
+        tags_padded_fresh_at::<4>();
     }
 
     #[test]
     fn tag8_short_multikey_matches_scalar() {
-        tags_short_from_keys_at::<8>();
+        tags_padded_fresh_at::<8>();
     }
 
-    /// [`Cmac::compact_each`] then [`Cmac::tags_compact`] against
-    /// `Cmac::new(key).tag(msg)` at every message length 0–15, on both
-    /// AES backends.
+    /// [`Cmac::compact_each`] then [`PaddedTagKey`] over the
+    /// [`CompactKey`]s against `Cmac::new(key).tag(msg)` at every message
+    /// length 0–15, on both AES backends.
     fn tags_compact_at<const N: usize>() {
         let keys = lane_keys::<N>(23);
         let (compact, cost) = with_cost(|| Cmac::compact_each(keys.each_ref()));
         // The expansions and subkey blocks of `new_each`.
         assert_eq!(cost, (N as u64, N as u64), "N {N}");
-        crate::aes::tests::on_both_backends(|| {
+        on_both_backends(|| {
             for len in 0..BLOCK {
                 let msgs: [&[u8]; N] = core::array::from_fn(|l| &MSG[l..l + len]);
-                let (tags, cost) = with_cost(|| Cmac::tags_compact(compact.each_ref(), msgs));
+                let blocks = msgs.map(padded_msg::<1>).map(|[b]| b);
+                let (tags, cost) = with_cost(|| PaddedTagKey::tags_padded(compact.each_ref(), blocks));
                 // One expansion interleaved with one block per lane.
                 assert_eq!(cost, (N as u64, N as u64), "N {N} len {len}");
                 for l in 0..N {
@@ -526,13 +550,6 @@ mod tests {
     #[test]
     fn tags_compact_matches_scalar_at_every_short_length() {
         at_widths!(tags_compact_at);
-    }
-
-    #[test]
-    #[should_panic(expected = "shorter than one block")]
-    fn tags_compact_refuses_a_full_block() {
-        let [key] = Cmac::compact_each([&KEY]);
-        Cmac::tags_compact([&key], [&MSG[..16]]);
     }
 
     #[test]
@@ -553,17 +570,17 @@ mod tests {
     fn dbl_known_values() {
         // From RFC 4493 §4: L = AES(K, 0^128), K1 = dbl(L), K2 = dbl(K1).
         let cipher = Aes128::new(&KEY);
-        let k1 = dbl(cipher.encrypt(&[0u8; 16]));
+        let k1 = dbl(Block::from_be_bytes(cipher.encrypt(&[0u8; 16])));
         let k2 = dbl(k1);
         assert_eq!(
-            k1,
+            k1.to_be_bytes(),
             [
                 0xfb, 0xee, 0xd6, 0x18, 0x35, 0x71, 0x33, 0x66, 0x7c, 0x85, 0xe0, 0x8f, 0x72, 0x36,
                 0xa8, 0xde
             ]
         );
         assert_eq!(
-            k2,
+            k2.to_be_bytes(),
             [
                 0xf7, 0xdd, 0xac, 0x30, 0x6a, 0xe2, 0x66, 0xcc, 0xf9, 0x0b, 0xc1, 0x1e, 0xe4, 0x6d,
                 0x51, 0x3b

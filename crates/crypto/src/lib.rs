@@ -21,8 +21,8 @@
 //! appears in `Debug` output.
 //!
 //! `unsafe` is denied crate-wide. The one exception is the AES-NI
-//! backend (`aes::ni`) and the two calls that dispatch to it once the CPU
-//! feature is detected.
+//! backend (`aes::ni`), whose kernels are reachable only through a value
+//! that a successful CPU feature probe creates.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,5 +36,5 @@ pub mod ops;
 
 pub use aead::{Aead, AeadError};
 pub use aes::Aes128;
-pub use cmac::{ct_eq, Cmac, CompactKey, ShortTagKey};
+pub use cmac::{ct_eq, Block, Cmac, CompactKey, PaddedTagKey};
 pub use drkey::{derive_as_key, derive_host_key, Epoch, Key, SecretValueGen};

@@ -1,6 +1,8 @@
 //! Property-based tests for the cryptographic substrate.
 
-use colibri_crypto::{ct_eq, Aead, Aes128, Cmac, Epoch, SecretValueGen};
+use colibri_crypto::{
+    ct_eq, Aead, Aes128, Block, Cmac, CompactKey, Epoch, Key, PaddedTagKey, SecretValueGen,
+};
 use proptest::prelude::*;
 
 /// Runs `$check::<N>(args..)` at lane widths 1, 2, 3, 4 and 8.
@@ -14,29 +16,67 @@ macro_rules! at_widths {
     }};
 }
 
-/// [`Cmac::tag_each`] over the first `N` messages equals `N` scalar tags.
-fn tag_each_at<const N: usize>(key: &[u8; 16], msgs: &[Vec<u8>]) {
-    let lanes: [&[u8]; N] = core::array::from_fn(|l| msgs[l].as_slice());
+/// `msg`, `(B - 1)·16 + 1` to `B·16 - 1` bytes long (or empty, for one
+/// block), as `B` blocks, the last `10*`-padded: the byte-level reference for the integer-built blocks.
+fn padded<const B: usize>(msg: &[u8]) -> [Block; B] {
+    assert!(msg.len() < B * 16 && (B == 1 || msg.len() > (B - 1) * 16));
+    let mut bytes = [[0u8; 16]; B];
+    for (i, byte) in msg.iter().chain(&[0x80]).enumerate() {
+        bytes[i / 16][i % 16] = *byte;
+    }
+    bytes.map(Block::from_be_bytes)
+}
+
+/// Lane `l`'s message: `B - 1` whole blocks of `bodies[l]` and then
+/// `tails[l]` (< 16) more bytes, at least one after a whole block.
+fn lane_msgs<'a, const B: usize, const N: usize>(
+    bodies: &'a [[u8; 48]],
+    tails: &[usize],
+) -> [&'a [u8]; N] {
+    core::array::from_fn(|l| &bodies[l][..(B - 1) * 16 + tails[l].max(usize::from(B > 1))])
+}
+
+/// [`Cmac::tag_padded_each`] over `N` messages of `B` blocks equals `N`
+/// scalar tags.
+fn tag_padded_each_at<const B: usize, const N: usize>(
+    key: &[u8; 16],
+    bodies: &[[u8; 48]],
+    tails: &[usize],
+) {
+    let lanes = lane_msgs::<B, N>(bodies, tails);
     let scalar = lanes.map(|m| Cmac::new(key).tag(m));
-    prop_assert_eq!(Cmac::new(key).tag_each(lanes), scalar, "N = {}", N);
+    prop_assert_eq!(Cmac::new(key).tag_padded_each(lanes.map(padded::<B>)), scalar, "N = {}", N);
 }
 
-/// [`Cmac::tags_short`] over `N` pre-expanded per-lane keys equals `N`
-/// scalar tags.
-fn tags_short_at<const N: usize>(keys: &[[u8; 16]], msgs: &[Vec<u8>]) {
-    let cmacs = Cmac::new_each::<N>(core::array::from_fn(|l| &keys[l]));
-    let lanes: [&[u8]; N] = core::array::from_fn(|l| msgs[l].as_slice());
+fn tag_padded_each_blocks_at<const N: usize>(key: &[u8; 16], bodies: &[[u8; 48]], tails: &[usize]) {
+    tag_padded_each_at::<1, N>(key, bodies, tails);
+    tag_padded_each_at::<2, N>(key, bodies, tails);
+    tag_padded_each_at::<3, N>(key, bodies, tails);
+}
+
+/// [`PaddedTagKey`] over `made`, lane `l` the key `keys[l]` in form `K`,
+/// equals `N` scalar tags over one-block messages.
+fn tags_padded_at<K: PaddedTagKey, const N: usize>(
+    keys: &[[u8; 16]],
+    made: &[K; N],
+    bodies: &[[u8; 48]],
+    tails: &[usize],
+) {
+    let lanes = lane_msgs::<1, N>(bodies, tails);
     let scalar: [[u8; 16]; N] = core::array::from_fn(|l| Cmac::new(&keys[l]).tag(lanes[l]));
-    prop_assert_eq!(Cmac::tags_short(cmacs.each_ref(), lanes), scalar, "N = {}", N);
+    let blocks = lanes.map(|m| padded::<1>(m)[0]);
+    prop_assert_eq!(K::tags_padded(made.each_ref(), blocks), scalar, "N = {}", N);
 }
 
-/// [`Cmac::tags_compact`] over `N` compact per-lane keys equals `N`
-/// scalar tags.
-fn tags_compact_at<const N: usize>(keys: &[[u8; 16]], msgs: &[Vec<u8>]) {
+fn tags_short_at<const N: usize>(keys: &[[u8; 16]], bodies: &[[u8; 48]], tails: &[usize]) {
+    let cmacs: [Cmac; N] = core::array::from_fn(|l| Cmac::new(&keys[l]));
+    tags_padded_at(keys, &cmacs, bodies, tails);
+    tags_padded_at(keys, &core::array::from_fn::<_, N, _>(|l| Key(keys[l])), bodies, tails);
+}
+
+fn tags_compact_at<const N: usize>(keys: &[[u8; 16]], bodies: &[[u8; 48]], tails: &[usize]) {
     let compact = Cmac::compact_each::<N>(core::array::from_fn(|l| &keys[l]));
-    let lanes: [&[u8]; N] = core::array::from_fn(|l| msgs[l].as_slice());
-    let scalar: [[u8; 16]; N] = core::array::from_fn(|l| Cmac::new(&keys[l]).tag(lanes[l]));
-    prop_assert_eq!(Cmac::tags_compact(compact.each_ref(), lanes), scalar, "N = {}", N);
+    tags_padded_at::<CompactKey, N>(keys, &compact, bodies, tails);
 }
 
 proptest! {
@@ -136,46 +176,41 @@ proptest! {
     ) {
         let ciphers = Aes128::new_each::<8>(core::array::from_fn(|l| &keys[l]));
         let scalar: Vec<[u8; 16]> = (0..8).map(|l| ciphers[l].encrypt(&blocks[l])).collect();
-        let mut batch: [[u8; 16]; 8] = core::array::from_fn(|l| blocks[l]);
-        Aes128::encrypt_each(ciphers.each_ref(), &mut batch);
+        let batch = Aes128::encrypt_each(ciphers.each_ref(), |l| blocks[l]);
         prop_assert_eq!(batch.to_vec(), scalar.clone(), "per-lane keys, 8 lanes");
-        let mut batch: [[u8; 16]; 4] = core::array::from_fn(|l| blocks[l]);
-        Aes128::encrypt_each(core::array::from_fn(|l| &ciphers[l]), &mut batch);
+        let batch: [_; 4] = Aes128::encrypt_each(core::array::from_fn(|l| &ciphers[l]), |l| blocks[l]);
         prop_assert_eq!(batch.to_vec(), scalar[..4].to_vec(), "per-lane keys, 4 lanes");
         // Single-key form.
         let aes = Aes128::new(&keys[0]);
-        let mut batch: [[u8; 16]; 4] = core::array::from_fn(|l| blocks[l]);
-        Aes128::encrypt_each([&aes; 4], &mut batch);
+        let batch = Aes128::encrypt_each([&aes; 4], |l| blocks[l]);
         for lane in 0..4 {
             prop_assert_eq!(batch[lane], aes.encrypt(&blocks[lane]), "one key, lane {}", lane);
         }
     }
 
-    /// The `N`-wide interleaved CMAC under one key is bit-identical to `N`
-    /// scalar tags at every lane width, for arbitrary per-lane message
-    /// lengths (including empty and unequal numbers of blocks) and for
-    /// one shared length (the lockstep path).
+    /// The `N`-wide interleaved CMAC under one key over padded blocks
+    /// (the Eq. 3/Eq. 4 path) is bit-identical to `N` scalar tags at every
+    /// lane width, over messages of one to three blocks whose lanes differ
+    /// in length.
     #[test]
     fn tag_each_equals_scalar(
         key in any::<[u8; 16]>(),
-        msgs in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..80), 8),
-        same in prop::collection::vec(any::<u8>(), 0..80),
+        bodies in prop::collection::vec(any::<[u8; 48]>(), 8),
+        tails in prop::collection::vec(0usize..16, 8),
     ) {
-        let equal: Vec<Vec<u8>> = (0..8u8).map(|l| same.iter().map(|b| b ^ l).collect()).collect();
-        for msgs in [&msgs, &equal] {
-            at_widths!(tag_each_at(&key, msgs));
-        }
+        at_widths!(tag_padded_each_blocks_at(&key, &bodies, &tails));
     }
 
-    /// The pre-expanded short-message CMAC batch (the Eq. 6 HVF path:
-    /// `N` distinct hop authenticators, one block each) matches scalar
-    /// CMAC at every lane width.
+    /// One padded block under `N` per-lane keys — pre-expanded [`Cmac`]s
+    /// and raw [`Key`]s expanded in the kernel (the Eq. 6 HVF path) —
+    /// matches scalar CMAC at every lane width.
     #[test]
     fn tags_short_equals_scalar(
         keys in prop::collection::vec(any::<[u8; 16]>(), 8),
-        msgs in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..17), 8),
+        bodies in prop::collection::vec(any::<[u8; 48]>(), 8),
+        tails in prop::collection::vec(0usize..16, 8),
     ) {
-        at_widths!(tags_short_at(&keys, &msgs));
+        at_widths!(tags_short_at(&keys, &bodies, &tails));
     }
 
     /// The compact-key batch (the gateway's Eq. 6 path: `N` hops' σ
@@ -184,9 +219,10 @@ proptest! {
     #[test]
     fn tags_compact_equals_scalar(
         keys in prop::collection::vec(any::<[u8; 16]>(), 8),
-        msgs in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..16), 8),
+        bodies in prop::collection::vec(any::<[u8; 48]>(), 8),
+        tails in prop::collection::vec(0usize..16, 8),
     ) {
-        at_widths!(tags_compact_at(&keys, &msgs));
+        at_widths!(tags_compact_at(&keys, &bodies, &tails));
     }
 
     /// DRKey derivation is injective-in-practice across remotes and epochs

@@ -23,7 +23,7 @@
 use colibri_base::{Bandwidth, Duration, HostAddr, Instant, InterfaceId, IsdAsId};
 use colibri_crypto::{ct_eq, Cmac, Epoch, SecretValueGen};
 use colibri_monitor::{MonitorAction, OveruseReport, TransitMonitor, TransitMonitorConfig};
-use colibri_wire::mac::{eer_hvfs, hop_auth_input, hop_auths, segr_input, segr_tokens};
+use colibri_wire::mac::{eer_hvfs, hop_auth_blocks, hop_auths, segr_blocks, segr_tokens};
 use colibri_wire::{EerInfo, HopField, PacketViewMut, ResInfo, HVF_LEN};
 
 use crate::telemetry::RouterTelemetry;
@@ -205,7 +205,10 @@ impl BorderRouter {
     /// Counters are recorded as deltas of [`RouterStats`] at the end of
     /// each call, so the exported Invariant metrics are bit-identical
     /// between the scalar and batched paths whenever the stats are (which
-    /// the differential proptests guarantee).
+    /// the differential proptests guarantee). The router is the only
+    /// writer of `shard`'s router cells and updates them without locked
+    /// instructions: routers driven from different threads need distinct
+    /// shard labels.
     pub fn attach_telemetry(&mut self, registry: &Registry, shard: &str) {
         self.telemetry = Some(RouterTelemetry::new(registry, shard));
         self.monitor.attach_telemetry(registry, shard);
@@ -255,39 +258,62 @@ impl BorderRouter {
     ///
     /// The packet is parsed exactly once: the same [`PacketViewMut`]
     /// serves header validation, the HVF read, and the final hop advance.
-    /// The HVF check is [`Self::process_batch`]'s kernel at width 1.
+    /// This is [`Self::process_batch`]'s group of packets at width 1.
     pub fn process(&mut self, pkt: &mut [u8], now: Instant) -> RouterVerdict {
-        let verdict = self.process_inner(pkt, now);
+        let [verdict, ..] = self.process_group(&mut [pkt], now);
         self.flush_telemetry();
         verdict
     }
 
-    fn process_inner(&mut self, pkt: &mut [u8], now: Instant) -> RouterVerdict {
-        let (mut view, lane) = match self.screen(pkt, 0, now) {
-            Ok(screened) => screened,
-            Err(dropped) => return dropped,
-        };
-        if lane.eer_info.is_some() {
-            self.sigma_derivations += 1;
+    /// Runs up to [`GROUP`] packets through the router, all state on the
+    /// stack: screen each packet (parse once, stateless header checks),
+    /// then the MAC checks of the survivors under the per-epoch `K_i` —
+    /// the EER lanes through Eq. 4 and Eq. 6 under their fresh σ, the
+    /// SegR lanes through Eq. 3, each kernel as wide as the lanes allow —
+    /// then monitoring and forwarding in submission order. Returns the
+    /// verdicts of `pkts` in order; entries past `pkts.len()` are unused.
+    fn process_group(&mut self, pkts: &mut [&mut [u8]], now: Instant) -> [RouterVerdict; GROUP] {
+        let mut verdicts = [RouterVerdict::Drop(DropReason::ParseError); GROUP];
+        let mut slots: [Option<(PacketViewMut<'_>, Lane)>; GROUP] = [const { None }; GROUP];
+        let (mut eer, mut segr) = (Lanes::default(), Lanes::default());
+        for (i, pkt) in pkts.iter_mut().enumerate() {
+            match self.screen(pkt, now) {
+                Ok((view, lane)) => {
+                    match lane.eer_info {
+                        Some(_) => eer.push(i),
+                        None => segr.push(i),
+                    }
+                    slots[i] = Some((view, lane));
+                }
+                Err(dropped) => verdicts[i] = dropped,
+            }
         }
-        // Cryptographic validation from the AS secret alone: the batch's
-        // kernels at width 1.
-        let k_i = self.k_i(Epoch::containing(now));
-        let [valid] = match &lane.eer_info {
-            Some(info) => EerCheck(k_i).run(&[(&lane, info)]),
-            None => SegrCheck(k_i).run(&[&lane]),
-        };
-        self.finish(&lane, valid, &mut view, now)
+        // Crypto has no ordering effects, so running the EER lanes apart
+        // from the SegR lanes cannot change any verdict.
+        let mut valid = [false; GROUP];
+        if eer.len + segr.len > 0 {
+            self.sigma_derivations += eer.len as u64;
+            let k_i = self.k_i(Epoch::containing(now));
+            let lanes = Screened(&slots);
+            for_each_by_width(eer.get(), &EerCheck(k_i, lanes), |&i, ok| valid[i] = ok);
+            for_each_by_width(segr.get(), &SegrCheck(k_i, lanes), |&i, ok| valid[i] = ok);
+        }
+        for (i, slot) in slots.iter_mut().enumerate() {
+            if let Some((view, lane)) = slot {
+                verdicts[i] = self.finish(lane, valid[i], view, now);
+            }
+        }
+        verdicts
     }
 
     /// Parses `pkt` once and runs the stateless header checks (§4.6):
     /// expiry, then freshness (`Ts` encodes the send time relative to
     /// `ExpT`). A survivor comes back as its view plus a [`Lane`] holding
     /// everything the crypto and forwarding steps need.
+    #[inline]
     fn screen<'a>(
         &mut self,
         pkt: &'a mut [u8],
-        idx: usize,
         now: Instant,
     ) -> Result<(PacketViewMut<'a>, Lane), RouterVerdict> {
         let Ok(view) = PacketViewMut::parse(pkt) else {
@@ -306,7 +332,6 @@ impl BorderRouter {
         }
         let curr = view.curr_hop();
         let lane = Lane {
-            idx,
             res_info,
             eer_info: view.eer_info(),
             ts,
@@ -360,63 +385,37 @@ impl BorderRouter {
 
     /// Processes a batch of packets, producing the same verdicts (and the
     /// same [`RouterStats`]) as calling [`Self::process`] on each packet
-    /// in order, but substantially faster:
+    /// in order, but substantially faster: the batch runs as consecutive
+    /// groups of eight packets, each group one pass of the same code
+    /// [`Self::process`] runs at width 1, with nothing on the heap but the
+    /// returned verdicts. Within a group,
     ///
-    /// * each packet is parsed once, and the per-epoch `K_i` lookup is
-    ///   hoisted out of the per-packet loop;
-    /// * the MAC verification runs eight packets wide, one lane list per
-    ///   MAC construction: EER lanes through Eq. 4 ([`hop_auths`] under
-    ///   the shared `K_i`), σ expansion ([`Cmac::new_each`]) and Eq. 6
-    ///   ([`eer_hvfs`]); SegR lanes through Eq. 3 ([`segr_tokens`]). The
-    ///   AES round latency of one packet hides behind the other seven.
-    ///   Remainders of at least four lanes run 4-wide, shorter tails one
-    ///   by one — the same kernels [`Self::process`] runs at width 1, so
-    ///   every width is bit-identical and costs the same AES blocks and
-    ///   key expansions.
+    /// * each packet is parsed once, and the per-epoch `K_i` lookup runs
+    ///   once for the group;
+    /// * the MAC verification runs as many packets wide as the group has
+    ///   lanes of one kind (eight, then four, then one by one): EER lanes
+    ///   through Eq. 4 ([`hop_auths`] under the shared `K_i`) and Eq. 6
+    ///   ([`eer_hvfs`] under each lane's fresh σ, whose one key expansion
+    ///   is fused with its subkey block), SegR lanes through Eq. 3
+    ///   ([`segr_tokens`]). The AES round latency of one packet hides
+    ///   behind the others'. Every width is bit-identical and costs the
+    ///   same AES blocks and key expansions.
     ///
     /// Monitoring (stateful: replay filter, OFD sketch, token buckets)
-    /// still runs packet-by-packet in submission order, which is what
-    /// makes the verdicts bit-identical to the sequential path.
+    /// runs packet by packet in submission order, group after group, which
+    /// is what makes the verdicts bit-identical to the sequential path.
     pub fn process_batch(&mut self, pkts: &mut [&mut [u8]], now: Instant) -> Vec<RouterVerdict> {
         // Wall clock feeds only the Volatile per-batch latency histogram,
-        // sampled one call in `CLOCK_SAMPLE`; it never influences
-        // processing (determinism rules, DESIGN.md §11).
+        // sampled one call in 8; it never influences processing
+        // (determinism rules, DESIGN.md §11).
         let timed = self.telemetry.as_mut().is_some_and(RouterTelemetry::time_batch);
         let wall_start = timed.then(std::time::Instant::now);
-        let mut verdicts = vec![RouterVerdict::Drop(DropReason::ParseError); pkts.len()];
-        // Phase 1 — parse once and run the stateless header checks; the
-        // survivors become lanes, each with its view.
-        let mut views: Vec<PacketViewMut<'_>> = Vec::with_capacity(pkts.len());
-        let mut lanes: Vec<Lane> = Vec::with_capacity(pkts.len());
-        for (idx, pkt) in pkts.iter_mut().enumerate() {
-            match self.screen(pkt, idx, now) {
-                Ok((view, lane)) => {
-                    views.push(view);
-                    lanes.push(lane);
-                }
-                Err(dropped) => verdicts[idx] = dropped,
-            }
-        }
-        // Phase 2 — stateless crypto under the hoisted per-epoch key, one
-        // lane list per MAC construction. Crypto has no ordering effects,
-        // so regrouping cannot change any verdict.
-        let mut eer = Vec::new();
-        let mut segr = Vec::new();
-        for lane in &lanes {
-            match &lane.eer_info {
-                Some(info) => eer.push((lane, info)),
-                None => segr.push(lane),
-            }
-        }
-        self.sigma_derivations += eer.len() as u64;
-        let k_i = self.k_i(Epoch::containing(now));
-        let mut valid = vec![false; verdicts.len()];
-        for_each_by_width(&eer, &EerCheck(k_i), |(lane, _), ok| valid[lane.idx] = ok);
-        for_each_by_width(&segr, &SegrCheck(k_i), |lane, ok| valid[lane.idx] = ok);
-        // Phase 3 — stateful monitoring and forwarding, in submission
-        // order (lanes are already index-ordered).
-        for (lane, view) in lanes.iter().zip(&mut views) {
-            verdicts[lane.idx] = self.finish(lane, valid[lane.idx], view, now);
+        // `K_i` is derived on the first call of each epoch, whatever the
+        // packets (as a batch always has).
+        self.k_i(Epoch::containing(now));
+        let mut verdicts = Vec::with_capacity(pkts.len());
+        for group in pkts.chunks_mut(GROUP) {
+            verdicts.extend_from_slice(&self.process_group(group, now)[..group.len()]);
         }
         if let Some(t) = &self.telemetry {
             t.observe_batch(pkts.len(), wall_start.map(|s| s.elapsed().as_nanos() as u64));
@@ -443,12 +442,13 @@ impl BorderRouter {
     }
 }
 
+/// Packets per group of [`BorderRouter::process_batch`]: the widest MAC
+/// kernel.
+const GROUP: usize = 8;
+
 /// Everything the crypto and forwarding steps need about one packet that
-/// passed the header checks — all `Copy` data lifted out of the parse, so
-/// no borrow of the packet buffer is held across the batch phases.
+/// passed the header checks — all `Copy` data lifted out of the parse.
 struct Lane {
-    /// Index into the caller's batch (and the verdict vector).
-    idx: usize,
     res_info: ResInfo,
     /// `Some` for EER data packets, `None` for SegR/control packets.
     eer_info: Option<EerInfo>,
@@ -456,6 +456,36 @@ struct Lane {
     hop: HopField,
     hvf: [u8; HVF_LEN],
     pkt_size: usize,
+}
+
+/// The slots of a group that hold lanes of one kind, in order.
+#[derive(Default)]
+struct Lanes {
+    slots: [usize; GROUP],
+    len: usize,
+}
+
+impl Lanes {
+    fn push(&mut self, slot: usize) {
+        self.slots[self.len] = slot;
+        self.len += 1;
+    }
+
+    fn get(&self) -> &[usize] {
+        &self.slots[..self.len]
+    }
+}
+
+/// A group's screened packets, read by slot.
+#[derive(Clone, Copy)]
+struct Screened<'g, 'p>(&'g [Option<(PacketViewMut<'p>, Lane)>; GROUP]);
+
+impl Screened<'_, '_> {
+    /// The lane in `slot`, which passed the header checks.
+    #[inline]
+    fn lanes<const N: usize>(&self, slots: &[usize; N]) -> [&Lane; N] {
+        slots.map(|i| &self.0[i].as_ref().expect("a screened slot").1)
+    }
 }
 
 /// One MAC kernel of the data plane, written once for every lane width:
@@ -490,33 +520,35 @@ fn run_chunk<T, K: LaneKernel<T>, const N: usize>(
     items.iter().zip(kernel.run(items)).for_each(|(item, out)| sink(item, out));
 }
 
-/// The EER check: Eq. 4 under `K_i` → σ expansion → Eq. 6, compared in
-/// constant time with the packet's HVF (Fig. 2).
-struct EerCheck<'k>(&'k Cmac);
+/// The EER check: Eq. 4 under `K_i` → Eq. 6 under the fresh σ, compared
+/// in constant time with the packet's HVF (Fig. 2).
+struct EerCheck<'k, 'g, 'p>(&'k Cmac, Screened<'g, 'p>);
 
-impl LaneKernel<(&Lane, &EerInfo)> for EerCheck<'_> {
+impl LaneKernel<usize> for EerCheck<'_, '_, '_> {
     type Out = bool;
 
     #[inline]
-    fn run<const N: usize>(&self, lanes: &[(&Lane, &EerInfo); N]) -> [bool; N] {
-        let inputs = lanes.map(|(l, info)| hop_auth_input(&l.res_info, info, l.hop));
-        let sigmas = hop_auths(self.0, inputs.each_ref());
-        let sigma_cmacs = Cmac::new_each(sigmas.each_ref().map(|s| &s.0));
-        let hvfs = eer_hvfs(sigma_cmacs.each_ref(), lanes.map(|(l, _)| (l.ts, l.pkt_size)));
-        core::array::from_fn(|i| ct_eq(&hvfs[i], &lanes[i].0.hvf))
+    fn run<const N: usize>(&self, slots: &[usize; N]) -> [bool; N] {
+        let lanes = self.1.lanes(slots);
+        let sigmas = hop_auths(
+            self.0,
+            lanes.map(|l| hop_auth_blocks(&l.res_info, &l.eer_info.expect("an EER lane"), l.hop)),
+        );
+        let hvfs = eer_hvfs(sigmas.each_ref(), lanes.map(|l| (l.ts, l.pkt_size)));
+        core::array::from_fn(|i| ct_eq(&hvfs[i], &lanes[i].hvf))
     }
 }
 
 /// The SegR check: Eq. 3 under `K_i`, compared in constant time.
-struct SegrCheck<'k>(&'k Cmac);
+struct SegrCheck<'k, 'g, 'p>(&'k Cmac, Screened<'g, 'p>);
 
-impl LaneKernel<&Lane> for SegrCheck<'_> {
+impl LaneKernel<usize> for SegrCheck<'_, '_, '_> {
     type Out = bool;
 
     #[inline]
-    fn run<const N: usize>(&self, lanes: &[&Lane; N]) -> [bool; N] {
-        let inputs = lanes.map(|l| segr_input(&l.res_info, l.hop));
-        let tokens = segr_tokens(self.0, inputs.each_ref());
+    fn run<const N: usize>(&self, slots: &[usize; N]) -> [bool; N] {
+        let lanes = self.1.lanes(slots);
+        let tokens = segr_tokens(self.0, lanes.map(|l| segr_blocks(&l.res_info, l.hop)));
         core::array::from_fn(|i| ct_eq(&tokens[i], &lanes[i].hvf))
     }
 }

@@ -14,12 +14,18 @@
 //! touching atomics per packet: the stats are already proven identical
 //! between the scalar and batched paths by the differential proptests,
 //! so the exported Invariant metrics inherit that equality for free, and
-//! the hot-path cost collapses to a handful of relaxed `fetch_add`s per
-//! *batch* (the ≤2 % throughput gate of `repro pipeline`).
+//! the hot-path cost collapses to a handful of cell updates per *batch*
+//! (the ≤2 % throughput gate of `repro pipeline`). A router is the only
+//! writer of the cells of its shard label — the shard pool gives each
+//! worker its own `router<i>`, and one thread drives a router at a time —
+//! so it updates them with plain loads and stores
+//! ([`Counter::add_sole_writer`](colibri_telemetry::Counter::add_sole_writer))
+//! rather than locked read-modify-writes. Two routers driven from two
+//! threads must not share a shard label.
 //!
 //! Both latency histograms read the wall clock for one event in
-//! [`CLOCK_SAMPLE`] — one `process_batch` call of a router, one packet of
-//! a gateway. Two clock reads and a histogram update are ≈75–100 ns:
+//! `CLOCK_SAMPLE` (8) — one `process_batch` call of a router, one packet
+//! of a gateway. Two clock reads and a histogram update are ≈75–100 ns:
 //! about 1 % of a 64-packet router batch, but ≈40 % of a short-path
 //! gateway packet if paid on every one.
 
@@ -122,14 +128,21 @@ impl RouterTelemetry {
     /// recorded baseline onto the registry cells.
     pub(crate) fn record(&mut self, stats: &RouterStats) {
         let d = stats.delta_since(&self.last_stats);
-        self.forwarded.add(d.forwarded);
-        self.parse_errors.add(d.parse_errors);
-        self.expired.add(d.expired);
-        self.stale.add(d.stale);
-        self.bad_hvf.add(d.bad_hvf);
-        self.blocked.add(d.blocked);
-        self.duplicates.add(d.duplicates);
-        self.shaped.add(d.shaped);
+        let cells = [
+            (&self.forwarded, d.forwarded),
+            (&self.parse_errors, d.parse_errors),
+            (&self.expired, d.expired),
+            (&self.stale, d.stale),
+            (&self.bad_hvf, d.bad_hvf),
+            (&self.blocked, d.blocked),
+            (&self.duplicates, d.duplicates),
+            (&self.shaped, d.shaped),
+        ];
+        for (cell, n) in cells {
+            if n > 0 {
+                cell.add_sole_writer(n);
+            }
+        }
         self.last_stats = *stats;
     }
 
@@ -142,9 +155,9 @@ impl RouterTelemetry {
 
     #[inline]
     pub(crate) fn observe_batch(&self, len: usize, wall_ns: Option<u64>) {
-        self.batch_size.observe(len as u64);
+        self.batch_size.observe_sole_writer(len as u64);
         if let Some(ns) = wall_ns {
-            self.batch_ns.observe(ns);
+            self.batch_ns.observe_sole_writer(ns);
         }
     }
 }

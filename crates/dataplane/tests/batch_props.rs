@@ -10,13 +10,10 @@
 //! statistics, and identical output buffers.
 
 use colibri_base::{Duration, HostAddr, Instant, IsdAsId, ResId};
-use colibri_crypto::{Cmac, Epoch, SecretValueGen};
+use colibri_crypto::{Block, Cmac, Epoch, Key, SecretValueGen};
 use colibri_ctrl::master_secret_for;
 use colibri_dataplane::{BorderRouter, RouterConfig, RouterVerdict};
-use colibri_wire::mac::{
-    eer_hvf, eer_hvfs, hop_auth, hop_auths, segr_token, segr_tokens, HOP_AUTH_INPUT_LEN,
-    SEGR_INPUT_LEN,
-};
+use colibri_wire::mac::{eer_hvf, eer_hvfs, hop_auth, hop_auths, segr_token, segr_tokens};
 use colibri_wire::{EerInfo, HopField, PacketBuilder, PacketViewMut, ResInfo, HVF_LEN};
 use proptest::prelude::*;
 
@@ -192,10 +189,24 @@ fn gen_strategy() -> impl Strategy<Value = Gen> {
     ]
 }
 
+/// Lengths of the Eq. 4 and Eq. 3 MAC inputs in bytes.
+const HOP_AUTH_INPUT_LEN: usize = 30;
+const SEGR_INPUT_LEN: usize = 22;
+
+/// A 17–31-byte message as its two CMAC blocks, the second `10*`-padded.
+fn two_blocks(msg: &[u8]) -> [Block; 2] {
+    let mut bytes = [0u8; 32];
+    bytes[..msg.len()].copy_from_slice(msg);
+    bytes[msg.len()] = 0x80;
+    let (a, b) = bytes.split_at(16);
+    [a, b].map(|half| Block::from_be_bytes(half.try_into().unwrap()))
+}
+
 /// The lane kernels at width `N` over the first `N` generated inputs, each
 /// against the scalar CMAC: Eq. 4 ([`hop_auths`]) and Eq. 3
-/// ([`segr_tokens`]) under `K_i`, and Eq. 6 ([`eer_hvfs`]) over σ
-/// instances expanded `N`-wide ([`Cmac::new_each`]).
+/// ([`segr_tokens`]) under `K_i` over padded blocks of arbitrary bytes, and
+/// Eq. 6 ([`eer_hvfs`]) under σ in each key form — expanded [`Cmac`]s,
+/// compact keys, and raw [`Key`]s expanded in the kernel.
 fn lane_primitives_at<const N: usize>(
     k_i: &Cmac,
     sigma_keys: &[[u8; 16]],
@@ -203,10 +214,15 @@ fn lane_primitives_at<const N: usize>(
     segr_inputs: &[[u8; SEGR_INPUT_LEN]],
     hvf_inputs: &[(u64, usize)],
 ) {
-    let sigmas = hop_auths::<N>(k_i, std::array::from_fn(|j| &auth_inputs[j]));
-    let tokens = segr_tokens::<N>(k_i, std::array::from_fn(|j| &segr_inputs[j]));
-    let sigma_cmacs = Cmac::new_each::<N>(std::array::from_fn(|j| &sigma_keys[j]));
-    let hvfs = eer_hvfs(sigma_cmacs.each_ref(), std::array::from_fn(|j| hvf_inputs[j]));
+    let sigmas = hop_auths::<N>(k_i, std::array::from_fn(|j| two_blocks(&auth_inputs[j])));
+    let tokens = segr_tokens::<N>(k_i, std::array::from_fn(|j| two_blocks(&segr_inputs[j])));
+    let inputs = std::array::from_fn(|j| hvf_inputs[j]);
+    let keys: [Key; N] = std::array::from_fn(|j| Key(sigma_keys[j]));
+    let hvfs = eer_hvfs(keys.each_ref(), inputs);
+    let cmacs = Cmac::new_each::<N>(std::array::from_fn(|j| &sigma_keys[j]));
+    prop_assert_eq!(eer_hvfs(cmacs.each_ref(), inputs), hvfs, "N {} expanded σ", N);
+    let compact = Cmac::compact_each::<N>(std::array::from_fn(|j| &sigma_keys[j]));
+    prop_assert_eq!(eer_hvfs(compact.each_ref(), inputs), hvfs, "N {} compact σ", N);
     for j in 0..N {
         prop_assert_eq!(sigmas[j].0, k_i.tag(&auth_inputs[j]), "N {} σ lane {}", N, j);
         prop_assert_eq!(tokens[j], k_i.tag(&segr_inputs[j])[..HVF_LEN], "N {} lane {}", N, j);

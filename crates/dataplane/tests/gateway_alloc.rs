@@ -1,58 +1,16 @@
 //! Stamping allocates nothing: after warm-up, `Gateway::process_into`
 //! into a recycled buffer makes zero heap allocations per packet, at
-//! every path length. A counting global allocator, in this test binary
-//! only, counts the allocations of the calling thread.
+//! every path length. A counting global allocator (`alloc_counter`), in
+//! this test binary only, counts the allocations of the calling thread.
 
 use colibri_base::{Bandwidth, Duration, HostAddr, Instant, IsdAsId, ResId, ReservationKey};
 use colibri_crypto::Key;
 use colibri_ctrl::{OwnedEer, OwnedEerVersion};
 use colibri_dataplane::{Gateway, GatewayConfig};
 use colibri_wire::{EerInfo, HopField};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// The system allocator, counting every allocation and reallocation per
-/// thread.
-struct Counting;
-
-fn count() {
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every call forwards to `System` with the caller's arguments.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-fn allocations_in(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.with(Cell::get);
-    f();
-    ALLOCATIONS.with(Cell::get) - before
-}
+mod alloc_counter;
+use alloc_counter::allocations_in;
 
 fn owned(hops: usize, exp: Instant) -> OwnedEer {
     OwnedEer {

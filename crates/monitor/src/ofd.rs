@@ -16,6 +16,12 @@
 //! an EER — which share the flow label `(SrcAS, ResId)` but may have
 //! different bandwidths — jointly consume at most the largest version's
 //! allowance.
+//!
+//! The counters are saturating `u32`s (half the cache footprint and half
+//! the per-window reset of `u64`s). A counter that saturates has already
+//! passed the threshold, which [`OveruseFlowDetector::new`] requires to be
+//! below `u32::MAX` ns (≈4.29 s of reservation time per window): every
+//! verdict is the one unbounded counters would give.
 
 use colibri_base::{Bandwidth, Duration, Instant, ReservationKey};
 
@@ -29,7 +35,8 @@ pub struct OfdConfig {
     /// Measurement window.
     pub window: Duration,
     /// A flow is suspicious when its normalized usage estimate exceeds
-    /// `window × factor`. Must be > 1 to absorb bursts and sketch noise.
+    /// `window × factor`. Must be > 1 to absorb bursts and sketch noise,
+    /// and `window × factor` must stay below `u32::MAX` ns.
     pub factor: f64,
 }
 
@@ -54,8 +61,9 @@ pub fn normalized_ns(bytes: u64, bw: Bandwidth) -> u64 {
 #[derive(Debug, Clone)]
 pub struct OveruseFlowDetector {
     cfg: OfdConfig,
-    /// `depth` rows of `width` counters, flattened.
-    counters: Vec<u64>,
+    /// `depth` rows of `width` counters, flattened; each saturates at
+    /// `u32::MAX`, above the threshold.
+    counters: Vec<u32>,
     seeds: Vec<u64>,
     window_idx: u64,
     threshold_ns: u64,
@@ -63,6 +71,11 @@ pub struct OveruseFlowDetector {
 
 impl OveruseFlowDetector {
     /// Creates a detector. `width` is rounded up to a power of two.
+    ///
+    /// # Panics
+    /// On a degenerate sketch, a `factor` of at most 1, or a threshold
+    /// `window × factor` at or above `u32::MAX` ns, which the saturating
+    /// 32-bit counters could not tell apart from a saturated one.
     pub fn new(cfg: OfdConfig) -> Self {
         assert!(cfg.depth >= 1 && cfg.width >= 2 && cfg.factor > 1.0);
         let width = cfg.width.next_power_of_two();
@@ -71,13 +84,17 @@ impl OveruseFlowDetector {
             .map(|i| 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(2 * i as u64 + 1))
             .collect();
         let threshold_ns = (cfg.window.as_nanos() as f64 * cfg.factor) as u64;
+        assert!(
+            threshold_ns < u64::from(u32::MAX),
+            "OFD threshold window × factor = {threshold_ns} ns must be below u32::MAX ns"
+        );
         Self { counters: vec![0; cfg.depth * width], cfg, seeds, window_idx: 0, threshold_ns }
     }
 
     /// Memory footprint of the counter array in bytes (the paper stresses
     /// the OFD must fit in fast cache).
     pub fn memory_bytes(&self) -> usize {
-        self.counters.len() * 8
+        self.counters.len() * std::mem::size_of::<u32>()
     }
 
     fn maybe_roll(&mut self, now: Instant) {
@@ -100,19 +117,22 @@ impl OveruseFlowDetector {
     /// suspicious. `norm_ns` is the output of [`normalized_ns`].
     pub fn observe(&mut self, key: ReservationKey, norm_ns: u64, now: Instant) -> bool {
         self.maybe_roll(now);
-        let mut estimate = u64::MAX;
+        let add = u32::try_from(norm_ns).unwrap_or(u32::MAX);
+        let mut estimate = u32::MAX;
         for row in 0..self.cfg.depth {
             let i = self.row_index(row, key);
-            self.counters[i] = self.counters[i].saturating_add(norm_ns);
+            self.counters[i] = self.counters[i].saturating_add(add);
             estimate = estimate.min(self.counters[i]);
         }
-        estimate > self.threshold_ns
+        u64::from(estimate) > self.threshold_ns
     }
 
-    /// Current usage estimate of a flow within this window, in ns.
+    /// Current usage estimate of a flow within this window, in ns; it
+    /// saturates at `u32::MAX`, above the threshold.
     pub fn estimate(&mut self, key: ReservationKey, now: Instant) -> u64 {
         self.maybe_roll(now);
-        (0..self.cfg.depth).map(|row| self.counters[self.row_index(row, key)]).min().unwrap_or(0)
+        let rows = 0..self.cfg.depth;
+        rows.map(|row| u64::from(self.counters[self.row_index(row, key)])).min().unwrap_or(0)
     }
 
     /// The suspicion threshold in normalized nanoseconds per window.
@@ -255,7 +275,76 @@ mod tests {
     #[test]
     fn memory_is_bounded() {
         let ofd = OveruseFlowDetector::new(OfdConfig::default());
-        // 4 × 16384 × 8 B = 512 KiB — cache-resident as the paper requires.
-        assert_eq!(ofd.memory_bytes(), 4 * 16384 * 8);
+        // 4 × 16384 × 4 B = 256 KiB — cache-resident as the paper requires.
+        assert_eq!(ofd.memory_bytes(), 4 * 16384 * 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "below u32::MAX")]
+    fn threshold_at_u32_max_is_refused() {
+        let window = Duration::from_nanos(u64::from(u32::MAX) / 2 + 1);
+        OveruseFlowDetector::new(OfdConfig { window, factor: 2.0, ..OfdConfig::default() });
+    }
+
+    /// The sketch with unbounded `u64` counters, over the same rows and
+    /// hash as `ofd`: the reference the saturating `u32` counters must
+    /// agree with.
+    struct Reference {
+        counters: Vec<u64>,
+        window_idx: u64,
+    }
+
+    impl Reference {
+        fn observe(
+            &mut self,
+            ofd: &OveruseFlowDetector,
+            key: ReservationKey,
+            norm_ns: u64,
+            now: Instant,
+        ) -> bool {
+            let idx = now.as_nanos() / ofd.cfg.window.as_nanos();
+            if idx != self.window_idx {
+                self.counters.fill(0);
+                self.window_idx = idx;
+            }
+            let mut estimate = u64::MAX;
+            for row in 0..ofd.cfg.depth {
+                let i = ofd.row_index(row, key);
+                self.counters[i] = self.counters[i].saturating_add(norm_ns);
+                estimate = estimate.min(self.counters[i]);
+            }
+            estimate > ofd.threshold_ns
+        }
+    }
+
+    proptest::proptest! {
+        /// Saturating `u32` counters give the verdicts of `u64` counters
+        /// on random streams: small and huge per-packet loads, few and
+        /// many flows, across window rolls.
+        #[test]
+        fn u32_verdicts_equal_u64_reference(
+            packets in proptest::collection::vec(
+                (0u32..40, 0u64..1 << 36, 0u64..20_000_000),
+                1..400,
+            ),
+            width_log2 in 4u32..10,
+        ) {
+            let cfg = OfdConfig { width: 1 << width_log2, ..OfdConfig::default() };
+            let mut ofd = OveruseFlowDetector::new(cfg);
+            let mut reference = Reference { counters: vec![0; ofd.counters.len()], window_idx: 0 };
+            let mut now = Instant::from_nanos(1);
+            for &(flow, load, gap) in &packets {
+                // Loads up to 2^36 ns, far past u32::MAX, but mostly below
+                // the 125 ms threshold.
+                let norm_ns = load >> (load % 29);
+                now += Duration::from_nanos(gap);
+                let verdict = ofd.observe(key(flow), norm_ns, now);
+                proptest::prop_assert_eq!(
+                    verdict,
+                    reference.observe(&ofd, key(flow), norm_ns, now),
+                    "flow {} load {} at {:?}", flow, norm_ns, now
+                );
+            }
+        }
     }
 }

@@ -66,8 +66,10 @@ proptest! {
         let mut ofd = OveruseFlowDetector::new(OfdConfig {
             depth: 4,
             width: 1 << width_log2,
-            window: Duration::from_secs(1000), // no roll during the test
-            factor: 1e12,                      // suspicion disabled
+            // `now` stays in window 0, so the sketch never rolls; the
+            // largest threshold the `u32` counters allow (≈4.29 s).
+            window: Duration::from_secs(2),
+            factor: 2.1,
         });
         let now = Instant::from_nanos(1);
         let mut truth: std::collections::HashMap<u32, u64> = Default::default();

@@ -1,6 +1,6 @@
 //! Leaf queues and the deficit-round-robin arbiter.
 //!
-//! Each traffic class owns one [`Lane`]: an ordered set of leaf FIFOs,
+//! Each traffic class owns one `Lane`: an ordered set of leaf FIFOs,
 //! one per `(reservation, host)` pair (best-effort leaves have no
 //! reservation). A service round hands the lane a nanobyte budget; the
 //! lane distributes it across leaves with classic DRR — every non-empty

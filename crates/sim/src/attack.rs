@@ -4,7 +4,7 @@
 //! attack traffic is squeezed out — are only credible if the routers are
 //! actually fed hostile frames. This module produces them,
 //! deterministically: an [`AttackGen`] is seeded with a
-//! [`FaultRng`](crate::FaultRng) and a *valid* template packet (stamped
+//! [`FaultRng`] and a *valid* template packet (stamped
 //! by a real gateway), and every emitted frame is a pure function of
 //! `(seed, template, call sequence)`, so an adversarial run that finds a
 //! panic or an accounting leak replays bit-identically.

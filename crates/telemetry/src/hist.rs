@@ -76,6 +76,20 @@ impl HistCells {
         self.count.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Records one value with plain loads and stores instead of locked
+    /// read-modify-writes, for a cell whose only writer is the calling
+    /// thread (a per-thread shard). A concurrent writer on the same cell
+    /// could lose an update; readers still see whole values.
+    #[inline]
+    pub fn observe_sole_writer(&self, v: u64) {
+        let add = |cell: &AtomicU64, n: u64| {
+            cell.store(cell.load(Ordering::Relaxed).wrapping_add(n), Ordering::Relaxed);
+        };
+        add(&self.counts[bucket_index(v)], 1);
+        add(&self.sum, v);
+        add(&self.count, 1);
+    }
+
     /// Reads a consistent-at-quiescence snapshot of this cell.
     pub fn snapshot(&self) -> HistSnapshot {
         let mut buckets = Vec::new();

@@ -363,6 +363,14 @@ impl Histogram {
     pub fn observe(&self, v: u64) {
         self.cell.observe(v);
     }
+
+    /// Records one value with plain loads and stores, for a cell whose
+    /// only writer is the calling thread (see
+    /// [`Counter::add_sole_writer`]).
+    #[inline]
+    pub fn observe_sole_writer(&self, v: u64) {
+        self.cell.observe_sole_writer(v);
+    }
 }
 
 /// A scraped value: scalar (counter/gauge) or histogram.
@@ -712,6 +720,22 @@ mod tests {
         c.add_sole_writer(0);
         assert_eq!(c.get(), 7);
         assert_eq!(reg.snapshot().total("colibri_test_sole_total"), 7);
+    }
+
+    #[test]
+    fn sole_writer_observe_records_like_observe() {
+        let reg = Registry::new();
+        let (a, b) = (reg.shard("a"), reg.shard("b"));
+        let plain = a.histogram("colibri_test_sole_hist", Stability::PathDependent, "h");
+        let sole = b.histogram("colibri_test_sole_hist", Stability::PathDependent, "h");
+        for v in [0, 1, 7, 64, 1000, u64::MAX / 2] {
+            plain.observe(v);
+            sole.observe_sole_writer(v);
+        }
+        let snap = reg.snapshot();
+        let shards = &snap.metric("colibri_test_sole_hist").expect("registered").shards;
+        assert_eq!(shards.len(), 2);
+        assert_eq!(shards[0].1, shards[1].1);
     }
 
     #[test]

@@ -17,119 +17,132 @@
 //! already rules out path splicing (paper §4.5).
 
 use crate::packet::{EerInfo, HopField, ResInfo, HVF_LEN};
-use colibri_crypto::{Cmac, Key, ShortTagKey};
+use colibri_crypto::cmac::pad;
+use colibri_crypto::{Block, Cmac, Key, PaddedTagKey};
 
-/// Length of the canonical `ResInfo` encoding.
-pub const RES_INFO_ENC_LEN: usize = 18;
-/// Length of the canonical hop-field encoding.
-pub const HOP_ENC_LEN: usize = 4;
-/// Length of the Eq. 3 MAC input (`ResInfo || hop`).
-pub const SEGR_INPUT_LEN: usize = RES_INFO_ENC_LEN + HOP_ENC_LEN;
-/// Length of the Eq. 4 MAC input (`ResInfo || EERInfo || hop`).
-pub const HOP_AUTH_INPUT_LEN: usize = RES_INFO_ENC_LEN + 8 + HOP_ENC_LEN;
-
-/// Encodes `ResInfo` exactly as it is authenticated.
-pub fn encode_res_info(res: &ResInfo, out: &mut [u8; RES_INFO_ENC_LEN]) {
-    out[0..8].copy_from_slice(&res.src_as.to_u64().to_be_bytes());
-    out[8..12].copy_from_slice(&res.res_id.0.to_be_bytes());
-    out[12] = res.bw.0;
-    out[13] = res.ver;
-    out[14..18].copy_from_slice(&res.exp_secs().to_be_bytes());
+/// A big-endian field of a MAC input at byte `at` of its block (see
+/// [`Block`]: block bytes read little-endian).
+#[inline(always)]
+fn be64(v: u64, at: usize) -> Block {
+    Block::from(v) << (8 * (16 - 8 - at))
 }
 
-fn encode_hop(hop: HopField, out: &mut [u8; HOP_ENC_LEN]) {
-    out[0..2].copy_from_slice(&hop.ingress.0.to_be_bytes());
-    out[2..4].copy_from_slice(&hop.egress.0.to_be_bytes());
+#[inline(always)]
+fn be32(v: u32, at: usize) -> Block {
+    Block::from(v) << (8 * (16 - 4 - at))
 }
 
-/// Encodes the full Eq. 3 MAC input `ResInfo || (In_i, Eg_i)`: exactly
-/// the set of packet bits the SegR token authenticates.
-pub fn segr_input(res: &ResInfo, hop: HopField) -> [u8; SEGR_INPUT_LEN] {
-    let mut msg = [0u8; SEGR_INPUT_LEN];
-    encode_res_info(res, (&mut msg[..RES_INFO_ENC_LEN]).try_into().unwrap());
-    encode_hop(hop, (&mut msg[RES_INFO_ENC_LEN..]).try_into().unwrap());
-    msg
+#[inline(always)]
+fn be16(v: u16, at: usize) -> Block {
+    Block::from(v) << (8 * (16 - 2 - at))
 }
 
-/// Encodes the full Eq. 4 MAC input `ResInfo || EERInfo || (In_i, Eg_i)`:
-/// precisely the authenticated tuple from which σ_i is derived.
-pub fn hop_auth_input(res: &ResInfo, eer: &EerInfo, hop: HopField) -> [u8; HOP_AUTH_INPUT_LEN] {
-    let mut msg = [0u8; HOP_AUTH_INPUT_LEN];
-    encode_res_info(res, (&mut msg[..RES_INFO_ENC_LEN]).try_into().unwrap());
-    msg[RES_INFO_ENC_LEN..RES_INFO_ENC_LEN + 4].copy_from_slice(&eer.src_host.0.to_be_bytes());
-    msg[RES_INFO_ENC_LEN + 4..RES_INFO_ENC_LEN + 8].copy_from_slice(&eer.dst_host.0.to_be_bytes());
-    encode_hop(hop, (&mut msg[RES_INFO_ENC_LEN + 8..]).try_into().unwrap());
-    msg
+/// The first block of the Eq. 3 and Eq. 4 inputs, which both open with
+/// the 18-byte `ResInfo` encoding `SrcAS (8) ‖ ResId (4) ‖ Bw (1) ‖
+/// Ver (1) ‖ ExpT (4, seconds)`: all of it but the last two bytes of
+/// `ExpT`, which open the second block.
+#[inline(always)]
+fn res_info_head(res: &ResInfo) -> Block {
+    be64(res.src_as.to_u64(), 0)
+        | be32(res.res_id.0, 8)
+        | Block::from(res.bw.0) << 24
+        | Block::from(res.ver) << 16
+        | be16((res.exp_secs() >> 16) as u16, 14)
+}
+
+/// The Eq. 3 input `ResInfo ‖ (In_i, Eg_i)` (22 bytes) as its two CMAC
+/// blocks, the second `10*`-padded after its 6 bytes: exactly the set of
+/// packet bits the SegR token authenticates.
+#[inline(always)]
+pub fn segr_blocks(res: &ResInfo, hop: HopField) -> [Block; 2] {
+    let tail = be16(res.exp_secs() as u16, 0)
+        | be16(hop.ingress.0, 2)
+        | be16(hop.egress.0, 4)
+        | pad(6);
+    [res_info_head(res), tail]
+}
+
+/// The Eq. 4 input `ResInfo ‖ EERInfo ‖ (In_i, Eg_i)` (30 bytes) as its
+/// two CMAC blocks, the second `10*`-padded after its 14 bytes: precisely
+/// the authenticated tuple from which σ_i is derived.
+#[inline(always)]
+pub fn hop_auth_blocks(res: &ResInfo, eer: &EerInfo, hop: HopField) -> [Block; 2] {
+    let tail = be16(res.exp_secs() as u16, 0)
+        | be32(eer.src_host.0, 2)
+        | be32(eer.dst_host.0, 6)
+        | be16(hop.ingress.0, 10)
+        | be16(hop.egress.0, 12)
+        | pad(14);
+    [res_info_head(res), tail]
+}
+
+/// The Eq. 6 input `Ts (8) ‖ PktSize (4)` as its one CMAC block,
+/// `10*`-padded after its 12 bytes.
+#[inline(always)]
+pub fn hvf_block(ts: u64, pkt_size: usize) -> Block {
+    be64(ts, 0) | be32(pkt_size as u32, 8) | pad(12)
 }
 
 /// Computes `N` SegR tokens `V_i^(S)` (Eq. 3) under the AS secret `k_i`
-/// over pre-encoded inputs (see [`segr_input`]), `N`-wide through the
-/// interleaved CMAC ([`Cmac::tag_each`]). Every width costs the AES
-/// blocks of `N` scalar [`segr_token`] calls and returns the same tokens.
-#[inline]
-pub fn segr_tokens<const N: usize>(
-    k_i: &Cmac,
-    inputs: [&[u8; SEGR_INPUT_LEN]; N],
-) -> [[u8; HVF_LEN]; N] {
-    k_i.tag_each(inputs.map(|m| m.as_slice())).map(truncate)
+/// over their blocks ([`segr_blocks`]), `N`-wide through
+/// [`Cmac::tag_padded_each`]: `2N` AES blocks.
+#[inline(always)]
+pub fn segr_tokens<const N: usize>(k_i: &Cmac, blocks: [[Block; 2]; N]) -> [[u8; HVF_LEN]; N] {
+    k_i.tag_padded_each(blocks).map(truncate)
 }
 
 /// Computes `N` EER hop authenticators `σ_i` (Eq. 4) under the AS secret
-/// `k_i` over pre-encoded inputs (see [`hop_auth_input`]) — the router's
-/// σ derivation for `N` packets at once. Unlike the SegR token σ_i is
-/// *not* truncated: it doubles as a reservation-specific key for the
-/// per-packet MAC.
-#[inline]
-pub fn hop_auths<const N: usize>(k_i: &Cmac, inputs: [&[u8; HOP_AUTH_INPUT_LEN]; N]) -> [Key; N] {
-    k_i.tag_each(inputs.map(|m| m.as_slice())).map(Key)
+/// `k_i` over their blocks ([`hop_auth_blocks`]) — the router's σ
+/// derivation for `N` packets at once, `2N` AES blocks. Unlike the SegR
+/// token σ_i is *not* truncated: it doubles as a reservation-specific key
+/// for the per-packet MAC.
+#[inline(always)]
+pub fn hop_auths<const N: usize>(k_i: &Cmac, blocks: [[Block; 2]; N]) -> [Key; N] {
+    k_i.tag_padded_each(blocks).map(Key)
 }
 
-/// Computes `N` per-packet hop validation fields `V_i^(E)` (Eq. 6) under
-/// `N` σ keys in either form of [`ShortTagKey`]: one `N`-wide AES batch
-/// over pre-expanded [`Cmac`] instances, or `N` key expansions
-/// interleaved with it over [`colibri_crypto::CompactKey`]s. The router
-/// uses it across packets on the σ it has just expanded (distinct σ per
-/// packet), the gateway across the hops of one packet on the compact σ it
-/// stores (distinct σ per hop, shared `ts`/`pkt_size`). `pkt_size` is the
-/// total packet size including the Colibri header, which prevents
-/// header-only flooding (paper §4.8).
-#[inline]
-pub fn eer_hvfs<K: ShortTagKey, const N: usize>(
+/// Computes `N` per-packet hop validation fields `V_i^(E)` (Eq. 6), lane
+/// `l` over `(Ts, PktSize) = inputs[l]` ([`hvf_block`]) under `sigmas[l]`,
+/// in any form of [`PaddedTagKey`]: pre-expanded [`Cmac`] instances (`N`
+/// AES blocks), the gateway's stored [`colibri_crypto::CompactKey`]s (`N`
+/// key expansions interleaved with them) or the router's freshly derived
+/// [`Key`]s (`N` key expansions, each fused with its subkey block, and
+/// `2N` AES blocks). `pkt_size` is the total packet size including the
+/// Colibri header, which prevents header-only flooding (paper §4.8).
+#[inline(always)]
+pub fn eer_hvfs<K: PaddedTagKey, const N: usize>(
     sigmas: [&K; N],
     inputs: [(u64, usize); N],
 ) -> [[u8; HVF_LEN]; N] {
-    let msgs = inputs.map(|(ts, pkt_size)| {
-        let mut msg = [0u8; 12];
-        msg[..8].copy_from_slice(&ts.to_be_bytes());
-        msg[8..].copy_from_slice(&(pkt_size as u32).to_be_bytes());
-        msg
-    });
-    K::short_tags(sigmas, msgs.each_ref().map(|m| m.as_slice())).map(truncate)
+    K::tags_padded(sigmas, inputs.map(|(ts, pkt_size)| hvf_block(ts, pkt_size))).map(truncate)
 }
 
+#[inline(always)]
 fn truncate(tag: [u8; 16]) -> [u8; HVF_LEN] {
     tag[..HVF_LEN].try_into().expect("HVF_LEN ≤ 16")
 }
 
 /// Eq. 3 for one hop: [`segr_tokens`] at width 1.
 pub fn segr_token(k_i: &Cmac, res: &ResInfo, hop: HopField) -> [u8; HVF_LEN] {
-    let [token] = segr_tokens(k_i, [&segr_input(res, hop)]);
+    let [token] = segr_tokens(k_i, [segr_blocks(res, hop)]);
     token
 }
 
 /// Eq. 4 for one hop: [`hop_auths`] at width 1.
 pub fn hop_auth(k_i: &Cmac, res: &ResInfo, eer: &EerInfo, hop: HopField) -> Key {
-    let [sigma] = hop_auths(k_i, [&hop_auth_input(res, eer, hop)]);
+    let [sigma] = hop_auths(k_i, [hop_auth_blocks(res, eer, hop)]);
     sigma
 }
 
-/// Eq. 6 for one hop from its raw authenticator (expands σ first).
+/// Eq. 6 for one hop from its raw authenticator, expanded in the kernel:
+/// [`eer_hvfs`] over a [`Key`] at width 1.
 pub fn eer_hvf(sigma: &Key, ts: u64, pkt_size: usize) -> [u8; HVF_LEN] {
-    eer_hvf_with(&sigma.cmac(), ts, pkt_size)
+    let [hvf] = eer_hvfs([sigma], [(ts, pkt_size)]);
+    hvf
 }
 
 /// Eq. 6 for one hop over a ready-made CMAC instance for σ_i:
-/// [`eer_hvfs`] at width 1.
+/// [`eer_hvfs`] over a [`Cmac`] at width 1.
 pub fn eer_hvf_with(sigma_cmac: &Cmac, ts: u64, pkt_size: usize) -> [u8; HVF_LEN] {
     let [hvf] = eer_hvfs([sigma_cmac], [(ts, pkt_size)]);
     hvf
@@ -161,6 +174,22 @@ mod tests {
 
     fn k() -> Cmac {
         Cmac::new(&[0x11; 16])
+    }
+
+    /// The canonical bytes `ResInfo ‖ [EERInfo ‖] (In_i, Eg_i)` of Eq. 3
+    /// (`eer` is `None`) or Eq. 4, field by field.
+    fn input_bytes(res: &ResInfo, eer: Option<&EerInfo>, hop: HopField) -> Vec<u8> {
+        let mut m = res.src_as.to_u64().to_be_bytes().to_vec();
+        m.extend(res.res_id.0.to_be_bytes());
+        m.extend([res.bw.0, res.ver]);
+        m.extend(res.exp_secs().to_be_bytes());
+        if let Some(e) = eer {
+            m.extend(e.src_host.0.to_be_bytes());
+            m.extend(e.dst_host.0.to_be_bytes());
+        }
+        m.extend(hop.ingress.0.to_be_bytes());
+        m.extend(hop.egress.0.to_be_bytes());
+        m
     }
 
     #[test]
@@ -212,26 +241,28 @@ mod tests {
     }
 
     /// The three lane kernels at width `N`, each against the scalar CMAC
-    /// over its encoded input.
+    /// over the canonical bytes, and Eq. 6 under all three σ forms.
     fn lane_kernels_at<const N: usize>() {
         let k_i = k();
         let infos: [ResInfo; N] =
             core::array::from_fn(|l| ResInfo { res_id: ResId(300 + l as u32), ..res() });
         let hops: [HopField; N] =
             core::array::from_fn(|l| HopField::new(l as u16, (l as u16 + 3) % 8));
-        let seg_ins: [_; N] = core::array::from_fn(|l| segr_input(&infos[l], hops[l]));
-        let auth_ins: [_; N] = core::array::from_fn(|l| hop_auth_input(&infos[l], &eer(), hops[l]));
-        let tokens = segr_tokens(&k_i, seg_ins.each_ref());
-        let sigmas = hop_auths(&k_i, auth_ins.each_ref());
+        let seg: [_; N] = core::array::from_fn(|l| segr_blocks(&infos[l], hops[l]));
+        let auth: [_; N] = core::array::from_fn(|l| hop_auth_blocks(&infos[l], &eer(), hops[l]));
+        let (tokens, sigmas) = (segr_tokens(&k_i, seg), hop_auths(&k_i, auth));
         let ts_size: [(u64, usize); N] =
             core::array::from_fn(|l| [(10, 64), (11, 65), (u64::MAX, 0), (0, 1500)][l % 4]);
+        let hvfs = eer_hvfs(sigmas.each_ref(), ts_size);
         let sigma_cmacs = Cmac::new_each(sigmas.each_ref().map(|s| &s.0));
-        let hvfs = eer_hvfs(sigma_cmacs.each_ref(), ts_size);
+        assert_eq!(eer_hvfs(sigma_cmacs.each_ref(), ts_size), hvfs, "N {N}: expanded σ");
         let compact = Cmac::compact_each(sigmas.each_ref().map(|s| &s.0));
         assert_eq!(eer_hvfs(compact.each_ref(), ts_size), hvfs, "N {N}: compact σ");
         for l in 0..N {
-            assert_eq!(tokens[l], k_i.tag(&seg_ins[l])[..HVF_LEN], "N {N} segr lane {l}");
-            assert_eq!(sigmas[l].0, k_i.tag(&auth_ins[l]), "N {N} auth lane {l}");
+            let seg = input_bytes(&infos[l], None, hops[l]);
+            assert_eq!(tokens[l], k_i.tag(&seg)[..HVF_LEN], "N {N} segr lane {l}");
+            let auth = input_bytes(&infos[l], Some(&eer()), hops[l]);
+            assert_eq!(sigmas[l].0, k_i.tag(&auth), "N {N} auth lane {l}");
             let (ts, size) = ts_size[l];
             let msg = [&ts.to_be_bytes()[..], &(size as u32).to_be_bytes()].concat();
             let hvf = Cmac::new(&sigmas[l].0).tag(&msg);
@@ -248,9 +279,10 @@ mod tests {
         lane_kernels_at::<8>();
     }
 
-    /// The three lane kernels at width `N` over encoded inputs against the
-    /// struct-level scalar [`segr_token`], [`hop_auth`] and key-expanding
-    /// [`eer_hvf`].
+    /// The three lane kernels at width `N` against the struct-level scalar
+    /// [`segr_token`], [`hop_auth`] and [`eer_hvf`], with their exact AES
+    /// cost: 2 blocks per token or σ, and per HVF under a fresh σ one
+    /// expansion and 2 blocks.
     fn kernels_match_struct_api_at<const N: usize>() {
         let k_i = k();
         let e = eer();
@@ -258,13 +290,21 @@ mod tests {
             core::array::from_fn(|l| ResInfo { res_id: ResId(200 + l as u32), ..res() });
         let hops: [HopField; N] =
             core::array::from_fn(|l| HopField::new((l as u16 * 5) % 8, (l as u16 + 1) % 8));
-        let seg_ins: [_; N] = core::array::from_fn(|l| segr_input(&infos[l], hops[l]));
-        let auth_ins: [_; N] = core::array::from_fn(|l| hop_auth_input(&infos[l], &e, hops[l]));
-        let tokens = segr_tokens(&k_i, seg_ins.each_ref());
-        let sigmas = hop_auths(&k_i, auth_ins.each_ref());
+        let cost = |f: &mut dyn FnMut()| {
+            let (b0, x0) = (colibri_crypto::ops::aes_block_ops(), colibri_crypto::ops::key_expansions());
+            f();
+            (colibri_crypto::ops::aes_block_ops() - b0, colibri_crypto::ops::key_expansions() - x0)
+        };
+        let n = N as u64;
+        let mut tokens = [[0; HVF_LEN]; N];
+        let seg: [_; N] = core::array::from_fn(|l| segr_blocks(&infos[l], hops[l]));
+        assert_eq!(cost(&mut || tokens = segr_tokens(&k_i, seg)), (2 * n, 0));
+        let mut sigmas = [Key([0; 16]); N];
+        let auth: [_; N] = core::array::from_fn(|l| hop_auth_blocks(&infos[l], &e, hops[l]));
+        assert_eq!(cost(&mut || sigmas = hop_auths(&k_i, auth)), (2 * n, 0));
         let ts_size: [(u64, usize); N] = core::array::from_fn(|l| (40 + l as u64, 64 + 13 * l));
-        let sigma_cmacs = sigmas.each_ref().map(Key::cmac);
-        let hvfs = eer_hvfs(sigma_cmacs.each_ref(), ts_size);
+        let mut hvfs = [[0; HVF_LEN]; N];
+        assert_eq!(cost(&mut || hvfs = eer_hvfs(sigmas.each_ref(), ts_size)), (2 * n, n));
         for l in 0..N {
             assert_eq!(tokens[l], segr_token(&k_i, &infos[l], hops[l]), "N {N} segr lane {l}");
             assert_eq!(sigmas[l], hop_auth(&k_i, &infos[l], &e, hops[l]), "N {N} auth lane {l}");

@@ -65,11 +65,13 @@ pub struct ResInfo {
 
 impl ResInfo {
     /// The monitor flow label `(SrcAS, ResId)`.
+    #[inline]
     pub fn key(&self) -> ReservationKey {
         ReservationKey::new(self.src_as, self.res_id)
     }
 
     /// Expiration in whole seconds (as carried on the wire).
+    #[inline]
     pub fn exp_secs(&self) -> u32 {
         (self.exp_t.as_nanos() / 1_000_000_000) as u32
     }
@@ -103,12 +105,14 @@ impl HopField {
 }
 
 /// Computes the total header length for a path of `n_hops` ASes.
+#[inline]
 pub fn header_len(n_hops: usize, eer: bool) -> usize {
     FIXED_HEADER_LEN + if eer { EER_INFO_LEN } else { 0 } + n_hops * (4 + HVF_LEN)
 }
 
 /// Byte offset of the `i`-th hop validation field (`i < n_hops`): the
 /// HVFs close the header.
+#[inline]
 pub fn hvf_offset(n_hops: usize, eer: bool, i: usize) -> usize {
     header_len(n_hops, eer) - HVF_LEN * (n_hops - i)
 }
@@ -132,6 +136,7 @@ pub struct PacketView<'a> {
 /// is too short or carries a foreign wire version — such packets cannot
 /// be steered meaningfully and the dispatcher spreads them round-robin
 /// (they fail validation anyway).
+#[inline]
 pub fn peek_res_id(buf: &[u8]) -> Option<ResId> {
     if buf.len() < FIXED_HEADER_LEN || buf[0] != WIRE_VERSION {
         return None;
@@ -141,6 +146,7 @@ pub fn peek_res_id(buf: &[u8]) -> Option<ResId> {
 
 impl<'a> PacketView<'a> {
     /// Parses and validates the packet framing.
+    #[inline]
     pub fn parse(buf: &'a [u8]) -> Result<Self, WireError> {
         if buf.len() < FIXED_HEADER_LEN {
             return Err(WireError::Truncated { need: FIXED_HEADER_LEN, have: buf.len() });
@@ -178,26 +184,31 @@ impl<'a> PacketView<'a> {
     }
 
     /// Whether this is an EER data packet (vs. a SegR/control packet).
+    #[inline]
     pub fn is_eer(&self) -> bool {
         self.eer
     }
 
     /// Whether the payload is a Colibri control-plane message.
+    #[inline]
     pub fn is_control(&self) -> bool {
         self.buf[1] & FLAG_CONTROL != 0
     }
 
     /// Number of on-path ASes.
+    #[inline]
     pub fn n_hops(&self) -> usize {
         self.n_hops
     }
 
     /// Index of the AS currently processing the packet.
+    #[inline]
     pub fn curr_hop(&self) -> usize {
         self.buf[3] as usize
     }
 
     /// The reservation metadata block.
+    #[inline]
     pub fn res_info(&self) -> ResInfo {
         let b = self.buf;
         ResInfo {
@@ -210,6 +221,7 @@ impl<'a> PacketView<'a> {
     }
 
     /// End-host addressing; `None` for SegR packets.
+    #[inline]
     pub fn eer_info(&self) -> Option<EerInfo> {
         if !self.eer {
             return None;
@@ -223,22 +235,26 @@ impl<'a> PacketView<'a> {
 
     /// High-precision timestamp: nanoseconds *until* the reservation
     /// expiration (paper §4.3 — "relative to ExpT").
+    #[inline]
     pub fn ts(&self) -> u64 {
         u64::from_be_bytes(self.buf[24..32].try_into().unwrap())
     }
 
     /// The instant at which this packet claims to have been sent:
     /// `exp_t − ts`. Saturates at the epoch for nonsensical values.
+    #[inline]
     pub fn send_time(&self) -> Instant {
         let exp = self.res_info().exp_t.as_nanos();
         Instant::from_nanos(exp.saturating_sub(self.ts()))
     }
 
+    #[inline]
     fn path_off(&self) -> usize {
         FIXED_HEADER_LEN + if self.eer { EER_INFO_LEN } else { 0 }
     }
 
     /// The hop field of the `i`-th on-path AS.
+    #[inline]
     pub fn hop(&self, i: usize) -> HopField {
         assert!(i < self.n_hops);
         let off = self.path_off() + 4 * i;
@@ -249,11 +265,13 @@ impl<'a> PacketView<'a> {
     }
 
     /// Iterator over all hop fields in path order.
+    #[inline]
     pub fn hops(&self) -> impl Iterator<Item = HopField> + '_ {
         (0..self.n_hops).map(move |i| self.hop(i))
     }
 
     /// The `i`-th hop validation field.
+    #[inline]
     pub fn hvf(&self, i: usize) -> [u8; HVF_LEN] {
         assert!(i < self.n_hops);
         let off = self.path_off() + 4 * self.n_hops + HVF_LEN * i;
@@ -261,17 +279,20 @@ impl<'a> PacketView<'a> {
     }
 
     /// The application payload.
+    #[inline]
     pub fn payload(&self) -> &'a [u8] {
         &self.buf[header_len(self.n_hops, self.eer)..]
     }
 
     /// Total packet size in bytes — the `PktSize` input to the per-packet
     /// MAC (paper Eq. 6) and to monitoring. Includes the Colibri header.
+    #[inline]
     pub fn pkt_size(&self) -> usize {
         self.buf.len()
     }
 
     /// The underlying buffer.
+    #[inline]
     pub fn as_bytes(&self) -> &'a [u8] {
         self.buf
     }
@@ -305,6 +326,7 @@ pub struct PacketViewMut<'a> {
 
 impl<'a> PacketViewMut<'a> {
     /// Parses with the same validation as [`PacketView::parse`].
+    #[inline]
     pub fn parse(buf: &'a mut [u8]) -> Result<Self, WireError> {
         let (n_hops, eer) = {
             let v = PacketView::parse(buf)?;
@@ -314,61 +336,73 @@ impl<'a> PacketViewMut<'a> {
     }
 
     /// Reborrows as an immutable view.
+    #[inline]
     pub fn view(&self) -> PacketView<'_> {
         PacketView { buf: self.buf, n_hops: self.n_hops, eer: self.eer }
     }
 
     /// Whether this is an EER data packet (vs. a SegR/control packet).
+    #[inline]
     pub fn is_eer(&self) -> bool {
         self.eer
     }
 
     /// Number of on-path ASes.
+    #[inline]
     pub fn n_hops(&self) -> usize {
         self.n_hops
     }
 
     /// Index of the AS currently processing the packet.
+    #[inline]
     pub fn curr_hop(&self) -> usize {
         self.buf[3] as usize
     }
 
     /// The reservation metadata block.
+    #[inline]
     pub fn res_info(&self) -> ResInfo {
         self.view().res_info()
     }
 
     /// End-host addressing; `None` for SegR packets.
+    #[inline]
     pub fn eer_info(&self) -> Option<EerInfo> {
         self.view().eer_info()
     }
 
     /// High-precision timestamp (ns until `exp_t`).
+    #[inline]
     pub fn ts(&self) -> u64 {
         u64::from_be_bytes(self.buf[24..32].try_into().unwrap())
     }
 
     /// The hop field of the `i`-th on-path AS.
+    #[inline]
     pub fn hop(&self, i: usize) -> HopField {
         self.view().hop(i)
     }
 
     /// The `i`-th hop validation field.
+    #[inline]
     pub fn hvf(&self, i: usize) -> [u8; HVF_LEN] {
         self.view().hvf(i)
     }
 
     /// Total packet size in bytes (header + payload).
+    #[inline]
     pub fn pkt_size(&self) -> usize {
         self.buf.len()
     }
 
     /// Sets the high-precision timestamp.
+    #[inline]
     pub fn set_ts(&mut self, ts: u64) {
         self.buf[24..32].copy_from_slice(&ts.to_be_bytes());
     }
 
     /// Writes the `i`-th hop validation field.
+    #[inline]
     pub fn set_hvf(&mut self, i: usize, hvf: [u8; HVF_LEN]) {
         assert!(i < self.n_hops);
         let off = hvf_offset(self.n_hops, self.eer, i);
@@ -377,6 +411,7 @@ impl<'a> PacketViewMut<'a> {
 
     /// Advances `curr_hop` to the next AS. Returns the new index, or `None`
     /// if the packet is already at the last hop.
+    #[inline]
     pub fn advance_hop(&mut self) -> Option<usize> {
         let next = self.buf[3] as usize + 1;
         if next >= self.n_hops {
@@ -387,6 +422,7 @@ impl<'a> PacketViewMut<'a> {
     }
 
     /// Resets `curr_hop` (used when a response retraces the path).
+    #[inline]
     pub fn set_curr_hop(&mut self, i: usize) {
         assert!(i < self.n_hops);
         self.buf[3] = i as u8;

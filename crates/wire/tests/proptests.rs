@@ -5,6 +5,8 @@ use colibri_wire::{
     header_len, EerInfo, HopField, PacketBuilder, PacketView, PacketViewMut, ResInfo, HVF_LEN,
     MAX_HOPS,
 };
+use colibri_crypto::Block;
+use colibri_wire::mac::{hop_auth_blocks, hvf_block, segr_blocks};
 use proptest::prelude::*;
 
 fn arb_res_info() -> impl Strategy<Value = ResInfo> {
@@ -31,7 +33,53 @@ fn arb_eer_info() -> impl Strategy<Value = Option<EerInfo>> {
     }))
 }
 
+/// The canonical bytes `ResInfo ‖ [EERInfo ‖] (In_i, Eg_i)` of Eq. 3
+/// (`eer` is `None`) or Eq. 4, field by field.
+fn input_bytes(res: &ResInfo, eer: Option<&EerInfo>, hop: HopField) -> Vec<u8> {
+    let mut m = res.src_as.to_u64().to_be_bytes().to_vec();
+    m.extend(res.res_id.0.to_be_bytes());
+    m.extend([res.bw.0, res.ver]);
+    m.extend(res.exp_secs().to_be_bytes());
+    if let Some(e) = eer {
+        m.extend(e.src_host.0.to_be_bytes());
+        m.extend(e.dst_host.0.to_be_bytes());
+    }
+    m.extend(hop.ingress.0.to_be_bytes());
+    m.extend(hop.egress.0.to_be_bytes());
+    m
+}
+
+/// `msg` (its length not a multiple of 16) as CMAC blocks, `10*`-padded.
+fn padded(msg: &[u8]) -> Vec<Block> {
+    assert!(msg.len() % 16 != 0);
+    let mut bytes = msg.to_vec();
+    bytes.push(0x80);
+    bytes.resize(msg.len().div_ceil(16) * 16, 0);
+    bytes.chunks_exact(16).map(|b| Block::from_be_bytes(b.try_into().unwrap())).collect()
+}
+
 proptest! {
+    /// The integer-built MAC blocks of Eq. 3, Eq. 4 and Eq. 6 are the
+    /// `10*`-padded canonical bytes, over arbitrary fields.
+    #[test]
+    fn mac_blocks_equal_padded_canonical_bytes(
+        res in arb_res_info(),
+        hosts in (any::<u32>(), any::<u32>()),
+        hop in (any::<u16>(), any::<u16>()),
+        ts in any::<u64>(),
+        pkt_size in any::<u32>(),
+    ) {
+        let eer = EerInfo { src_host: HostAddr(hosts.0), dst_host: HostAddr(hosts.1) };
+        let hop = HopField::new(hop.0, hop.1);
+        prop_assert_eq!(segr_blocks(&res, hop).to_vec(), padded(&input_bytes(&res, None, hop)));
+        prop_assert_eq!(
+            hop_auth_blocks(&res, &eer, hop).to_vec(),
+            padded(&input_bytes(&res, Some(&eer), hop))
+        );
+        let hvf_bytes = [&ts.to_be_bytes()[..], &pkt_size.to_be_bytes()].concat();
+        prop_assert_eq!(vec![hvf_block(ts, pkt_size as usize)], padded(&hvf_bytes));
+    }
+
     /// Every packet the builder can produce parses back to identical fields.
     #[test]
     fn build_parse_roundtrip(
