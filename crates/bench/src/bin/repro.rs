@@ -30,7 +30,7 @@ const EXPERIMENTS: &[Experiment] = &[
     ("appe",          "App. E: forwarding independent of payload size",     figs::appe),
     ("doc",           "§5.3: SegR control traffic on time under a flood",   figs::doc),
     ("ofd",           "OFD: no false negatives, fewer false positives",     figs::ofd),
-    ("appd",          "App. D: distributed CServ (report-only)",            figs::appd),
+    ("appd",          "App. D: sharded CServ admits every offered EER",     figs::appd),
     ("pipeline",      "§7.1: batched router ≡ scalar, telemetry ≤ 2%",      pipeline::pipeline),
     ("resilience",    "§12: storms stay linear, renewals beat setups",      resilience::resilience),
     ("survivability", "§14: exact drop, shed and kill ledgers",             survivability::survivability),

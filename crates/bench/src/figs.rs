@@ -472,6 +472,8 @@ pub fn appd(mode: Mode) -> Outcome {
     let now = Instant::from_secs(0);
     let segr = |i: u32| ReservationKey::new(IsdAsId::new(1, 100 + i), ResId(i));
     let mut rows = Vec::new();
+    let mut checks = Vec::new();
+    let mut counts = Vec::new();
     for shards in [1usize, 4, 16] {
         let cfg = SegrAdmissionConfig { colibri_share: 1.0, ..SegrAdmissionConfig::default() };
         let svc = DistributedCServ::new(shards, cfg);
@@ -495,10 +497,20 @@ pub fn appd(mode: Mode) -> Outcome {
             let results = svc.admit_eer_batch_parallel(&reqs, now);
             admitted += results.iter().filter(|r| r.is_ok()).count();
         }) / 1e3;
+        let offered = batches as usize * BATCH as usize;
         rows.push(obj! {
             "shards": shards, "batch_us": us, "admissions_per_s": f64::from(BATCH) / us * 1e6,
-            "admitted": admitted, "offered": batches * u64::from(BATCH),
+            "admitted": admitted, "offered": offered,
         });
+        checks.push(Check::exact(
+            format!("EERs admitted of offered, {shards} sub-service(s)"),
+            admitted,
+            offered,
+        ));
+        counts.push(admitted);
     }
-    Outcome { json: obj! { "batch": BATCH, "rows": rows }, checks: Vec::new() }
+    // Sharding changes where an EER is admitted, never whether.
+    let same = vec![counts[0]; counts.len()];
+    checks.push(Check::exact("admitted count, same at every shard count", counts, same));
+    Outcome { json: obj! { "batch": BATCH, "rows": rows }, checks }
 }

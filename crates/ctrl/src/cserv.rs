@@ -37,9 +37,9 @@ use std::sync::Arc;
 /// initiator, so the source AS must be part of the key.
 type ReplayKey = (IsdAsId, u64, u32);
 
-/// A memoized admission verdict plus its eviction deadline (the would-be
-/// reservation's expiry).
-type ReplayedVerdict<T> = (Result<T, CservError>, Instant);
+/// Memoized admission verdicts of one request kind, each with its
+/// eviction deadline (the would-be reservation's expiry).
+type VerdictCache<G> = HashMap<ReplayKey, (Result<G, CservError>, Instant)>;
 
 /// Upper bound on cached verdicts. The cache exists for retried requests,
 /// which arrive within a retry window of seconds; the bound keeps an
@@ -61,6 +61,54 @@ enum CacheDue {
     RenewalTime(ReservationKey),
 }
 
+/// What a forward-pass admission of one request kind grants — a SegR's
+/// `(Bandwidth, UndoToken)`, an EER's `()` — and where the CServ keeps
+/// its verdicts; [`CServ::admit_once`] is written once over it.
+trait Grant: Copy {
+    /// Trace op of a first-version (setup) request.
+    const SETUP_OP: TraceOp;
+    /// This kind's verdict cache.
+    fn verdicts(cs: &mut CServ) -> &mut VerdictCache<Self>;
+    /// The cache-wheel entry of a memoized verdict.
+    fn due(rk: ReplayKey) -> CacheDue;
+    /// Counts one fresh verdict.
+    fn count(t: &CservTelemetry, ok: bool);
+}
+
+impl Grant for (Bandwidth, UndoToken) {
+    const SETUP_OP: TraceOp = TraceOp::SegrAdmission;
+    fn verdicts(cs: &mut CServ) -> &mut VerdictCache<Self> {
+        &mut cs.seg_replay
+    }
+    fn due(rk: ReplayKey) -> CacheDue {
+        CacheDue::SegVerdict(rk)
+    }
+    fn count(t: &CservTelemetry, ok: bool) {
+        if ok {
+            t.segr_admit_ok.inc()
+        } else {
+            t.segr_admit_denied.inc()
+        }
+    }
+}
+
+impl Grant for () {
+    const SETUP_OP: TraceOp = TraceOp::EerAdmission;
+    fn verdicts(cs: &mut CServ) -> &mut VerdictCache<Self> {
+        &mut cs.eer_replay
+    }
+    fn due(rk: ReplayKey) -> CacheDue {
+        CacheDue::EerVerdict(rk)
+    }
+    fn count(t: &CservTelemetry, ok: bool) {
+        if ok {
+            t.eer_admit_ok.inc()
+        } else {
+            t.eer_admit_denied.inc()
+        }
+    }
+}
+
 /// CServ configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct CservConfig {
@@ -74,11 +122,6 @@ pub struct CservConfig {
     /// scalability, CServs can rate-limit the amount of renewal requests
     /// for an EER (e.g., to one per second)" (§4.2).
     pub eer_renewal_min_interval: Duration,
-    /// Deadline-aware load shedding (the bounded admission work queue of
-    /// [`crate::shed`]). `None` — the default — admits with unlimited
-    /// throughput, matching the legacy in-process behavior; deployments
-    /// model finite admission capacity by setting a [`ShedConfig`].
-    pub shed: Option<ShedConfig>,
 }
 
 impl Default for CservConfig {
@@ -88,7 +131,6 @@ impl Default for CservConfig {
             segr_lifetime: Duration::from_secs(300),
             eer_lifetime: Duration::from_secs(16),
             eer_renewal_min_interval: Duration::from_secs(1),
-            shed: None,
         }
     }
 }
@@ -190,16 +232,17 @@ pub struct CServ {
     next_request_id: u64,
     /// Recorded SegR admission verdicts, replayed on retry so a duplicate
     /// request never double-counts demand in the admission aggregates.
-    seg_replay: HashMap<ReplayKey, ReplayedVerdict<(Bandwidth, UndoToken)>>,
+    seg_replay: VerdictCache<(Bandwidth, UndoToken)>,
     /// Recorded EER admission verdicts; replay prevents double-charging
     /// SegR headroom and transfer-AS split demand.
-    eer_replay: HashMap<ReplayKey, ReplayedVerdict<()>>,
+    eer_replay: VerdictCache<()>,
     /// Expiry index over `seg_replay`, `eer_replay` and `renewal_times`:
     /// every entry of the three maps has a wheel entry at or before the
     /// slot of its deadline, so GC examines only the due ones.
     cache_wheel: ExpiryWheel<CacheDue>,
-    /// Bounded admission work queue (deadline-aware load shedding);
-    /// `None` admits with unlimited throughput.
+    /// Bounded admission work queue (deadline-aware load shedding, turned
+    /// on by [`CServ::enable_shedding`]); `None` admits with unlimited
+    /// throughput.
     shed: Option<AdmissionQueue>,
     /// Optional observability bindings (counters + trace ring). Detached
     /// by default; handlers pay one branch when `None` (DESIGN.md §11).
@@ -243,7 +286,7 @@ impl CServ {
             seg_replay: HashMap::new(),
             eer_replay: HashMap::new(),
             cache_wheel: ExpiryWheel::new(Duration::from_secs(1)),
-            shed: cfg.shed.map(|s| AdmissionQueue::new(s, Instant::EPOCH)),
+            shed: None,
             telemetry: None,
         }
     }
@@ -277,7 +320,6 @@ impl CServ {
     /// Turns deadline-aware load shedding on (or reconfigures it) with
     /// an empty work queue starting at `now`.
     pub fn enable_shedding(&mut self, cfg: ShedConfig, now: Instant) {
-        self.cfg.shed = Some(cfg);
         self.shed = Some(AdmissionQueue::new(cfg, now));
     }
 
@@ -329,6 +371,74 @@ impl CServ {
                 Err(CservError::DeadlineExceeded)
             }
         }
+    }
+
+    /// The one admission envelope of both request kinds. A retried
+    /// request (same `rk`) gets its recorded verdict back, and no state
+    /// is charged twice. Load shedding runs after that lookup, so a retry
+    /// of an already-decided request costs no admission work, and before
+    /// any state changes; shed verdicts are never cached. Otherwise
+    /// `admit` decides, the verdict is counted and traced, and it is
+    /// memoized until `exp` (the would-be reservation's expiry) while the
+    /// cache is below its cap. Request id 0 is untracked: no replay, no
+    /// memo.
+    fn admit_once<G: Grant>(
+        &mut self,
+        rk: ReplayKey,
+        ver: u8,
+        deadline: Instant,
+        exp: Instant,
+        now: Instant,
+        admit: impl FnOnce(&mut Self) -> Result<G, CservError>,
+    ) -> Result<G, CservError> {
+        let request_id = rk.1;
+        if request_id != 0 {
+            if let Some(&(verdict, _)) = G::verdicts(self).get(&rk) {
+                if let Some(t) = &self.telemetry {
+                    t.replayed_verdicts.inc();
+                }
+                let outcome = if verdict.is_ok() { TraceOutcome::Ok } else { TraceOutcome::Denied };
+                self.trace(now, TraceOp::Retry, outcome, request_id);
+                return verdict;
+            }
+        }
+        let (class, op) = if ver > 0 {
+            (RequestClass::Renewal, TraceOp::Renewal)
+        } else {
+            (RequestClass::NewSetup, G::SETUP_OP)
+        };
+        if let Err(e) = self.shed_offer(class, now, deadline) {
+            self.trace(now, op, TraceOutcome::Denied, request_id);
+            return Err(e);
+        }
+        let result = admit(self);
+        if let Some(t) = &self.telemetry {
+            G::count(t, result.is_ok());
+        }
+        let outcome = if result.is_ok() { TraceOutcome::Ok } else { TraceOutcome::Denied };
+        self.trace(now, op, outcome, request_id);
+        if request_id != 0 {
+            let verdicts = G::verdicts(self);
+            if verdicts.len() < REPLAY_CAP {
+                verdicts.insert(rk, (result, exp));
+                self.cache_wheel.schedule(exp, G::due(rk));
+            } else if let Some(t) = &self.telemetry {
+                t.replay_cache_full.inc();
+            }
+        }
+        result
+    }
+
+    /// Takes the memoized verdict of tracked request `rk` out of its
+    /// cache. If it granted an admission, counts and traces the rollback
+    /// the caller is about to make and returns the grant.
+    fn take_grant<G: Grant>(&mut self, rk: ReplayKey, now: Instant) -> Option<G> {
+        let Some((Ok(grant), _)) = G::verdicts(self).remove(&rk) else { return None };
+        if let Some(t) = &self.telemetry {
+            t.rollbacks.inc();
+        }
+        self.trace(now, TraceOp::Rollback, TraceOutcome::Ok, rk.1);
+        Some(grant)
     }
 
     /// Declares an interface capacity (from the topology, at startup).
@@ -568,76 +678,26 @@ impl CServ {
         now: Instant,
     ) -> Result<(Bandwidth, UndoToken), CservError> {
         let rk: ReplayKey = (req.res_info.src_as, req.request_id, hop_index as u32);
-        if req.request_id != 0 {
-            if let Some((verdict, _)) = self.seg_replay.get(&rk) {
-                // Retry of an already-processed request: replay the
-                // recorded verdict; the aggregates are left untouched.
-                if let Some(t) = &self.telemetry {
-                    t.replayed_verdicts.inc();
-                }
-                let outcome =
-                    if verdict.is_ok() { TraceOutcome::Ok } else { TraceOutcome::Denied };
-                self.trace(now, TraceOp::Retry, outcome, req.request_id);
-                return *verdict;
+        let (ver, exp) = (req.res_info.ver, req.res_info.exp_t);
+        self.admit_once(rk, ver, req.deadline, exp, now, |cs| {
+            if cs.denied_sources.contains(&req.res_info.src_as) {
+                return Err(CservError::SourceDenied(req.res_info.src_as));
             }
-        }
-        // Load shedding runs after the replay lookup (a retry of an
-        // already-decided request costs no admission work) and before
-        // any state changes; shed verdicts return here and are never
-        // cached below.
-        let class =
-            if req.res_info.ver > 0 { RequestClass::Renewal } else { RequestClass::NewSetup };
-        if let Err(e) = self.shed_offer(class, now, req.deadline) {
-            let op = if req.res_info.ver > 0 { TraceOp::Renewal } else { TraceOp::SegrAdmission };
-            self.trace(now, op, TraceOutcome::Denied, req.request_id);
-            return Err(e);
-        }
-        let result = self.segr_admit_hop_inner(req, hop_index, running_demand, now);
-        if let Some(t) = &self.telemetry {
-            match &result {
-                Ok(_) => t.segr_admit_ok.inc(),
-                Err(_) => t.segr_admit_denied.inc(),
-            }
-        }
-        let op =
-            if req.res_info.ver > 0 { TraceOp::Renewal } else { TraceOp::SegrAdmission };
-        let outcome = if result.is_ok() { TraceOutcome::Ok } else { TraceOutcome::Denied };
-        self.trace(now, op, outcome, req.request_id);
-        if req.request_id != 0 {
-            if self.seg_replay.len() < REPLAY_CAP {
-                self.seg_replay.insert(rk, (result, req.res_info.exp_t));
-                self.cache_wheel.schedule(req.res_info.exp_t, CacheDue::SegVerdict(rk));
-            } else if let Some(t) = &self.telemetry {
-                t.replay_cache_full.inc();
-            }
-        }
-        result
-    }
-
-    fn segr_admit_hop_inner(
-        &mut self,
-        req: &SegSetupReq,
-        hop_index: usize,
-        running_demand: Bandwidth,
-        now: Instant,
-    ) -> Result<(Bandwidth, UndoToken), CservError> {
-        if self.denied_sources.contains(&req.res_info.src_as) {
-            return Err(CservError::SourceDenied(req.res_info.src_as));
-        }
-        // Keep the admission frame on the clock so the request's validity
-        // window lands on live slots (and passed slots have decayed).
-        self.admission.advance(now);
-        let hop = req.path[hop_index].1;
-        let window = self.admission.window_for(now, req.starts_at, req.res_info.exp_t);
-        let (granted, undo) = self.admission.admit_with_undo(SegrRequest {
-            key: req.res_info.key(),
-            ingress: hop.ingress,
-            egress: hop.egress,
-            demand: running_demand,
-            min_bw: req.min_bw,
-            window,
-        })?;
-        Ok((granted, undo))
+            // Keep the admission frame on the clock so the request's
+            // validity window lands on live slots (and passed slots have
+            // decayed).
+            cs.admission.advance(now);
+            let hop = req.path[hop_index].1;
+            let window = cs.admission.window_for(now, req.starts_at, exp);
+            Ok(cs.admission.admit_with_undo(SegrRequest {
+                key: req.res_info.key(),
+                ingress: hop.ingress,
+                egress: hop.egress,
+                demand: running_demand,
+                min_bw: req.min_bw,
+                window,
+            })?)
+        })
     }
 
     /// Tears down a finalized SegR at this AS: releases its admission
@@ -667,12 +727,8 @@ impl CServ {
             return;
         }
         let rk: ReplayKey = (src_as, request_id, hop_index as u32);
-        if let Some((Ok((_, undo)), _)) = self.seg_replay.remove(&rk) {
+        if let Some((_, undo)) = self.take_grant::<(Bandwidth, UndoToken)>(rk, now) {
             self.admission.undo(undo);
-            if let Some(t) = &self.telemetry {
-                t.rollbacks.inc();
-            }
-            self.trace(now, TraceOp::Rollback, TraceOutcome::Ok, request_id);
         }
     }
 
@@ -804,46 +860,10 @@ impl CServ {
         now: Instant,
     ) -> Result<(), CservError> {
         let rk: ReplayKey = (req.res_info.src_as, req.request_id, hop_index as u32);
-        if req.request_id != 0 {
-            if let Some((verdict, _)) = self.eer_replay.get(&rk) {
-                // Retry: replay the recorded verdict without re-charging
-                // SegR headroom or the transfer-AS proportional split.
-                if let Some(t) = &self.telemetry {
-                    t.replayed_verdicts.inc();
-                }
-                let outcome =
-                    if verdict.is_ok() { TraceOutcome::Ok } else { TraceOutcome::Denied };
-                self.trace(now, TraceOp::Retry, outcome, req.request_id);
-                return *verdict;
-            }
-        }
-        // Shed before doing any admission work; see `segr_admit_hop`.
-        let class =
-            if req.res_info.ver > 0 { RequestClass::Renewal } else { RequestClass::NewSetup };
-        if let Err(e) = self.shed_offer(class, now, req.deadline) {
-            let op = if req.res_info.ver > 0 { TraceOp::Renewal } else { TraceOp::EerAdmission };
-            self.trace(now, op, TraceOutcome::Denied, req.request_id);
-            return Err(e);
-        }
-        let result = self.eer_admit_hop_inner(req, hop_index, now);
-        if let Some(t) = &self.telemetry {
-            match &result {
-                Ok(()) => t.eer_admit_ok.inc(),
-                Err(_) => t.eer_admit_denied.inc(),
-            }
-        }
-        let op = if req.res_info.ver > 0 { TraceOp::Renewal } else { TraceOp::EerAdmission };
-        let outcome = if result.is_ok() { TraceOutcome::Ok } else { TraceOutcome::Denied };
-        self.trace(now, op, outcome, req.request_id);
-        if req.request_id != 0 {
-            if self.eer_replay.len() < REPLAY_CAP {
-                self.eer_replay.insert(rk, (result, req.res_info.exp_t));
-                self.cache_wheel.schedule(req.res_info.exp_t, CacheDue::EerVerdict(rk));
-            } else if let Some(t) = &self.telemetry {
-                t.replay_cache_full.inc();
-            }
-        }
-        result
+        let (ver, exp) = (req.res_info.ver, req.res_info.exp_t);
+        self.admit_once(rk, ver, req.deadline, exp, now, |cs| {
+            cs.eer_admit_hop_inner(req, hop_index, now)
+        })
     }
 
     fn eer_admit_hop_inner(
@@ -862,7 +882,7 @@ impl CServ {
         // Renewal rate limiting (§4.2): versions > 0 are renewals. Only
         // *successful* renewals consume the budget (recorded at the end of
         // this handler) — a refused renewal costs no reservation state and
-        // may be retried immediately, e.g. by adaptive downgrading.
+        // may be retried immediately, e.g. at a lower bandwidth.
         if ver > 0 {
             if let Some(&last) = self.renewal_times.get(&key) {
                 if now.saturating_since(last) < self.cfg.eer_renewal_min_interval {
@@ -891,63 +911,33 @@ impl CServ {
                 if rec.hop_field() != hop {
                     return Err(CservError::HopMismatch);
                 }
-                let rec = self.store.segr_mut(in_key).unwrap();
-                rec.usage.admit(key, ver, req.demand, exp, now, None)?;
-                // Index the allocation's expiry so GC can return its
-                // headroom without scanning every record.
-                self.store.schedule_alloc_expiry(in_key, key, ver, exp);
+                self.store.admit_eer(&[(in_key, None)], key, ver, req.demand, exp, now)?;
             }
             Some(seg_out) => {
                 // Transfer AS: check both SegRs (§4.7 "Transfer AS").
                 let out_key = req.segr_ids[seg_out];
-                {
-                    let rec_in = Self::check_segr(&self.store, in_key, now)?;
-                    if rec_in.ingress != hop.ingress {
-                        return Err(CservError::HopMismatch);
-                    }
-                    let rec_out = Self::check_segr(&self.store, out_key, now)?;
-                    if rec_out.egress != hop.egress {
-                        return Err(CservError::HopMismatch);
-                    }
+                let rec_in = Self::check_segr(&self.store, in_key, now)?;
+                if rec_in.ingress != hop.ingress {
+                    return Err(CservError::HopMismatch);
                 }
-                let in_bw = self.store.segr(in_key).unwrap().bw;
+                let in_bw = rec_in.bw;
+                let rec_out = Self::check_segr(&self.store, out_key, now)?;
+                if rec_out.egress != hop.egress {
+                    return Err(CservError::HopMismatch);
+                }
+                let out_bw = rec_out.bw;
                 // Record demand for the proportional split, then compute
                 // the cap for this feeding SegR.
-                let out_bw = self.store.segr(out_key).unwrap().bw;
-                {
-                    let rec_out = self.store.segr_mut(out_key).unwrap();
-                    rec_out.split.record_demand(in_key, req.demand);
-                }
-                let cap = {
-                    let rec_out = self.store.segr(out_key).unwrap();
-                    rec_out.split.cap_for(in_key, in_bw, out_bw)
-                };
-                // Admit on the incoming SegR first…
-                {
-                    let rec_in = self.store.segr_mut(in_key).unwrap();
-                    if let Err(e) = rec_in.usage.admit(key, ver, req.demand, exp, now, None) {
-                        let rec_out = self.store.segr_mut(out_key).unwrap();
-                        rec_out.split.release_demand(in_key, req.demand);
-                        return Err(e.into());
-                    }
-                }
-                // …then on the outgoing one, under the split cap; roll
-                // back the incoming admission on failure.
-                let cap_used = {
-                    let rec_out = self.store.segr_mut(out_key).unwrap();
-                    let allocated_cap =
-                        cap.saturating_sub(Bandwidth::ZERO); // cap already absolute
-                    rec_out.usage.admit(key, ver, req.demand, exp, now, Some(allocated_cap))
-                };
-                if let Err(e) = cap_used {
-                    let rec_in = self.store.segr_mut(in_key).unwrap();
-                    rec_in.usage.remove_version(key, ver);
-                    let rec_out = self.store.segr_mut(out_key).unwrap();
-                    rec_out.split.release_demand(in_key, req.demand);
+                let split = &mut self.store.segr_mut(out_key).unwrap().split;
+                split.record_demand(in_key, req.demand);
+                let cap = split.cap_for(in_key, in_bw, out_bw);
+                // Admit on the incoming SegR, then on the outgoing one
+                // under the split cap; a refusal by either undoes both.
+                let on = [(in_key, None), (out_key, Some(cap))];
+                if let Err(e) = self.store.admit_eer(&on, key, ver, req.demand, exp, now) {
+                    self.store.segr_mut(out_key).unwrap().split.release_demand(in_key, req.demand);
                     return Err(e.into());
                 }
-                self.store.schedule_alloc_expiry(in_key, key, ver, exp);
-                self.store.schedule_alloc_expiry(out_key, key, ver, exp);
             }
         }
         Ok(())
@@ -959,17 +949,9 @@ impl CServ {
     /// aborts for requests that were lost before arriving, change
     /// nothing.
     pub fn eer_abort_request(&mut self, req: &EerSetupReq, hop_index: usize, now: Instant) {
-        if req.request_id == 0 {
-            self.eer_abort_hop(req, hop_index);
-            return;
-        }
         let rk: ReplayKey = (req.res_info.src_as, req.request_id, hop_index as u32);
-        if let Some((Ok(()), _)) = self.eer_replay.remove(&rk) {
+        if req.request_id == 0 || self.take_grant::<()>(rk, now).is_some() {
             self.eer_abort_hop(req, hop_index);
-            if let Some(t) = &self.telemetry {
-                t.rollbacks.inc();
-            }
-            self.trace(now, TraceOp::Rollback, TraceOutcome::Ok, req.request_id);
         }
     }
 

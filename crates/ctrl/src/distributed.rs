@@ -11,15 +11,20 @@
 //!   sub-service — which makes their admission decisions trivially
 //!   parallel and lock-local.
 //!
-//! [`DistributedCServ`] realizes this with a sharded, lock-per-shard EER
-//! admission plane in front of a single-lock coordinator. `repro appd`
-//! measures the resulting multi-core admission throughput.
+//! [`DistributedCServ`] realizes this as a single-lock coordinator
+//! [`SegrAdmission`] in front of SegR-sharded [`ReservationStore`]s, one
+//! lock per shard. Each shard is the production store: an EER is admitted
+//! through [`ReservationStore::admit_eer`], the CServ's own allocation
+//! path, and expires through the store's expiry wheel
+//! ([`ReservationStore::gc`]). `repro appd` measures the resulting
+//! multi-core admission throughput and gates its exact admitted count.
 
 use crate::admission::{AdmissionError, SegrAdmission, SegrAdmissionConfig, SegrRequest};
-use crate::eer::{EerError, SegrUsage};
+use crate::eer::EerError;
+use crate::store::{GcStats, ReservationStore, SegrRecord};
 use colibri_base::{Bandwidth, Instant, ReservationKey};
+use colibri_wire::HopField;
 use std::sync::Mutex;
-use std::collections::HashMap;
 
 /// One EER admission request against a specific SegR.
 #[derive(Debug, Clone, Copy)]
@@ -59,15 +64,10 @@ impl std::fmt::Display for DistributedError {
 
 impl std::error::Error for DistributedError {}
 
-#[derive(Default)]
-struct EerShard {
-    usages: HashMap<ReservationKey, SegrUsage>,
-}
-
 /// The decomposed CServ: one coordinator, `n` EER sub-services.
 pub struct DistributedCServ {
     coordinator: Mutex<SegrAdmission>,
-    shards: Vec<Mutex<EerShard>>,
+    shards: Vec<Mutex<ReservationStore>>,
 }
 
 impl DistributedCServ {
@@ -76,7 +76,7 @@ impl DistributedCServ {
         assert!(n_shards >= 1);
         Self {
             coordinator: Mutex::new(SegrAdmission::new(cfg)),
-            shards: (0..n_shards).map(|_| Mutex::new(EerShard::default())).collect(),
+            shards: (0..n_shards).map(|_| Mutex::new(ReservationStore::new())).collect(),
         }
     }
 
@@ -100,24 +100,31 @@ impl DistributedCServ {
         self.coordinator.lock().unwrap().set_interface_capacity(iface, physical);
     }
 
-    /// Coordinator path: admits a SegR and registers its usage tracking on
-    /// the owning shard.
+    /// Coordinator path: admits a SegR and stores its record on the
+    /// owning shard. The record lives until the end of the request's
+    /// admission window.
     pub fn admit_segr(&self, req: SegrRequest) -> Result<Bandwidth, DistributedError> {
-        let granted = self.coordinator.lock().unwrap().admit(req).map_err(DistributedError::Admission)?;
-        let shard = self.shard_of(req.key);
-        self.shards[shard].lock().unwrap().usages.insert(req.key, SegrUsage::new(granted));
+        let mut coordinator = self.coordinator.lock().unwrap();
+        let granted = coordinator.admit(req).map_err(DistributedError::Admission)?;
+        let exp = coordinator.grid().slot_start(req.window.end);
+        drop(coordinator);
+        let hop = HopField { ingress: req.ingress, egress: req.egress };
+        // Version 0; App. D sees this AS's hop, not where it lies on the
+        // segment.
+        let rec = SegrRecord::new(req.key, hop, 0, 1, 0, granted, exp);
+        self.shards[self.shard_of(req.key)].lock().unwrap().insert_segr(rec);
         Ok(granted)
     }
 
     /// Sub-service path: admits one EER. Locks only the owning shard —
     /// requests over different SegR shards proceed fully in parallel.
     pub fn admit_eer(&self, req: EerAdmitRequest, now: Instant) -> Result<(), DistributedError> {
-        let shard = self.shard_of(req.segr);
-        let mut guard = self.shards[shard].lock().unwrap();
-        let usage =
-            guard.usages.get_mut(&req.segr).ok_or(DistributedError::UnknownSegr(req.segr))?;
-        usage
-            .admit(req.eer, req.ver, req.bw, req.exp, now, None)
+        let mut store = self.shards[self.shard_of(req.segr)].lock().unwrap();
+        if store.segr(req.segr).is_none() {
+            return Err(DistributedError::UnknownSegr(req.segr));
+        }
+        store
+            .admit_eer(&[(req.segr, None)], req.eer, req.ver, req.bw, req.exp, now)
             .map_err(DistributedError::Eer)
     }
 
@@ -155,17 +162,28 @@ impl DistributedCServ {
 
     /// Bandwidth currently promised to EERs on one SegR.
     pub fn eer_allocated(&self, segr: ReservationKey) -> Option<Bandwidth> {
-        let shard = self.shard_of(segr);
-        self.shards[shard].lock().unwrap().usages.get(&segr).map(|u| u.allocated())
+        let store = self.shards[self.shard_of(segr)].lock().unwrap();
+        store.segr(segr).map(|r| r.usage.allocated())
     }
 
-    /// Garbage-collects expired EER versions on all shards.
-    pub fn gc(&self, now: Instant) {
+    /// Garbage-collects every shard through its expiry wheel — work
+    /// proportional to the entries due, not to the live EERs — and
+    /// releases the coordinator's admission state of the SegRs that
+    /// expired, as [`crate::CServ::gc`] does. Returns the summed stats.
+    pub fn gc(&self, now: Instant) -> GcStats {
+        let mut coordinator = self.coordinator.lock().unwrap();
+        coordinator.advance(now);
+        let mut total = GcStats::default();
         for shard in &self.shards {
-            for usage in shard.lock().unwrap().usages.values_mut() {
-                usage.gc(now);
-            }
+            let stats = shard.lock().unwrap().gc(now);
+            total.scanned += stats.scanned;
+            total.expired += stats.expired;
+            total.removed.extend(stats.removed);
         }
+        for key in &total.removed {
+            coordinator.remove(*key);
+        }
+        total
     }
 }
 
@@ -208,7 +226,8 @@ mod tests {
             egress: EG,
             demand: Bandwidth::from_mbps(mbps),
             min_bw: Bandwidth::ZERO,
-            window: colibri_base::SlotWindow::at(0),
+            // A 300 s SegR: it outlives every EER below.
+            window: colibri_base::SlotWindow::new(0, 300),
         }
     }
 
@@ -304,5 +323,46 @@ mod tests {
         assert!(svc.admit_eer(eer_req(1, 2, 50), t0).is_err());
         svc.gc(Instant::from_secs(20));
         svc.admit_eer(eer_req(1, 2, 50), Instant::from_secs(20)).unwrap();
+    }
+
+    #[test]
+    fn gc_work_tracks_due_entries_not_live_eers() {
+        const LIVE: u32 = 10_000;
+        const DUE: u32 = 10;
+        let svc = service(4);
+        for s in 0..4 {
+            svc.admit_segr(segr_req(s, 100)).unwrap();
+        }
+        // 2,500 live 10 kbps EERs per SegR and, on SegR 0, ten due ones
+        // taking all of its remaining 75 Mbps.
+        let live = |e: u32| EerAdmitRequest {
+            bw: Bandwidth::from_kbps(10),
+            exp: Instant::from_secs(200),
+            ..eer_req(e % 4, e, 0)
+        };
+        let due = |e: u32| EerAdmitRequest {
+            bw: Bandwidth::from_kbps(7_500),
+            exp: Instant::from_secs(16),
+            ..eer_req(0, e, 0)
+        };
+        let t0 = Instant::from_secs(0);
+        let reqs: Vec<_> = (0..LIVE).map(live).chain((LIVE..LIVE + DUE).map(due)).collect();
+        assert!(svc.admit_eer_batch_parallel(&reqs, t0).iter().all(Result::is_ok));
+        assert!(svc.admit_eer(due(LIVE + DUE), t0).is_err(), "SegR 0 is full");
+        let stats = svc.gc(Instant::from_secs(20));
+        assert_eq!(stats.scanned, DUE as usize, "only the due allocations are examined");
+        assert_eq!(stats.expired, 0);
+        for s in 0..4 {
+            assert_eq!(svc.eer_allocated(segr_key(s)), Some(Bandwidth::from_mbps(25)));
+        }
+        // The freed headroom is admittable again, all of it.
+        let now = Instant::from_secs(20);
+        for e in LIVE + DUE..LIVE + 2 * DUE {
+            svc.admit_eer(EerAdmitRequest { exp: Instant::from_secs(36), ..due(e) }, now).unwrap();
+        }
+        assert!(svc.admit_eer(due(LIVE + 2 * DUE), now).is_err(), "SegR 0 is full again");
+        // At the end of their admission window the SegRs expire too.
+        assert_eq!(svc.gc(Instant::from_secs(300)).expired, 4);
+        assert_eq!(svc.eer_allocated(segr_key(0)), None);
     }
 }

@@ -11,9 +11,11 @@
 //! * **Versions** (§4.2): multiple versions of one EER coexist during
 //!   renewal, but map to the same monitor flow; the bandwidth charged to
 //!   the SegR is the *maximum* over live versions, not the sum.
-//! * **Expiry**: EERs expire automatically (no teardown message). Each
-//!   admitted version is indexed on the store's expiry wheel and dropped
-//!   — its bandwidth returned — by the first GC run after it expires.
+//! * **Expiry**: EERs expire automatically (no teardown message). An AS
+//!   allocates through one path, [`crate::ReservationStore::admit_eer`]
+//!   (the CServ's hops and the App. D sub-services alike), which indexes
+//!   each admitted version on the store's expiry wheel; the first GC run
+//!   after the version expires drops it and returns its bandwidth.
 //! * **Transfer ASes**: at the joint of two SegRs, the request must fit in
 //!   *both*; additionally, when up-SegRs jointly demand more EER bandwidth
 //!   than the shared core-SegR has, the core-SegR's capacity is divided
@@ -123,7 +125,9 @@ impl SegrUsage {
     /// Admits a new version of an EER (setup: first version; renewal:
     /// subsequent versions). O(1) in the number of existing EERs — the
     /// property Fig. 4 measures. `cap` optionally limits the admissible
-    /// charge increase (used by transfer-AS splitting).
+    /// charge increase (used by transfer-AS splitting). This is the bare
+    /// counter check: an allocation made here has no expiry-wheel entry,
+    /// so an AS allocates through [`crate::ReservationStore::admit_eer`].
     pub fn admit(
         &mut self,
         key: ReservationKey,
@@ -213,25 +217,6 @@ impl SegrUsage {
         self.eers.iter().flat_map(|(&k, e)| e.versions.iter().map(move |v| (k, v.ver, v.exp)))
     }
 
-    /// Full-scan expiry: drops the expired versions of *all* EERs and
-    /// returns the freed bandwidth to the pool, in time linear in the
-    /// number of EERs. The CServ never calls this — its GC expires each
-    /// allocation through its own wheel entry
-    /// ([`crate::ReservationStore::gc`]). It remains as the sweep of the
-    /// wheel-less [`crate::DistributedCServ`] and as the reference model
-    /// the property tests compare the wheel against.
-    pub fn gc(&mut self, now: Instant) {
-        let mut freed = 0u64;
-        self.eers.retain(|_, e| {
-            let before = e.charged();
-            e.gc(now);
-            let after = e.charged();
-            freed += before - after;
-            !e.versions.is_empty()
-        });
-        self.allocated -= freed;
-    }
-
     /// The bandwidth currently charged for one EER (max over versions).
     pub fn charged(&self, key: ReservationKey) -> Bandwidth {
         Bandwidth::from_bps(self.eers.get(&key).map(|e| e.charged()).unwrap_or(0))
@@ -303,7 +288,9 @@ impl TransferSplit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::{ReservationStore, SegrRecord};
     use colibri_base::{IsdAsId, ResId};
+    use colibri_wire::HopField;
 
     fn key(rid: u32) -> ReservationKey {
         ReservationKey::new(IsdAsId::new(1, 10), ResId(rid))
@@ -361,25 +348,40 @@ mod tests {
         assert_eq!(u.allocated(), Bandwidth::from_mbps(80));
     }
 
+    /// A store holding one 100 Mbps SegR (`key(0)`) that outlives every
+    /// EER of the expiry tests: they allocate and expire through the one
+    /// path the CServ uses, [`ReservationStore::admit_eer`] and the wheel.
+    fn store_with_segr() -> ReservationStore {
+        let mut store = ReservationStore::new();
+        let bw = Bandwidth::from_mbps(100);
+        let exp = Instant::from_secs(10_000);
+        store.insert_segr(SegrRecord::new(key(0), HopField::new(1, 2), 0, 1, 0, bw, exp));
+        store
+    }
+
     #[test]
     fn expiry_frees_bandwidth() {
-        let mut u = SegrUsage::new(Bandwidth::from_mbps(100));
+        let mut store = store_with_segr();
         let exp1 = Instant::from_secs(16);
         let exp2 = Instant::from_secs(32);
-        u.admit(key(1), 0, Bandwidth::from_mbps(80), exp1, T0, None).unwrap();
-        u.admit(key(1), 1, Bandwidth::from_mbps(10), exp2, T0, None).unwrap();
+        let on = [(key(0), None)];
+        store.admit_eer(&on, key(1), 0, Bandwidth::from_mbps(80), exp1, T0).unwrap();
+        store.admit_eer(&on, key(1), 1, Bandwidth::from_mbps(10), exp2, T0).unwrap();
         // After version 0 expires, the charge drops to 10.
-        u.gc(Instant::from_secs(20));
-        assert_eq!(u.allocated(), Bandwidth::from_mbps(10));
+        store.gc(Instant::from_secs(20));
+        assert_eq!(store.segr(key(0)).unwrap().usage.allocated(), Bandwidth::from_mbps(10));
         // Admission at a later `now` also GCs lazily per-EER.
-        u.admit(key(2), 0, Bandwidth::from_mbps(90), exp2, Instant::from_secs(20), None).unwrap();
+        let later = Instant::from_secs(20);
+        store.admit_eer(&on, key(2), 0, Bandwidth::from_mbps(90), exp2, later).unwrap();
     }
 
     #[test]
     fn fully_expired_eer_removed() {
-        let mut u = SegrUsage::new(Bandwidth::from_mbps(100));
-        u.admit(key(1), 0, Bandwidth::from_mbps(80), Instant::from_secs(16), T0, None).unwrap();
-        u.gc(Instant::from_secs(17));
+        let mut store = store_with_segr();
+        let exp = Instant::from_secs(16);
+        store.admit_eer(&[(key(0), None)], key(1), 0, Bandwidth::from_mbps(80), exp, T0).unwrap();
+        store.gc(Instant::from_secs(17));
+        let u = &store.segr(key(0)).unwrap().usage;
         assert_eq!(u.eer_count(), 0);
         assert_eq!(u.allocated(), Bandwidth::ZERO);
     }

@@ -43,10 +43,9 @@ pub use reliable::{
 };
 pub use shed::{AdmissionQueue, RequestClass, ShedConfig, ShedStats, ShedVerdict};
 pub use setup::{
-    activate_segr, activate_segr_with, master_secret_for, renew_eer, renew_eer_adaptive,
-    renew_eer_adaptive_with, renew_eer_with, renew_segr, renew_segr_with, setup_eer,
-    setup_eer_with, setup_segr, setup_segr_at, setup_segr_with, teardown_segr, CservRegistry,
-    EerGrant, SegrGrant, SetupError,
+    activate_segr, activate_segr_with, master_secret_for, renew_eer, renew_eer_with, renew_segr,
+    renew_segr_with, setup_eer, setup_eer_with, setup_segr, setup_segr_at, setup_segr_with,
+    teardown_segr, CservRegistry, EerGrant, SegrGrant, SetupError,
 };
 pub use store::{
     GcStats, OwnedEer, OwnedEerVersion, OwnedSegr, PendingOwned, ReservationStore, SegrRecord,

@@ -4,9 +4,9 @@
 //! setup across the CServs of all on-path ASes of an in-process
 //! [`CservRegistry`]. Each operation has one driver — [`setup_segr_with`],
 //! [`renew_segr_with`], [`activate_segr_with`], [`setup_eer_with`],
-//! [`renew_eer_with`], [`renew_eer_adaptive_with`] — that moves every hop
-//! exchange over a [`ControlChannel`] under a [`RetryPolicy`] and returns
-//! the [`RetryStats`] of the operation. The plain-named functions
+//! [`renew_eer_with`] — that moves every hop exchange over a
+//! [`ControlChannel`] under a [`RetryPolicy`] and returns the
+//! [`RetryStats`] of the operation. The plain-named functions
 //! ([`setup_segr`], [`renew_segr`], …) are those drivers over the lossless
 //! [`PerfectChannel`] with the default policy. Either way the per-AS
 //! processing — admission, token computation, authentication — is
@@ -861,80 +861,6 @@ fn run_eer_pass(
     );
 
     Ok((EerGrant { key: res_info.key(), ver: res_info.ver, bw: demand, exp: res_info.exp_t }, stats))
-}
-
-/// Renews an EER, adapting to reduced grants: if an on-path AS can no
-/// longer support the requested bandwidth, the renewal is retried at the
-/// bandwidth that AS offered (§4.2: "during a renewal request all on-path
-/// ASes can specify the amount of bandwidth they are willing to grant,
-/// enabling ASes to quickly adapt to changes in demand without
-/// interrupting service"). Returns the grant actually obtained, which may
-/// be below `demand` but at least `min_bw`.
-pub fn renew_eer_adaptive(
-    reg: &mut CservRegistry,
-    key: ReservationKey,
-    demand: Bandwidth,
-    min_bw: Bandwidth,
-    now: Instant,
-) -> Result<EerGrant, SetupError> {
-    let clock = Clock::starting_at(now);
-    renew_eer_adaptive_with(
-        reg,
-        key,
-        demand,
-        min_bw,
-        &clock,
-        &mut PerfectChannel,
-        &RetryPolicy::default(),
-    )
-    .map(|(g, _)| g)
-}
-
-/// Channel-aware [`renew_eer_adaptive`]. Each downgrade attempt is a new
-/// logical request (fresh request id, possibly different demand), which
-/// is exactly why request ids — not `(key, version)` — key the replay
-/// caches.
-#[allow(clippy::too_many_arguments)]
-pub fn renew_eer_adaptive_with(
-    reg: &mut CservRegistry,
-    key: ReservationKey,
-    demand: Bandwidth,
-    min_bw: Bandwidth,
-    clock: &Clock,
-    ch: &mut dyn ControlChannel,
-    policy: &RetryPolicy,
-) -> Result<(EerGrant, RetryStats), SetupError> {
-    let mut want = demand;
-    let mut stats = RetryStats::default();
-    for _attempt in 0..4 {
-        match renew_eer_with(reg, key, want, clock, ch, policy) {
-            Ok((grant, s)) => {
-                stats.absorb(s);
-                return Ok((grant, stats));
-            }
-            Err(SetupError::Refused {
-                failed_at,
-                reason: CservError::Eer(crate::eer::EerError::InsufficientSegr { available }),
-            }) => {
-                if available < min_bw {
-                    return Err(SetupError::Refused {
-                        failed_at,
-                        reason: CservError::Eer(crate::eer::EerError::InsufficientSegr {
-                            available,
-                        }),
-                    });
-                }
-                want = available;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Err(SetupError::Refused {
-        failed_at: 0,
-        reason: CservError::Eer(crate::eer::EerError::InsufficientSegr {
-            available: Bandwidth::ZERO,
-        }),
-    })
 }
 
 /// Tears down a (partially) admitted EER setup hop by hop, with

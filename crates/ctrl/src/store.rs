@@ -15,7 +15,7 @@
 //!   gateway: path, reservation metadata, and the per-AS hop
 //!   authenticators σᵢ of every live version.
 
-use crate::eer::{SegrUsage, TransferSplit};
+use crate::eer::{EerError, SegrUsage, TransferSplit};
 use crate::timeline::ExpiryWheel;
 use colibri_base::{Bandwidth, Duration, HostAddr, Instant, InterfaceId, IsdAsId, ReservationKey};
 use colibri_crypto::Key;
@@ -364,18 +364,41 @@ impl ReservationStore {
         self.segrs.insert(rec.key, rec);
     }
 
-    /// Indexes one EER allocation just admitted on SegR `segr`
-    /// ([`SegrUsage::admit`] of version `ver` of `eer`, expiring at
-    /// `exp`), so the GC returns exactly that version's headroom to the
-    /// pool once it expires.
-    pub fn schedule_alloc_expiry(
+    /// Admits version `ver` of EER `eer` (bandwidth `bw`, expiring at
+    /// `exp`) on every SegR of `on` in order, each under its optional cap
+    /// (the transfer-AS split of §4.7), and indexes each allocation on the
+    /// expiry wheel so the GC returns exactly that version's headroom once
+    /// it expires. All or nothing: when one SegR refuses, the version is
+    /// removed again from the SegRs before it and that refusal returned,
+    /// with no wheel entry left behind. This is the one EER-allocation
+    /// path of an AS — the CServ's plain and transfer hops and the App. D
+    /// sub-services all call it.
+    ///
+    /// # Panics
+    ///
+    /// If a SegR of `on` is not in the store.
+    pub fn admit_eer(
         &mut self,
-        segr: ReservationKey,
+        on: &[(ReservationKey, Option<Bandwidth>)],
         eer: ReservationKey,
         ver: u8,
+        bw: Bandwidth,
         exp: Instant,
-    ) {
-        self.wheel.schedule(exp, Due::Alloc { segr, eer, ver });
+        now: Instant,
+    ) -> Result<(), EerError> {
+        for (i, &(segr, cap)) in on.iter().enumerate() {
+            let usage = &mut self.segrs.get_mut(&segr).expect("admit_eer on a stored SegR").usage;
+            if let Err(e) = usage.admit(eer, ver, bw, exp, now, cap) {
+                for &(done, _) in &on[..i] {
+                    self.segrs.get_mut(&done).unwrap().usage.remove_version(eer, ver);
+                }
+                return Err(e);
+            }
+        }
+        for &(segr, _) in on {
+            self.wheel.schedule(exp, Due::Alloc { segr, eer, ver });
+        }
+        Ok(())
     }
 
     /// Rebuilds the expiry wheel from the records — the wheel is volatile
@@ -732,8 +755,7 @@ mod tests {
         let t0 = Instant::EPOCH;
         for rid in 0..=1000 {
             let exp = Instant::from_secs(if rid == 1000 { 100 } else { 10_000 });
-            store.segr_mut(key(0)).unwrap().usage.admit(key(rid), 0, bw, exp, t0, None).unwrap();
-            store.schedule_alloc_expiry(key(0), key(rid), 0, exp);
+            store.admit_eer(&[(key(0), None)], key(rid), 0, bw, exp, t0).unwrap();
         }
         let stats = store.gc(Instant::from_secs(200));
         assert_eq!(stats.expired, 1);
@@ -751,8 +773,7 @@ mod tests {
         let admit = |store: &mut ReservationStore, ver, mbps, exp_s| {
             let exp = Instant::from_secs(exp_s);
             let bw = Bandwidth::from_mbps(mbps);
-            store.segr_mut(key(1)).unwrap().usage.admit(key(7), ver, bw, exp, Instant::EPOCH, None).unwrap();
-            store.schedule_alloc_expiry(key(1), key(7), ver, exp);
+            store.admit_eer(&[(key(1), None)], key(7), ver, bw, exp, Instant::EPOCH).unwrap();
         };
         admit(&mut store, 0, 80, 16);
         admit(&mut store, 1, 10, 32);
@@ -771,13 +792,29 @@ mod tests {
     }
 
     #[test]
+    fn refused_admission_leaves_no_allocation_and_no_entry() {
+        let mut store = ReservationStore::new();
+        store.insert_segr(rec(1, 10_000));
+        store.insert_segr(rec(2, 10_000));
+        let (bw, exp) = (Bandwidth::from_mbps(50), Instant::from_secs(16));
+        // The second SegR's cap refuses: the first one's allocation is
+        // undone, and neither gets a wheel entry.
+        let on = [(key(1), None), (key(2), Some(Bandwidth::from_mbps(10)))];
+        assert!(store.admit_eer(&on, key(7), 0, bw, exp, Instant::EPOCH).is_err());
+        assert_eq!(store.segr(key(1)).unwrap().usage.allocated(), Bandwidth::ZERO);
+        assert_eq!(store.wheel_len(), 2, "only the SegRs' own entries");
+        let on = [(key(1), None), (key(2), None)];
+        store.admit_eer(&on, key(7), 0, bw, exp, Instant::EPOCH).unwrap();
+        assert_eq!(store.wheel_len(), 4);
+    }
+
+    #[test]
     fn alloc_entry_due_in_the_current_slot_is_rearmed() {
         let mut store = ReservationStore::new();
         store.insert_segr(rec(1, 10_000));
         let exp = Instant::from_secs(16) + Duration::from_millis(500);
         let bw = Bandwidth::from_mbps(5);
-        store.segr_mut(key(1)).unwrap().usage.admit(key(7), 0, bw, exp, Instant::EPOCH, None).unwrap();
-        store.schedule_alloc_expiry(key(1), key(7), 0, exp);
+        store.admit_eer(&[(key(1), None)], key(7), 0, bw, exp, Instant::EPOCH).unwrap();
         // Two runs inside slot 16, both before the expiry: the entry pops
         // and is re-armed each time; the run after the expiry frees it.
         for ms in [100, 400] {

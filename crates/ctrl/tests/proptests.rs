@@ -2,7 +2,8 @@
 //! invariants behind the paper's worst-case guarantees.
 
 use colibri_base::{Bandwidth, Instant, InterfaceId, IsdAsId, ResId, ReservationKey, SlotWindow};
-use colibri_ctrl::{SegrAdmission, SegrAdmissionConfig, SegrRequest, SegrUsage};
+use colibri_ctrl::{ReservationStore, SegrAdmission, SegrAdmissionConfig, SegrRecord, SegrRequest};
+use colibri_wire::HopField;
 use proptest::prelude::*;
 
 const IN1: InterfaceId = InterfaceId(1);
@@ -203,19 +204,25 @@ proptest! {
         ),
     ) {
         let segr_bw = Bandwidth::from_mbps(1000);
-        let mut u = SegrUsage::new(segr_bw);
+        let segr = key(0, 0);
+        let mut store = ReservationStore::new();
+        let hop = HopField::new(1, 2);
+        store.insert_segr(SegrRecord::new(segr, hop, 0, 1, 0, segr_bw, Instant::MAX));
         let mut now = Instant::from_secs(0);
         for &(eer, ver, bw_mbps, dt_s, remove) in &steps {
             now += colibri_base::Duration::from_secs(dt_s);
             let k = key(1, eer);
             if remove {
-                u.remove_version(k, ver);
+                store.segr_mut(segr).unwrap().usage.remove_version(k, ver);
             } else {
                 let exp = now + colibri_base::Duration::from_secs(16);
-                let _ = u.admit(k, ver, Bandwidth::from_mbps(bw_mbps), exp, now, None);
+                let bw = Bandwidth::from_mbps(bw_mbps);
+                let _ = store.admit_eer(&[(segr, None)], k, ver, bw, exp, now);
             }
+            let u = &store.segr(segr).unwrap().usage;
             prop_assert!(u.allocated() <= segr_bw, "over-allocated: {}", u.allocated());
-            u.gc(now);
+            store.gc(now);
+            let u = &store.segr(segr).unwrap().usage;
             // After GC, allocated equals the sum of live charges.
             let charged_sum: u64 = (0..10).map(|e| u.charged(key(1, e)).as_bps()).sum();
             prop_assert_eq!(u.allocated().as_bps(), charged_sum);

@@ -113,48 +113,3 @@ fn overuse_report_denies_future_reservations() {
         "{err:?}"
     );
 }
-
-#[test]
-fn adaptive_renewal_downgrades_gracefully() {
-    use colibri_ctrl::renew_eer_adaptive;
-    let (mut reg, path, eer) = setup();
-    let now = Instant::from_secs(3);
-    // Competing EERs eat most of the 1 Gbps SegR: 9 × 100 Mbps.
-    let segr_keys =
-        reg.get(path.src_as()).unwrap().store().eer_segrs(eer.key).unwrap().to_vec();
-    for i in 0..9 {
-        setup_eer(
-            &mut reg,
-            &path,
-            &segr_keys,
-            EerInfo { src_host: HostAddr(50 + i), dst_host: HostAddr(2) },
-            Bandwidth::from_mbps(100),
-            now,
-        )
-        .unwrap();
-    }
-    // Our EER holds 10 Mbps; ~90 Mbps of headroom remain. A renewal asking
-    // for 500 Mbps cannot be met — adaptive renewal settles for what the
-    // bottleneck AS offers instead of failing.
-    let g = renew_eer_adaptive(
-        &mut reg,
-        eer.key,
-        Bandwidth::from_mbps(500),
-        Bandwidth::from_mbps(1),
-        now,
-    )
-    .expect("adaptive renewal");
-    assert!(g.bw < Bandwidth::from_mbps(500));
-    assert!(g.bw >= Bandwidth::from_mbps(50), "got only {}", g.bw);
-    // With an unmeetable minimum it refuses instead.
-    let t2 = now + Duration::from_secs(2);
-    let err = renew_eer_adaptive(
-        &mut reg,
-        eer.key,
-        Bandwidth::from_mbps(500),
-        Bandwidth::from_mbps(400),
-        t2,
-    )
-    .unwrap_err();
-    assert!(matches!(err, SetupError::Refused { .. }));
-}

@@ -112,8 +112,8 @@ step "cargo doc (broken intra-doc links are errors)" \
 step "repro --quick --gate (every paper shape: Figs. 3/4 admission slope ≤0.25; Fig. 5 exact
     AES blocks and key expansions (one each per hop), ≤288 B per 4-hop reservation, one record
     region per packet, and 4-hop Mpps at r=2^15 ≥0.38x r=1; App. E exact AES counts; Table 2
-    guarantees ≥0.99, zero unauthentic; §5.3 DoC; OFD no false negatives; batched router ≡ scalar
-    and flat in reservations; telemetry ≤2% with verified scrape; storm amplification ≤3;
+    guarantees ≥0.99, zero unauthentic; §5.3 DoC; OFD no false negatives; App. D admits every
+    offered EER at 1, 4 and 16 sub-services; batched router ≡ scalar and flat in reservations; telemetry ≤2% with verified scrape; storm amplification ≤3;
     survivability ledgers; store O(log n) admit and GC ∝ expired; QoS isolation ≥95% with zero
     reserved drops)" \
   cargo run --release -q -p colibri-bench --bin repro -- --quick --gate --out target/REPRO.quick.json
